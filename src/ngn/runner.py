@@ -308,7 +308,8 @@ def multi_seed(
 
 
 def _format_cell(value: float) -> str:
-    return "" if not math.isfinite(value) else repr(value)
+    # float() first: repr of a numpy scalar is "np.float64(...)" under numpy >= 2
+    return "" if not math.isfinite(value) else repr(float(value))
 
 
 def trace_to_csv(trace: RunTrace, path) -> None:

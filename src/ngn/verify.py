@@ -9,6 +9,8 @@ acceptance rule: seed-mean <= RHS and at least 19 of 20 individual seeds
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -53,11 +55,14 @@ class CheckReport:
     seed: int = 0
 
     def csv_row(self) -> str:
+        """One report line; a cell holding a comma (a list param) is quoted."""
         params = ";".join(f"{k}={v}" for k, v in self.params.items())
-        return (
-            f"{self.name},{params},{float(self.measured)!r},{float(self.bound)!r},"
-            f"{float(self.tolerance)!r},{'pass' if self.passed else 'fail'},{self.seed}"
-        )
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow([
+            self.name, params, repr(float(self.measured)), repr(float(self.bound)),
+            repr(float(self.tolerance)), "pass" if self.passed else "fail", self.seed,
+        ])
+        return buf.getvalue()
 
 
 REPORT_HEADER = "check,params,measured,bound,tolerance,result,seed"

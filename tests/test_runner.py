@@ -155,6 +155,17 @@ def test_trace_csv_schema(tmp_path):
     assert row1[6] == "" and row1[7] == "" and row1[8] == ""  # off-cadence empty
 
 
+def test_trace_csv_cells_parse_as_floats(tmp_path):
+    obj = make_two_quadratics()
+    trace = run_sgd(obj, NGN(0.5), 20, seed=0, cadence=3)
+    path = tmp_path / "trace.csv"
+    trace_to_csv(trace, path)
+    rows = path.read_text().splitlines()[1:]
+    numeric = [c for c, name in enumerate(TRACE_COLUMNS) if name != "batch_ids"]
+    cells = [row.split(",")[c] for row in rows for c in numeric]
+    assert all(float(cell) == float(cell) for cell in cells if cell)
+
+
 def test_pca_projection_degenerate_line():
     obj = make_two_quadratics()
     trace = run_sgd(obj, NGN(0.5), 30, seed=0, store_iterates=True)

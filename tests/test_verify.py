@@ -1,8 +1,12 @@
+import csv
+
 import pytest
 
 from ngn import stepsizes
 from ngn.verify import (
+    REPORT_HEADER,
     SUITES,
+    CheckReport,
     check_baseline_sanity,
     check_deterministic_contraction,
     check_ggn_reductions,
@@ -64,3 +68,16 @@ def test_report_csv_row_format():
     row = report.csv_row()
     assert row.startswith("lemma_fundamental_equality,")
     assert ",pass," in row or ",fail," in row
+
+
+def test_report_rows_keep_seven_columns():
+    reports = [check_deterministic_contraction(steps=20),
+               CheckReport(name="list_param", params={"steps_grid": [5, 50, 500]},
+                           measured=1.0, bound=2.0, passed=True)]
+    width = len(REPORT_HEADER.split(","))
+    rows = list(csv.reader(r.csv_row() for r in reports))
+    assert rows[1][1] == "steps_grid=[5, 50, 500]"
+    for row in rows:
+        assert len(row) == width
+        for cell in row[2:5] + row[6:]:
+            float(cell)
