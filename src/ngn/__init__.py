@@ -29,12 +29,10 @@ from .runner import (
     aggregate_metric,
     averaged_iterate_uniform,
     averaged_iterate_weighted,
-    grad_norm_average,
-    multi_seed,
-    pca_projection,
     run_sgd,
     trace_to_csv,
 )
+from .specs import POLICIES, PROBLEMS, SpecError, build_spec, parse_policy
 from .stepsizes import (
     APS,
     GGN,
@@ -49,7 +47,6 @@ from .stepsizes import (
     SPSMax,
     StepObservation,
     StepsizePolicy,
-    parse_policy,
     stepsize_bounds,
 )
 from .theory import (

@@ -25,28 +25,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .objectives import (
-    FiniteSumObjective,
-    ParseError,
-    load_libsvm,
-    make_blobs_dataset,
-    make_linear_regression,
-    make_logistic,
-    make_nonconvex_sum,
-    make_quadratic1d,
-    make_two_quadratics,
-    write_libsvm,
-)
+from .objectives import FiniteSumObjective, make_blobs_dataset, write_libsvm
 from .runner import RunTrace, SamplerSpec, aggregate_metric, run_sgd, trace_to_csv
-from .stepsizes import PolicyError, parse_call, parse_policy
+from .specs import POLICIES, PROBLEMS, build_spec
+from .stepsizes import StepsizePolicy
 from .verify import REPORT_HEADER, SUITES, run_suites
 
 
 class ConfigError(Exception):
     """Malformed configuration; maps to exit code 2."""
-
-
-_SAMPLER_MODES = ("with_replacement_uniform", "epoch_shuffle", "full_batch")
 
 
 @dataclass
@@ -70,9 +57,9 @@ class ExperimentConfig:
             raise ConfigError("steps must be >= 1")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if self.sampler not in _SAMPLER_MODES:
+        if self.sampler not in SamplerSpec.MODES:
             raise ConfigError(
-                f"unknown sampler {self.sampler!r}; choose from {_SAMPLER_MODES}")
+                f"unknown sampler {self.sampler!r}; choose from {SamplerSpec.MODES}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.cadence is not None and self.cadence < 1:
@@ -92,10 +79,9 @@ def parse_config(path) -> ExperimentConfig:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        # split at the first '=' only: policy/problem values hold more of them
         key, _, value = line.partition("=")
-        key = key.strip()
-        # policy/problem values contain '=' inside parentheses; keep them whole
-        entries[key] = line.partition("=")[2].strip() if key in ("policy", "problem", "values") else value.strip()
+        entries[key.strip()] = value.strip()
 
     if "problem" not in entries:
         raise ConfigError(f"{path}: missing required key 'problem'")
@@ -131,51 +117,16 @@ def parse_config(path) -> ExperimentConfig:
 def build_problem(spec: str) -> FiniteSumObjective:
     """Instantiate an objective from its config-grammar spec string."""
     try:
-        name, kwargs = parse_call(spec)
-    except (PolicyError, ParseError) as exc:
+        return build_spec(PROBLEMS, spec)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"bad problem spec {spec!r}: {exc}") from exc
-    try:
-        if name == "quadratic1d":
-            return make_quadratic1d(
-                lam=float(kwargs.pop("lam")),
-                x_star=float(kwargs.pop("xstar", 0.0)),
-                f_star=float(kwargs.pop("fstar", 0.0)),
-            )
-        if name == "two_quadratics":
-            return make_two_quadratics()
-        if name == "linear_regression":
-            return make_linear_regression(
-                d=int(kwargs.pop("d", 10)),
-                n=int(kwargs.pop("n", 40)),
-                seed=int(kwargs.pop("seed", 0)),
-                noise_std=float(kwargs.pop("noise_std", 0.0)),
-            )
-        if name == "logistic_blobs":
-            data = make_blobs_dataset(
-                n=int(kwargs.pop("n", 60)),
-                d=int(kwargs.pop("d", 5)),
-                classes=int(kwargs.pop("classes", 3)),
-                seed=int(kwargs.pop("seed", 0)),
-            )
-            return make_logistic(data, l2=float(kwargs.pop("l2", 1e-4)))
-        if name == "logistic_file":
-            data = load_libsvm(str(kwargs.pop("path")))
-            return make_logistic(data, l2=float(kwargs.pop("l2", 1e-4)))
-        if name == "nonconvex_sum":
-            return make_nonconvex_sum(
-                n=int(kwargs.pop("n", 8)),
-                seed=int(kwargs.pop("seed", 0)),
-                eps=float(kwargs.pop("eps", 0.5)),
-            )
-    except (KeyError, ValueError, ParseError) as exc:
-        raise ConfigError(f"bad problem spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown problem {name!r}")
 
 
-def build_policy(spec: str):
+def build_policy(spec: str, **overrides) -> StepsizePolicy:
+    """Instantiate a policy; `overrides` replace spec parameters (sweep points)."""
     try:
-        return parse_policy(spec)
-    except PolicyError as exc:
+        return build_spec(POLICIES, spec, **overrides)
+    except ValueError as exc:
         raise ConfigError(f"bad policy spec {spec!r}: {exc}") from exc
 
 
@@ -189,9 +140,9 @@ def resolve_out_dir(flag_value: Optional[str], cfg_out: Optional[str]) -> Path:
 
 def _execute_seed(args: tuple) -> tuple[int, RunTrace]:
     """Worker entry point; rebuilds the objective/policy from spec strings."""
-    problem, policy, steps, sampler, batch_size, cadence, x0, seed = args
+    problem, policy, overrides, steps, sampler, batch_size, cadence, x0, seed = args
     obj = build_problem(problem)
-    pol = build_policy(policy)
+    pol = build_policy(policy, **overrides)
     x0_vec = np.array(x0) if x0 is not None else None
     trace = run_sgd(
         obj, pol, steps, seed=seed,
@@ -201,9 +152,10 @@ def _execute_seed(args: tuple) -> tuple[int, RunTrace]:
     return seed, trace
 
 
-def _run_all_seeds(cfg: ExperimentConfig, jobs: int) -> list[tuple[int, RunTrace]]:
+def _run_all_seeds(cfg: ExperimentConfig, jobs: int,
+                   overrides: dict) -> list[tuple[int, RunTrace]]:
     tasks = [
-        (cfg.problem, cfg.policy, cfg.steps, cfg.sampler, cfg.batch_size,
+        (cfg.problem, cfg.policy, overrides, cfg.steps, cfg.sampler, cfg.batch_size,
          cfg.cadence, cfg.x0, seed)
         for seed in cfg.seeds
     ]
@@ -239,7 +191,7 @@ def cmd_run(args) -> int:
     out_dir = resolve_out_dir(args.out, cfg.out)
     build_problem(cfg.problem)  # fail fast before spawning workers
     build_policy(cfg.policy)
-    results = _run_all_seeds(cfg, args.jobs)
+    results = _run_all_seeds(cfg, args.jobs, {})
     for seed, trace in results:
         trace_to_csv(trace, out_dir / f"trace_seed{seed}.csv")
         if trace.diverged:
@@ -249,12 +201,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _render_policy(name: str, kwargs: dict) -> str:
-    inner = ", ".join(f"{k}={v!r}" if isinstance(k, float) else f"{k}={v}"
-                      for k, v in kwargs.items())
-    return f"{name}({inner})"
-
-
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     if cfg.axis is None or not cfg.values:
@@ -262,16 +208,13 @@ def cmd_sweep(args) -> int:
     if args.seed_offset:
         cfg = replace(cfg, seeds=tuple(s + args.seed_offset for s in cfg.seeds))
     out_dir = resolve_out_dir(args.out, cfg.out)
-    base_name, base_kwargs = parse_call(cfg.policy)
 
     means = []
     rows = []
     for value in cfg.values:
-        kwargs = dict(base_kwargs)
-        kwargs[cfg.axis] = value
-        point_cfg = replace(cfg, policy=_render_policy(base_name, kwargs))
-        build_policy(point_cfg.policy)
-        results = _run_all_seeds(point_cfg, args.jobs)
+        point = {cfg.axis: value}
+        build_policy(cfg.policy, **point)  # an unknown axis fails here, before any run
+        results = _run_all_seeds(cfg, args.jobs, point)
         finals = [np.inf if t.diverged else float(t.loss_full[-1]) for _, t in results]
         agg = aggregate_metric(finals)
         means.append(agg.mean)
@@ -333,28 +276,13 @@ def cmd_datagen(args) -> int:
         raise ConfigError("datagen requires --out FILE")
     out.parent.mkdir(parents=True, exist_ok=True)
     try:
-        if args.kind == "blobs":
-            data = make_blobs_dataset(
-                n=int(params.get("n", 200)),
-                d=int(params.get("d", 5)),
-                classes=int(params.get("classes", 3)),
-                seed=int(params.get("seed", 0)),
-            )
-            write_libsvm(data, out)
-        elif args.kind == "linreg":
-            rng = np.random.default_rng(int(params.get("seed", 0)))
-            n = int(params.get("n", 100))
-            d = int(params.get("d", 10))
-            noise = float(params.get("noise_std", 0.1))
-            features = rng.standard_normal((n, d))
-            truth = rng.standard_normal(d)
-            targets = features @ truth + noise * rng.standard_normal(n)
-            with open(out, "w") as fh:
-                for row, target in zip(features, targets):
-                    cells = " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row))
-                    fh.write(f"{target!r} {cells}\n")
-        else:
-            raise ConfigError(f"unknown dataset kind {args.kind!r}")
+        data = make_blobs_dataset(
+            n=int(params.get("n", 200)),
+            d=int(params.get("d", 5)),
+            classes=int(params.get("classes", 3)),
+            seed=int(params.get("seed", 0)),
+        )
+        write_libsvm(data, out)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     print(f"wrote {out}")
@@ -387,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.set_defaults(func=cmd_verify)
 
     datagen_p = sub.add_parser("datagen", help="write a synthetic dataset")
-    datagen_p.add_argument("kind", choices=["blobs", "linreg"])
+    datagen_p.add_argument("kind", choices=["blobs"])
     datagen_p.add_argument("params", nargs="*", help="key=value pairs")
     datagen_p.add_argument("--out", required=True)
     datagen_p.set_defaults(func=cmd_datagen)
@@ -401,9 +329,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, PolicyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""SGD execution: sampling, traces, averaged iterates, multi-seed aggregation."""
+"""SGD execution: sampling, traces, averaged iterates, seed aggregation, CSV output."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .objectives import FiniteSumObjective, as_point
-from .stepsizes import Armijo, StepObservation, StepsizePolicy
+from .stepsizes import StepObservation, StepsizePolicy
 
 DIVERGENCE_THRESHOLD = 1e30
 
@@ -115,7 +115,6 @@ def run_sgd(
 
     indices = _draw_indices(sampler.mode, obj.n, sampler.batch_size, steps, rng_sample)
     full_batch = sampler.mode == "full_batch"
-    is_armijo = isinstance(policy, Armijo)
     f_i_star = obj.f_i_star
 
     loss_batch = np.full(steps, np.nan)
@@ -144,6 +143,11 @@ def run_sgd(
     policy_sigma_at = policy.sigma_at
     needs_comp_min = policy.requires_component_min and f_i_star is not None
     isfinite = math.isfinite
+
+    def probe(gamma: float) -> float:
+        """Batch loss at x - gamma * grad for the loop's current x, grad and idx."""
+        point = x - gamma * grad
+        return (full_eval(point) if full_batch else batch_eval(idx, point))[0]
 
     def record_metrics(k: int, point: np.ndarray) -> None:
         fv, fg = full_eval(point)
@@ -179,12 +183,9 @@ def run_sgd(
 
         comp_min = float(np.mean(f_i_star[idx])) if needs_comp_min else None
         obs = StepObservation(k=k, loss=loss if loss > 0.0 else 0.0,
-                              grad_sq_norm=gsq, component_min=comp_min)
+                              grad_sq_norm=gsq, component_min=comp_min, probe=probe)
         try:
-            if is_armijo:
-                gamma = policy.search(lambda p: full_eval(p)[0], x, loss, grad)
-            else:
-                gamma = policy_stepsize(obs)
+            gamma = policy_stepsize(obs)
         except Exception as exc:  # noqa: BLE001 - annotate with step index
             raise RunError(k, exc) from exc
 
@@ -255,30 +256,6 @@ def averaged_iterate_weighted(trace: RunTrace) -> np.ndarray:
     return trace.x_mean_weighted
 
 
-def grad_norm_average(trace: RunTrace) -> float:
-    """Mean squared full-gradient norm over k = 0 .. K-1; needs cadence 1."""
-    mask = trace.metric_steps < trace.steps
-    if int(mask.sum()) != trace.steps:
-        raise ValueError("grad_norm_average requires metric cadence 1")
-    return float(np.mean(trace.grad_full_sq[mask]))
-
-
-def pca_projection(trace: RunTrace, n_components: int = 2) -> np.ndarray:
-    """Project stored iterates onto their top principal directions."""
-    if trace.iterates is None:
-        raise ValueError("trace did not store iterates")
-    pts = trace.iterates
-    centered = pts - pts.mean(axis=0)
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    rank = int(np.sum(s > 1e-12 * max(s[0], 1.0)))
-    n_use = min(n_components, rank) if rank > 0 else 1
-    if n_use < n_components:
-        import warnings
-
-        warnings.warn(f"iterate cloud has rank {rank}; returning {n_use} component(s)")
-    return centered @ vt[:n_use].T
-
-
 @dataclass(frozen=True)
 class Aggregate:
     mean: float
@@ -292,19 +269,6 @@ def aggregate_metric(values: Sequence[float]) -> Aggregate:
     mean = float(np.mean(arr))
     std = float(np.std(arr, ddof=1)) if arr.size >= 2 else 0.0
     return Aggregate(mean=mean, std=std, ci_half=2.0 * std / math.sqrt(arr.size))
-
-
-def multi_seed(
-    obj: FiniteSumObjective,
-    make_policy,
-    steps: int,
-    seeds: Sequence[int],
-    **run_kwargs,
-) -> list[RunTrace]:
-    """One trace per seed; a fresh policy instance per run."""
-    if not seeds:
-        raise ValueError("at least one seed required")
-    return [run_sgd(obj, make_policy(), steps, seed=s, **run_kwargs) for s in seeds]
 
 
 def _format_cell(value: float) -> str:

@@ -2,17 +2,15 @@
 
 A policy observes (k, f_i(x^k), ||grad f_i(x^k)||^2) and emits gamma_k > 0,
 or None when the observation is stationary (zero gradient where the rule is
-undefined); the runner then takes a zero step.
+undefined); the runner then takes a zero step. A line search also gets a
+probe: the batch loss at the trial point x^k - gamma * grad f_i(x^k).
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 # Floor applied to the loss inside stepsize formulas only; guards the
 # division in the harmonic-mean form. Recorded losses are never modified.
@@ -37,6 +35,7 @@ class StepObservation:
     loss: float
     grad_sq_norm: float
     component_min: Optional[float] = None
+    probe: Optional[Callable[[float], float]] = None  # gamma -> batch loss after the step
 
     def __post_init__(self):
         if self.loss < 0:
@@ -219,8 +218,8 @@ class Constant(StepsizePolicy):
 class Armijo(StepsizePolicy):
     """Backtracking line search with the sufficient-decrease condition.
 
-    Full-batch only; the runner supplies a callback evaluating the full
-    objective at trial points.
+    Backtracks on the observation's probe. Full-batch only, so the probe
+    evaluates the full objective.
     """
 
     requires_full_batch = True
@@ -237,25 +236,15 @@ class Armijo(StepsizePolicy):
         self.backtrack = float(backtrack)
         self.gamma_init = float(gamma_init)
 
-    def search(
-        self,
-        value_fn: Callable[[np.ndarray], float],
-        x: np.ndarray,
-        fx: float,
-        grad: np.ndarray,
-    ) -> float:
-        grad_sq = float(grad @ grad)
-        if grad_sq == 0.0:
+    def stepsize(self, obs: StepObservation) -> float:
+        if obs.grad_sq_norm == 0.0:
             return self.gamma_init
         gamma = self.gamma_init
         for _ in range(self.MAX_BACKTRACKS):
-            if value_fn(x - gamma * grad) <= fx - self.c1 * gamma * grad_sq:
+            if obs.probe(gamma) <= obs.loss - self.c1 * gamma * obs.grad_sq_norm:
                 return gamma
             gamma *= self.backtrack
         raise ArmijoSearchError(gamma)
-
-    def stepsize(self, obs: StepObservation) -> float:
-        raise PolicyError("Armijo requires the runner's full-objective callback")
 
 
 def stepsize_bounds(sigma: float, l_smooth: float) -> tuple[float, float]:
@@ -263,59 +252,3 @@ def stepsize_bounds(sigma: float, l_smooth: float) -> tuple[float, float]:
     if sigma <= 0 or l_smooth <= 0:
         raise ValueError("sigma and L must be positive")
     return sigma / (1.0 + sigma * l_smooth), sigma
-
-
-_CALL_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z0-9_]*)\s*\((.*)\)\s*$", re.DOTALL)
-
-
-def parse_call(text: str) -> tuple[str, dict]:
-    """Parse "name(key=value, ...)" into (name, kwargs).
-
-    Values are floats when numeric, bare strings otherwise.
-    """
-    m = _CALL_RE.match(text)
-    if not m:
-        raise PolicyError(f"cannot parse call expression {text!r}")
-    name, argstr = m.group(1), m.group(2).strip()
-    kwargs: dict = {}
-    if argstr:
-        for part in argstr.split(","):
-            if "=" not in part:
-                raise PolicyError(f"expected key=value in {part!r}")
-            key, value = (s.strip() for s in part.split("=", 1))
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                kwargs[key] = value.strip("\"'")
-    return name, kwargs
-
-
-def parse_policy(spec: str) -> StepsizePolicy:
-    """Build a policy from the config grammar, e.g. "ngn(sigma=3.0)"."""
-    name, kw = parse_call(spec)
-    try:
-        if name == "ngn":
-            return NGN(sigma=kw.pop("sigma"))
-        if name == "ngn_annealed":
-            return NGNAnnealed(sigma0=kw.pop("sigma0"),
-                               schedule=kw.pop("schedule", "inv_sqrt"))
-        if name == "ggn":
-            return GGN(sigma=kw.pop("sigma"), h_kind=kw.pop("h", "quadratic"),
-                       p=kw.pop("p", 2.0))
-        if name == "aps":
-            return APS()
-        if name == "sps_max":
-            return SPSMax(c=kw.pop("c", 1.0), gamma_b=kw.pop("gamma_b"),
-                          fstar=kw.pop("fstar", 0.0))
-        if name == "polyak":
-            return PolyakKnownFStar(f_star=kw.pop("fstar", 0.0))
-        if name == "adagrad_norm":
-            return AdaGradNorm(eta=kw.pop("eta"), delta0=kw.pop("delta0"))
-        if name == "constant":
-            return Constant(gamma=kw.pop("gamma"))
-        if name == "armijo":
-            return Armijo(c1=kw.pop("c1", 1e-4), backtrack=kw.pop("backtrack", 0.5),
-                          gamma_init=kw.pop("gamma_init", 1.0))
-    except KeyError as exc:
-        raise PolicyError(f"policy {name!r} missing required parameter {exc}")
-    raise PolicyError(f"unknown policy {name!r}")

@@ -103,8 +103,8 @@ def strongly_convex_bound(ctx: TheoryContext, sigma: float, k: int, dist0_sq: fl
     if sigma <= 0 or k < 0 or dist0_sq < 0:
         raise ValueError("need sigma > 0, k >= 0, dist0_sq >= 0")
     sl = sigma * ctx.l_smooth
+    # mu <= L and L*rho <= 3 - 2 sqrt(2) ~ 0.172, so the base 1 - mu*rho is in (0.82, 1]
     rho = contraction_rho(sigma, ctx.l_smooth)
-    assert ctx.mu * rho < 1.0
     return (
         (1.0 - ctx.mu * rho) ** k * dist0_sq
         + (6.0 * ctx.l_smooth / ctx.mu) * sigma * (1.0 + sl) * ctx.delta_int

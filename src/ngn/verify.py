@@ -19,16 +19,13 @@ import numpy as np
 
 from . import theory
 from .objectives import (
-    FiniteSumObjective,
     finite_difference_gradient,
-    make_blobs_dataset,
-    make_linear_regression,
-    make_logistic,
     make_nonconvex_sum,
     make_quadratic1d,
     make_two_quadratics,
 )
 from .runner import averaged_iterate_uniform, averaged_iterate_weighted, run_sgd
+from .specs import PROBLEMS, build_spec
 from .stepsizes import (
     GGN,
     NGN,
@@ -68,9 +65,12 @@ class CheckReport:
 REPORT_HEADER = "check,params,measured,bound,tolerance,result,seed"
 
 
-def _logistic_fixture(seed: int = 1) -> FiniteSumObjective:
-    data = make_blobs_dataset(n=60, d=5, classes=3, seed=seed)
-    return make_logistic(data, l2=1e-4)
+# Problem specs of the lemma checks, by the fixture name their reports carry
+LEMMA_FIXTURES = {
+    "quadratic1d": "quadratic1d(lam=1.2, fstar=0.1)",
+    "two_quadratics": "two_quadratics()",
+    "logistic": "logistic_blobs(seed=1)",
+}
 
 
 def check_lemma_equality(trials: int = 10_000, seed: int = 0) -> CheckReport:
@@ -101,12 +101,7 @@ def check_lemma_bounds(
     problem: str = "quadratic1d", sigma: float = 1.0, steps: int = 1000, seed: int = 0
 ) -> CheckReport:
     """Every observed NGN stepsize in [sigma/(1 + sigma L) - eps, sigma + eps]."""
-    if problem == "quadratic1d":
-        obj = make_quadratic1d(1.2, 0.0, 0.1)
-    elif problem == "logistic":
-        obj = _logistic_fixture()
-    else:
-        raise ValueError(f"unknown fixture {problem!r}")
+    obj = build_spec(PROBLEMS, LEMMA_FIXTURES[problem])
     trace = run_sgd(obj, NGN(sigma), steps, seed=seed, x0=None)
     lo, hi = stepsize_bounds(sigma, obj.l_max)
     gammas = trace.gamma[~trace.stationary & np.isfinite(trace.gamma)]
@@ -130,12 +125,7 @@ def check_lemma_inequality(
     seed: int = 0,
 ) -> CheckReport:
     """Pointwise fundamental inequality along a stochastic NGN trajectory."""
-    if problem == "two_quadratics":
-        obj = make_two_quadratics()
-    elif problem == "quadratic1d":
-        obj = make_quadratic1d(1.2, 0.0, 0.1)
-    else:
-        raise ValueError(f"unknown fixture {problem!r}")
+    obj = build_spec(PROBLEMS, LEMMA_FIXTURES[problem])
     trace = run_sgd(obj, NGN(sigma), steps, seed=seed)
     l_smooth = obj.l_max
     _, _, t2 = theory.rate_terms(sigma, l_smooth)
@@ -420,7 +410,7 @@ def check_logistic_large_sigma(
     sigma: float = 30.0, steps: int = 10_000, seed: int = 0
 ) -> CheckReport:
     """Large-sigma NGN on a 3-class logistic problem keeps all metrics finite."""
-    obj = _logistic_fixture(seed=7)
+    obj = build_spec(PROBLEMS, "logistic_blobs(seed=7)")
     trace = run_sgd(obj, NGN(sigma), steps, seed=seed, cadence=100)
     finite = (
         not trace.diverged
@@ -439,21 +429,21 @@ def check_logistic_large_sigma(
     )
 
 
-def _gradient_fixtures() -> list[tuple[str, FiniteSumObjective]]:
-    return [
-        ("quadratic1d", make_quadratic1d(2.0, 0.5, 0.3)),
-        ("two_quadratics", make_two_quadratics()),
-        ("linear_regression", make_linear_regression(5, 12, seed=0, noise_std=0.1)),
-        ("logistic", _logistic_fixture()),
-        ("nonconvex_sum", make_nonconvex_sum(6, seed=2)),
-    ]
+GRADIENT_FIXTURES = (
+    "quadratic1d(lam=2.0, xstar=0.5, fstar=0.3)",
+    "two_quadratics()",
+    "linear_regression(d=5, n=12, seed=0, noise_std=0.1)",
+    "logistic_blobs(seed=1)",
+    "nonconvex_sum(n=6, seed=2)",
+)
 
 
 def check_gradients(points_per_family: int = 100, seed: int = 0) -> CheckReport:
     """Analytic vs central-difference gradients across every family."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _, obj in _gradient_fixtures():
+    for spec in GRADIENT_FIXTURES:
+        obj = build_spec(PROBLEMS, spec)
         for _ in range(points_per_family):
             x = rng.standard_normal(obj.dim)
             i = int(rng.integers(obj.n))
@@ -537,8 +527,7 @@ def suite_lemmas() -> list[CheckReport]:
     for problem in ("quadratic1d", "logistic"):
         reports.append(check_lemma_bounds(problem=problem))
     for problem in ("two_quadratics", "quadratic1d"):
-        obj = make_two_quadratics() if problem == "two_quadratics" else make_quadratic1d(1.2, 0.0, 0.1)
-        l_smooth = obj.l_max
+        l_smooth = build_spec(PROBLEMS, LEMMA_FIXTURES[problem]).l_max
         for sigma in (0.1 / l_smooth, 0.5 / l_smooth, 2.0 / l_smooth):
             reports.append(check_lemma_inequality(problem=problem, sigma=sigma))
     return reports

@@ -50,6 +50,17 @@ def test_run_rejects_missing_keys(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("key,spec", [
+    ("problem", "two_quadratics(nn=5)"),
+    ("policy", "ngn(sigma=1.0, sigmaa=7)"),
+    ("policy", "ngn(sigma=abc)"),
+    ("problem", "logistic_file(path=no_such_file.svm)"),
+])
+def test_run_rejects_bad_spec_parameters(tmp_path, key, spec):
+    cfg = write_config(tmp_path / "bad.cfg", **{key: spec})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_run_rejects_malformed_line(tmp_path):
     cfg = tmp_path / "syntax.cfg"
     cfg.write_text("problem quadratic1d(lam=1)\n")
@@ -159,6 +170,13 @@ def test_sweep_requires_axis(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_sweep_rejects_unknown_axis(tmp_path):
+    cfg = write_config(tmp_path / "sweep.cfg", axis="sigmaa", values="0.3,1,3")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not (out / "sweep.csv").exists()
+
+
 def test_verify_gradients_suite(tmp_path, capsys):
     assert main(["verify", "gradients", "--out", str(tmp_path)]) == 0
     report = (tmp_path / "verify_report.csv").read_text().splitlines()
@@ -190,12 +208,6 @@ def test_datagen_deterministic(tmp_path):
         assert main(["datagen", "blobs", "n=30", "d=3", "classes=2", "seed=1",
                      "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_datagen_linreg(tmp_path):
-    out = tmp_path / "linreg.svm"
-    assert main(["datagen", "linreg", "n=40", "d=4", "seed=2", "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 40
 
 
 def test_datagen_bad_params(tmp_path):

@@ -13,9 +13,6 @@ from ngn.runner import (
     aggregate_metric,
     averaged_iterate_uniform,
     averaged_iterate_weighted,
-    grad_norm_average,
-    multi_seed,
-    pca_projection,
     run_sgd,
     trace_to_csv,
 )
@@ -105,15 +102,6 @@ def test_aggregate_single_seed():
     assert agg == Aggregate(mean=4.2, std=0.0, ci_half=0.0)
 
 
-def test_multi_seed_deterministic():
-    obj = make_two_quadratics()
-    traces = multi_seed(obj, lambda: NGN(0.5), 100, seeds=[0, 1, 2])
-    again = multi_seed(obj, lambda: NGN(0.5), 100, seeds=[0, 1, 2])
-    assert len(traces) == 3
-    for a, b in zip(traces, again):
-        assert np.array_equal(a.x_final, b.x_final)
-
-
 def test_metric_cadence_steps():
     obj = make_two_quadratics()
     trace = run_sgd(obj, NGN(0.5), 100, seed=0, cadence=25)
@@ -129,16 +117,6 @@ def test_averaged_iterates_match_stored_iterates():
     assert np.allclose(averaged_iterate_uniform(trace), expected, atol=1e-12)
     # NGN has constant sigma_k, so the weighted average equals the uniform one
     assert np.allclose(averaged_iterate_weighted(trace), expected, atol=1e-12)
-
-
-def test_grad_norm_average_requires_cadence_one():
-    obj = make_two_quadratics()
-    trace = run_sgd(obj, NGN(0.5), 20, seed=0, cadence=1)
-    value = grad_norm_average(trace)
-    assert value > 0
-    sparse = run_sgd(obj, NGN(0.5), 20, seed=0, cadence=5)
-    with pytest.raises(ValueError):
-        grad_norm_average(sparse)
 
 
 def test_trace_csv_schema(tmp_path):
@@ -164,20 +142,6 @@ def test_trace_csv_cells_parse_as_floats(tmp_path):
     numeric = [c for c, name in enumerate(TRACE_COLUMNS) if name != "batch_ids"]
     cells = [row.split(",")[c] for row in rows for c in numeric]
     assert all(float(cell) == float(cell) for cell in cells if cell)
-
-
-def test_pca_projection_degenerate_line():
-    obj = make_two_quadratics()
-    trace = run_sgd(obj, NGN(0.5), 30, seed=0, store_iterates=True)
-    # embed the 1-d trajectory on a line in R^3
-    direction = np.array([1.0, 2.0, 2.0]) / 3.0
-
-    class FakeTrace:
-        iterates = trace.iterates @ direction[None, :] * 3.0
-
-    with pytest.warns(UserWarning):
-        proj = pca_projection(FakeTrace(), n_components=2)
-    assert proj.shape[1] == 1
 
 
 def test_policy_error_annotated_with_step():

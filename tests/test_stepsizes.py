@@ -16,10 +16,9 @@ from ngn.stepsizes import (
     PolyakKnownFStar,
     SPSMax,
     StepObservation,
-    parse_call,
-    parse_policy,
     stepsize_bounds,
 )
+from ngn.specs import SpecError, parse_call, parse_policy
 
 
 def obs(loss, gsq, k=0, comp_min=None):
@@ -131,31 +130,29 @@ def test_constant_policy():
 
 def test_armijo_accepts_sufficient_decrease():
     pol = Armijo()
+    x, grad = 2.0, 4.0  # f(x) = x^2 at x = 2
 
-    def value_fn(p):
-        return float(p @ p)
+    def probe(gamma):
+        return (x - gamma * grad) ** 2
 
-    x = np.array([2.0])
-    fx = value_fn(x)
-    grad = np.array([4.0])  # gradient of x^2 at 2
-    gamma = pol.search(value_fn, x, fx, grad)
-    assert gamma > 0
-    assert value_fn(x - gamma * grad) <= fx - 1e-4 * gamma * float(grad @ grad)
+    gamma = pol.stepsize(StepObservation(0, x * x, grad * grad, probe=probe))
+    assert gamma == 0.5  # gamma_init 1 overshoots to f = 4; half lands on 0
+    assert probe(gamma) <= x * x - 1e-4 * gamma * grad * grad
 
 
 def test_armijo_zero_gradient_returns_init():
     pol = Armijo(gamma_init=0.7)
-    assert pol.search(lambda p: 1.0, np.array([0.0]), 1.0, np.array([0.0])) == 0.7
+    assert pol.stepsize(StepObservation(0, 1.0, 0.0, probe=lambda gamma: 1.0)) == 0.7
 
 
 def test_armijo_exhaustion_raises():
     pol = Armijo()
 
-    def hostile(p):
+    def hostile(gamma):
         return 1e6  # no candidate ever decreases
 
     with pytest.raises(ArmijoSearchError):
-        pol.search(hostile, np.array([1.0]), 0.0, np.array([1.0]))
+        pol.stepsize(StepObservation(0, 0.0, 1.0, probe=hostile))
 
 
 def test_stepsize_bounds_hand_value():
@@ -178,14 +175,18 @@ def test_parse_policy_grammar():
 
 
 def test_parse_policy_errors():
-    with pytest.raises(PolicyError):
+    with pytest.raises(SpecError, match="unknown name 'warp'"):
         parse_policy("warp(speed=9)")
-    with pytest.raises(PolicyError):
-        parse_policy("ngn()")  # missing sigma
+    with pytest.raises(SpecError, match="missing required parameter 'sigma'"):
+        parse_policy("ngn()")
     with pytest.raises(PolicyError):
         parse_policy("ngn(sigma=0)")
-    with pytest.raises(PolicyError):
+    with pytest.raises(SpecError, match="cannot parse"):
         parse_policy("not a call at all")
+    with pytest.raises(SpecError, match="no parameter 'sigmaa'"):
+        parse_policy("ngn(sigma=1.0, sigmaa=7)")
+    with pytest.raises(SpecError, match="'sigma' must be float"):
+        parse_policy("ngn(sigma=abc)")
 
 
 def test_parse_call_values():

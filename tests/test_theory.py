@@ -41,10 +41,17 @@ def test_t2_vanishes_at_small_sigma():
 
 
 def test_rho_is_half_t0():
-    for sigma in (0.01, 0.1, 1.0, 10.0):
+    for sigma in (0.01, 0.1, 1.0 / math.sqrt(2.0), 1.0, 10.0):
         for l_smooth in (0.5, 1.0, 4.0):
             t0, _, _ = rate_terms(sigma, l_smooth)
-            assert contraction_rho(sigma, l_smooth) == pytest.approx(t0 / 2.0)
+            rho = contraction_rho(sigma, l_smooth)
+            assert rho == pytest.approx(t0 / 2.0)
+            # mu = L, the largest mu a context admits: mu*rho peaks at 3 - 2 sqrt(2)
+            # (sigma L = 1/sqrt(2)), so the strongly convex bound's base stays in (0, 1)
+            assert 0.0 < l_smooth * rho <= 3.0 - 2.0 * math.sqrt(2.0) + 1e-15
+            c = ctx(l_smooth=l_smooth, mu=l_smooth)
+            floor = strongly_convex_bound(c, sigma, 10**6, 1.0)
+            assert strongly_convex_bound(c, sigma, 1, 1.0) > floor > 0.0
 
 
 def test_convex_bound_hand_value():
