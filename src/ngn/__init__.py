@@ -29,6 +29,7 @@ from .runner import (
     aggregate_metric,
     averaged_iterate_uniform,
     averaged_iterate_weighted,
+    run_seeds,
     run_sgd,
     trace_to_csv,
 )

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .objectives import FiniteSumObjective, make_blobs_dataset, write_libsvm
-from .runner import RunTrace, SamplerSpec, aggregate_metric, run_sgd, trace_to_csv
+from .runner import RunTrace, SamplerSpec, aggregate_metric, check_run, run_seeds, trace_to_csv
 from .specs import POLICIES, PROBLEMS, build_spec
 from .stepsizes import StepsizePolicy
 from .verify import REPORT_HEADER, SUITES, run_suites
@@ -138,33 +138,52 @@ def resolve_out_dir(flag_value: Optional[str], cfg_out: Optional[str]) -> Path:
     return path
 
 
-def _execute_seed(args: tuple) -> tuple[int, RunTrace]:
+def pool_size(jobs: int, n_seeds: int) -> int:
+    """Worker processes for `jobs`: at most one per seed and one per CPU."""
+    return max(1, min(jobs, n_seeds, os.cpu_count() or 1))
+
+
+def _execute_seeds(args: tuple) -> list[tuple[int, RunTrace]]:
     """Worker entry point; rebuilds the objective/policy from spec strings."""
-    problem, policy, overrides, steps, sampler, batch_size, cadence, x0, seed = args
+    problem, policy, overrides, steps, sampler, batch_size, cadence, x0, seeds = args
     obj = build_problem(problem)
     pol = build_policy(policy, **overrides)
     x0_vec = np.array(x0) if x0 is not None else None
-    trace = run_sgd(
-        obj, pol, steps, seed=seed,
+    traces = run_seeds(
+        obj, pol, steps, seeds=seeds,
         sampler=SamplerSpec(mode=sampler, batch_size=batch_size),
         x0=x0_vec, cadence=cadence if cadence is not None else steps,
     )
-    return seed, trace
+    return list(zip(seeds, traces))
 
 
 def _run_all_seeds(cfg: ExperimentConfig, jobs: int,
                    overrides: dict) -> list[tuple[int, RunTrace]]:
+    """Every seed of `cfg` in lockstep, split into one contiguous chunk per worker."""
+    chunks = np.array_split(np.array(cfg.seeds), pool_size(jobs, len(cfg.seeds)))
     tasks = [
         (cfg.problem, cfg.policy, overrides, cfg.steps, cfg.sampler, cfg.batch_size,
-         cfg.cadence, cfg.x0, seed)
-        for seed in cfg.seeds
+         cfg.cadence, cfg.x0, chunk.tolist())
+        for chunk in chunks
     ]
-    if jobs <= 1 or len(tasks) == 1:
-        results = [_execute_seed(t) for t in tasks]
+    if len(tasks) == 1:
+        results = _execute_seeds(tasks[0])
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_execute_seed, tasks))
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            results = [pair for chunk in pool.map(_execute_seeds, tasks) for pair in chunk]
     return sorted(results, key=lambda pair: pair[0])
+
+
+def _check_runnable(cfg: ExperimentConfig, points: Sequence[dict]) -> None:
+    """Config error unless the problem and each point's policy build and can run."""
+    obj = build_problem(cfg.problem)
+    sampler = SamplerSpec(cfg.sampler, cfg.batch_size)
+    for overrides in points:
+        policy = build_policy(cfg.policy, **overrides)
+        try:
+            check_run(obj, policy, cfg.steps, sampler)
+        except ValueError as exc:
+            raise ConfigError(f"{cfg.policy} on {cfg.problem}: {exc}") from exc
 
 
 def _write_aggregate(results: Sequence[tuple[int, RunTrace]], path: Path) -> None:
@@ -189,8 +208,7 @@ def cmd_run(args) -> int:
     if args.seed_offset:
         cfg = replace(cfg, seeds=tuple(s + args.seed_offset for s in cfg.seeds))
     out_dir = resolve_out_dir(args.out, cfg.out)
-    build_problem(cfg.problem)  # fail fast before spawning workers
-    build_policy(cfg.policy)
+    _check_runnable(cfg, [{}])  # fail fast before spawning workers
     results = _run_all_seeds(cfg, args.jobs, {})
     for seed, trace in results:
         trace_to_csv(trace, out_dir / f"trace_seed{seed}.csv")
@@ -209,12 +227,11 @@ def cmd_sweep(args) -> int:
         cfg = replace(cfg, seeds=tuple(s + args.seed_offset for s in cfg.seeds))
     out_dir = resolve_out_dir(args.out, cfg.out)
 
+    _check_runnable(cfg, [{cfg.axis: value} for value in cfg.values])  # before any run
     means = []
     rows = []
     for value in cfg.values:
-        point = {cfg.axis: value}
-        build_policy(cfg.policy, **point)  # an unknown axis fails here, before any run
-        results = _run_all_seeds(cfg, args.jobs, point)
+        results = _run_all_seeds(cfg, args.jobs, {cfg.axis: value})
         finals = [np.inf if t.diverged else float(t.loss_full[-1]) for _, t in results]
         agg = aggregate_metric(finals)
         means.append(agg.mean)

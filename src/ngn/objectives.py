@@ -60,63 +60,74 @@ class Dataset:
 
 
 class FiniteSumObjective:
-    """f(x) = (1/N) sum_i f_i(x) with per-component evaluation.
+    """f(x) = (1/N) sum_i f_i(x), evaluated for S points at once.
 
-    `component` maps (i, x) -> (value, gradient) with value >= 0. A
-    vectorized `full_eval` may be supplied for cheap full-objective metrics;
-    otherwise the average of component evaluations is used.
+    `evaluator` maps (idx, X) -> (values, grads): idx is an (S, b) array of
+    component indices and X an (S, d) array of points, and values[s, j] and
+    grads[s, j] are f_i(X[s]) >= 0 and its gradient for i = idx[s, j]. A
+    vectorized `full` X -> (f(X[s]), grad f(X[s])) over the rows may be
+    supplied for cheap full-objective metrics; otherwise the mean of all N
+    components is used. Single-point methods are the one-row cases.
     """
 
     def __init__(
         self,
         n: int,
         dim: int,
-        component: Callable[[int, np.ndarray], tuple[float, np.ndarray]],
+        evaluator: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
         *,
         l_i: Optional[np.ndarray] = None,
         mu: Optional[float] = None,
         x_star: Optional[np.ndarray] = None,
         f_star: Optional[float] = None,
         f_i_star: Optional[np.ndarray] = None,
-        full_eval: Optional[Callable[[np.ndarray], tuple[float, np.ndarray]]] = None,
-        full_grad_sq_many: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        full: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None,
         name: str = "",
     ):
         self.n = int(n)
         self.dim = int(dim)
-        self._component = component
+        self._evaluator = evaluator
         self.l_i = None if l_i is None else np.asarray(l_i, dtype=float)
         self.l_max = None if self.l_i is None else float(np.max(self.l_i))
         self.mu = mu
         self.x_star = None if x_star is None else as_point(x_star, dim)
         self.f_star = f_star
         self.f_i_star = None if f_i_star is None else np.asarray(f_i_star, dtype=float)
-        self._full_eval = full_eval
-        self._full_grad_sq_many = full_grad_sq_many
+        self._full = full
         self.name = name or type(self).__name__
 
+    def eval_many(self, idx: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean loss (S,) and mean gradient (S, d) over each row's batch idx[s]."""
+        values, grads = self._evaluator(idx, X)
+        if values.shape[1] == 1:
+            return values[:, 0], grads[:, 0]
+        # one component at a time, in batch order: the rounding of a
+        # sequential sum, which np.sum over the batch axis does not keep
+        loss = np.zeros(len(values))
+        grad = np.zeros((len(values), self.dim))
+        for j in range(values.shape[1]):
+            loss += values[:, j]
+            grad += grads[:, j]
+        inv = 1.0 / values.shape[1]
+        return loss * inv, grad * inv
+
+    def full_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Full objective value (S,) and gradient (S, d) at each row of X."""
+        if self._full is not None:
+            return self._full(X)
+        return self.eval_many(np.broadcast_to(np.arange(self.n), (len(X), self.n)), X)
+
     def component_eval(self, i: int, x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = self._component(i, x)
-        return float(value), grad
+        return self.batch_eval([i], x)
 
     def batch_eval(self, indices: Sequence[int], x: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean loss and mean gradient over a batch (treated as one f_i)."""
-        if len(indices) == 1:
-            return self.component_eval(indices[0], x)
-        total = 0.0
-        grad = np.zeros(self.dim)
-        for i in indices:
-            v, g = self._component(i, x)
-            total += v
-            grad += g
-        inv = 1.0 / len(indices)
-        return total * inv, grad * inv
+        value, grad = self.eval_many(np.asarray(indices)[None, :], np.asarray(x)[None, :])
+        return float(value[0]), grad[0]
 
     def full_eval(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        if self._full_eval is not None:
-            value, grad = self._full_eval(x)
-            return float(value), grad
-        return self.batch_eval(range(self.n), x)
+        value, grad = self.full_many(np.asarray(x)[None, :])
+        return float(value[0]), grad[0]
 
     def value(self, x: np.ndarray) -> float:
         return self.full_eval(x)[0]
@@ -124,16 +135,10 @@ class FiniteSumObjective:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.full_eval(x)[1]
 
-    def full_grad_sq_many(self, points: np.ndarray) -> np.ndarray:
-        """Squared full-gradient norm at each row of `points` (M, d)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self._full_grad_sq_many is not None:
-            return np.asarray(self._full_grad_sq_many(points), dtype=float)
-        out = np.empty(len(points))
-        for m, point in enumerate(points):
-            grad = self.full_eval(point)[1]
-            out[m] = float(grad @ grad)
-        return out
+
+def _offsets(X: np.ndarray, centers: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """x - c_i for every (row, batch slot) of a 1-d problem: shape (S, b)."""
+    return X[:, :1] - centers[idx]
 
 
 def make_quadratic1d(lam: float, x_star: float, f_star: float) -> FiniteSumObjective:
@@ -145,36 +150,37 @@ def make_quadratic1d(lam: float, x_star: float, f_star: float) -> FiniteSumObjec
     lam = float(lam)
     xs = float(x_star)
     fs = float(f_star)
+    centers = np.array([xs])
 
-    def component(i, x):
-        d = x[0] - xs
-        return 0.5 * lam * d * d + fs, np.array([lam * d])
+    def evaluator(idx, X):
+        d = _offsets(X, centers, idx)
+        return 0.5 * lam * d * d + fs, (lam * d)[..., None]
 
     return FiniteSumObjective(
-        1, 1, component,
+        1, 1, evaluator,
         l_i=np.array([lam]), mu=lam,
         x_star=np.array([xs]), f_star=fs, f_i_star=np.array([fs]),
-        full_eval=lambda x: component(0, x),
         name="quadratic1d",
     )
 
 
 def make_two_quadratics() -> FiniteSumObjective:
     """f_1(x) = (x-1)^2/2, f_2(x) = (x+1)^2/2; minimizer 0, f* = 1/2."""
-    centers = (1.0, -1.0)
+    centers = np.array([1.0, -1.0])
 
-    def component(i, x):
-        d = x[0] - centers[i]
-        return 0.5 * d * d, np.array([d])
+    def evaluator(idx, X):
+        d = _offsets(X, centers, idx)
+        return 0.5 * d * d, d[..., None]
 
-    def full(x):
-        return 0.5 * (x[0] * x[0] + 1.0), np.array([x[0]])
+    def full(X):
+        x = X[:, 0]
+        return 0.5 * (x * x + 1.0), X[:, :1].copy()
 
     return FiniteSumObjective(
-        2, 1, component,
+        2, 1, evaluator,
         l_i=np.array([1.0, 1.0]), mu=1.0,
         x_star=np.array([0.0]), f_star=0.5, f_i_star=np.array([0.0, 0.0]),
-        full_eval=full,
+        full=full,
         name="two_quadratics",
     )
 
@@ -202,32 +208,34 @@ def make_linear_regression(
     hess = (a.T @ a) / n
     mu = float(np.linalg.eigvalsh(hess)[0]) if d <= n else 0.0
 
-    def component(i, x):
-        r = float(a[i] @ x - b[i])
-        return 0.5 * r * r, r * a[i]
+    def evaluator(idx, X):
+        rows = a[idx]  # (S, b, d)
+        r = np.vecdot(rows, X[:, None, :]) - b[idx]
+        return 0.5 * r * r, r[..., None] * rows
 
-    def full(x):
-        r = a @ x - b
-        return 0.5 * float(r @ r) / n, (a.T @ r) / n
+    def full(X):
+        # matrix-vector products per row, so each row rounds like a @ x
+        r = (a @ X[:, :, None])[..., 0] - b
+        return 0.5 * np.vecdot(r, r) / n, (r[:, None, :] @ a)[:, 0, :] / n
 
     return FiniteSumObjective(
-        n, d, component,
+        n, d, evaluator,
         l_i=np.einsum("ij,ij->i", a, a), mu=max(mu, 0.0),
         x_star=x_star, f_star=f_star, f_i_star=np.zeros(n),
-        full_eval=full,
+        full=full,
         name="linear_regression",
     )
 
 
-def _softmax_ce(scores: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy loss and dL/dscores for one sample, numerically stable."""
-    shifted = scores - np.max(scores)
+def _softmax_ce(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-entropy loss and dL/dscores over the last axis, numerically stable."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / np.sum(exp)
-    loss = float(np.log(np.sum(exp)) - shifted[label])
-    grad = probs.copy()
-    grad[label] -= 1.0
-    return max(loss, 0.0), grad
+    total = exp.sum(axis=-1)
+    onehot = labels[..., None] == np.arange(scores.shape[-1])
+    # a sum of one entry and zeros is that entry exactly
+    picked = np.where(onehot, shifted, 0.0).sum(axis=-1)
+    return np.log(total) - picked, exp / total[..., None] - onehot
 
 
 def make_logistic(dataset: Dataset, l2: float = 0.0) -> FiniteSumObjective:
@@ -246,35 +254,35 @@ def make_logistic(dataset: Dataset, l2: float = 0.0) -> FiniteSumObjective:
     c = dataset.num_classes
     dim = c * d
 
-    def component(i, x):
-        w = x.reshape(c, d)
-        loss, dscores = _softmax_ce(w @ a[i], int(y[i]))
-        grad = np.outer(dscores, a[i])
+    def evaluator(idx, X):
+        w = X.reshape(len(X), c, d)
+        rows = a[idx]  # (S, b, d)
+        # one matrix-vector product w @ a_i per component, as a single eval rounds
+        scores = (w[:, None] @ rows[..., None])[..., 0]
+        loss, dscores = _softmax_ce(scores, y[idx])
+        loss = np.maximum(loss, 0.0)
+        grad = dscores[..., :, None] * rows[..., None, :]  # outer(dscores, a_i)
         if l2 > 0:
-            loss += 0.5 * l2 * float(x @ x)
-            grad = grad + l2 * w
-        return loss, grad.ravel()
+            loss = loss + (0.5 * l2 * np.vecdot(X, X))[:, None]
+            grad = grad + l2 * w[:, None]
+        return loss, grad.reshape(len(X), idx.shape[1], dim)
 
-    def full(x):
-        w = x.reshape(c, d)
-        scores = a @ w.T  # (n, c)
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        loss = float(np.mean(np.log(exp.sum(axis=1)) - shifted[np.arange(n), y]))
-        dscores = probs
-        dscores[np.arange(n), y] -= 1.0
-        grad = (dscores.T @ a) / n
+    def full(X):
+        w = X.reshape(len(X), c, d)
+        scores = a @ w.transpose(0, 2, 1)  # (S, n, c)
+        loss, dscores = _softmax_ce(scores, y)
+        loss = loss.mean(axis=-1)
+        grad = (dscores.transpose(0, 2, 1) @ a) / n
         if l2 > 0:
-            loss += 0.5 * l2 * float(x @ x)
+            loss = loss + 0.5 * l2 * np.vecdot(X, X)
             grad = grad + l2 * w
-        return max(loss, 0.0), grad.ravel()
+        return np.maximum(loss, 0.0), grad.reshape(len(X), dim)
 
     return FiniteSumObjective(
-        n, dim, component,
+        n, dim, evaluator,
         l_i=np.einsum("ij,ij->i", a, a) + l2,
         mu=l2 if l2 > 0 else 0.0,
-        full_eval=full,
+        full=full,
         name="logistic",
     )
 
@@ -292,17 +300,17 @@ def make_nonconvex_sum(n: int, seed: int, eps: float = 0.5) -> FiniteSumObjectiv
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-2.0, 2.0, n)
 
-    def component(i, x):
-        d = x[0] - centers[i]
-        return (1.0 - math.cos(d)) + 0.5 * eps * d * d, np.array([math.sin(d) + eps * d])
+    def evaluator(idx, X):
+        d = _offsets(X, centers, idx)
+        return (1.0 - np.cos(d)) + 0.5 * eps * d * d, (np.sin(d) + eps * d)[..., None]
 
     inv_n = 1.0 / n
 
-    def full(x):
-        d = x[0] - centers
-        value = (1.0 - np.cos(d) + 0.5 * eps * d * d).sum() * inv_n
-        grad = (np.sin(d) + eps * d).sum() * inv_n
-        return float(value), np.array([grad])
+    def full(X):
+        d = X[:, :1] - centers  # (S, n)
+        value = (1.0 - np.cos(d) + 0.5 * eps * d * d).sum(axis=1) * inv_n
+        grad = (np.sin(d) + eps * d).sum(axis=1) * inv_n
+        return value, grad[:, None]
 
     grid = np.linspace(centers.min() - 2 * math.pi, centers.max() + 2 * math.pi, 4001)
     values = np.mean(
@@ -311,27 +319,20 @@ def make_nonconvex_sum(n: int, seed: int, eps: float = 0.5) -> FiniteSumObjectiv
     )
     x0 = grid[int(np.argmin(values))]
     res = optimize.minimize_scalar(
-        lambda t: full(np.array([t]))[0],
+        lambda t: float(full(np.array([[t]]))[0][0]),
         bracket=(x0 - 0.1, x0, x0 + 0.1) if values.size else None,
         method="brent",
     )
     x_star = np.array([float(res.x)])
     f_star = float(res.fun)
 
-    def full_grad_sq_many(points):
-        d = points[:, 0][:, None] - centers
-        grads = (np.sin(d) + eps * d).sum(axis=1) * inv_n
-        return grads * grads
-
-    obj = FiniteSumObjective(
-        n, 1, component,
+    return FiniteSumObjective(
+        n, 1, evaluator,
         l_i=np.full(n, 1.0 + eps),
         x_star=x_star, f_star=f_star,
-        full_eval=full,
-        full_grad_sq_many=full_grad_sq_many,
+        full=full,
         name="nonconvex_sum",
     )
-    return obj
 
 
 def load_libsvm(path) -> Dataset:

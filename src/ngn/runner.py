@@ -47,7 +47,9 @@ class RunTrace:
     steps: int
     x0: np.ndarray
     x_final: np.ndarray
-    batch_ids: np.ndarray  # (steps, batch) sampled component indices
+    # (steps, batch) sampled component indices; under full_batch a single
+    # row, arange(N), that every step uses
+    batch_ids: np.ndarray
     loss_batch: np.ndarray
     gamma: np.ndarray
     sigma: np.ndarray
@@ -67,7 +69,7 @@ class RunTrace:
 
 def _draw_indices(mode: str, n: int, batch: int, steps: int, rng) -> np.ndarray:
     if mode == "full_batch":
-        return np.tile(np.arange(n), (steps, 1))
+        return np.arange(n)[None, :]
     if mode == "with_replacement_uniform":
         return rng.integers(0, n, size=(steps, batch))
     # epoch_shuffle: concatenated permutations, chopped into batches
@@ -75,6 +77,19 @@ def _draw_indices(mode: str, n: int, batch: int, steps: int, rng) -> np.ndarray:
     epochs = -(-need // n)
     order = np.concatenate([rng.permutation(n) for _ in range(epochs)])
     return order[:need].reshape(steps, batch)
+
+
+def check_run(obj: FiniteSumObjective, policy: StepsizePolicy, steps: int,
+              sampler: SamplerSpec) -> None:
+    """Raise ValueError when this objective, policy and sampler cannot run."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if sampler.mode == "full_batch" and sampler.batch_size not in (1, obj.n):
+        raise ValueError("full_batch implies batch_size = N")
+    if sampler.batch_size > obj.n:
+        raise ValueError(f"batch_size {sampler.batch_size} exceeds the component count {obj.n}")
+    if policy.requires_full_batch and sampler.mode != "full_batch":
+        raise ValueError(f"{type(policy).__name__} requires sampler = full_batch")
 
 
 def run_sgd(
@@ -88,156 +103,228 @@ def run_sgd(
     cadence: int = 0,
     store_iterates: bool = False,
 ) -> RunTrace:
-    """Run x^{k+1} = x^k - gamma_k * grad_batch(x^k) for `steps` iterations.
+    """One seed of `run_seeds`."""
+    return run_seeds(obj, policy, steps, seeds=(seed,), sampler=sampler, x0=x0,
+                     cadence=cadence, store_iterates=store_iterates)[0]
 
-    Deterministic given (arguments, seed). Metric cadence c > 0 records full
-    objective value, squared distance to x* (when known) and squared full
-    gradient norm at every c-th iterate plus the final one. A non-finite
-    coordinate, or a batch loss / squared batch gradient norm above 1e30,
-    halts the run with the diverged flag set.
+
+def run_seeds(
+    obj: FiniteSumObjective,
+    policy: StepsizePolicy,
+    steps: int,
+    *,
+    seeds: Sequence[int] = (0,),
+    sampler: Optional[SamplerSpec] = None,
+    x0: Optional[np.ndarray] = None,
+    cadence: int = 0,
+    store_iterates: bool = False,
+) -> list[RunTrace]:
+    """Run x^{k+1} = x^k - gamma_k * grad_batch(x^k) for every seed, in lockstep.
+
+    The S seeds' iterates form one (S, d) array that each step advances
+    together. Each seed draws its start point and component indices from
+    its own streams, default_rng([seed, 0]) and default_rng([seed, 1]), so
+    its trace is the same whichever seeds run beside it. Metric cadence
+    c > 0 records full objective value, squared distance to x* (when known)
+    and squared full gradient norm at every c-th iterate plus the final one.
+    A batch loss or squared batch gradient norm that is not finite or is
+    above 1e30, or a non-finite coordinate, halts that seed with the
+    diverged flag set: its row freezes and the other seeds go on.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     sampler = sampler or SamplerSpec()
-    if sampler.mode == "full_batch" and sampler.batch_size not in (1, obj.n):
-        raise ValueError("full_batch implies batch_size = N")
-    if sampler.batch_size > obj.n:
-        raise ValueError("batch_size exceeds component count")
-    if policy.requires_full_batch and sampler.mode != "full_batch":
-        raise ValueError(f"{type(policy).__name__} requires full_batch sampling")
-
-    rng_init = np.random.default_rng([seed, 0])
-    rng_sample = np.random.default_rng([seed, 1])
-    x = as_point(x0, obj.dim) if x0 is not None else rng_init.standard_normal(obj.dim)
-    x = x.astype(float, copy=True)
-    x_start = x.copy()
+    check_run(obj, policy, steps, sampler)
+    seeds = [int(s) for s in seeds]
+    n_seeds, dim = len(seeds), obj.dim
+    start = None if x0 is None else as_point(x0, dim)
+    X = np.empty((n_seeds, dim))
+    tables = []
+    for r, seed in enumerate(seeds):
+        X[r] = start if start is not None else np.random.default_rng([seed, 0]).standard_normal(dim)
+        tables.append(_draw_indices(sampler.mode, obj.n, sampler.batch_size, steps,
+                                    np.random.default_rng([seed, 1])))
+    tables = np.stack(tables)  # (S, steps, batch), or (S, 1, N) under full_batch
+    x_start = X.copy()
     policy.reset()
 
-    indices = _draw_indices(sampler.mode, obj.n, sampler.batch_size, steps, rng_sample)
     full_batch = sampler.mode == "full_batch"
-    f_i_star = obj.f_i_star
+    n_metrics = len(range(0, steps, cadence)) + 1 if cadence > 0 else 0
+    loss_batch = np.full((n_seeds, steps), np.nan)
+    gamma_arr = np.full((n_seeds, steps), np.nan)
+    sigma_arr = np.full((n_seeds, steps), np.nan)
+    grad_sq_arr = np.full((n_seeds, steps), np.nan)
+    stationary = np.zeros((n_seeds, steps), dtype=bool)
+    loss_full = np.full((n_seeds, n_metrics), np.nan)
+    dist_sq = np.full((n_seeds, n_metrics), np.nan)
+    grad_full_sq = np.full((n_seeds, n_metrics), np.nan)
+    iterates = np.empty((n_seeds, steps + 1, dim)) if store_iterates else None
 
-    loss_batch = np.full(steps, np.nan)
-    gamma_arr = np.full(steps, np.nan)
-    sigma_arr = np.full(steps, np.nan)
-    grad_sq_arr = np.full(steps, np.nan)
-    stationary = np.zeros(steps, dtype=bool)
-    metric_steps: list[int] = []
-    loss_full: list[float] = []
-    dist_sq: list[float] = []
-    grad_full_sq: list[float] = []
-    iterates = np.empty((steps + 1, obj.dim)) if store_iterates else None
-
-    x_mean = np.zeros(obj.dim)
-    x_mean_w = np.zeros(obj.dim)
+    x_mean = np.zeros((n_seeds, dim))
+    x_mean_w = np.zeros((n_seeds, dim))
     weight_total = 0.0
     have_weights = True
-    diverged = False
-    diverged_step: Optional[int] = None
+    kept_weights = np.ones(n_seeds, dtype=bool)  # have_weights as each row stopped
+    diverged_step = np.full(n_seeds, -1)
+
+    # The rows still running: `rows` numbers them and `live` indexes them (a
+    # full slice while none has stopped). Their state x, xm, xw is kept
+    # compact and written back to X, x_mean, x_mean_w when a row stops.
+    # Policies see all S rows, zeros for a stopped one, so that per-seed
+    # policy state stays aligned.
+    live: slice | np.ndarray = slice(None)
+    rows = np.arange(n_seeds)
+    x, xm, xw = X, x_mean, x_mean_w
 
     # hoist hot-loop lookups
-    full_eval = obj.full_eval
-    batch_eval = obj.batch_eval
+    eval_many = obj.eval_many
+    full_many = obj.full_many
     x_star = obj.x_star
+    f_i_star = obj.f_i_star
     policy_stepsize = policy.stepsize
     policy_sigma_at = policy.sigma_at
     needs_comp_min = policy.requires_component_min and f_i_star is not None
-    isfinite = math.isfinite
+    vecdot = np.vecdot
+    total = np.add.reduce
 
-    def probe(gamma: float) -> float:
-        """Batch loss at x - gamma * grad for the loop's current x, grad and idx."""
-        point = x - gamma * grad
-        return (full_eval(point) if full_batch else batch_eval(idx, point))[0]
+    def stop(bad: np.ndarray, k: int) -> None:
+        """Freeze the rows flagged in `bad` as diverged at step k."""
+        nonlocal rows, live, x, xm, xw
+        out = rows[bad]
+        X[out], x_mean[out], x_mean_w[out] = x[bad], xm[bad], xw[bad]
+        diverged_step[out] = k
+        kept_weights[out] = have_weights
+        keep = ~bad
+        rows, x, xm, xw = rows[keep], x[keep], xm[keep], xw[keep]
+        live = rows
 
-    def record_metrics(k: int, point: np.ndarray) -> None:
-        fv, fg = full_eval(point)
-        metric_steps.append(k)
-        loss_full.append(fv)
-        grad_full_sq.append(float(fg @ fg))
+    def record_metrics(j: int) -> None:
+        fv, fg = full_many(x)
+        loss_full[live, j] = fv
+        grad_full_sq[live, j] = vecdot(fg, fg)
         if x_star is not None:
-            diff = point - x_star
-            dist_sq.append(float(diff @ diff))
-        else:
-            dist_sq.append(float("nan"))
+            diff = x - x_star
+            dist_sq[live, j] = vecdot(diff, diff)
 
-    k = 0
-    for k in range(steps):
-        if iterates is not None:
-            iterates[k] = x
-        if cadence > 0 and k % cadence == 0:
-            record_metrics(k, x)
+    def probe(gamma: np.ndarray) -> np.ndarray:
+        """Batch loss of every row at x - gamma * grad; stopped rows read 0."""
+        point = x - gamma[live, None] * grad
+        trial = (full_many(point) if full_batch else eval_many(idx[live], point))[0]
+        if len(rows) == n_seeds:
+            return trial
+        out = np.zeros(n_seeds)
+        out[rows] = trial
+        return out
 
-        idx = indices[k]
-        if full_batch:
-            loss, grad = full_eval(x)
-        else:
-            loss, grad = batch_eval(idx, x)
-        gsq = float(grad @ grad)
+    # One observation, refreshed in place each step: the runner's losses are
+    # clamped at zero and its squared norms are sums of squares, so the
+    # constructor's validation is not repeated.
+    obs = StepObservation(k=0, loss=np.zeros(n_seeds), grad_sq_norm=np.zeros(n_seeds),
+                          probe=probe)
 
-        loss_batch[k] = loss
-        grad_sq_arr[k] = gsq
-        if loss > DIVERGENCE_THRESHOLD or gsq > DIVERGENCE_THRESHOLD or not isfinite(loss):
-            diverged = True
-            diverged_step = k
-            break
+    # a diverging row overflows on its way out; it is flagged, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            if iterates is not None:
+                iterates[live, k] = x
+            if cadence > 0 and k % cadence == 0:
+                record_metrics(k // cadence)
 
-        comp_min = float(np.mean(f_i_star[idx])) if needs_comp_min else None
-        obs = StepObservation(k=k, loss=loss if loss > 0.0 else 0.0,
-                              grad_sq_norm=gsq, component_min=comp_min, probe=probe)
-        try:
-            gamma = policy_stepsize(obs)
-        except Exception as exc:  # noqa: BLE001 - annotate with step index
-            raise RunError(k, exc) from exc
+            idx = tables[:, 0 if full_batch else k]
+            loss, grad = full_many(x) if full_batch else eval_many(idx[live], x)
+            gsq = vecdot(grad, grad)
+            loss_batch[live, k] = loss
+            grad_sq_arr[live, k] = gsq
 
-        sigma_k = policy_sigma_at(k)
-        sigma_arr[k] = sigma_k
+            # the sum is a cheap first test: it is NaN when any entry is
+            if not total(np.abs(loss)) + total(gsq) <= DIVERGENCE_THRESHOLD:
+                bad = ~((np.abs(loss) <= DIVERGENCE_THRESHOLD) & (gsq <= DIVERGENCE_THRESHOLD))
+                if bad.any():
+                    stop(bad, k)
+                    if not len(rows):
+                        break
+                    loss, grad, gsq = loss[~bad], grad[~bad], gsq[~bad]
 
-        # running averages over x^0 .. x^{K-1}, before the update
-        x_mean += (x - x_mean) / (k + 1)
-        if have_weights and math.isfinite(sigma_k):
-            weight_total += sigma_k
-            x_mean_w += (sigma_k / weight_total) * (x - x_mean_w)
-        else:
-            have_weights = False
+            obs.k = k
+            if len(rows) == n_seeds:
+                obs.loss = np.where(loss > 0.0, loss, 0.0)
+                obs.grad_sq_norm = gsq
+            else:
+                obs.loss = np.zeros(n_seeds)
+                obs.grad_sq_norm = np.zeros(n_seeds)
+                obs.loss[rows] = np.where(loss > 0.0, loss, 0.0)
+                obs.grad_sq_norm[rows] = gsq
+            if needs_comp_min:
+                obs.component_min = f_i_star[idx].mean(axis=1)
+            try:
+                gamma = policy_stepsize(obs)
+            except Exception as exc:  # noqa: BLE001 - annotate with step index
+                raise RunError(k, exc) from exc
+            if np.shape(gamma) != (n_seeds,):
+                gamma = np.full(n_seeds, gamma, dtype=float)
+            gamma = gamma[live]
 
-        if gamma is None:
-            stationary[k] = True
-            gamma_arr[k] = 0.0
-            continue
-        gamma_arr[k] = gamma
-        x = x - gamma * grad
-        # a non-finite coordinate makes the sum non-finite (inf-inf is nan)
-        if not math.isfinite(float(x.sum())):
-            diverged = True
-            diverged_step = k
-            break
+            sigma_k = policy_sigma_at(k)
+            sigma_arr[live, k] = sigma_k
 
-    if iterates is not None and not diverged:
-        iterates[steps] = x
-    if not diverged and cadence > 0:
-        record_metrics(steps, x)
+            # running averages over x^0 .. x^{K-1}, before the update
+            xm += (x - xm) / (k + 1)
+            if have_weights and math.isfinite(sigma_k):
+                weight_total += sigma_k
+                xw += (sigma_k / weight_total) * (x - xw)
+            else:
+                have_weights = False
 
-    return RunTrace(
-        steps=steps,
-        x0=x_start,
-        x_final=x,
-        batch_ids=indices,
-        loss_batch=loss_batch,
-        gamma=gamma_arr,
-        sigma=sigma_arr,
-        grad_sq=grad_sq_arr,
-        stationary=stationary,
-        metric_steps=np.array(metric_steps, dtype=int),
-        loss_full=np.array(loss_full),
-        dist_sq=np.array(dist_sq),
-        grad_full_sq=np.array(grad_full_sq),
-        x_mean=x_mean,
-        x_mean_weighted=x_mean_w if have_weights else None,
-        diverged=diverged,
-        diverged_step=diverged_step,
-        iterates=iterates if not diverged else None,
-        seed=seed,
-    )
+            if math.isnan(total(gamma)):  # NaN marks a stationary row: no step
+                still = np.isnan(gamma)
+                stationary[live, k] = still
+                gamma = np.where(still, 0.0, gamma)
+                x_new = x - gamma[:, None] * grad
+                x_new[still] = x[still]
+            else:
+                x_new = x - gamma[:, None] * grad
+            gamma_arr[live, k] = gamma
+            x = x_new
+            # a non-finite coordinate makes the row sum non-finite (inf-inf is nan)
+            if not math.isfinite(total(x, axis=None)):
+                bad = ~np.isfinite(x.sum(axis=1))
+                if bad.any():
+                    stop(bad, k)
+                    if not len(rows):
+                        break
+
+    X[rows], x_mean[rows], x_mean_w[rows] = x, xm, xw
+    kept_weights[rows] = have_weights
+    if iterates is not None:
+        iterates[live, steps] = x
+    if cadence > 0 and len(rows):
+        record_metrics(n_metrics - 1)
+
+    metric_steps = np.array([*range(0, steps, cadence), steps] if cadence > 0 else [], dtype=int)
+    traces = []
+    for r, seed in enumerate(seeds):
+        diverged = bool(diverged_step[r] >= 0)
+        n_recorded = int(diverged_step[r]) // cadence + 1 if diverged and cadence > 0 else n_metrics
+        traces.append(RunTrace(
+            steps=steps,
+            x0=x_start[r],
+            x_final=X[r],
+            batch_ids=tables[r],
+            loss_batch=loss_batch[r],
+            gamma=gamma_arr[r],
+            sigma=sigma_arr[r],
+            grad_sq=grad_sq_arr[r],
+            stationary=stationary[r],
+            metric_steps=metric_steps[:n_recorded],
+            loss_full=loss_full[r, :n_recorded],
+            dist_sq=dist_sq[r, :n_recorded],
+            grad_full_sq=grad_full_sq[r, :n_recorded],
+            x_mean=x_mean[r],
+            x_mean_weighted=x_mean_w[r] if kept_weights[r] else None,
+            diverged=diverged,
+            diverged_step=int(diverged_step[r]) if diverged else None,
+            iterates=iterates[r] if iterates is not None and not diverged else None,
+            seed=seed,
+        ))
+    return traces
 
 
 def averaged_iterate_uniform(trace: RunTrace) -> np.ndarray:
@@ -279,6 +366,7 @@ def _format_cell(value: float) -> str:
 def trace_to_csv(trace: RunTrace, path) -> None:
     """Write the per-step trace; off-cadence metric cells are empty."""
     metric_at = {int(s): i for i, s in enumerate(trace.metric_steps)}
+    id_cells = [";".join(map(str, row)) for row in trace.batch_ids.tolist()]
     with open(path, "w") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for k in range(trace.steps):
@@ -286,7 +374,7 @@ def trace_to_csv(trace: RunTrace, path) -> None:
                 break
             row = [
                 str(k),
-                ";".join(str(i) for i in trace.batch_ids[k]) if k < len(trace.batch_ids) else "",
+                id_cells[k if len(id_cells) > 1 else 0],
                 _format_cell(trace.loss_batch[k]),
                 _format_cell(trace.gamma[k]),
                 _format_cell(trace.sigma[k]),

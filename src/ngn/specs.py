@@ -113,11 +113,14 @@ def build_spec(table: dict, spec: str, **overrides):
         kind = declared if required else type(declared)
         if required and key not in given:
             raise SpecError(f"{name}() missing required parameter {key!r}")
+        value = given.get(key, declared)
         try:
-            kwargs[key] = kind(given.get(key, declared))
+            if kind is int and not float(value).is_integer():
+                raise ValueError(value)  # int() would truncate it silently
+            kwargs[key] = kind(value)
         except (ValueError, OverflowError):
             raise SpecError(f"{name}() parameter {key!r} must be {kind.__name__}, "
-                            f"got {given[key]!r}") from None
+                            f"got {value!r}") from None
     return entry.build(**kwargs)
 
 

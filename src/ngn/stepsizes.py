@@ -1,9 +1,11 @@
 """Stepsize policies behind a single interface.
 
-A policy observes (k, f_i(x^k), ||grad f_i(x^k)||^2) and emits gamma_k > 0,
-or None when the observation is stationary (zero gradient where the rule is
-undefined); the runner then takes a zero step. A line search also gets a
-probe: the batch loss at the trial point x^k - gamma * grad f_i(x^k).
+A policy observes (k, f_i(x^k), ||grad f_i(x^k)||^2) for S seeds at once,
+as arrays of shape (S,), and emits gamma_k of the same shape: gamma > 0, or
+NaN where the observation is stationary (zero gradient where the rule is
+undefined); the runner then takes a zero step for that seed. Scalars work
+too, as the S = 1 case without the axis. A line search also gets a probe:
+the batch loss of every seed at its trial point x^k - gamma * grad f_i(x^k).
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 # Floor applied to the loss inside stepsize formulas only; guards the
 # division in the harmonic-mean form. Recorded losses are never modified.
@@ -32,15 +36,15 @@ class ArmijoSearchError(RuntimeError):
 @dataclass(slots=True)
 class StepObservation:
     k: int
-    loss: float
-    grad_sq_norm: float
-    component_min: Optional[float] = None
-    probe: Optional[Callable[[float], float]] = None  # gamma -> batch loss after the step
+    loss: np.ndarray  # (S,) batch losses
+    grad_sq_norm: np.ndarray  # (S,) squared batch-gradient norms
+    component_min: Optional[np.ndarray] = None
+    probe: Optional[Callable[[np.ndarray], np.ndarray]] = None  # gamma -> batch loss after the step
 
     def __post_init__(self):
-        if self.loss < 0:
+        if np.any(np.less(self.loss, 0.0)):
             raise ValueError("loss must be nonnegative")
-        if self.grad_sq_norm < 0:
+        if np.any(np.less(self.grad_sq_norm, 0.0)):
             raise ValueError("grad_sq_norm must be nonnegative")
 
 
@@ -57,12 +61,18 @@ class StepsizePolicy:
         """Regularization parameter in effect at step k; NaN if undefined."""
         return float("nan")
 
-    def stepsize(self, obs: StepObservation) -> Optional[float]:
+    def stepsize(self, obs: StepObservation) -> np.ndarray:
         raise NotImplementedError
 
 
-def _ngn_formula(sigma: float, loss: float, grad_sq: float) -> float:
-    return sigma / (1.0 + sigma * grad_sq / (2.0 * max(loss, F_FLOOR)))
+def _ngn_formula(sigma: float, loss, grad_sq):
+    return sigma / (1.0 + sigma * grad_sq / (2.0 * np.maximum(loss, F_FLOOR)))
+
+
+def _over_grad_sq(numerator, grad_sq, at_zero: float = math.nan):
+    """numerator / ||g||^2, and `at_zero` where the gradient vanishes."""
+    flat = grad_sq == 0.0
+    return np.where(flat, at_zero, numerator / np.where(flat, 1.0, grad_sq))
 
 
 class NGN(StepsizePolicy):
@@ -76,7 +86,7 @@ class NGN(StepsizePolicy):
     def sigma_at(self, k: int) -> float:
         return self.sigma
 
-    def stepsize(self, obs: StepObservation) -> float:
+    def stepsize(self, obs: StepObservation) -> np.ndarray:
         return _ngn_formula(self.sigma, obs.loss, obs.grad_sq_norm)
 
 
@@ -98,7 +108,7 @@ class NGNAnnealed(StepsizePolicy):
             return self.sigma0 / math.sqrt(k + 1)
         return self.sigma0 / (k + 1)
 
-    def stepsize(self, obs: StepObservation) -> float:
+    def stepsize(self, obs: StepObservation) -> np.ndarray:
         return _ngn_formula(self.sigma_at(obs.k), obs.loss, obs.grad_sq_norm)
 
 
@@ -126,11 +136,11 @@ class GGN(StepsizePolicy):
     def sigma_at(self, k: int) -> float:
         return self.sigma
 
-    def stepsize(self, obs: StepObservation) -> float:
+    def stepsize(self, obs: StepObservation) -> np.ndarray:
         if self.h_kind == "neg_log":
             q = 1.0
         else:
-            f = max(obs.loss, F_FLOOR)
+            f = np.maximum(obs.loss, F_FLOOR)
             if self.h_kind == "quadratic":
                 q = 1.0 / (2.0 * f)
             else:
@@ -141,10 +151,8 @@ class GGN(StepsizePolicy):
 class APS(StepsizePolicy):
     """f*-agnostic Polyak stepsize gamma = f / ||g||^2."""
 
-    def stepsize(self, obs: StepObservation) -> Optional[float]:
-        if obs.grad_sq_norm == 0.0:
-            return None
-        return obs.loss / obs.grad_sq_norm
+    def stepsize(self, obs: StepObservation) -> np.ndarray:
+        return _over_grad_sq(obs.loss, obs.grad_sq_norm)
 
 
 class SPSMax(StepsizePolicy):
@@ -159,12 +167,11 @@ class SPSMax(StepsizePolicy):
         self.gamma_b = float(gamma_b)
         self.default_fstar = float(fstar)
 
-    def stepsize(self, obs: StepObservation) -> float:
+    def stepsize(self, obs: StepObservation) -> np.ndarray:
         fstar = obs.component_min if obs.component_min is not None else self.default_fstar
-        if obs.grad_sq_norm == 0.0:
-            return self.gamma_b
-        numerator = max(obs.loss - fstar, 0.0)
-        return min(numerator / (self.c * obs.grad_sq_norm), self.gamma_b)
+        numerator = np.maximum(obs.loss - fstar, 0.0)
+        ratio = _over_grad_sq(numerator, self.c * obs.grad_sq_norm, self.gamma_b)
+        return np.minimum(ratio, self.gamma_b)
 
 
 class PolyakKnownFStar(StepsizePolicy):
@@ -177,17 +184,15 @@ class PolyakKnownFStar(StepsizePolicy):
             raise PolicyError("f_star must be nonnegative")
         self.f_star = float(f_star)
 
-    def stepsize(self, obs: StepObservation) -> Optional[float]:
-        if obs.grad_sq_norm == 0.0:
-            return None
-        return max(obs.loss - self.f_star, 0.0) / obs.grad_sq_norm
+    def stepsize(self, obs: StepObservation) -> np.ndarray:
+        return _over_grad_sq(np.maximum(obs.loss - self.f_star, 0.0), obs.grad_sq_norm)
 
 
 class AdaGradNorm(StepsizePolicy):
     """Scalar AdaGrad gamma_k = eta / sqrt(delta0^2 + sum of ||g||^2).
 
-    The accumulator includes the current observation before emission, so the
-    emitted sequence is monotone nonincreasing.
+    One accumulator per seed. It includes the current observation before
+    emission, so each seed's emitted sequence is monotone nonincreasing.
     """
 
     def __init__(self, eta: float, delta0: float):
@@ -195,14 +200,14 @@ class AdaGradNorm(StepsizePolicy):
             raise PolicyError("eta and delta0 must be positive")
         self.eta = float(eta)
         self.delta0 = float(delta0)
-        self._acc = delta0 * delta0
+        self.reset()
 
     def reset(self) -> None:
         self._acc = self.delta0 * self.delta0
 
-    def stepsize(self, obs: StepObservation) -> float:
-        self._acc += obs.grad_sq_norm
-        return self.eta / math.sqrt(self._acc)
+    def stepsize(self, obs: StepObservation) -> np.ndarray:
+        self._acc = self._acc + obs.grad_sq_norm
+        return self.eta / np.sqrt(self._acc)
 
 
 class Constant(StepsizePolicy):
@@ -211,15 +216,16 @@ class Constant(StepsizePolicy):
             raise PolicyError("gamma must be positive")
         self.gamma = float(gamma)
 
-    def stepsize(self, obs: StepObservation) -> float:
-        return self.gamma
+    def stepsize(self, obs: StepObservation) -> np.ndarray:
+        return np.full(np.shape(obs.loss), self.gamma)
 
 
 class Armijo(StepsizePolicy):
     """Backtracking line search with the sufficient-decrease condition.
 
-    Backtracks on the observation's probe. Full-batch only, so the probe
-    evaluates the full objective.
+    Every seed backtracks on the observation's probe until it accepts; the
+    probe is evaluated for all seeds together. Full-batch only, so the
+    probe evaluates the full objective.
     """
 
     requires_full_batch = True
@@ -236,15 +242,18 @@ class Armijo(StepsizePolicy):
         self.backtrack = float(backtrack)
         self.gamma_init = float(gamma_init)
 
-    def stepsize(self, obs: StepObservation) -> float:
-        if obs.grad_sq_norm == 0.0:
-            return self.gamma_init
-        gamma = self.gamma_init
+    def stepsize(self, obs: StepObservation) -> np.ndarray:
+        gamma = np.full(np.shape(obs.grad_sq_norm), self.gamma_init)
+        searching = obs.grad_sq_norm != 0.0
         for _ in range(self.MAX_BACKTRACKS):
-            if obs.probe(gamma) <= obs.loss - self.c1 * gamma * obs.grad_sq_norm:
+            if not np.any(searching):
                 return gamma
-            gamma *= self.backtrack
-        raise ArmijoSearchError(gamma)
+            accepted = obs.probe(gamma) <= obs.loss - self.c1 * gamma * obs.grad_sq_norm
+            searching = searching & ~accepted
+            gamma = np.where(searching, gamma * self.backtrack, gamma)
+        if np.any(searching):
+            raise ArmijoSearchError(float(np.max(gamma[searching])))
+        return gamma
 
 
 def stepsize_bounds(sigma: float, l_smooth: float) -> tuple[float, float]:

@@ -150,12 +150,10 @@ def estimate_delta_noise_sq(
     """
     if len(sample_points) < 1:
         raise ValueError("need at least one sample point")
-    worst = 0.0
-    for x in sample_points:
-        full_grad = obj.full_eval(x)[1]
-        var = 0.0
-        for i in range(obj.n):
-            diff = obj.component_eval(i, x)[1] - full_grad
-            var += float(diff @ diff)
-        worst = max(worst, var / obj.n)
-    return worst
+    points = np.asarray(sample_points, dtype=float)
+    full_grad = obj.full_many(points)[1]
+    var = np.zeros(len(points))
+    for i in range(obj.n):
+        diff = obj.eval_many(np.full((len(points), 1), i), points)[1] - full_grad
+        var += np.vecdot(diff, diff)
+    return float(np.max(var / obj.n, initial=0.0))

@@ -24,7 +24,7 @@ from .objectives import (
     make_quadratic1d,
     make_two_quadratics,
 )
-from .runner import averaged_iterate_uniform, averaged_iterate_weighted, run_sgd
+from .runner import averaged_iterate_uniform, averaged_iterate_weighted, run_seeds, run_sgd
 from .specs import PROBLEMS, build_spec
 from .stepsizes import (
     GGN,
@@ -173,14 +173,9 @@ def check_convex_rate(
     dist0_sq = float((x0_vec - obj.x_star) @ (x0_vec - obj.x_star))
     rhs = theory.convex_bound(ctx, sigma, steps, dist0_sq)
     rhs_proof = theory.convex_bound(ctx, sigma, steps, dist0_sq, constant="proof")
-    per_seed = []
-    for s in range(n_seeds):
-        trace = run_sgd(obj, NGN(sigma), steps, seed=s, x0=x0_vec)
-        if trace.diverged:
-            per_seed.append(math.inf)
-            continue
-        xbar = averaged_iterate_uniform(trace)
-        per_seed.append(obj.value(xbar) - obj.f_star)
+    traces = run_seeds(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec)
+    per_seed = [math.inf if t.diverged else obj.value(averaged_iterate_uniform(t)) - obj.f_star
+                for t in traces]
     measured = float(np.mean(per_seed))
     return CheckReport(
         name="theorem_convex_rate",
@@ -236,12 +231,9 @@ def check_strongly_convex_rate(
     dist0_sq = float((x0_vec - obj.x_star) @ (x0_vec - obj.x_star))
     cadence = steps // 4
     checkpoints = [steps // 4, steps // 2, steps]
-    dists = {k: [] for k in checkpoints}
-    for s in range(n_seeds):
-        trace = run_sgd(obj, NGN(sigma), steps, seed=s, x0=x0_vec, cadence=cadence)
-        at = {int(step): trace.dist_sq[i] for i, step in enumerate(trace.metric_steps)}
-        for k in checkpoints:
-            dists[k].append(at[k])
+    traces = run_seeds(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec, cadence=cadence)
+    at = [dict(zip(t.metric_steps.tolist(), t.dist_sq)) for t in traces]
+    dists = {k: [seed_at[k] for seed_at in at] for k in checkpoints}
     worst_ratio = -math.inf
     ok = True
     for k in checkpoints:
@@ -255,6 +247,12 @@ def check_strongly_convex_rate(
         bound=1.0,
         passed=ok,
     )
+
+
+def _mean_grad_sq(obj, points: np.ndarray) -> float:
+    """(1/K) sum of ||grad f(x^k)||^2 over the K rows of `points`."""
+    grads = obj.full_many(points)[1]
+    return float(np.mean(np.vecdot(grads, grads)))
 
 
 def check_nonconvex_rate(
@@ -284,16 +282,10 @@ def check_nonconvex_rate(
         delta_noise_sq=noise_sq, f_star=obj.f_star,
     )
     rhs = theory.nonconvex_bound(ctx, sigma, steps, f0_gap)
-    per_seed = []
-    for s in range(n_seeds):
-        trace = run_sgd(obj, NGN(sigma), steps, seed=s, x0=x0_vec,
-                        store_iterates=True)
-        if trace.diverged:
-            per_seed.append(math.inf)
-            continue
-        # (1/K) sum over x^0 .. x^{K-1}, evaluated vectorized post-run
-        gsq = obj.full_grad_sq_many(trace.iterates[:steps])
-        per_seed.append(float(np.mean(gsq)))
+    traces = run_seeds(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec,
+                       store_iterates=True)
+    per_seed = [math.inf if t.diverged else _mean_grad_sq(obj, t.iterates[:steps])
+                for t in traces]
     measured = float(np.mean(per_seed))
     return CheckReport(
         name="theorem_nonconvex_rate",
@@ -320,14 +312,10 @@ def check_annealed_rate(
     means = []
     for steps in steps_grid:
         rhs = theory.annealed_bound(ctx, sigma0, steps, dist0_sq)
-        per_seed = []
-        for s in range(n_seeds):
-            trace = run_sgd(obj, NGNAnnealed(sigma0), steps, seed=s, x0=x0_vec)
-            if trace.diverged:
-                per_seed.append(math.inf)
-                continue
-            xbar = averaged_iterate_weighted(trace)
-            per_seed.append(obj.value(xbar) - obj.f_star)
+        traces = run_seeds(obj, NGNAnnealed(sigma0), steps, seeds=range(n_seeds), x0=x0_vec)
+        per_seed = [math.inf if t.diverged
+                    else obj.value(averaged_iterate_weighted(t)) - obj.f_star
+                    for t in traces]
         mean = float(np.mean(per_seed))
         means.append(mean)
         reports.append(CheckReport(

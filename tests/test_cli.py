@@ -2,7 +2,8 @@ import hashlib
 
 import pytest
 
-from ngn.cli import main
+from ngn import cli
+from ngn.cli import main, pool_size
 from ngn.objectives import load_libsvm
 
 
@@ -55,6 +56,7 @@ def test_run_rejects_missing_keys(tmp_path):
     ("policy", "ngn(sigma=1.0, sigmaa=7)"),
     ("policy", "ngn(sigma=abc)"),
     ("problem", "logistic_file(path=no_such_file.svm)"),
+    ("problem", "linear_regression(d=2.7)"),
 ])
 def test_run_rejects_bad_spec_parameters(tmp_path, key, spec):
     cfg = write_config(tmp_path / "bad.cfg", **{key: spec})
@@ -101,6 +103,28 @@ def test_jobs_flag_matches_sequential(tmp_path):
     for i in range(3):
         name = f"trace_seed{i}.csv"
         assert file_hash(out_seq / name) == file_hash(out_par / name)
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert pool_size(10**6, 3) == 3
+    assert pool_size(10**6, 10**6) == 4
+    assert pool_size(2, 8) == 2
+    assert pool_size(0, 8) == 1
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("run", {"policy": "polyak()"}),
+    ("run", {"policy": "armijo()"}),
+    ("run", {"batch_size": "2"}),
+    ("sweep", {"policy": "armijo()", "axis": "c1", "values": "0.1,0.2"}),
+])
+def test_sampler_the_run_cannot_use_is_config_error(tmp_path, command, overrides):
+    # polyak/armijo need sampler = full_batch; quadratic1d has one component
+    cfg = write_config(tmp_path / "bad.cfg", **overrides)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not list(out.glob("*.csv"))
 
 
 def test_sweep_marks_best_and_neighbors(tmp_path):

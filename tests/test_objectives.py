@@ -124,12 +124,37 @@ def test_nonconvex_minimum_is_global_on_grid():
     assert abs(obj.gradient(obj.x_star)[0]) < 1e-7
 
 
-def test_full_grad_sq_many_matches_loop():
-    obj = make_nonconvex_sum(5, seed=1)
-    pts = np.linspace(-3, 3, 7).reshape(-1, 1)
-    fast = obj.full_grad_sq_many(pts)
-    slow = [float(obj.gradient(p) @ obj.gradient(p)) for p in pts]
-    assert np.allclose(fast, slow, rtol=1e-12)
+FAMILIES = (
+    lambda: make_quadratic1d(1.5, 0.5, 0.2),
+    make_two_quadratics,
+    lambda: make_linear_regression(4, 12, seed=1, noise_std=0.1),
+    lambda: make_logistic(make_blobs_dataset(n=30, d=3, classes=3, seed=2), l2=1e-2),
+    lambda: make_nonconvex_sum(5, seed=1),
+)
+
+
+def test_full_many_matches_loop():
+    # the vectorized evaluations round exactly as one point at a time does
+    rng = np.random.default_rng(3)
+    for make in FAMILIES:
+        obj = make()
+        pts = rng.standard_normal((7, obj.dim))
+        values, grads = obj.full_many(pts)
+        for p, value, grad in zip(pts, values, grads):
+            assert (value, grad.tolist()) == (obj.value(p), obj.gradient(p).tolist())
+        for batch in (1, min(3, obj.n), obj.n):
+            idx = rng.integers(obj.n, size=(7, batch))
+            values, grads = obj.eval_many(idx, pts)
+            for s in range(7):
+                loss, grad = obj.batch_eval(idx[s], pts[s])
+                total, total_grad = 0.0, np.zeros(obj.dim)
+                for i in idx[s]:
+                    v, g = obj.component_eval(i, pts[s])
+                    total += v
+                    total_grad += g
+                inv = 1.0 / batch
+                assert (values[s], grads[s].tolist()) == (loss, grad.tolist())
+                assert (loss, grad.tolist()) == (total * inv, (total_grad * inv).tolist())
 
 
 def test_as_point_validation():

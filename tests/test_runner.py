@@ -13,10 +13,12 @@ from ngn.runner import (
     aggregate_metric,
     averaged_iterate_uniform,
     averaged_iterate_weighted,
+    run_seeds,
     run_sgd,
     trace_to_csv,
 )
-from ngn.stepsizes import NGN, Constant, StepsizePolicy
+from ngn.specs import POLICIES, PROBLEMS, build_spec
+from ngn.stepsizes import APS, NGN, Constant, StepsizePolicy
 
 
 def test_determinism_same_seed_identical_traces():
@@ -77,10 +79,16 @@ def test_epoch_shuffle_covers_every_index():
         assert sorted(draws[e * n:(e + 1) * n]) == list(range(n))
 
 
-def test_full_batch_rows():
+def test_full_batch_rows(tmp_path):
+    # one row that every step uses, not a table of `steps` identical rows
     rng = np.random.default_rng(0)
     draws = _draw_indices("full_batch", 4, 4, 5, rng)
-    assert np.array_equal(draws, np.tile(np.arange(4), (5, 1)))
+    assert np.array_equal(draws, [np.arange(4)])
+    trace = run_sgd(make_two_quadratics(), NGN(0.5), 5, sampler=SamplerSpec("full_batch"))
+    assert np.array_equal(trace.batch_ids, [[0, 1]])
+    trace_to_csv(trace, tmp_path / "trace.csv")
+    rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["0;1"] * 5
 
 
 def test_sampler_spec_validation():
@@ -165,3 +173,76 @@ def test_x0_pinning_and_default_draw():
     drawn_a = run_sgd(obj, NGN(0.5), 5, seed=9)
     drawn_b = run_sgd(obj, NGN(0.5), 5, seed=9)
     assert drawn_a.x0[0] == drawn_b.x0[0]
+
+
+def assert_same_trace(a, b):
+    for name, value in vars(a).items():
+        other = getattr(b, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, other, equal_nan=value.dtype.kind == "f"), name
+        else:
+            assert value == other, name
+
+
+LOCKSTEP_PROBLEMS = (
+    "quadratic1d(lam=1.2, xstar=0.5, fstar=0.1)",
+    "two_quadratics()",
+    "linear_regression(d=4, n=12, seed=1, noise_std=0.1)",
+    "logistic_blobs(n=30, d=3, classes=3, seed=2)",
+    "nonconvex_sum(n=6, seed=1, eps=0.4)",
+)
+LOCKSTEP_POLICIES = (
+    "ngn(sigma=1.0)",
+    "adagrad_norm(eta=1.0, delta0=0.1)",
+    "sps_max(c=0.5, gamma_b=2.0)",
+    "aps()",
+    "armijo(c1=0.1, backtrack=0.7, gamma_init=2.0)",
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("policy", LOCKSTEP_POLICIES)
+@pytest.mark.parametrize("problem", LOCKSTEP_PROBLEMS)
+def test_lockstep_matches_solo_runs(problem, policy):
+    obj = build_spec(PROBLEMS, problem)
+    if policy.startswith("armijo"):
+        sampler = SamplerSpec("full_batch")
+    else:
+        sampler = SamplerSpec("epoch_shuffle", batch_size=min(2, obj.n))
+    kwargs = dict(sampler=sampler, cadence=7, store_iterates=True)
+    together = run_seeds(obj, build_spec(POLICIES, policy), 40, seeds=range(4), **kwargs)
+    for seed, trace in zip(range(4), together):
+        assert_same_trace(trace, run_sgd(obj, build_spec(POLICIES, policy), 40, seed=seed, **kwargs))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lockstep_stationary_rows_match_solo_runs():
+    # APS halves x on this quadratic. For seed 1 the gradient underflows to
+    # exactly 0 (a stationary row from step 536 on); for the other seeds the
+    # loss underflows first, so their steps shrink to 0 instead
+    obj = make_quadratic1d(1.0, 0.0, 0.0)
+    together = run_seeds(obj, APS(), 600, seeds=range(4), cadence=100)
+    assert [int(t.stationary.sum()) for t in together] == [0, 64, 0, 0]
+    for seed, trace in zip(range(4), together):
+        assert_same_trace(trace, run_sgd(obj, APS(), 600, seed=seed, cadence=100))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lockstep_diverged_rows_match_solo_runs():
+    # constant steps that overshoot on some components: seeds 2, 3 and 4
+    # diverge, each at its own step, while 0, 1 and 5 converge
+    obj = build_spec(PROBLEMS, "linear_regression(d=1, n=6, seed=3)")
+    together = run_seeds(obj, Constant(5.0), 300, seeds=range(6), cadence=50,
+                         store_iterates=True)
+    steps = [t.diverged_step for t in together]
+    assert steps[:2] == [None, None] and steps[5] is None
+    assert len({steps[2], steps[3], steps[4]} - {None}) == 3
+    for trace in together[2:5]:  # x_final is the iterate that tripped the test
+        k = trace.diverged_step
+        assert obj.batch_eval(trace.batch_ids[k], trace.x_final)[0] == trace.loss_batch[k]
+        assert max(trace.loss_batch[k], trace.grad_sq[k]) > 1e30
+    for seed, trace in zip(range(6), together):
+        solo = run_sgd(obj, Constant(5.0), 300, seed=seed, cadence=50, store_iterates=True)
+        assert (trace.diverged_step, trace.x_final.tolist()) == (solo.diverged_step,
+                                                                 solo.x_final.tolist())
+        assert_same_trace(trace, solo)

@@ -29,5 +29,7 @@ def test_defaults_types_and_overrides():
         build_spec(POLICIES, "ngn(sigma=1)", sigmaa=2.5)
     with pytest.raises(SpecError, match="'n' must be int"):
         build_spec(PROBLEMS, "nonconvex_sum(n=many)")
+    with pytest.raises(SpecError, match="'d' must be int, got 2.7"):
+        build_spec(PROBLEMS, "linear_regression(d=2.7)")
     with pytest.raises(SpecError, match="takes none"):
         build_spec(PROBLEMS, "two_quadratics(nn=5)")
