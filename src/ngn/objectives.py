@@ -40,6 +40,23 @@ def as_point(x, dim: Optional[int] = None) -> np.ndarray:
     return p
 
 
+# Entries per row block of a vectorized evaluation: many seeds on a large
+# problem are evaluated a block of rows at a time, so their temporaries stay
+# about as large as one row's. Rows are independent, so blocks do not change
+# any value.
+ROW_BLOCK_ENTRIES = 1 << 16
+
+
+def _by_row_blocks(fn, width: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """fn(*arrays) on blocks of at most ROW_BLOCK_ENTRIES // width rows, rejoined."""
+    block = max(1, ROW_BLOCK_ENTRIES // width)
+    rows = len(arrays[0])
+    if rows <= block:
+        return fn(*arrays)
+    parts = [fn(*(a[i:i + block] for a in arrays)) for i in range(0, rows, block)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Dense classification dataset with contiguous integer labels."""
@@ -98,7 +115,7 @@ class FiniteSumObjective:
 
     def eval_many(self, idx: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean loss (S,) and mean gradient (S, d) over each row's batch idx[s]."""
-        values, grads = self._evaluator(idx, X)
+        values, grads = _by_row_blocks(self._evaluator, idx.shape[1] * self.dim, idx, X)
         if values.shape[1] == 1:
             return values[:, 0], grads[:, 0]
         # one component at a time, in batch order: the rounding of a
@@ -114,7 +131,7 @@ class FiniteSumObjective:
     def full_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Full objective value (S,) and gradient (S, d) at each row of X."""
         if self._full is not None:
-            return self._full(X)
+            return _by_row_blocks(self._full, self.n, X)
         return self.eval_many(np.broadcast_to(np.arange(self.n), (len(X), self.n)), X)
 
     def component_eval(self, i: int, x: np.ndarray) -> tuple[float, np.ndarray]:

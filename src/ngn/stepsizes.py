@@ -216,8 +216,8 @@ class Constant(StepsizePolicy):
             raise PolicyError("gamma must be positive")
         self.gamma = float(gamma)
 
-    def stepsize(self, obs: StepObservation) -> np.ndarray:
-        return np.full(np.shape(obs.loss), self.gamma)
+    def stepsize(self, obs: StepObservation) -> float:
+        return self.gamma
 
 
 class Armijo(StepsizePolicy):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ngn import objectives
 from ngn.objectives import (
     Dataset,
     ParseError,
@@ -156,6 +157,31 @@ def test_full_many_matches_loop():
                 assert (values[s], grads[s].tolist()) == (loss, grad.tolist())
                 assert (loss, grad.tolist()) == (total * inv, (total_grad * inv).tolist())
 
+
+
+def test_row_blocks_keep_values(monkeypatch):
+    # one row per block gives the same bits as all rows at once
+    rng = np.random.default_rng(4)
+    for make in FAMILIES:
+        obj = make()
+        pts = rng.standard_normal((7, obj.dim))
+        idx = rng.integers(obj.n, size=(7, min(3, obj.n)))
+        whole = (*obj.full_many(pts), *obj.eval_many(idx, pts))
+        monkeypatch.setattr(objectives, "ROW_BLOCK_ENTRIES", 1)
+        blocked = (*obj.full_many(pts), *obj.eval_many(idx, pts))
+        monkeypatch.undo()
+        assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+
+    seen = []
+
+    def fn(a, b):
+        seen.append(len(a))
+        return a.sum(axis=1), b
+
+    monkeypatch.setattr(objectives, "ROW_BLOCK_ENTRIES", 9)
+    out = objectives._by_row_blocks(fn, 3, np.ones((10, 3)), np.arange(10))
+    assert seen == [3, 3, 3, 1]
+    assert out[0].tolist() == [3.0] * 10 and out[1].tolist() == list(range(10))
 
 def test_as_point_validation():
     assert as_point([1.0, 2.0], 2).shape == (2,)
