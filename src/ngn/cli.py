@@ -10,7 +10,8 @@ Config files are flat ``key = value`` text. Example::
     batch_size = 1
     cadence = 10
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+Exit codes: 0 success, 1 verification failure or a diverged run seed,
+2 configuration error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -138,60 +138,41 @@ def resolve_out_dir(flag_value: Optional[str], cfg_out: Optional[str]) -> Path:
     return path
 
 
-def pool_size(jobs: int, n_seeds: int) -> int:
-    """Worker processes for `jobs`: at most one per seed and one per CPU."""
-    return max(1, min(jobs, n_seeds, os.cpu_count() or 1))
-
-
-def _execute_seeds(args: tuple) -> list[tuple[int, RunTrace]]:
-    """Worker entry point; rebuilds the objective/policy from spec strings."""
-    problem, policy, overrides, steps, sampler, batch_size, cadence, x0, seeds = args
-    obj = build_problem(problem)
-    pol = build_policy(policy, **overrides)
-    x0_vec = np.array(x0) if x0 is not None else None
-    traces = run_seeds(
-        obj, pol, steps, seeds=seeds,
-        sampler=SamplerSpec(mode=sampler, batch_size=batch_size),
-        x0=x0_vec, cadence=cadence if cadence is not None else steps,
-    )
-    return list(zip(seeds, traces))
-
-
-def _run_all_seeds(cfg: ExperimentConfig, jobs: int,
-                   overrides: dict) -> list[tuple[int, RunTrace]]:
-    """Every seed of `cfg` in lockstep, split into one contiguous chunk per worker."""
-    chunks = np.array_split(np.array(cfg.seeds), pool_size(jobs, len(cfg.seeds)))
-    tasks = [
-        (cfg.problem, cfg.policy, overrides, cfg.steps, cfg.sampler, cfg.batch_size,
-         cfg.cadence, cfg.x0, chunk.tolist())
-        for chunk in chunks
-    ]
-    if len(tasks) == 1:
-        results = _execute_seeds(tasks[0])
-    else:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            results = [pair for chunk in pool.map(_execute_seeds, tasks) for pair in chunk]
-    return sorted(results, key=lambda pair: pair[0])
-
-
-def _check_runnable(cfg: ExperimentConfig, points: Sequence[dict]) -> None:
-    """Config error unless the problem and each point's policy build and can run."""
+def _build_runs(cfg: ExperimentConfig,
+                points: Sequence[dict]) -> tuple[FiniteSumObjective, list[StepsizePolicy]]:
+    """The problem and each point's policy; config error unless they can run."""
     obj = build_problem(cfg.problem)
     sampler = SamplerSpec(cfg.sampler, cfg.batch_size)
+    policies = []
     for overrides in points:
         policy = build_policy(cfg.policy, **overrides)
         try:
             check_run(obj, policy, cfg.steps, sampler)
         except ValueError as exc:
             raise ConfigError(f"{cfg.policy} on {cfg.problem}: {exc}") from exc
+        policies.append(policy)
+    return obj, policies
 
 
-def _write_aggregate(results: Sequence[tuple[int, RunTrace]], path: Path) -> None:
+def _run_all_seeds(cfg: ExperimentConfig, obj: FiniteSumObjective,
+                   policy: StepsizePolicy) -> list[RunTrace]:
+    """Every seed of `cfg` in lockstep, in seed order."""
+    return run_seeds(
+        obj, policy, cfg.steps, seeds=sorted(cfg.seeds),
+        sampler=SamplerSpec(cfg.sampler, cfg.batch_size),
+        x0=np.array(cfg.x0) if cfg.x0 is not None else None,
+        cadence=cfg.cadence if cfg.cadence is not None else cfg.steps,
+    )
+
+
+def _write_aggregate(traces: Sequence[RunTrace], path: Path) -> None:
+    """Seed means of the final metrics; diverged seeds are left out."""
+    kept = [t for t in traces if not t.diverged]
     metrics = {
-        "loss_full_final": [t.loss_full[-1] for _, t in results],
-        "dist_sq_final": [t.dist_sq[-1] for _, t in results],
-        "grad_full_sq_final": [t.grad_full_sq[-1] for _, t in results],
-        "gamma_final": [t.gamma[-1] for _, t in results],
+        "loss_full_final": [t.loss_full[-1] for t in kept],
+        "dist_sq_final": [t.dist_sq[-1] for t in kept],
+        "grad_full_sq_final": [t.grad_full_sq[-1] for t in kept],
+        "gamma_final": [t.gamma[-1] for t in kept],
     }
     lines = ["metric,mean,std,ci_half"]
     for name, values in metrics.items():
@@ -208,15 +189,15 @@ def cmd_run(args) -> int:
     if args.seed_offset:
         cfg = replace(cfg, seeds=tuple(s + args.seed_offset for s in cfg.seeds))
     out_dir = resolve_out_dir(args.out, cfg.out)
-    _check_runnable(cfg, [{}])  # fail fast before spawning workers
-    results = _run_all_seeds(cfg, args.jobs, {})
-    for seed, trace in results:
-        trace_to_csv(trace, out_dir / f"trace_seed{seed}.csv")
+    obj, (policy,) = _build_runs(cfg, [{}])
+    traces = _run_all_seeds(cfg, obj, policy)
+    for trace in traces:
+        trace_to_csv(trace, out_dir / f"trace_seed{trace.seed}.csv")
         if trace.diverged:
-            print(f"seed {seed}: diverged at step {trace.diverged_step}")
-    _write_aggregate(results, out_dir / "aggregate.csv")
-    print(f"wrote {len(results)} trace file(s) + aggregate.csv to {out_dir}")
-    return 0
+            print(f"seed {trace.seed}: diverged at step {trace.diverged_step}")
+    _write_aggregate(traces, out_dir / "aggregate.csv")
+    print(f"wrote {len(traces)} trace file(s) + aggregate.csv to {out_dir}")
+    return 1 if any(t.diverged for t in traces) else 0
 
 
 def cmd_sweep(args) -> int:
@@ -227,12 +208,12 @@ def cmd_sweep(args) -> int:
         cfg = replace(cfg, seeds=tuple(s + args.seed_offset for s in cfg.seeds))
     out_dir = resolve_out_dir(args.out, cfg.out)
 
-    _check_runnable(cfg, [{cfg.axis: value} for value in cfg.values])  # before any run
+    obj, policies = _build_runs(cfg, [{cfg.axis: value} for value in cfg.values])
     means = []
     rows = []
-    for value in cfg.values:
-        results = _run_all_seeds(cfg, args.jobs, {cfg.axis: value})
-        finals = [np.inf if t.diverged else float(t.loss_full[-1]) for _, t in results]
+    for value, policy in zip(cfg.values, policies):
+        traces = _run_all_seeds(cfg, obj, policy)
+        finals = [np.inf if t.diverged else float(t.loss_full[-1]) for t in traces]
         agg = aggregate_metric(finals)
         means.append(agg.mean)
         rows.append((value, agg))
@@ -306,6 +287,9 @@ def cmd_datagen(args) -> int:
     return 0
 
 
+JOBS_HELP = "accepted and ignored: every seed runs in lockstep in this process"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ngn", description="Stochastic optimization runs and bound checks.")
@@ -314,14 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment config")
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--out", default=None)
-    run_p.add_argument("--jobs", type=int, default=1)
+    run_p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     run_p.add_argument("--seed-offset", type=int, default=0)
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="sweep a policy parameter over a grid")
     sweep_p.add_argument("--config", required=True)
     sweep_p.add_argument("--out", default=None)
-    sweep_p.add_argument("--jobs", type=int, default=1)
+    sweep_p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     sweep_p.add_argument("--seed-offset", type=int, default=0)
     sweep_p.set_defaults(func=cmd_sweep)
 

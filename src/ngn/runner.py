@@ -358,35 +358,45 @@ def aggregate_metric(values: Sequence[float]) -> Aggregate:
     return Aggregate(mean=mean, std=std, ci_half=2.0 * std / math.sqrt(arr.size))
 
 
-def _format_cell(value: float) -> str:
-    # float() first: repr of a numpy scalar is "np.float64(...)" under numpy >= 2
-    return "" if not math.isfinite(value) else repr(float(value))
+CSV_BLOCK_ROWS = 4096  # rows formatted and written per join
+
+
+def _cells(values: np.ndarray) -> list[str]:
+    """Shortest round-trip text of each value; empty where it is not finite."""
+    # tolist() first: repr of a numpy scalar is "np.float64(...)" under numpy >= 2
+    cells = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        cells[i] = ""
+    return cells
 
 
 def trace_to_csv(trace: RunTrace, path) -> None:
-    """Write the per-step trace; off-cadence metric cells are empty."""
-    metric_at = {int(s): i for i, s in enumerate(trace.metric_steps)}
-    id_cells = [";".join(map(str, row)) for row in trace.batch_ids.tolist()]
+    """Write the per-step trace; off-cadence and non-finite cells are empty.
+
+    A diverged trace ends at the step where it diverged. Cells are formatted
+    a column at a time, CSV_BLOCK_ROWS rows at once, so that a long trace
+    never holds all its text.
+    """
+    n_rows = trace.diverged_step + 1 if trace.diverged else trace.steps
+    ids = trace.batch_ids
+    metric_steps = np.asarray(trace.metric_steps)
     with open(path, "w") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for k in range(trace.steps):
-            if math.isnan(trace.loss_batch[k]) and trace.diverged and k > (trace.diverged_step or 0):
-                break
-            row = [
-                str(k),
-                id_cells[k if len(id_cells) > 1 else 0],
-                _format_cell(trace.loss_batch[k]),
-                _format_cell(trace.gamma[k]),
-                _format_cell(trace.sigma[k]),
-                _format_cell(trace.grad_sq[k]),
-            ]
-            if k in metric_at:
-                i = metric_at[k]
-                row += [
-                    _format_cell(trace.loss_full[i]),
-                    _format_cell(trace.dist_sq[i]),
-                    _format_cell(trace.grad_full_sq[i]),
-                ]
+        for a in range(0, n_rows, CSV_BLOCK_ROWS):
+            b = min(a + CSV_BLOCK_ROWS, n_rows)
+            if len(ids) == 1:  # full_batch: one row that every step uses
+                id_cells = [";".join(map(str, ids[0].tolist()))] * (b - a)
             else:
-                row += ["", "", ""]
-            fh.write(",".join(row) + "\n")
+                id_cells = list(map(";".join, zip(*(map(str, col)
+                                                    for col in ids[a:b].T.tolist()))))
+            columns = [list(map(str, range(a, b))), id_cells]
+            columns += [_cells(values[a:b]) for values in
+                        (trace.loss_batch, trace.gamma, trace.sigma, trace.grad_sq)]
+            lo, hi = np.searchsorted(metric_steps, (a, b))
+            at = (metric_steps[lo:hi] - a).tolist()
+            for values in (trace.loss_full, trace.dist_sq, trace.grad_full_sq):
+                spread = [""] * (b - a)
+                for row, cell in zip(at, _cells(values[lo:hi])):
+                    spread[row] = cell
+                columns.append(spread)
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")

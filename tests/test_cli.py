@@ -1,9 +1,11 @@
 import hashlib
+import multiprocessing
+import os
 
 import pytest
 
-from ngn import cli
-from ngn.cli import main, pool_size
+from ngn import specs
+from ngn.cli import main
 from ngn.objectives import load_libsvm
 
 
@@ -105,12 +107,54 @@ def test_jobs_flag_matches_sequential(tmp_path):
         assert file_hash(out_seq / name) == file_hash(out_par / name)
 
 
-def test_pool_size_is_clamped(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    assert pool_size(10**6, 3) == 3
-    assert pool_size(10**6, 10**6) == 4
-    assert pool_size(2, 8) == 2
-    assert pool_size(0, 8) == 1
+def test_huge_jobs_starts_no_process(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path / "run.cfg", seeds="0,1,2")
+    out_seq, out_huge = tmp_path / "seq", tmp_path / "huge"
+    assert main(["run", "--config", str(cfg), "--out", str(out_seq)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ngn run started a process")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(multiprocessing.Process, "start", refuse)
+    assert main(["run", "--config", str(cfg), "--out", str(out_huge),
+                 "--jobs", "1000000"]) == 0
+    for name in ("trace_seed0.csv", "trace_seed1.csv", "trace_seed2.csv", "aggregate.csv"):
+        assert (out_seq / name).read_bytes() == (out_huge / name).read_bytes()
+
+
+def test_run_and_sweep_build_the_problem_once(tmp_path, monkeypatch):
+    data = tmp_path / "blobs.svm"
+    assert main(["datagen", "blobs", "n=20", "d=3", "classes=2", "--out", str(data)]) == 0
+    loads = []
+
+    def counted(path):
+        loads.append(path)
+        return load_libsvm(path)
+
+    monkeypatch.setattr(specs, "load_libsvm", counted)
+    problem = f"logistic_file(path={data})"
+    cfg = write_config(tmp_path / "run.cfg", problem=problem, steps="20", seeds="0,1")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert len(loads) == 1
+
+    loads.clear()
+    cfg = write_config(tmp_path / "sweep.cfg", problem=problem, steps="20", seeds="0,1",
+                       axis="sigma", values="0.5,2")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+    assert len(loads) == 1
+
+
+def test_diverged_seed_left_out_of_aggregate_and_exit_status(tmp_path, capsys):
+    # constant(gamma=2.0) on lam=1.2 multiplies x - x* by -1.4 each step;
+    # from x0 = 3 the squared gradient norm passes 1e30 at step 99
+    cfg = write_config(tmp_path / "div.cfg", policy="constant(gamma=2.0)",
+                       steps="150", seeds="0,1", x0="3.0", cadence="7")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "seed 0: diverged at step 99" in capsys.readouterr().out
+    assert (out / "aggregate.csv").read_text() == "metric,mean,std,ci_half\n"
+    assert len((out / "trace_seed0.csv").read_text().splitlines()) == 101  # cut after 99
 
 
 @pytest.mark.parametrize("command,overrides", [

@@ -138,6 +138,14 @@ GOLDEN = {
 }
 
 
+# Both seeds diverge at step 99 of 150, so the trace writer cuts the rows
+# after it and leaves the non-finite cells empty; no run above does either.
+# The aggregate is not hashed: it leaves diverged seeds out.
+DIVERGING_CONFIG = ("problem = quadratic1d(lam=1.2, fstar=0.1)\npolicy = constant(gamma=2.0)\n"
+                    "steps = 150\nseeds = 0,1\nx0 = 3.0\ncadence = 7\n")
+DIVERGING_GOLDEN = '47caf7ce9f1b9225428199185c2c2a159e23f45fd2530c70aa98237e080b1415'
+
+
 def digest(tmp_path, problem: str, policy: str) -> str:
     """One SHA-256 over the outputs of the policy's runs under every sampler."""
     full_batch_only = policy.startswith(FULL_BATCH_ONLY)
@@ -162,6 +170,21 @@ def test_golden_output_hashes(tmp_path):
     assert not changed, changed
 
 
+def diverging_digest(tmp_path) -> str:
+    cfg = tmp_path / "diverging.cfg"
+    cfg.write_text(DIVERGING_CONFIG)
+    out = tmp_path / "diverging"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1  # a seed diverged
+    h = hashlib.sha256()
+    for name in ("trace_seed0.csv", "trace_seed1.csv"):
+        h.update((out / name).read_bytes())
+    return h.hexdigest()
+
+
+def test_diverging_run_trace_hash(tmp_path):
+    assert diverging_digest(tmp_path) == DIVERGING_GOLDEN
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -170,5 +193,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         got = {(p, q): digest(Path(tmp), p, q) for p in PROBLEMS for q in POLICIES}
+        diverging = diverging_digest(Path(tmp))
     for (p, q), value in got.items():
         print(f"    ({p!r}, {q!r}):\n        {value!r},")
+    print(f"DIVERGING_GOLDEN = {diverging!r}")

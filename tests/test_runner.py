@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ngn import runner
 from ngn.objectives import make_quadratic1d, make_two_quadratics
 from ngn.runner import (
     Aggregate,
@@ -150,6 +151,25 @@ def test_trace_csv_cells_parse_as_floats(tmp_path):
     numeric = [c for c, name in enumerate(TRACE_COLUMNS) if name != "batch_ids"]
     cells = [row.split(",")[c] for row in rows for c in numeric]
     assert all(float(cell) == float(cell) for cell in cells if cell)
+
+
+@pytest.mark.parametrize("make_trace", [
+    lambda: run_sgd(make_two_quadratics(), NGN(0.5), 25, seed=3, cadence=4),
+    lambda: run_sgd(make_two_quadratics(), NGN(0.5), 25, seed=3, cadence=4,
+                    sampler=SamplerSpec("full_batch")),
+    lambda: run_sgd(make_quadratic1d(1.2, 0.0, 0.1), Constant(2.0), 150, x0=np.array([3.0]),
+                    cadence=7),  # diverges at step 99
+], ids=["uniform", "full_batch", "diverged"])
+def test_trace_csv_row_blocks_keep_bytes(tmp_path, monkeypatch, make_trace):
+    # at least three blocks of 7 rows write the bytes of one block; the metric
+    # cadence 4 divides neither the block nor the 25 steps
+    trace = make_trace()
+    trace_to_csv(trace, tmp_path / "whole.csv")
+    monkeypatch.setattr(runner, "CSV_BLOCK_ROWS", 7)
+    trace_to_csv(trace, tmp_path / "blocked.csv")
+    whole = (tmp_path / "whole.csv").read_bytes()
+    assert whole == (tmp_path / "blocked.csv").read_bytes()
+    assert whole.count(b"\n") - 1 >= 3 * 7
 
 
 def test_policy_error_annotated_with_step():
