@@ -9,7 +9,6 @@ from .objectives import (
     Dataset,
     FiniteSumObjective,
     ParseError,
-    SolveError,
     compute_deltas,
     finite_difference_gradient,
     load_libsvm,
@@ -33,7 +32,7 @@ from .runner import (
     run_sgd,
     trace_to_csv,
 )
-from .specs import POLICIES, PROBLEMS, SpecError, build_spec, parse_policy
+from .specs import POLICIES, PROBLEMS, SpecError, build_spec
 from .stepsizes import (
     APS,
     GGN,

@@ -10,8 +10,9 @@ Config files are flat ``key = value`` text. Example::
     batch_size = 1
     cadence = 10
 
-Exit codes: 0 success, 1 verification failure or a diverged run seed,
-2 configuration error.
+Exit codes: 0 success, 1 verification failure, a diverged run seed or a
+sweep whose every point has a diverged seed, 2 configuration error (an
+unknown key among them).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -66,6 +67,9 @@ class ExperimentConfig:
             raise ConfigError("cadence must be >= 1 when given")
 
 
+CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+
+
 def parse_config(path) -> ExperimentConfig:
     """Parse a flat key = value config file into an ExperimentConfig."""
     entries: dict[str, str] = {}
@@ -81,7 +85,11 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         # split at the first '=' only: policy/problem values hold more of them
         key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
+                              f"choose from {', '.join(CONFIG_KEYS)}")
+        entries[key] = value.strip()
 
     if "problem" not in entries:
         raise ConfigError(f"{path}: missing required key 'problem'")
@@ -209,19 +217,23 @@ def cmd_sweep(args) -> int:
     out_dir = resolve_out_dir(args.out, cfg.out)
 
     obj, policies = _build_runs(cfg, [{cfg.axis: value} for value in cfg.values])
-    means = []
-    rows = []
+    rows = []  # (value, Aggregate of the final losses, or None when a seed diverged)
     for value, policy in zip(cfg.values, policies):
         traces = _run_all_seeds(cfg, obj, policy)
-        finals = [np.inf if t.diverged else float(t.loss_full[-1]) for t in traces]
-        agg = aggregate_metric(finals)
-        means.append(agg.mean)
-        rows.append((value, agg))
+        n_diverged = sum(t.diverged for t in traces)
+        if n_diverged:
+            print(f"{cfg.axis} = {value}: {n_diverged} of {len(traces)} seed(s) diverged")
+            rows.append((value, None))
+        else:
+            rows.append((value, aggregate_metric([float(t.loss_full[-1]) for t in traces])))
 
-    best_idx = int(np.argmin(means))
-    best_value = cfg.values[best_idx]
+    finite = [(value, agg) for value, agg in rows if agg is not None]
+    best_value, best = min(finite, key=lambda row: row[1].mean) if finite else (None, None)
     lines = ["value,mean,std,ci_half,mark"]
     for value, agg in rows:
+        if agg is None:
+            lines.append(f"{value!r},,,,diverged")
+            continue
         mark = ""
         if value == best_value:
             mark = "best"
@@ -231,9 +243,12 @@ def cmd_sweep(args) -> int:
             mark = "neighbor_upper"
         lines.append(f"{value!r},{agg.mean!r},{agg.std!r},{agg.ci_half!r},{mark}")
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
-    print(f"best {cfg.axis} = {best_value} (mean final loss {means[best_idx]:.6g})")
+    if best is None:
+        print(f"every {cfg.axis} value had a diverged seed; no best value")
+    else:
+        print(f"best {cfg.axis} = {best_value} (mean final loss {best.mean:.6g})")
     print(f"wrote sweep.csv to {out_dir}")
-    return 0
+    return 0 if best is not None else 1
 
 
 def cmd_verify(args) -> int:

@@ -13,19 +13,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 
 class ParseError(ValueError):
     """Malformed dataset file."""
-
-
-class SolveError(RuntimeError):
-    """An inner deterministic solve failed to reach tolerance."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual norm {residual:.3e})")
-        self.residual = residual
 
 
 def as_point(x, dim: Optional[int] = None) -> np.ndarray:
@@ -314,6 +305,8 @@ def make_nonconvex_sum(n: int, seed: int, eps: float = 0.5) -> FiniteSumObjectiv
         raise ValueError("n must be >= 1")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    from scipy import optimize  # here only: importing it costs more than most runs
+
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-2.0, 2.0, n)
 
@@ -352,6 +345,11 @@ def make_nonconvex_sum(n: int, seed: int, eps: float = 0.5) -> FiniteSumObjectiv
     )
 
 
+# Largest rows x features a LIBSVM file may densify to: 2^27 float64 entries
+# are 1 GiB, and one stray index near 1e9 would otherwise ask for far more.
+MAX_DENSE_ENTRIES = 1 << 27
+
+
 def load_libsvm(path) -> Dataset:
     """Parse LIBSVM sparse text ("label idx:val ...", 1-based indices)."""
     labels_raw: list[float] = []
@@ -385,6 +383,9 @@ def load_libsvm(path) -> Dataset:
             rows.append(entries)
     if not rows:
         raise ParseError("no samples")
+    if len(rows) * max_index > MAX_DENSE_ENTRIES:
+        raise ParseError(f"{len(rows)} rows x {max_index} features exceed the dense size "
+                         f"cap of {MAX_DENSE_ENTRIES} entries")
     features = np.zeros((len(rows), max_index))
     for r, entries in enumerate(rows):
         for idx, val in entries.items():
@@ -421,33 +422,15 @@ def finite_difference_gradient(
     return grad
 
 
-def _solve_to_stationarity(fun, x0: np.ndarray, tol: float) -> np.ndarray:
-    res = optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
-                            options={"gtol": tol, "ftol": 0.0, "maxiter": 20000})
-    grad_norm = float(np.linalg.norm(res.jac))
-    if grad_norm > 1e-7:
-        raise SolveError("inner solve did not converge", grad_norm)
-    return np.asarray(res.x, dtype=float)
-
-
-def compute_deltas(obj: FiniteSumObjective, tol: float = 1e-10) -> tuple[float, float]:
+def compute_deltas(obj: FiniteSumObjective) -> tuple[float, float]:
     """Interpolation gap and position gap of a finite-sum objective.
 
     delta_int = (1/N) sum_i [f_i(x*) - f_i*],  delta_pos = (1/N) sum_i f_i*.
-    Uses analytic metadata when present, deterministic solves otherwise.
+    Needs the analytic x* and f_i* of the objective; ValueError without them.
     """
-    if obj.x_star is not None:
-        x_star = obj.x_star
-    else:
-        x_star = _solve_to_stationarity(obj.full_eval, np.zeros(obj.dim), tol)
-    if obj.f_i_star is not None:
-        f_i_star = obj.f_i_star
-    else:
-        f_i_star = np.array([
-            obj.component_eval(i, _solve_to_stationarity(
-                lambda x, i=i: obj.component_eval(i, x), x_star.copy(), tol))[0]
-            for i in range(obj.n)
-        ])
+    if obj.x_star is None or obj.f_i_star is None:
+        raise ValueError(f"{obj.name} has no analytic x* and f_i*; its deltas are unknown")
+    x_star, f_i_star = obj.x_star, obj.f_i_star
     at_star = np.array([obj.component_eval(i, x_star)[0] for i in range(obj.n)])
     delta_int = float(np.mean(at_star - f_i_star))
     delta_pos = float(np.mean(f_i_star))

@@ -59,8 +59,6 @@ class RunTrace:
     loss_full: np.ndarray
     dist_sq: np.ndarray
     grad_full_sq: np.ndarray
-    x_mean: np.ndarray
-    x_mean_weighted: Optional[np.ndarray]
     diverged: bool = False
     diverged_step: Optional[int] = None
     iterates: Optional[np.ndarray] = None
@@ -157,22 +155,15 @@ def run_seeds(
     dist_sq = np.full((n_seeds, n_metrics), np.nan)
     grad_full_sq = np.full((n_seeds, n_metrics), np.nan)
     iterates = np.empty((n_seeds, steps + 1, dim)) if store_iterates else None
-
-    x_mean = np.zeros((n_seeds, dim))
-    x_mean_w = np.zeros((n_seeds, dim))
-    weight_total = 0.0
-    have_weights = True
-    kept_weights = np.ones(n_seeds, dtype=bool)  # have_weights as each row stopped
     diverged_step = np.full(n_seeds, -1)
 
     # The rows still running: `rows` numbers them and `live` indexes them (a
-    # full slice while none has stopped). Their state x, xm, xw is kept
-    # compact and written back to X, x_mean, x_mean_w when a row stops.
-    # Policies see all S rows, zeros for a stopped one, so that per-seed
-    # policy state stays aligned.
+    # full slice while none has stopped). Their iterates x are kept compact
+    # and written back to X when a row stops. Policies see all S rows, zeros
+    # for a stopped one, so that per-seed policy state stays aligned.
     live: slice | np.ndarray = slice(None)
     rows = np.arange(n_seeds)
-    x, xm, xw = X, x_mean, x_mean_w
+    x = X
 
     # hoist hot-loop lookups
     eval_many = obj.eval_many
@@ -187,13 +178,10 @@ def run_seeds(
 
     def stop(bad: np.ndarray, k: int) -> None:
         """Freeze the rows flagged in `bad` as diverged at step k."""
-        nonlocal rows, live, x, xm, xw
-        out = rows[bad]
-        X[out], x_mean[out], x_mean_w[out] = x[bad], xm[bad], xw[bad]
-        diverged_step[out] = k
-        kept_weights[out] = have_weights
-        keep = ~bad
-        rows, x, xm, xw = rows[keep], x[keep], xm[keep], xw[keep]
+        nonlocal rows, live, x
+        X[rows[bad]] = x[bad]
+        diverged_step[rows[bad]] = k
+        rows, x = rows[~bad], x[~bad]
         live = rows
 
     def record_metrics(j: int) -> None:
@@ -262,16 +250,7 @@ def run_seeds(
                 gamma = np.full(n_seeds, gamma, dtype=float)
             gamma = gamma[live]
 
-            sigma_k = policy_sigma_at(k)
-            sigma_arr[live, k] = sigma_k
-
-            # running averages over x^0 .. x^{K-1}, before the update
-            xm += (x - xm) / (k + 1)
-            if have_weights and math.isfinite(sigma_k):
-                weight_total += sigma_k
-                xw += (sigma_k / weight_total) * (x - xw)
-            else:
-                have_weights = False
+            sigma_arr[live, k] = policy_sigma_at(k)
 
             if math.isnan(total(gamma)):  # NaN marks a stationary row: no step
                 still = np.isnan(gamma)
@@ -291,8 +270,7 @@ def run_seeds(
                     if not len(rows):
                         break
 
-    X[rows], x_mean[rows], x_mean_w[rows] = x, xm, xw
-    kept_weights[rows] = have_weights
+    X[rows] = x
     if iterates is not None:
         iterates[live, steps] = x
     if cadence > 0 and len(rows):
@@ -317,8 +295,6 @@ def run_seeds(
             loss_full=loss_full[r, :n_recorded],
             dist_sq=dist_sq[r, :n_recorded],
             grad_full_sq=grad_full_sq[r, :n_recorded],
-            x_mean=x_mean[r],
-            x_mean_weighted=x_mean_w[r] if kept_weights[r] else None,
             diverged=diverged,
             diverged_step=int(diverged_step[r]) if diverged else None,
             iterates=iterates[r] if iterates is not None and not diverged else None,
@@ -327,20 +303,26 @@ def run_seeds(
     return traces
 
 
-def averaged_iterate_uniform(trace: RunTrace) -> np.ndarray:
-    """Arithmetic mean of x^0 .. x^{K-1} (maintained online during the run)."""
+def _iterates_to_average(trace: RunTrace) -> np.ndarray:
+    """x^0 .. x^{K-1}; ValueError for a diverged run or one without iterates."""
     if trace.diverged:
         raise ValueError("diverged run has no valid averaged iterate")
-    return trace.x_mean
+    if trace.iterates is None:
+        raise ValueError("averaged iterates need a run with store_iterates=True")
+    return trace.iterates[:trace.steps]
+
+
+def averaged_iterate_uniform(trace: RunTrace) -> np.ndarray:
+    """Arithmetic mean of x^0 .. x^{K-1}."""
+    return _iterates_to_average(trace).mean(axis=0)
 
 
 def averaged_iterate_weighted(trace: RunTrace) -> np.ndarray:
     """sigma_k-weighted average sum_k p_k x^k with p_k = sigma_k / sum sigma."""
-    if trace.diverged:
-        raise ValueError("diverged run has no valid averaged iterate")
-    if trace.x_mean_weighted is None:
-        raise ValueError("trace has no recorded sigma_k; weighted average undefined")
-    return trace.x_mean_weighted
+    points, sigma = _iterates_to_average(trace), trace.sigma
+    if not np.all(np.isfinite(sigma)):
+        raise ValueError("trace has a non-finite sigma_k; weighted average undefined")
+    return (sigma[:, None] * points).sum(axis=0) / sigma.sum()
 
 
 @dataclass(frozen=True)

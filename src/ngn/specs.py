@@ -30,7 +30,6 @@ from .stepsizes import (
     NGNAnnealed,
     PolyakKnownFStar,
     SPSMax,
-    StepsizePolicy,
 )
 
 
@@ -122,8 +121,3 @@ def build_spec(table: dict, spec: str, **overrides):
             raise SpecError(f"{name}() parameter {key!r} must be {kind.__name__}, "
                             f"got {value!r}") from None
     return entry.build(**kwargs)
-
-
-def parse_policy(spec: str) -> StepsizePolicy:
-    """Build a policy from the config grammar, e.g. "ngn(sigma=3.0)"."""
-    return build_spec(POLICIES, spec)

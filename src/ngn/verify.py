@@ -173,7 +173,8 @@ def check_convex_rate(
     dist0_sq = float((x0_vec - obj.x_star) @ (x0_vec - obj.x_star))
     rhs = theory.convex_bound(ctx, sigma, steps, dist0_sq)
     rhs_proof = theory.convex_bound(ctx, sigma, steps, dist0_sq, constant="proof")
-    traces = run_seeds(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec)
+    traces = run_seeds(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec,
+                       store_iterates=True)
     per_seed = [math.inf if t.diverged else obj.value(averaged_iterate_uniform(t)) - obj.f_star
                 for t in traces]
     measured = float(np.mean(per_seed))
@@ -312,7 +313,8 @@ def check_annealed_rate(
     means = []
     for steps in steps_grid:
         rhs = theory.annealed_bound(ctx, sigma0, steps, dist0_sq)
-        traces = run_seeds(obj, NGNAnnealed(sigma0), steps, seeds=range(n_seeds), x0=x0_vec)
+        traces = run_seeds(obj, NGNAnnealed(sigma0), steps, seeds=range(n_seeds), x0=x0_vec,
+                           store_iterates=True)
         per_seed = [math.inf if t.diverged
                     else obj.value(averaged_iterate_weighted(t)) - obj.f_star
                     for t in traces]

@@ -65,6 +65,14 @@ def test_run_rejects_bad_spec_parameters(tmp_path, key, spec):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_run_rejects_unknown_config_key(tmp_path, capsys):
+    cfg = write_config(tmp_path / "typo.cfg", stpes="5000")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown key 'stpes'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_malformed_line(tmp_path):
     cfg = tmp_path / "syntax.cfg"
     cfg.write_text("problem quadratic1d(lam=1)\n")
@@ -231,6 +239,33 @@ def test_sweep_single_value(tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].endswith(",best")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_marks_diverged_points(tmp_path, capsys):
+    # constant(gamma=2.0) diverges on lam=1.2 from x0 = 3; gamma=0.1 does not
+    cfg = write_config(tmp_path / "sweep.cfg", policy="constant(gamma=0.1)", seeds="0,1",
+                       x0="3.0", axis="gamma", values="0.1,2.0")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert rows[0].split(",")[0] == "0.1" and rows[0].endswith(",best")
+    assert all(float(cell) >= 0.0 for cell in rows[0].split(",")[1:4])
+    assert rows[1] == "2.0,,,,diverged"
+    assert "gamma = 2.0: 2 of 2 seed(s) diverged" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_with_every_point_diverged_fails(tmp_path, capsys):
+    cfg = write_config(tmp_path / "sweep.cfg", policy="constant(gamma=2.0)", seeds="0,1",
+                       x0="3.0", axis="gamma", values="2.0,3.0")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1:] == ["2.0,,,,diverged", "3.0,,,,diverged"]
+    printed = capsys.readouterr().out
+    assert "gamma = 3.0: 2 of 2 seed(s) diverged" in printed
+    assert "no best value" in printed
 
 
 def test_sweep_requires_axis(tmp_path):

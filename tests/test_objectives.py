@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -53,6 +56,23 @@ def test_two_quadratics_deltas():
     delta_int, delta_pos = compute_deltas(obj)
     assert delta_int == pytest.approx(0.5, abs=1e-12)
     assert delta_pos == pytest.approx(0.0, abs=1e-12)
+
+
+def test_compute_deltas_needs_analytic_minimizers():
+    blobs = make_logistic(make_blobs_dataset(n=12, d=2, classes=3, seed=0))
+    with pytest.raises(ValueError, match="no analytic"):
+        compute_deltas(blobs)  # no x*
+    with pytest.raises(ValueError, match="no analytic"):
+        compute_deltas(make_nonconvex_sum(4, seed=0))  # x* but no f_i*
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported by the one constructor that calls it, not by `import ngn`
+    code = "import sys, ngn; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_batch_eval_is_mean():
@@ -214,6 +234,24 @@ def test_libsvm_empty_file_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(ParseError):
         load_libsvm(path)
+
+
+def test_libsvm_dense_size_cap_checked_before_allocating(tmp_path, monkeypatch):
+    # two rows whose largest index would densify to 2 x 7e7 entries (1.1 GB)
+    path = tmp_path / "wide.svm"
+    path.write_text("1 1:0.5\n2 70000000:1.0\n")
+    real_zeros = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        if math.prod(np.atleast_1d(shape)) > objectives.MAX_DENSE_ENTRIES:
+            raise AssertionError(f"allocated {shape}")
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    with pytest.raises(ParseError, match="2 rows x 70000000 features"):
+        load_libsvm(path)
+    path.write_text("1 1:0.5\n2 3:1.0\n")  # under the cap it still loads
+    assert load_libsvm(path).features.shape == (2, 3)
 
 
 def test_dataset_validation():

@@ -19,7 +19,7 @@ from ngn.runner import (
     trace_to_csv,
 )
 from ngn.specs import POLICIES, PROBLEMS, build_spec
-from ngn.stepsizes import APS, NGN, Constant, StepsizePolicy
+from ngn.stepsizes import APS, NGN, Constant, NGNAnnealed, StepsizePolicy
 
 
 def test_determinism_same_seed_identical_traces():
@@ -126,6 +126,45 @@ def test_averaged_iterates_match_stored_iterates():
     assert np.allclose(averaged_iterate_uniform(trace), expected, atol=1e-12)
     # NGN has constant sigma_k, so the weighted average equals the uniform one
     assert np.allclose(averaged_iterate_weighted(trace), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("policy", [
+    NGN(0.5), NGNAnnealed(1.0, "inv_sqrt"), NGNAnnealed(1.0, "inv_linear"),
+])
+def test_averaged_iterates_match_online_recurrences(policy):
+    # the recurrences the runner used to update at every step
+    obj = build_spec(PROBLEMS, "linear_regression(d=3, n=10, seed=1, noise_std=0.5)")
+    traces = run_seeds(obj, policy, 400, seeds=range(4), x0=np.full(3, 4.0),
+                       store_iterates=True)
+    for trace in traces:
+        mean = np.zeros(3)
+        weighted = np.zeros(3)
+        weight_total = 0.0
+        for k in range(trace.steps):
+            x = trace.iterates[k]
+            mean += (x - mean) / (k + 1)
+            weight_total += trace.sigma[k]
+            weighted += (trace.sigma[k] / weight_total) * (x - weighted)
+        np.testing.assert_allclose(averaged_iterate_uniform(trace), mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(averaged_iterate_weighted(trace), weighted,
+                                   rtol=1e-12, atol=0)
+
+
+def test_averaged_iterates_undefined():
+    obj = make_quadratic1d(1.2, 0.0, 0.1)
+    diverged = run_sgd(obj, Constant(2.0), 100, x0=np.array([3.0]), store_iterates=True)
+    no_iterates = run_sgd(obj, NGN(0.5), 20)
+    for average in (averaged_iterate_uniform, averaged_iterate_weighted):
+        with pytest.raises(ValueError, match="diverged"):
+            average(diverged)
+        with pytest.raises(ValueError, match="store_iterates"):
+            average(no_iterates)
+    # APS has no sigma_k (NaN), so only the uniform average is defined
+    aps = run_sgd(obj, APS(), 20, x0=np.array([3.0]), store_iterates=True)
+    assert np.isnan(aps.sigma).all()
+    assert np.isfinite(averaged_iterate_uniform(aps)).all()
+    with pytest.raises(ValueError, match="non-finite sigma_k"):
+        averaged_iterate_weighted(aps)
 
 
 def test_trace_csv_schema(tmp_path):

@@ -18,7 +18,7 @@ from ngn.stepsizes import (
     StepObservation,
     stepsize_bounds,
 )
-from ngn.specs import SpecError, parse_call, parse_policy
+from ngn.specs import POLICIES, SpecError, build_spec, parse_call
 
 
 def obs(loss, gsq, k=0, comp_min=None):
@@ -162,31 +162,31 @@ def test_stepsize_bounds_hand_value():
 
 
 def test_parse_policy_grammar():
-    assert isinstance(parse_policy("ngn(sigma=3.0)"), NGN)
-    assert isinstance(parse_policy("ngn_annealed(sigma0=1.0, schedule=inv_sqrt)"),
+    assert isinstance(build_spec(POLICIES, "ngn(sigma=3.0)"), NGN)
+    assert isinstance(build_spec(POLICIES, "ngn_annealed(sigma0=1.0, schedule=inv_sqrt)"),
                       NGNAnnealed)
-    assert isinstance(parse_policy("sps_max(c=1, gamma_b=3, fstar=0)"), SPSMax)
-    assert isinstance(parse_policy("adagrad_norm(eta=10, delta0=0.01)"), AdaGradNorm)
-    assert isinstance(parse_policy("constant(gamma=0.1)"), Constant)
-    assert isinstance(parse_policy("polyak(fstar=0.0)"), PolyakKnownFStar)
-    assert isinstance(parse_policy("armijo()"), Armijo)
-    assert isinstance(parse_policy("ggn(sigma=1, h=neg_log)"), GGN)
-    assert isinstance(parse_policy("aps()"), APS)
+    assert isinstance(build_spec(POLICIES, "sps_max(c=1, gamma_b=3, fstar=0)"), SPSMax)
+    assert isinstance(build_spec(POLICIES, "adagrad_norm(eta=10, delta0=0.01)"), AdaGradNorm)
+    assert isinstance(build_spec(POLICIES, "constant(gamma=0.1)"), Constant)
+    assert isinstance(build_spec(POLICIES, "polyak(fstar=0.0)"), PolyakKnownFStar)
+    assert isinstance(build_spec(POLICIES, "armijo()"), Armijo)
+    assert isinstance(build_spec(POLICIES, "ggn(sigma=1, h=neg_log)"), GGN)
+    assert isinstance(build_spec(POLICIES, "aps()"), APS)
 
 
 def test_parse_policy_errors():
     with pytest.raises(SpecError, match="unknown name 'warp'"):
-        parse_policy("warp(speed=9)")
+        build_spec(POLICIES, "warp(speed=9)")
     with pytest.raises(SpecError, match="missing required parameter 'sigma'"):
-        parse_policy("ngn()")
+        build_spec(POLICIES, "ngn()")
     with pytest.raises(PolicyError):
-        parse_policy("ngn(sigma=0)")
+        build_spec(POLICIES, "ngn(sigma=0)")
     with pytest.raises(SpecError, match="cannot parse"):
-        parse_policy("not a call at all")
+        build_spec(POLICIES, "not a call at all")
     with pytest.raises(SpecError, match="no parameter 'sigmaa'"):
-        parse_policy("ngn(sigma=1.0, sigmaa=7)")
+        build_spec(POLICIES, "ngn(sigma=1.0, sigmaa=7)")
     with pytest.raises(SpecError, match="'sigma' must be float"):
-        parse_policy("ngn(sigma=abc)")
+        build_spec(POLICIES, "ngn(sigma=abc)")
 
 
 def test_parse_call_values():
