@@ -38,14 +38,28 @@ def as_point(x, dim: Optional[int] = None) -> np.ndarray:
 ROW_BLOCK_ENTRIES = 1 << 16
 
 
+def _block_rows(width: int) -> int:
+    return max(1, ROW_BLOCK_ENTRIES // width)
+
+
 def _by_row_blocks(fn, width: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """fn(*arrays) on blocks of at most ROW_BLOCK_ENTRIES // width rows, rejoined."""
-    block = max(1, ROW_BLOCK_ENTRIES // width)
+    block = _block_rows(width)
     rows = len(arrays[0])
     if rows <= block:
         return fn(*arrays)
     parts = [fn(*(a[i:i + block] for a in arrays)) for i in range(0, rows, block)]
     return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _batch_mean(values: np.ndarray) -> np.ndarray:
+    """Mean over axis 1, summed one batch slot at a time from +0.0.
+
+    accumulate adds in slot order, the rounding of a sequential loop, which
+    np.sum's pairwise order does not keep; adding 0.0 turns a sum of -0.0s
+    into the +0.0 that a sum begun at 0.0 gives, and changes nothing else.
+    """
+    return (np.add.accumulate(values, axis=1)[:, -1] + 0.0) * (1.0 / values.shape[1])
 
 
 @dataclass(frozen=True)
@@ -109,15 +123,23 @@ class FiniteSumObjective:
         values, grads = _by_row_blocks(self._evaluator, idx.shape[1] * self.dim, idx, X)
         if values.shape[1] == 1:
             return values[:, 0], grads[:, 0]
-        # one component at a time, in batch order: the rounding of a
-        # sequential sum, which np.sum over the batch axis does not keep
-        loss = np.zeros(len(values))
-        grad = np.zeros((len(values), self.dim))
-        for j in range(values.shape[1]):
-            loss += values[:, j]
-            grad += grads[:, j]
-        inv = 1.0 / values.shape[1]
-        return loss * inv, grad * inv
+        return _batch_mean(values), _batch_mean(grads)
+
+    def batch_evaluator(self, rows: int, batch: int):
+        """eval_many for at most `rows` rows of `batch` components each.
+
+        At batch 1 with every row in one block, that is the evaluator with
+        its one batch slot dropped: eval_many's wrappers would change nothing.
+        """
+        if batch > 1 or rows > _block_rows(self.dim):
+            return self.eval_many
+        evaluator = self._evaluator
+
+        def evaluate(idx: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            values, grads = evaluator(idx, X)
+            return values[:, 0], grads[:, 0]
+
+        return evaluate
 
     def full_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Full objective value (S,) and gradient (S, d) at each row of X."""

@@ -148,7 +148,6 @@ def run_seeds(
     n_metrics = len(range(0, steps, cadence)) + 1 if cadence > 0 else 0
     loss_batch = np.full((n_seeds, steps), np.nan)
     gamma_arr = np.full((n_seeds, steps), np.nan)
-    sigma_arr = np.full((n_seeds, steps), np.nan)
     grad_sq_arr = np.full((n_seeds, steps), np.nan)
     stationary = np.zeros((n_seeds, steps), dtype=bool)
     loss_full = np.full((n_seeds, n_metrics), np.nan)
@@ -156,6 +155,11 @@ def run_seeds(
     grad_full_sq = np.full((n_seeds, n_metrics), np.nan)
     iterates = np.empty((n_seeds, steps + 1, dim)) if store_iterates else None
     diverged_step = np.full(n_seeds, -1)
+    # sigma_k is the same for every seed: one read-only row that the traces
+    # share; a stopped row's copy reads NaN from sigma_end[r] on
+    sigma = policy.sigma_schedule(steps).view()
+    sigma.flags.writeable = False
+    sigma_end = np.full(n_seeds, steps)
 
     # The rows still running: `rows` numbers them and `live` indexes them (a
     # full slice while none has stopped). Their iterates x are kept compact
@@ -166,21 +170,23 @@ def run_seeds(
     x = X
 
     # hoist hot-loop lookups
-    eval_many = obj.eval_many
+    evaluate = obj.batch_evaluator(n_seeds, sampler.batch_size)
     full_many = obj.full_many
     x_star = obj.x_star
-    f_i_star = obj.f_i_star
     policy_stepsize = policy.stepsize
-    policy_sigma_at = policy.sigma_at
-    needs_comp_min = policy.requires_component_min and f_i_star is not None
+    component_min = None
+    if policy.requires_component_min and obj.f_i_star is not None:
+        component_min = obj.f_i_star[tables].mean(axis=-1)  # (S, steps), or (S, 1)
     vecdot = np.vecdot
     total = np.add.reduce
+    isfinite = math.isfinite
 
-    def stop(bad: np.ndarray, k: int) -> None:
+    def stop(bad: np.ndarray, k: int, sigma_from: int) -> None:
         """Freeze the rows flagged in `bad` as diverged at step k."""
         nonlocal rows, live, x
         X[rows[bad]] = x[bad]
         diverged_step[rows[bad]] = k
+        sigma_end[rows[bad]] = sigma_from
         rows, x = rows[~bad], x[~bad]
         live = rows
 
@@ -195,7 +201,7 @@ def run_seeds(
     def probe(gamma: np.ndarray) -> np.ndarray:
         """Batch loss of every row at x - gamma * grad; stopped rows read 0."""
         point = x - gamma[live, None] * grad
-        trial = (full_many(point) if full_batch else eval_many(idx[live], point))[0]
+        trial = (full_many(point) if full_batch else evaluate(idx, point))[0]
         if len(rows) == n_seeds:
             return trial
         out = np.zeros(n_seeds)
@@ -216,8 +222,11 @@ def run_seeds(
             if cadence > 0 and k % cadence == 0:
                 record_metrics(k // cadence)
 
-            idx = tables[:, 0 if full_batch else k]
-            loss, grad = full_many(x) if full_batch else eval_many(idx[live], x)
+            if full_batch:
+                loss, grad = full_many(x)
+            else:
+                idx = tables[live, k]
+                loss, grad = evaluate(idx, x)
             gsq = vecdot(grad, grad)
             loss_batch[live, k] = loss
             grad_sq_arr[live, k] = gsq
@@ -226,49 +235,52 @@ def run_seeds(
             if not total(np.abs(loss)) + total(gsq) <= DIVERGENCE_THRESHOLD:
                 bad = ~((np.abs(loss) <= DIVERGENCE_THRESHOLD) & (gsq <= DIVERGENCE_THRESHOLD))
                 if bad.any():
-                    stop(bad, k)
+                    stop(bad, k, k)
                     if not len(rows):
                         break
                     loss, grad, gsq = loss[~bad], grad[~bad], gsq[~bad]
+                    if not full_batch:
+                        idx = idx[~bad]
 
             obs.k = k
             if len(rows) == n_seeds:
-                obs.loss = np.where(loss > 0.0, loss, 0.0)
+                # a NaN loss has stopped its row, so this clamps -0.0 and
+                # negatives to +0.0 and nothing else
+                obs.loss = np.maximum(loss, 0.0)
                 obs.grad_sq_norm = gsq
             else:
                 obs.loss = np.zeros(n_seeds)
                 obs.grad_sq_norm = np.zeros(n_seeds)
-                obs.loss[rows] = np.where(loss > 0.0, loss, 0.0)
+                obs.loss[rows] = np.maximum(loss, 0.0)
                 obs.grad_sq_norm[rows] = gsq
-            if needs_comp_min:
-                obs.component_min = f_i_star[idx].mean(axis=1)
+            if component_min is not None:
+                obs.component_min = component_min[:, 0 if full_batch else k]
             try:
                 gamma = policy_stepsize(obs)
             except Exception as exc:  # noqa: BLE001 - annotate with step index
                 raise RunError(k, exc) from exc
-            if np.shape(gamma) != (n_seeds,):
-                gamma = np.full(n_seeds, gamma, dtype=float)
-            gamma = gamma[live]
+            if len(rows) < n_seeds:
+                gamma = gamma[live]
 
-            sigma_arr[live, k] = policy_sigma_at(k)
-
-            if math.isnan(total(gamma)):  # NaN marks a stationary row: no step
-                still = np.isnan(gamma)
+            x_new = x - gamma[:, None] * grad
+            # one sum tests every row: a NaN gamma (a stationary row) or a
+            # non-finite coordinate makes it non-finite (inf-inf is nan)
+            if isfinite(total(x_new, axis=None)):
+                gamma_arr[live, k] = gamma
+                x = x_new
+                continue
+            still = np.isnan(gamma)
+            if still.any():  # a stationary row takes no step
                 stationary[live, k] = still
                 gamma = np.where(still, 0.0, gamma)
-                x_new = x - gamma[:, None] * grad
                 x_new[still] = x[still]
-            else:
-                x_new = x - gamma[:, None] * grad
             gamma_arr[live, k] = gamma
             x = x_new
-            # a non-finite coordinate makes the row sum non-finite (inf-inf is nan)
-            if not math.isfinite(total(x, axis=None)):
-                bad = ~np.isfinite(x.sum(axis=1))
-                if bad.any():
-                    stop(bad, k)
-                    if not len(rows):
-                        break
+            bad = ~np.isfinite(x.sum(axis=1))
+            if bad.any():
+                stop(bad, k, k + 1)
+                if not len(rows):
+                    break
 
     X[rows] = x
     if iterates is not None:
@@ -281,6 +293,10 @@ def run_seeds(
     for r, seed in enumerate(seeds):
         diverged = bool(diverged_step[r] >= 0)
         n_recorded = int(diverged_step[r]) // cadence + 1 if diverged and cadence > 0 else n_metrics
+        sigma_r = sigma
+        if sigma_end[r] < steps:
+            sigma_r = sigma.copy()
+            sigma_r[sigma_end[r]:] = np.nan
         traces.append(RunTrace(
             steps=steps,
             x0=x_start[r],
@@ -288,7 +304,7 @@ def run_seeds(
             batch_ids=tables[r],
             loss_batch=loss_batch[r],
             gamma=gamma_arr[r],
-            sigma=sigma_arr[r],
+            sigma=sigma_r,
             grad_sq=grad_sq_arr[r],
             stationary=stationary[r],
             metric_steps=metric_steps[:n_recorded],

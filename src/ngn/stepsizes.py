@@ -57,9 +57,9 @@ class StepsizePolicy:
     def reset(self) -> None:
         pass
 
-    def sigma_at(self, k: int) -> float:
-        """Regularization parameter in effect at step k; NaN if undefined."""
-        return float("nan")
+    def sigma_schedule(self, steps: int) -> np.ndarray:
+        """Regularization parameter sigma_k of steps 0 .. steps-1; NaN if undefined."""
+        return np.full(steps, np.nan)
 
     def stepsize(self, obs: StepObservation) -> np.ndarray:
         raise NotImplementedError
@@ -83,8 +83,8 @@ class NGN(StepsizePolicy):
             raise PolicyError("sigma must be positive")
         self.sigma = float(sigma)
 
-    def sigma_at(self, k: int) -> float:
-        return self.sigma
+    def sigma_schedule(self, steps: int) -> np.ndarray:
+        return np.full(steps, self.sigma)
 
     def stepsize(self, obs: StepObservation) -> np.ndarray:
         return _ngn_formula(self.sigma, obs.loss, obs.grad_sq_norm)
@@ -102,14 +102,20 @@ class NGNAnnealed(StepsizePolicy):
             raise PolicyError(f"unknown schedule {schedule!r}")
         self.sigma0 = float(sigma0)
         self.schedule = schedule
+        self._sigmas = np.empty(0)  # the longest schedule computed so far
 
-    def sigma_at(self, k: int) -> float:
-        if self.schedule == "inv_sqrt":
-            return self.sigma0 / math.sqrt(k + 1)
-        return self.sigma0 / (k + 1)
+    def sigma_schedule(self, steps: int) -> np.ndarray:
+        if len(self._sigmas) < steps:
+            # sqrt and division are correctly rounded, so each entry equals
+            # sigma0 / math.sqrt(k + 1) or sigma0 / (k + 1) exactly
+            k1 = np.arange(1.0, steps + 1.0)
+            self._sigmas = self.sigma0 / (np.sqrt(k1) if self.schedule == "inv_sqrt" else k1)
+        return self._sigmas[:steps]
 
     def stepsize(self, obs: StepObservation) -> np.ndarray:
-        return _ngn_formula(self.sigma_at(obs.k), obs.loss, obs.grad_sq_norm)
+        k = obs.k
+        sigmas = self._sigmas if k < len(self._sigmas) else self.sigma_schedule(2 * k + 2)
+        return _ngn_formula(sigmas[k], obs.loss, obs.grad_sq_norm)
 
 
 class GGN(StepsizePolicy):
@@ -133,8 +139,8 @@ class GGN(StepsizePolicy):
         self.h_kind = h_kind
         self.p = float(p)
 
-    def sigma_at(self, k: int) -> float:
-        return self.sigma
+    def sigma_schedule(self, steps: int) -> np.ndarray:
+        return np.full(steps, self.sigma)
 
     def stepsize(self, obs: StepObservation) -> np.ndarray:
         if self.h_kind == "neg_log":
@@ -216,8 +222,8 @@ class Constant(StepsizePolicy):
             raise PolicyError("gamma must be positive")
         self.gamma = float(gamma)
 
-    def stepsize(self, obs: StepObservation) -> float:
-        return self.gamma
+    def stepsize(self, obs: StepObservation) -> np.ndarray:
+        return np.full(np.shape(obs.grad_sq_norm), self.gamma)
 
 
 class Armijo(StepsizePolicy):

@@ -11,6 +11,7 @@ from ngn.objectives import (
     Dataset,
     ParseError,
     as_point,
+    FiniteSumObjective,
     compute_deltas,
     finite_difference_gradient,
     load_libsvm,
@@ -202,6 +203,53 @@ def test_row_blocks_keep_values(monkeypatch):
     out = objectives._by_row_blocks(fn, 3, np.ones((10, 3)), np.arange(10))
     assert seen == [3, 3, 3, 1]
     assert out[0].tolist() == [3.0] * 10 and out[1].tolist() == list(range(10))
+
+def table_objective(values: np.ndarray, grads: np.ndarray) -> FiniteSumObjective:
+    """A d = 1 objective whose component i has value values[i] and gradient grads[i]."""
+    return FiniteSumObjective(len(values), 1, lambda idx, X: (values[idx], grads[idx][..., None]))
+
+
+def test_batch_sums_are_sequential():
+    # values spread over many magnitudes, where numpy's pairwise sum over the
+    # batch axis (from 9 slots on) rounds differently from a slot-by-slot loop
+    rng = np.random.default_rng(7)
+    values = np.exp(rng.uniform(-30.0, 30.0, 64))
+    grads = rng.standard_normal(64) * np.exp(rng.uniform(-30.0, 30.0, 64))
+    grads[:4] = -0.0  # a batch of only these sums to +0.0 in a loop begun at 0.0
+    obj = table_objective(values, grads)
+    X = np.zeros((200, 1))
+    differs_from_pairwise = False
+    for batch in (9, 12, 16, 33):
+        idx = rng.integers(64, size=(200, batch))
+        idx[0] = rng.integers(4, size=batch)
+        loss, grad = obj.eval_many(idx, X)
+        inv = 1.0 / batch
+        for s in range(200):
+            total, total_grad = 0.0, np.zeros(1)
+            for j in range(batch):
+                total += values[idx[s, j]]
+                total_grad += grads[idx[s, j]]
+            assert (loss[s].tobytes(), grad[s].tobytes()) == (
+                (total * inv).tobytes(), (total_grad * inv).tobytes())
+        differs_from_pairwise |= not np.array_equal(loss, values[idx].sum(axis=1) * inv)
+    assert differs_from_pairwise
+    assert math.copysign(1.0, grad[0, 0]) == 1.0
+
+
+def test_batch_evaluator_matches_eval_many(monkeypatch):
+    rng = np.random.default_rng(8)
+    for make in FAMILIES:
+        obj = make()
+        pts = rng.standard_normal((7, obj.dim))
+        for batch in (1, min(3, obj.n)):
+            idx = rng.integers(obj.n, size=(7, batch))
+            expected = obj.eval_many(idx, pts)
+            for block_entries in (objectives.ROW_BLOCK_ENTRIES, 1):
+                monkeypatch.setattr(objectives, "ROW_BLOCK_ENTRIES", block_entries)
+                got = obj.batch_evaluator(7, batch)(idx, pts)
+                monkeypatch.undo()
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
 
 def test_as_point_validation():
     assert as_point([1.0, 2.0], 2).shape == (2,)

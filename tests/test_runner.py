@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ngn import runner
-from ngn.objectives import make_quadratic1d, make_two_quadratics
+from ngn.objectives import FiniteSumObjective, make_quadratic1d, make_two_quadratics
 from ngn.runner import (
     Aggregate,
     RunError,
@@ -218,7 +218,7 @@ def test_policy_error_annotated_with_step():
         def stepsize(self, obs):
             if obs.k == 3:
                 raise RuntimeError("boom")
-            return 0.1
+            return np.full(np.shape(obs.loss), 0.1)
 
     with pytest.raises(RunError) as exc:
         run_sgd(obj, Broken(), 10, seed=0)
@@ -305,3 +305,86 @@ def test_lockstep_diverged_rows_match_solo_runs():
         assert (trace.diverged_step, trace.x_final.tolist()) == (solo.diverged_step,
                                                                  solo.x_final.tolist())
         assert_same_trace(trace, solo)
+
+
+class ScheduledStep(StepsizePolicy):
+    """Stub: sigma_k = 1/(k+1) and a stepsize that `gamma_at(k, obs)` picks."""
+
+    def __init__(self, gamma_at):
+        self.gamma_at = gamma_at
+
+    def sigma_schedule(self, steps):
+        return 1.0 / np.arange(1.0, steps + 1.0)
+
+    def stepsize(self, obs):
+        return np.full(np.shape(obs.loss), 1.0) * self.gamma_at(obs.k, obs)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", ["loss_test", "iterate_test"])
+def test_sigma_cells_of_diverged_rows(case):
+    # the loss test stops a row before its step: sigma_k reads NaN from k on;
+    # the iterate test stops it after the step: sigma_k stays, NaN after k
+    obj = make_quadratic1d(1.2, 0.0, 0.1)
+    if case == "loss_test":  # the loss passes 1e30 at step 99
+        policy = ScheduledStep(lambda k, obs: 2.0)
+    else:  # a step of 1e308 * grad overflows x at step 5
+        policy = ScheduledStep(lambda k, obs: 1e308 if k == 5 else 0.1)
+    kwargs = dict(x0=np.array([3.0]), cadence=3, store_iterates=True)
+    together = run_seeds(obj, policy, 150, seeds=range(3), **kwargs)
+    schedule = 1.0 / np.arange(1.0, 151.0)
+    for seed, trace in zip(range(3), together):
+        k = trace.diverged_step
+        assert k == (99 if case == "loss_test" else 5)
+        kept = k if case == "loss_test" else k + 1
+        assert np.array_equal(trace.sigma[:kept], schedule[:kept])
+        assert np.isnan(trace.sigma[kept:]).all()
+        assert not np.shares_memory(trace.sigma, together[seed - 1].sigma)  # its own copy
+        assert_same_trace(trace, run_sgd(obj, policy, 150, seed=seed, **kwargs))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stationary_and_diverging_rows_in_one_step():
+    # at step 3 the rows with a small loss go stationary (NaN gamma) and those
+    # with a large loss take a step that overflows; the rest step on
+    def gamma_at(k, obs):
+        if k != 3:
+            return 0.01
+        return np.where(obs.loss < 0.05, np.nan, np.where(obs.loss > 2.0, 1e308, 0.01))
+
+    obj = make_quadratic1d(10.0, 0.0, 0.0)
+    policy = ScheduledStep(gamma_at)
+    kwargs = dict(cadence=2, store_iterates=True)
+    together = run_seeds(obj, policy, 10, seeds=range(8), **kwargs)
+    still = [bool(t.stationary[3]) for t in together]
+    assert [i for i, s in enumerate(still) if s] == [0, 7]
+    assert [t.diverged_step for t in together] == [None, None, None, 3, None, None, 3, None]
+    for seed, trace in zip(range(8), together):
+        if still[seed]:
+            assert trace.gamma[3] == 0.0 and np.array_equal(trace.iterates[4], trace.iterates[3])
+        assert_same_trace(trace, run_sgd(obj, policy, 10, seed=seed, **kwargs))
+
+
+def test_sigma_row_shared_by_running_traces():
+    traces = run_seeds(make_two_quadratics(), NGN(0.5), 120, seeds=range(3))
+    assert all(t.sigma is traces[0].sigma for t in traces)
+    assert not traces[0].sigma.flags.writeable
+    assert np.array_equal(traces[0].sigma, np.full(120, 0.5))
+
+
+def test_observed_loss_clamped_to_positive_zero():
+    # components 0 and 1 report a loss of -0.0 and -1.0; policies see +0.0
+    losses = np.array([-0.0, -1.0, 2.0])
+    obj = FiniteSumObjective(3, 1, lambda idx, X: (losses[idx], np.ones(idx.shape + (1,))))
+    seen = []
+
+    def gamma_at(k, obs):
+        seen.append(obs.loss.copy())
+        return 0.1
+
+    policy = ScheduledStep(gamma_at)
+    traces = run_seeds(obj, policy, 30, seeds=range(3))
+    observed = np.array(seen)
+    assert np.array_equal(observed, np.maximum(np.array([t.loss_batch for t in traces]).T, 0.0))
+    assert not np.signbit(observed).any()
+    assert np.signbit([t.loss_batch for t in traces]).any()  # recorded as reported

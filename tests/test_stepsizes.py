@@ -50,14 +50,48 @@ def test_ngn_rejects_nonpositive_sigma():
 
 def test_ngn_annealed_schedule():
     pol = NGNAnnealed(2.0)
-    assert pol.sigma_at(0) == pytest.approx(2.0)
-    assert pol.sigma_at(3) == pytest.approx(1.0)
+    assert pol.sigma_schedule(4)[0] == pytest.approx(2.0)
+    assert pol.sigma_schedule(4)[3] == pytest.approx(1.0)
     # with g^2 = 0, gamma equals sigma_k exactly
     assert pol.stepsize(obs(1.0, 0.0, k=3)) == pytest.approx(1.0)
     lin = NGNAnnealed(2.0, schedule="inv_linear")
-    assert lin.sigma_at(1) == pytest.approx(1.0)
+    assert lin.sigma_schedule(2)[1] == pytest.approx(1.0)
     with pytest.raises(PolicyError):
         NGNAnnealed(1.0, schedule="exp")
+
+
+@pytest.mark.parametrize("sigma0", [2.0, 0.37, 3.0e-5])
+def test_annealed_schedule_matches_math_formula(sigma0):
+    # sqrt and division are correctly rounded, so the vector equals the scalar
+    # formula bit for bit, for every k < 10^6
+    k = range(10**6)
+    inv_sqrt = NGNAnnealed(sigma0, "inv_sqrt")
+    inv_linear = NGNAnnealed(sigma0, "inv_linear")
+    assert np.array_equal(inv_sqrt.sigma_schedule(10**6),
+                          [sigma0 / math.sqrt(i + 1) for i in k])
+    assert np.array_equal(inv_linear.sigma_schedule(10**6), [sigma0 / (i + 1) for i in k])
+    # stepsize reads the same schedule, also past the longest one computed
+    fresh = NGNAnnealed(sigma0, "inv_sqrt")
+    for i in (0, 5, 999_999, 3_000_000):
+        assert fresh.stepsize(obs(1.0, 0.0, k=i)) == sigma0 / math.sqrt(i + 1)
+
+
+def test_sigma_schedules_of_other_policies():
+    for policy in (NGN(0.3), GGN(0.3, "neg_log"), GGN(0.3, "monomial", p=3.0)):
+        assert np.array_equal(policy.sigma_schedule(50), np.full(50, 0.3))
+    for policy in (APS(), SPSMax(), PolyakKnownFStar(), AdaGradNorm(1.0, 0.1), Constant(0.3),
+                   Armijo()):
+        schedule = policy.sigma_schedule(50)
+        assert schedule.shape == (50,) and np.isnan(schedule).all()
+
+
+def test_policies_return_one_stepsize_per_row():
+    loss, gsq = np.array([1.0, 2.0, 0.5]), np.array([4.0, 0.0, 1.0])
+    o = StepObservation(k=2, loss=loss, grad_sq_norm=gsq, component_min=np.zeros(3),
+                        probe=lambda gamma: np.zeros(3))
+    for policy in (NGN(0.3), NGNAnnealed(0.3), GGN(0.3), APS(), SPSMax(), PolyakKnownFStar(),
+                   AdaGradNorm(1.0, 0.1), Constant(0.3), Armijo()):
+        assert np.shape(policy.stepsize(o)) == (3,), policy
 
 
 def test_ggn_quadratic_equals_ngn():
