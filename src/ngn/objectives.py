@@ -171,6 +171,12 @@ def _offsets(X: np.ndarray, centers: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return X[:, :1] - centers[idx]
 
 
+# The 1-d evaluators run once per SGD step on a few numbers, where a ufunc's
+# call overhead is most of its cost; numpy 2 takes a 0-d float64 array
+# faster than a Python float (weak-scalar promotion), with the same result.
+_HALF = np.array(0.5)
+
+
 def make_quadratic1d(lam: float, x_star: float, f_star: float) -> FiniteSumObjective:
     """Single 1-d quadratic f(x) = (lam/2)(x - x*)^2 + f*."""
     if lam <= 0:
@@ -181,10 +187,11 @@ def make_quadratic1d(lam: float, x_star: float, f_star: float) -> FiniteSumObjec
     xs = float(x_star)
     fs = float(f_star)
     centers = np.array([xs])
+    half_lam, lam_0d, fs_0d = np.array(0.5 * lam), np.array(lam), np.array(fs)
 
     def evaluator(idx, X):
         d = _offsets(X, centers, idx)
-        return 0.5 * lam * d * d + fs, (lam * d)[..., None]
+        return half_lam * d * d + fs_0d, (lam_0d * d)[..., None]
 
     return FiniteSumObjective(
         1, 1, evaluator,
@@ -200,7 +207,7 @@ def make_two_quadratics() -> FiniteSumObjective:
 
     def evaluator(idx, X):
         d = _offsets(X, centers, idx)
-        return 0.5 * d * d, d[..., None]
+        return _HALF * d * d, d[..., None]
 
     def full(X):
         x = X[:, 0]
@@ -331,10 +338,11 @@ def make_nonconvex_sum(n: int, seed: int, eps: float = 0.5) -> FiniteSumObjectiv
 
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-2.0, 2.0, n)
+    one, half_eps, eps_0d = np.array(1.0), np.array(0.5 * eps), np.array(eps)
 
     def evaluator(idx, X):
         d = _offsets(X, centers, idx)
-        return (1.0 - np.cos(d)) + 0.5 * eps * d * d, (np.sin(d) + eps * d)[..., None]
+        return (one - np.cos(d)) + half_eps * d * d, (np.sin(d) + eps_0d * d)[..., None]
 
     inv_n = 1.0 / n
 

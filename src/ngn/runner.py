@@ -179,6 +179,7 @@ def run_seeds(
         component_min = obj.f_i_star[tables].mean(axis=-1)  # (S, steps), or (S, 1)
     vecdot = np.vecdot
     total = np.add.reduce
+    zero = np.array(0.0)  # 0-d, as in stepsizes._ngn_formula
     isfinite = math.isfinite
 
     def stop(bad: np.ndarray, k: int, sigma_from: int) -> None:
@@ -246,12 +247,12 @@ def run_seeds(
             if len(rows) == n_seeds:
                 # a NaN loss has stopped its row, so this clamps -0.0 and
                 # negatives to +0.0 and nothing else
-                obs.loss = np.maximum(loss, 0.0)
+                obs.loss = np.maximum(loss, zero)
                 obs.grad_sq_norm = gsq
             else:
                 obs.loss = np.zeros(n_seeds)
                 obs.grad_sq_norm = np.zeros(n_seeds)
-                obs.loss[rows] = np.maximum(loss, 0.0)
+                obs.loss[rows] = np.maximum(loss, zero)
                 obs.grad_sq_norm[rows] = gsq
             if component_min is not None:
                 obs.component_min = component_min[:, 0 if full_batch else k]

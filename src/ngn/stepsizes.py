@@ -65,8 +65,14 @@ class StepsizePolicy:
         raise NotImplementedError
 
 
+# numpy 2 ufuncs take a 0-d float64 array faster than a Python float, which
+# goes through weak-scalar promotion; the arithmetic is the same
+_ONE, _TWO, _F_FLOOR = np.array(1.0), np.array(2.0), np.array(F_FLOOR)
+
+
 def _ngn_formula(sigma: float, loss, grad_sq):
-    return sigma / (1.0 + sigma * grad_sq / (2.0 * np.maximum(loss, F_FLOOR)))
+    sigma = np.array(sigma)
+    return sigma / (_ONE + sigma * grad_sq / (_TWO * np.maximum(loss, _F_FLOOR)))
 
 
 def _over_grad_sq(numerator, grad_sq, at_zero: float = math.nan):
