@@ -1,8 +1,9 @@
 """Golden outputs: SHA-256 of `ngn run` outputs over a fixed config matrix.
 
 Every problem family x every policy x each sampler the policy accepts,
-40 steps, seeds 0 and 1, metric cadence 7. A refactor that changes any
-trace or aggregate byte changes a digest here. The digests were recorded
+40 steps, seeds 0 and 1, metric cadence 7, plus a few runs at batch 5 on
+9 classes. A refactor that changes any trace or aggregate byte changes a
+digest here. The digests were recorded
 with Python 3.11.7 and numpy 2.4.6; another numpy may round differently.
 To re-record after an intended output change, run this file as a script.
 """
@@ -146,6 +147,24 @@ DIVERGING_CONFIG = ("problem = quadratic1d(lam=1.2, fstar=0.1)\npolicy = constan
 DIVERGING_GOLDEN = '47caf7ce9f1b9225428199185c2c2a159e23f45fd2530c70aa98237e080b1415'
 
 
+# Every run above is at batch 1 on at most 3 classes: these pin the batch
+# mean at d > 1 and the class sums of 8 or more terms.
+BATCH_PROBLEM = "logistic_blobs(n=40, d=3, classes=9, seed=4)"
+BATCH_RUNS = {
+    "logistic_ngn": (BATCH_PROBLEM, "ngn(sigma=1.0)", "epoch_shuffle"),
+    "logistic_sps_max": (BATCH_PROBLEM, "sps_max(c=0.5, gamma_b=2.0)", "epoch_shuffle"),
+    "logistic_armijo": (BATCH_PROBLEM, "armijo()", "full_batch"),
+    "linear_regression_ngn": ("linear_regression(d=4, n=12, seed=1, noise_std=0.1)",
+                              "ngn(sigma=1.0)", "epoch_shuffle"),
+}
+BATCH_GOLDEN = {
+    'logistic_ngn': 'cc080d7afbfb719bc6809519cebc70cbd4252300a21c4a101b43c4126a9255bf',
+    'logistic_sps_max': '0e0e72f7a24084ae0781e24cc1cfbd9ad4330a644c0cfebd57a5ec1a61b89423',
+    'logistic_armijo': '82ade432ac9973a12a28f81ba52bd6cdbcc46efaabb33c582b1619e02ee02731',
+    'linear_regression_ngn': 'c20a0920043240d0285cf45168674137bb5c888fe21f7a8cc438e358295e1858',
+}
+
+
 def digest(tmp_path, problem: str, policy: str) -> str:
     """One SHA-256 over the outputs of the policy's runs under every sampler."""
     full_batch_only = policy.startswith(FULL_BATCH_ONLY)
@@ -168,6 +187,25 @@ def test_golden_output_hashes(tmp_path):
     assert set(got) == set(GOLDEN)
     changed = [key for key in got if got[key] != GOLDEN[key]]
     assert not changed, changed
+
+
+def batch_digest(tmp_path, name: str) -> str:
+    problem, policy, sampler = BATCH_RUNS[name]
+    cfg = tmp_path / f"{name}.cfg"
+    batch = "" if sampler == "full_batch" else "batch_size = 5\n"
+    cfg.write_text(f"problem = {problem}\npolicy = {policy}\nsteps = 40\nseeds = 0,1\n"
+                   f"sampler = {sampler}\n{batch}cadence = 3\n")
+    out = tmp_path / name
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    h = hashlib.sha256()
+    for name in OUTPUTS:
+        h.update((out / name).read_bytes())
+    return h.hexdigest()
+
+
+def test_batch_output_hashes(tmp_path):
+    got = {name: batch_digest(tmp_path, name) for name in BATCH_RUNS}
+    assert got == BATCH_GOLDEN
 
 
 def diverging_digest(tmp_path) -> str:
@@ -194,6 +232,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         got = {(p, q): digest(Path(tmp), p, q) for p in PROBLEMS for q in POLICIES}
         diverging = diverging_digest(Path(tmp))
+        batch = {name: batch_digest(Path(tmp), name) for name in BATCH_RUNS}
     for (p, q), value in got.items():
         print(f"    ({p!r}, {q!r}):\n        {value!r},")
     print(f"DIVERGING_GOLDEN = {diverging!r}")
+    for name, value in batch.items():
+        print(f"    {name!r}: {value!r},")
