@@ -55,11 +55,17 @@ def _by_row_blocks(fn, width: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...
 def _batch_mean(values: np.ndarray) -> np.ndarray:
     """Mean over axis 1, summed one batch slot at a time from +0.0.
 
-    accumulate adds in slot order, the rounding of a sequential loop, which
-    np.sum's pairwise order does not keep; adding 0.0 turns a sum of -0.0s
-    into the +0.0 that a sum begun at 0.0 gives, and changes nothing else.
+    numpy reduces an axis that is not the innermost one element by element in
+    axis order, the rounding of a sequential loop; an innermost axis (values,
+    or gradients of a 1-d problem) it sums pairwise, so there accumulate
+    keeps the slot order. Adding 0.0 turns a sum of -0.0s into the +0.0 that
+    a sum begun at 0.0 gives, and changes nothing else.
     """
-    return (np.add.accumulate(values, axis=1)[:, -1] + 0.0) * (1.0 / values.shape[1])
+    if values.ndim == 3 and values.shape[2] > 1:
+        total = np.add.reduce(values, axis=1)
+    else:
+        total = np.add.accumulate(values, axis=1)[:, -1]
+    return (total + 0.0) * (1.0 / values.shape[1])
 
 
 @dataclass(frozen=True)
@@ -175,6 +181,7 @@ def _offsets(X: np.ndarray, centers: np.ndarray, idx: np.ndarray) -> np.ndarray:
 # call overhead is most of its cost; numpy 2 takes a 0-d float64 array
 # faster than a Python float (weak-scalar promotion), with the same result.
 _HALF = np.array(0.5)
+_ZERO = np.array(0.0)
 
 
 def make_quadratic1d(lam: float, x_star: float, f_star: float) -> FiniteSumObjective:
@@ -271,8 +278,38 @@ def _softmax_ce(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.
     total = exp.sum(axis=-1)
     onehot = labels[..., None] == np.arange(scores.shape[-1])
     # a sum of one entry and zeros is that entry exactly
-    picked = np.where(onehot, shifted, 0.0).sum(axis=-1)
+    picked = np.where(onehot, shifted, _ZERO).sum(axis=-1)
     return np.log(total) - picked, exp / total[..., None] - onehot
+
+
+def _sum_in_numpy_order(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """parts[0] + parts[1] + ..., rounded as np.sum rounds a contiguous axis.
+
+    numpy sums pairwise from +0.0: fewer than 8 terms in order; up to 128
+    terms in 8 running sums r_j of terms j, j + 8, ..., combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
+    order; more terms as two halves, the first of a length rounded down to a
+    multiple of 8. Starting each running sum at 0.0 + term changes only the
+    sign of zero partial sums, which the total does not keep.
+    """
+    n = len(parts)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_in_numpy_order(parts[:half]) + _sum_in_numpy_order(parts[half:])
+    if n < 8:
+        total = parts[0] + _ZERO
+        for p in parts[1:]:
+            total += p
+        return total
+    r = [p + _ZERO for p in parts[:8]]
+    whole = n - n % 8
+    for i in range(8, whole, 8):
+        for j in range(8):
+            r[j] += parts[i + j]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for p in parts[whole:]:
+        total += p
+    return total
 
 
 def make_logistic(dataset: Dataset, l2: float = 0.0) -> FiniteSumObjective:
@@ -297,23 +334,43 @@ def make_logistic(dataset: Dataset, l2: float = 0.0) -> FiniteSumObjective:
         # one matrix-vector product w @ a_i per component, as a single eval rounds
         scores = (w[:, None] @ rows[..., None])[..., 0]
         loss, dscores = _softmax_ce(scores, y[idx])
-        loss = np.maximum(loss, 0.0)
+        loss = np.maximum(loss, _ZERO)
         grad = dscores[..., :, None] * rows[..., None, :]  # outer(dscores, a_i)
         if l2 > 0:
             loss = loss + (0.5 * l2 * np.vecdot(X, X))[:, None]
             grad = grad + l2 * w[:, None]
         return loss, grad.reshape(len(X), idx.shape[1], dim)
 
+    # flat positions of each row's label score in a (c, n) class-major block
+    label_at = y * n + np.arange(n)
+
     def full(X):
-        w = X.reshape(len(X), c, d)
+        S = len(X)
+        w = X.reshape(S, c, d)
         scores = a @ w.transpose(0, 2, 1)  # (S, n, c)
-        loss, dscores = _softmax_ce(scores, y)
-        loss = loss.mean(axis=-1)
+        # class-major, one contiguous row per class: the max and the sum over
+        # the short class axis take one ufunc call per class, where a
+        # reduction pays numpy's overhead per row, and round as _softmax_ce's
+        cols = np.ascontiguousarray(scores.transpose(0, 2, 1))  # (S, c, n)
+        top = cols[:, 0].copy()
+        for j in range(1, c):
+            np.maximum(top, cols[:, j], out=top)
+        cols -= top[:, None]
+        flat = cols.reshape(S, c * n)
+        # the label's shifted score; + 0.0 as the sum of it and zeros
+        picked = flat[:, label_at] + _ZERO
+        np.exp(cols, out=cols)
+        total = _sum_in_numpy_order(cols.transpose(1, 0, 2))
+        loss = (np.log(total) - picked).mean(axis=-1)
+        cols /= total[:, None]
+        flat[:, label_at] -= 1.0
+        # back to (S, n, c): the gradient matmul rounds by its operand layout
+        dscores = np.ascontiguousarray(cols.transpose(0, 2, 1))
         grad = (dscores.transpose(0, 2, 1) @ a) / n
         if l2 > 0:
             loss = loss + 0.5 * l2 * np.vecdot(X, X)
             grad = grad + l2 * w
-        return np.maximum(loss, 0.0), grad.reshape(len(X), dim)
+        return np.maximum(loss, _ZERO), grad.reshape(S, dim)
 
     return FiniteSumObjective(
         n, dim, evaluator,
@@ -375,8 +432,10 @@ def make_nonconvex_sum(n: int, seed: int, eps: float = 0.5) -> FiniteSumObjectiv
     )
 
 
-# Largest rows x features a LIBSVM file may densify to: 2^27 float64 entries
-# are 1 GiB, and one stray index near 1e9 would otherwise ask for far more.
+# Largest rows x features a LIBSVM file may densify to, and largest rows x
+# classes, the size of the full logistic objective's scores per point: 2^27
+# float64 entries are 1 GiB, and one stray index near 1e9, or a distinct
+# label on every row, would otherwise ask for far more.
 MAX_DENSE_ENTRIES = 1 << 27
 
 
@@ -395,6 +454,8 @@ def load_libsvm(path) -> Dataset:
                 label = float(parts[0])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-numeric label {parts[0]!r}")
+            if not math.isfinite(label):
+                raise ParseError(f"line {lineno}: non-finite label {parts[0]!r}")
             entries: dict[int, float] = {}
             for token in parts[1:]:
                 if ":" not in token:
@@ -416,11 +477,14 @@ def load_libsvm(path) -> Dataset:
     if len(rows) * max_index > MAX_DENSE_ENTRIES:
         raise ParseError(f"{len(rows)} rows x {max_index} features exceed the dense size "
                          f"cap of {MAX_DENSE_ENTRIES} entries")
+    distinct = sorted(set(labels_raw))
+    if len(rows) * len(distinct) > MAX_DENSE_ENTRIES:
+        raise ParseError(f"{len(rows)} rows x {len(distinct)} distinct labels exceed the dense "
+                         f"size cap of {MAX_DENSE_ENTRIES} entries")
     features = np.zeros((len(rows), max_index))
     for r, entries in enumerate(rows):
         for idx, val in entries.items():
             features[r, idx - 1] = val
-    distinct = sorted(set(labels_raw))
     mapping = {v: i for i, v in enumerate(distinct)}
     labels = np.array([mapping[v] for v in labels_raw], dtype=int)
     return Dataset(features=features, labels=labels, num_classes=len(distinct))

@@ -205,35 +205,39 @@ def test_row_blocks_keep_values(monkeypatch):
     assert out[0].tolist() == [3.0] * 10 and out[1].tolist() == list(range(10))
 
 def table_objective(values: np.ndarray, grads: np.ndarray) -> FiniteSumObjective:
-    """A d = 1 objective whose component i has value values[i] and gradient grads[i]."""
-    return FiniteSumObjective(len(values), 1, lambda idx, X: (values[idx], grads[idx][..., None]))
+    """An objective whose component i has value values[i] and gradient grads[i] (a d-vector)."""
+    return FiniteSumObjective(len(values), grads.shape[1], lambda idx, X: (values[idx], grads[idx]))
 
 
-def test_batch_sums_are_sequential():
-    # values spread over many magnitudes, where numpy's pairwise sum over the
-    # batch axis (from 9 slots on) rounds differently from a slot-by-slot loop
+@pytest.mark.parametrize("d", [1, 2, 3, 100])
+def test_batch_sums_are_sequential(d):
+    # values spread over many magnitudes, where numpy's pairwise sum over an
+    # innermost batch axis (from 9 slots on) rounds differently from a
+    # slot-by-slot loop
     rng = np.random.default_rng(7)
     values = np.exp(rng.uniform(-30.0, 30.0, 64))
-    grads = rng.standard_normal(64) * np.exp(rng.uniform(-30.0, 30.0, 64))
+    grads = rng.standard_normal((64, d)) * np.exp(rng.uniform(-30.0, 30.0, (64, d)))
     grads[:4] = -0.0  # a batch of only these sums to +0.0 in a loop begun at 0.0
     obj = table_objective(values, grads)
-    X = np.zeros((200, 1))
-    differs_from_pairwise = False
+    X = np.zeros((200, d))
+    differs_from_pairwise = grad_differs_from_pairwise = False
     for batch in (9, 12, 16, 33):
         idx = rng.integers(64, size=(200, batch))
         idx[0] = rng.integers(4, size=batch)
         loss, grad = obj.eval_many(idx, X)
         inv = 1.0 / batch
         for s in range(200):
-            total, total_grad = 0.0, np.zeros(1)
+            total, total_grad = 0.0, np.zeros(d)
             for j in range(batch):
                 total += values[idx[s, j]]
                 total_grad += grads[idx[s, j]]
             assert (loss[s].tobytes(), grad[s].tobytes()) == (
                 (total * inv).tobytes(), (total_grad * inv).tobytes())
         differs_from_pairwise |= not np.array_equal(loss, values[idx].sum(axis=1) * inv)
-    assert differs_from_pairwise
-    assert math.copysign(1.0, grad[0, 0]) == 1.0
+        slots_last = np.ascontiguousarray(np.moveaxis(grads[idx], 1, -1))
+        grad_differs_from_pairwise |= not np.array_equal(grad, slots_last.sum(axis=-1) * inv)
+    assert differs_from_pairwise and grad_differs_from_pairwise
+    assert all(math.copysign(1.0, g) == 1.0 for g in grad[0])
 
 
 def test_batch_evaluator_matches_eval_many(monkeypatch):
@@ -249,6 +253,66 @@ def test_batch_evaluator_matches_eval_many(monkeypatch):
                 got = obj.batch_evaluator(7, batch)(idx, pts)
                 monkeypatch.undo()
                 assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def test_sum_in_numpy_order_matches_np_sum():
+    rng = np.random.default_rng(11)
+    differs_from_sequential = False
+    for c in [*range(1, 141), 255, 256, 257, 300, 1000]:
+        x = rng.standard_normal((40, c)) * np.exp(rng.uniform(-30.0, 30.0, (40, c)))
+        x[0] = -0.0  # alone these sum to +0.0
+        x[1, ::2], x[1, 1::2] = -0.0, 0.0
+        x[2, 0] = np.nan
+        x[3, c // 2] = np.inf
+        x[4, 0], x[4, -1] = np.inf, -np.inf
+        with np.errstate(invalid="ignore"):
+            want = x.sum(axis=-1)
+            got = objectives._sum_in_numpy_order(x.T)  # the columns, one term each
+            in_order = x[:, 0] + 0.0
+            for j in range(1, c):
+                in_order = in_order + x[:, j]
+        assert got.tobytes() == want.tobytes(), c
+        differs_from_sequential |= not np.array_equal(in_order, want, equal_nan=True)
+    assert differs_from_sequential
+
+
+def reference_logistic_full(dataset: Dataset, l2: float):
+    """The full logistic objective as one reduction over the class axis per quantity."""
+    a, y, c = dataset.features, dataset.labels, dataset.num_classes
+    n, d = a.shape
+
+    def full(X):
+        w = X.reshape(len(X), c, d)
+        scores = a @ w.transpose(0, 2, 1)  # (S, n, c)
+        shifted = scores - scores.max(axis=-1, keepdims=True)
+        exp = np.exp(shifted)
+        total = exp.sum(axis=-1)
+        onehot = y[..., None] == np.arange(c)
+        picked = np.where(onehot, shifted, 0.0).sum(axis=-1)
+        loss = (np.log(total) - picked).mean(axis=-1)
+        grad = ((exp / total[..., None] - onehot).transpose(0, 2, 1) @ a) / n
+        if l2 > 0:
+            loss = loss + 0.5 * l2 * np.vecdot(X, X)
+            grad = grad + l2 * w
+        return np.maximum(loss, 0.0), grad.reshape(len(X), c * d)
+
+    return full
+
+
+def test_logistic_full_matches_class_axis_reductions():
+    rng = np.random.default_rng(12)
+    for classes in (1, 2, 3, 5, 7, 8, 9, 16, 17, 129):
+        data = make_blobs_dataset(n=2 * classes + 40, d=3, classes=classes, seed=classes)
+        for l2 in (0.0, 1e-4):
+            obj = make_logistic(data, l2=l2)
+            reference = reference_logistic_full(data, l2)
+            for scale in (0.3, 30.0, 1e3, 1e308):  # 1e308 gives inf and NaN scores
+                for S in (1, 3):
+                    with np.errstate(all="ignore"):
+                        X = rng.standard_normal((S, obj.dim)) * scale
+                        got, want = obj.full_many(X), reference(X)
+                    assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want)), (
+                        classes, l2, scale, S)
 
 
 def test_as_point_validation():
@@ -300,6 +364,26 @@ def test_libsvm_dense_size_cap_checked_before_allocating(tmp_path, monkeypatch):
         load_libsvm(path)
     path.write_text("1 1:0.5\n2 3:1.0\n")  # under the cap it still loads
     assert load_libsvm(path).features.shape == (2, 3)
+
+
+@pytest.mark.parametrize("label", ["nan", "NaN", "inf", "-inf", "1e400"])
+def test_libsvm_rejects_non_finite_label(tmp_path, label):
+    # on its own, each nan label would be a class of its own
+    path = tmp_path / "labels.svm"
+    path.write_text(f"1 1:0.5\n{label} 1:1.0\n{label} 1:2.0\n")
+    with pytest.raises(ParseError, match="line 2: non-finite label"):
+        load_libsvm(path)
+
+
+def test_libsvm_rows_times_labels_cap(tmp_path, monkeypatch):
+    # a distinct label on every row: the logistic scores grow with rows^2
+    path = tmp_path / "labels.svm"
+    path.write_text("".join(f"{i} 1:0.5\n" for i in range(11)))
+    monkeypatch.setattr(objectives, "MAX_DENSE_ENTRIES", 120)
+    with pytest.raises(ParseError, match="11 rows x 11 distinct labels"):
+        load_libsvm(path)
+    monkeypatch.setattr(objectives, "MAX_DENSE_ENTRIES", 121)
+    assert load_libsvm(path).num_classes == 11
 
 
 def test_dataset_validation():
