@@ -3,8 +3,8 @@
 Every problem family x every policy x each sampler the policy accepts,
 40 steps, seeds 0 and 1, metric cadence 7, plus a few runs at batch 5 on
 9 classes. A refactor that changes any trace or aggregate byte changes a
-digest here. The digests were recorded
-with Python 3.11.7 and numpy 2.4.6; another numpy may round differently.
+digest here. The digests were recorded with Python 3.11.7 and numpy
+2.4.6; another numpy may round differently.
 To re-record after an intended output change, run this file as a script.
 """
 
@@ -198,8 +198,8 @@ def batch_digest(tmp_path, name: str) -> str:
     out = tmp_path / name
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     h = hashlib.sha256()
-    for name in OUTPUTS:
-        h.update((out / name).read_bytes())
+    for output in OUTPUTS:
+        h.update((out / output).read_bytes())
     return h.hexdigest()
 
 
