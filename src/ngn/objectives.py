@@ -178,8 +178,9 @@ def _offsets(X: np.ndarray, centers: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 # The 1-d and logistic evaluators run once per SGD step on a few numbers,
-# where a ufunc's call overhead is most of its cost; numpy 2 takes a 0-d float64 array
-# faster than a Python float (weak-scalar promotion), with the same result.
+# where a ufunc's call overhead is most of its cost; numpy 2 takes a 0-d
+# float64 array faster than a Python float (weak-scalar promotion), with the
+# same result.
 _HALF = np.array(0.5)
 _ZERO = np.array(0.0)
 
