@@ -382,6 +382,71 @@ def make_logistic(dataset: Dataset, l2: float = 0.0) -> FiniteSumObjective:
     )
 
 
+def _brent(f: Callable[[float], float], a: float, x: float, b: float) -> tuple[float, float]:
+    """Local minimum (x, f(x)) of f in the bracket a < x < b, by Brent's method.
+
+    This is scipy.optimize.minimize_scalar(f, bracket=(a, x, b),
+    method="brent") step for step: the same tolerances, golden ratio, branch
+    order and update order, so it returns the same floats. ValueError unless
+    f(x) is below f(a) and f(b).
+    """
+    tol, mintol, cg, maxiter = 1.48e-8, 1.0e-11, 0.3819660, 500
+    fa, fx, fb = f(a), f(x), f(b)
+    if not (fx < fa and fx < fb):
+        raise ValueError(f"f({x!r}) is not below f at both ends of ({a!r}, {b!r})")
+    w = v = x
+    fw = fv = fx
+    deltax = rat = 0.0
+    for _ in range(maxiter):
+        tol1 = tol * abs(x) + mintol
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if abs(x - xmid) < (tol2 - 0.5 * (b - a)):
+            break
+        if abs(deltax) <= tol1:
+            deltax = a - x if x >= xmid else b - x  # golden section step
+            rat = cg * deltax
+        else:  # try a parabolic step
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = abs(tmp2)
+            dx_temp = deltax
+            deltax = rat
+            if p > tmp2 * (a - x) and p < tmp2 * (b - x) and abs(p) < abs(0.5 * tmp2 * dx_temp):
+                rat = p / tmp2
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+            else:
+                deltax = a - x if x >= xmid else b - x
+                rat = cg * deltax
+        if abs(rat) < tol1:  # move by at least tol1
+            u = x + tol1 if rat >= 0 else x - tol1
+        else:
+            u = x + rat
+        fu = f(u)
+        if fu > fx:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        else:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
+    return x, fx
+
+
 def make_nonconvex_sum(n: int, seed: int, eps: float = 0.5) -> FiniteSumObjective:
     """1-d nonconvex, nonnegative components 1 - cos(x - c_i) + (eps/2)(x - c_i)^2.
 
@@ -392,7 +457,6 @@ def make_nonconvex_sum(n: int, seed: int, eps: float = 0.5) -> FiniteSumObjectiv
         raise ValueError("n must be >= 1")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    from scipy import optimize  # here only: importing it costs more than most runs
 
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-2.0, 2.0, n)
@@ -410,24 +474,21 @@ def make_nonconvex_sum(n: int, seed: int, eps: float = 0.5) -> FiniteSumObjectiv
         grad = (np.sin(d) + eps * d).sum(axis=1) * inv_n
         return value, grad[:, None]
 
+    def grid_values(points):
+        d = points[:, None] - centers
+        return (np.mean(1.0 - np.cos(d) + 0.5 * eps * d ** 2, axis=1),)
+
     grid = np.linspace(centers.min() - 2 * math.pi, centers.max() + 2 * math.pi, 4001)
-    values = np.mean(
-        1.0 - np.cos(grid[:, None] - centers) + 0.5 * eps * (grid[:, None] - centers) ** 2,
-        axis=1,
-    )
-    x0 = grid[int(np.argmin(values))]
-    res = optimize.minimize_scalar(
-        lambda t: float(full(np.array([[t]]))[0][0]),
-        bracket=(x0 - 0.1, x0, x0 + 0.1) if values.size else None,
-        method="brent",
-    )
-    x_star = np.array([float(res.x)])
-    f_star = float(res.fun)
+    # a block of grid rows at a time: all 4001 rows at once take 4001 x n entries
+    values, = _by_row_blocks(grid_values, n, grid)
+    x0 = float(grid[int(np.argmin(values))])
+    x_star, f_star = _brent(lambda t: float(full(np.array([[t]]))[0][0]),
+                            x0 - 0.1, x0, x0 + 0.1)
 
     return FiniteSumObjective(
         n, 1, evaluator,
         l_i=np.full(n, 1.0 + eps),
-        x_star=x_star, f_star=f_star,
+        x_star=np.array([x_star]), f_star=f_star,
         full=full,
         name="nonconvex_sum",
     )

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,8 +69,28 @@ def test_compute_deltas_needs_analytic_minimizers():
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported by the one constructor that calls it, not by `import ngn`
+    # no module of ngn imports scipy: importing it costs more than most runs
     code = "import sys, ngn; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_no_run_path_loads_scipy(tmp_path):
+    # every problem built with its defaults, and a nonconvex rate check, in a fresh process
+    path = tmp_path / "blobs.svm"
+    write_libsvm(make_blobs_dataset(n=12, d=2, classes=3, seed=0), path)
+    code = (
+        "import sys\n"
+        "from ngn import verify\n"
+        "from ngn.specs import PROBLEMS, build_spec\n"
+        f"required = {{'quadratic1d': {{'lam': 1.0}}, 'logistic_file': {{'path': {str(path)!r}}}}}\n"
+        "for name in PROBLEMS:\n"
+        "    build_spec(PROBLEMS, name + '()', **required.get(name, {}))\n"
+        "verify.check_nonconvex_rate(steps=50, n_seeds=2)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
@@ -144,6 +165,60 @@ def test_nonconvex_minimum_is_global_on_grid():
     values = [obj.value(np.array([t])) for t in grid]
     assert obj.f_star <= min(values) + 1e-9
     assert abs(obj.gradient(obj.x_star)[0]) < 1e-7
+
+
+def test_nonconvex_build_memory_is_bounded():
+    # the grid search runs a block of grid rows at a time; all 4001 rows at
+    # once would take about 300 MB at n = 5000
+    make_nonconvex_sum(8, 0)
+    tracemalloc.start()
+    try:
+        make_nonconvex_sum(5000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_nonconvex_minimum_matches_scipy():
+    optimize = pytest.importorskip("scipy.optimize")
+    cases = [(n, seed, eps) for n in (1, 2, 8, 64) for seed in range(5) for eps in (0.1, 0.5, 2.0)]
+    for n, seed, eps in cases + [(1000, 0, 0.5)]:
+        obj = make_nonconvex_sum(n, seed, eps)
+        # the grid search over all rows at once, then scipy's Brent from its best point
+        centers = np.random.default_rng(seed).uniform(-2.0, 2.0, n)
+        grid = np.linspace(centers.min() - 2 * math.pi, centers.max() + 2 * math.pi, 4001)
+        d = grid[:, None] - centers
+        x0 = grid[int(np.argmin(np.mean(1.0 - np.cos(d) + 0.5 * eps * d ** 2, axis=1)))]
+        res = optimize.minimize_scalar(lambda t: obj.value(np.array([t])),
+                                       bracket=(x0 - 0.1, x0, x0 + 0.1), method="brent")
+        assert obj.x_star.tobytes() == np.array([float(res.x)]).tobytes()
+        assert float(obj.f_star).hex() == float(res.fun).hex()
+
+
+@pytest.mark.parametrize("f, a, x, b", [
+    (lambda t: math.cosh(t - 0.3), -1.0, 0.0, 1.5),
+    (lambda t: t ** 4 - 3.0 * t + 1.0, 0.0, 1.0, 2.0),
+    (lambda t: math.exp(t) - 2.0 * t, -1.0, 0.5, 3.0),
+])
+def test_brent_steps_as_scipy(f, a, x, b):
+    optimize = pytest.importorskip("scipy.optimize")
+    ours, theirs = [], []
+    x_min, f_min = objectives._brent(lambda t: ours.append(t) or f(t), a, x, b)
+    res = optimize.minimize_scalar(lambda t: theirs.append(t) or f(t),
+                                   bracket=(a, x, b), method="brent")
+    assert ours == theirs
+    # golden-section steps alone take 40-43 evaluations to shrink these
+    # brackets to the tolerance: fewer means parabolic steps were taken
+    assert len(ours) < 25
+    assert (x_min.hex(), f_min.hex()) == (float(res.x).hex(), float(res.fun).hex())
+
+
+def test_brent_rejects_a_bad_bracket():
+    with pytest.raises(ValueError, match="not below"):
+        objectives._brent(lambda t: t * t, 1.0, 2.0, 3.0)
+    with pytest.raises(ValueError, match="not below"):
+        objectives._brent(lambda t: -t * t, -1.0, 0.0, 1.0)
 
 
 FAMILIES = (
