@@ -24,7 +24,6 @@ from .runner import (
     Aggregate,
     RunError,
     RunTrace,
-    SamplerSpec,
     aggregate_metric,
     averaged_iterate_uniform,
     averaged_iterate_weighted,

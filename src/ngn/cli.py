@@ -20,14 +20,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .objectives import FiniteSumObjective, make_blobs_dataset, write_libsvm
-from .runner import RunTrace, SamplerSpec, aggregate_metric, check_run, run_seeds, trace_to_csv
+from .runner import RunTrace, aggregate_metric, check_run, run_seeds, trace_to_csv
 from .specs import POLICIES, PROBLEMS, build_spec
 from .stepsizes import StepsizePolicy
 from .verify import REPORT_HEADER, SUITES, run_suites
@@ -53,25 +53,26 @@ class ExperimentConfig:
     axis: Optional[str] = None
     values: tuple[float, ...] = ()
 
-    def validate(self) -> None:
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
-        if self.sampler not in SamplerSpec.MODES:
-            raise ConfigError(
-                f"unknown sampler {self.sampler!r}; choose from {SamplerSpec.MODES}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.cadence is not None and self.cadence < 1:
-            raise ConfigError("cadence must be >= 1 when given")
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(s) for s in text.split(","))
 
 
-CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+# Each config key and the converter of its value, in ExperimentConfig's order
+CONVERTERS = {
+    "problem": str, "policy": str, "steps": int,
+    "seeds": lambda text: tuple(int(s) for s in text.split(",") if s.strip()),
+    "sampler": str, "batch_size": int, "cadence": int, "x0": _floats, "out": str,
+    "axis": str, "values": _floats,
+}
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse a flat key = value config file into an ExperimentConfig."""
+    """Parse a flat key = value config file into an ExperimentConfig.
+
+    This checks the file's form and each value's type; whether the run can
+    use the values is `runner.check_run`'s rule, applied in `_build_runs`.
+    """
     entries: dict[str, str] = {}
     try:
         lines = Path(path).read_text().splitlines()
@@ -86,39 +87,20 @@ def parse_config(path) -> ExperimentConfig:
         # split at the first '=' only: policy/problem values hold more of them
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in CONVERTERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
-                              f"choose from {', '.join(CONFIG_KEYS)}")
+                              f"choose from {', '.join(CONVERTERS)}")
         entries[key] = value.strip()
 
-    if "problem" not in entries:
-        raise ConfigError(f"{path}: missing required key 'problem'")
-    if "policy" not in entries:
-        raise ConfigError(f"{path}: missing required key 'policy'")
-
-    cfg = ExperimentConfig(problem=entries["problem"], policy=entries["policy"])
+    for key in ("problem", "policy"):
+        if key not in entries:
+            raise ConfigError(f"{path}: missing required key {key!r}")
     try:
-        if "steps" in entries:
-            cfg.steps = int(entries["steps"])
-        if "seeds" in entries:
-            cfg.seeds = tuple(int(s) for s in entries["seeds"].split(",") if s.strip())
-        if "batch_size" in entries:
-            cfg.batch_size = int(entries["batch_size"])
-        if "cadence" in entries:
-            cfg.cadence = int(entries["cadence"])
-        if "sampler" in entries:
-            cfg.sampler = entries["sampler"]
-        if "x0" in entries:
-            cfg.x0 = tuple(float(s) for s in entries["x0"].split(","))
-        if "out" in entries:
-            cfg.out = entries["out"]
-        if "axis" in entries:
-            cfg.axis = entries["axis"]
-        if "values" in entries:
-            cfg.values = tuple(float(s) for s in entries["values"].split(","))
+        cfg = ExperimentConfig(**{key: CONVERTERS[key](value) for key, value in entries.items()})
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    cfg.validate()
+    if cfg.cadence is not None and cfg.cadence < 1:
+        raise ConfigError("cadence must be >= 1 when given")
     return cfg
 
 
@@ -146,31 +128,33 @@ def resolve_out_dir(flag_value: Optional[str], cfg_out: Optional[str]) -> Path:
     return path
 
 
-def _build_runs(cfg: ExperimentConfig,
-                points: Sequence[dict]) -> tuple[FiniteSumObjective, list[StepsizePolicy]]:
-    """The problem and each point's policy; config error unless they can run."""
+def _load_config(args) -> tuple[ExperimentConfig, Path]:
+    """The config with --seed-offset applied, and the output directory."""
+    cfg = parse_config(args.config)
+    if args.seed_offset:
+        cfg = replace(cfg, seeds=tuple(s + args.seed_offset for s in cfg.seeds))
+    return cfg, resolve_out_dir(args.out, cfg.out)
+
+
+def _build_runs(cfg: ExperimentConfig, points: Sequence[dict]
+                ) -> tuple[FiniteSumObjective, list[StepsizePolicy], dict]:
+    """The problem, each point's policy and the `run_seeds` keyword arguments.
+
+    `runner.check_run` checks every point; what it rejects is a config error.
+    """
     obj = build_problem(cfg.problem)
-    sampler = SamplerSpec(cfg.sampler, cfg.batch_size)
+    run_args = dict(seeds=sorted(cfg.seeds), sampler=cfg.sampler, batch_size=cfg.batch_size,
+                    x0=np.array(cfg.x0) if cfg.x0 is not None else None)
     policies = []
     for overrides in points:
         policy = build_policy(cfg.policy, **overrides)
         try:
-            check_run(obj, policy, cfg.steps, sampler)
+            check_run(obj, policy, cfg.steps, **run_args)
         except ValueError as exc:
             raise ConfigError(f"{cfg.policy} on {cfg.problem}: {exc}") from exc
         policies.append(policy)
-    return obj, policies
-
-
-def _run_all_seeds(cfg: ExperimentConfig, obj: FiniteSumObjective,
-                   policy: StepsizePolicy) -> list[RunTrace]:
-    """Every seed of `cfg` in lockstep, in seed order."""
-    return run_seeds(
-        obj, policy, cfg.steps, seeds=sorted(cfg.seeds),
-        sampler=SamplerSpec(cfg.sampler, cfg.batch_size),
-        x0=np.array(cfg.x0) if cfg.x0 is not None else None,
-        cadence=cfg.cadence if cfg.cadence is not None else cfg.steps,
-    )
+    run_args["cadence"] = cfg.cadence if cfg.cadence is not None else cfg.steps
+    return obj, policies, run_args
 
 
 def _write_aggregate(traces: Sequence[RunTrace], path: Path) -> None:
@@ -193,12 +177,9 @@ def _write_aggregate(traces: Sequence[RunTrace], path: Path) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = parse_config(args.config)
-    if args.seed_offset:
-        cfg = replace(cfg, seeds=tuple(s + args.seed_offset for s in cfg.seeds))
-    out_dir = resolve_out_dir(args.out, cfg.out)
-    obj, (policy,) = _build_runs(cfg, [{}])
-    traces = _run_all_seeds(cfg, obj, policy)
+    cfg, out_dir = _load_config(args)
+    obj, (policy,), run_args = _build_runs(cfg, [{}])
+    traces = run_seeds(obj, policy, cfg.steps, **run_args)
     for trace in traces:
         trace_to_csv(trace, out_dir / f"trace_seed{trace.seed}.csv")
         if trace.diverged:
@@ -209,17 +190,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = parse_config(args.config)
+    cfg, out_dir = _load_config(args)
     if cfg.axis is None or not cfg.values:
         raise ConfigError("sweep config needs 'axis' and a nonempty 'values' grid")
-    if args.seed_offset:
-        cfg = replace(cfg, seeds=tuple(s + args.seed_offset for s in cfg.seeds))
-    out_dir = resolve_out_dir(args.out, cfg.out)
-
-    obj, policies = _build_runs(cfg, [{cfg.axis: value} for value in cfg.values])
+    obj, policies, run_args = _build_runs(cfg, [{cfg.axis: value} for value in cfg.values])
     rows = []  # (value, Aggregate of the final losses, or None when a seed diverged)
     for value, policy in zip(cfg.values, policies):
-        traces = _run_all_seeds(cfg, obj, policy)
+        traces = run_seeds(obj, policy, cfg.steps, **run_args)
         n_diverged = sum(t.diverged for t in traces)
         if n_diverged:
             print(f"{cfg.axis} = {value}: {n_diverged} of {len(traces)} seed(s) diverged")

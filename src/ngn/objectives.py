@@ -530,6 +530,8 @@ def load_libsvm(path) -> Dataset:
                     raise ParseError(f"line {lineno}: non-numeric entry {token!r}")
                 if idx < 1:
                     raise ParseError(f"line {lineno}: index {idx} is not 1-based")
+                if idx in entries:
+                    raise ParseError(f"line {lineno}: index {idx} appears twice")
                 entries[idx] = val
                 max_index = max(max_index, idx)
             labels_raw.append(label)

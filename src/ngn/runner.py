@@ -13,6 +13,8 @@ from .stepsizes import StepObservation, StepsizePolicy
 
 DIVERGENCE_THRESHOLD = 1e30
 
+SAMPLERS = ("with_replacement_uniform", "epoch_shuffle", "full_batch")
+
 TRACE_COLUMNS = (
     "step", "batch_ids", "loss_batch", "gamma", "sigma", "grad_sq_norm",
     "loss_full", "dist_sq", "grad_full_sq",
@@ -26,20 +28,6 @@ class RunError(RuntimeError):
         super().__init__(f"step {step}: {cause}")
         self.step = step
         self.cause = cause
-
-
-@dataclass(frozen=True)
-class SamplerSpec:
-    mode: str = "with_replacement_uniform"
-    batch_size: int = 1
-
-    MODES = ("with_replacement_uniform", "epoch_shuffle", "full_batch")
-
-    def __post_init__(self):
-        if self.mode not in self.MODES:
-            raise ValueError(f"unknown sampler mode {self.mode!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass
@@ -77,17 +65,32 @@ def _draw_indices(mode: str, n: int, batch: int, steps: int, rng) -> np.ndarray:
     return order[:need].reshape(steps, batch)
 
 
-def check_run(obj: FiniteSumObjective, policy: StepsizePolicy, steps: int,
-              sampler: SamplerSpec) -> None:
-    """Raise ValueError when this objective, policy and sampler cannot run."""
+def check_run(obj: FiniteSumObjective, policy: StepsizePolicy, steps: int, *,
+              seeds: Sequence[int] = (0,), sampler: str = "with_replacement_uniform",
+              batch_size: int = 1, x0: Optional[np.ndarray] = None) -> None:
+    """Raise ValueError unless this objective and policy can run with these parameters."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if sampler.mode == "full_batch" and sampler.batch_size not in (1, obj.n):
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds must be distinct, got {', '.join(map(str, seeds))}")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
+    if sampler not in SAMPLERS:
+        raise ValueError(f"unknown sampler {sampler!r}; choose from {', '.join(SAMPLERS)}")
+    if not 1 <= batch_size <= obj.n:
+        raise ValueError(f"batch_size must be between 1 and the component count {obj.n}, "
+                         f"got {batch_size}")
+    if sampler == "full_batch" and batch_size not in (1, obj.n):
         raise ValueError("full_batch implies batch_size = N")
-    if sampler.batch_size > obj.n:
-        raise ValueError(f"batch_size {sampler.batch_size} exceeds the component count {obj.n}")
-    if policy.requires_full_batch and sampler.mode != "full_batch":
+    if policy.requires_full_batch and sampler != "full_batch":
         raise ValueError(f"{type(policy).__name__} requires sampler = full_batch")
+    if x0 is not None:
+        try:
+            as_point(x0, obj.dim)
+        except ValueError as exc:
+            raise ValueError(f"x0: {exc}") from None
 
 
 def run_sgd(
@@ -96,14 +99,15 @@ def run_sgd(
     steps: int,
     *,
     seed: int = 0,
-    sampler: Optional[SamplerSpec] = None,
+    sampler: str = "with_replacement_uniform",
+    batch_size: int = 1,
     x0: Optional[np.ndarray] = None,
     cadence: int = 0,
     store_iterates: bool = False,
 ) -> RunTrace:
     """One seed of `run_seeds`."""
-    return run_seeds(obj, policy, steps, seeds=(seed,), sampler=sampler, x0=x0,
-                     cadence=cadence, store_iterates=store_iterates)[0]
+    return run_seeds(obj, policy, steps, seeds=(seed,), sampler=sampler, batch_size=batch_size,
+                     x0=x0, cadence=cadence, store_iterates=store_iterates)[0]
 
 
 def run_seeds(
@@ -112,7 +116,8 @@ def run_seeds(
     steps: int,
     *,
     seeds: Sequence[int] = (0,),
-    sampler: Optional[SamplerSpec] = None,
+    sampler: str = "with_replacement_uniform",
+    batch_size: int = 1,
     x0: Optional[np.ndarray] = None,
     cadence: int = 0,
     store_iterates: bool = False,
@@ -129,22 +134,21 @@ def run_seeds(
     above 1e30, or a non-finite coordinate, halts that seed with the
     diverged flag set: its row freezes and the other seeds go on.
     """
-    sampler = sampler or SamplerSpec()
-    check_run(obj, policy, steps, sampler)
     seeds = [int(s) for s in seeds]
+    check_run(obj, policy, steps, seeds=seeds, sampler=sampler, batch_size=batch_size, x0=x0)
     n_seeds, dim = len(seeds), obj.dim
     start = None if x0 is None else as_point(x0, dim)
     X = np.empty((n_seeds, dim))
     tables = []
     for r, seed in enumerate(seeds):
         X[r] = start if start is not None else np.random.default_rng([seed, 0]).standard_normal(dim)
-        tables.append(_draw_indices(sampler.mode, obj.n, sampler.batch_size, steps,
+        tables.append(_draw_indices(sampler, obj.n, batch_size, steps,
                                     np.random.default_rng([seed, 1])))
     tables = np.stack(tables)  # (S, steps, batch), or (S, 1, N) under full_batch
     x_start = X.copy()
     policy.reset()
 
-    full_batch = sampler.mode == "full_batch"
+    full_batch = sampler == "full_batch"
     n_metrics = len(range(0, steps, cadence)) + 1 if cadence > 0 else 0
     loss_batch = np.full((n_seeds, steps), np.nan)
     gamma_arr = np.full((n_seeds, steps), np.nan)
@@ -170,7 +174,7 @@ def run_seeds(
     x = X
 
     # hoist hot-loop lookups
-    evaluate = obj.batch_evaluator(n_seeds, sampler.batch_size)
+    evaluate = obj.batch_evaluator(n_seeds, batch_size)
     full_many = obj.full_many
     x_star = obj.x_star
     policy_stepsize = policy.stepsize

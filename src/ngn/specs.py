@@ -7,6 +7,7 @@ every error message for problem and policy specs come from these tables.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -34,7 +35,7 @@ from .stepsizes import (
 
 
 class SpecError(ValueError):
-    """Unparsable spec, unknown name, or unknown, missing or mistyped parameter."""
+    """Unparsable spec, unknown name, or unknown, missing, mistyped or non-finite parameter."""
 
 
 @dataclass(frozen=True)
@@ -120,4 +121,6 @@ def build_spec(table: dict, spec: str, **overrides):
         except (ValueError, OverflowError):
             raise SpecError(f"{name}() parameter {key!r} must be {kind.__name__}, "
                             f"got {value!r}") from None
+        if kind is float and not math.isfinite(kwargs[key]):
+            raise SpecError(f"{name}() parameter {key!r} must be finite, got {value!r}")
     return entry.build(**kwargs)

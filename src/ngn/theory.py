@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,8 +23,6 @@ class TheoryContext:
     delta_int: float
     delta_pos: float
     delta_noise_sq: float = 0.0
-    x_star: Optional[np.ndarray] = None
-    f_star: float = 0.0
 
     def __post_init__(self):
         if self.l_smooth <= 0:
@@ -45,8 +43,6 @@ def context_from_objective(obj: FiniteSumObjective, delta_noise_sq: float = 0.0)
         delta_int=delta_int,
         delta_pos=delta_pos,
         delta_noise_sq=delta_noise_sq,
-        x_star=obj.x_star,
-        f_star=obj.f_star if obj.f_star is not None else 0.0,
     )
 
 

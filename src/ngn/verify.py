@@ -160,6 +160,14 @@ def _monte_carlo_pass(per_seed: Sequence[float], rhs: float) -> bool:
     return bool(np.mean(arr) <= rhs and slack_ok)
 
 
+def _two_quadratics_start(x0: float):
+    """The two-quadratics fixture, its theory context, the start [x0] and ||x0 - x*||^2."""
+    obj = make_two_quadratics()
+    x0_vec = np.array([x0])
+    dist0_sq = float((x0_vec - obj.x_star) @ (x0_vec - obj.x_star))
+    return obj, theory.context_from_objective(obj), x0_vec, dist0_sq
+
+
 def check_convex_rate(
     sigma: float = 0.05,
     steps: int = 100_000,
@@ -167,10 +175,7 @@ def check_convex_rate(
     x0: float = 2.0,
 ) -> CheckReport:
     """E[f(xbar^K) - f*] on the two-quadratics fixture vs the convex bound."""
-    obj = make_two_quadratics()
-    ctx = theory.context_from_objective(obj)
-    x0_vec = np.array([x0])
-    dist0_sq = float((x0_vec - obj.x_star) @ (x0_vec - obj.x_star))
+    obj, ctx, x0_vec, dist0_sq = _two_quadratics_start(x0)
     rhs = theory.convex_bound(ctx, sigma, steps, dist0_sq)
     rhs_proof = theory.convex_bound(ctx, sigma, steps, dist0_sq, constant="proof")
     traces = run_seeds(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec,
@@ -226,10 +231,7 @@ def check_strongly_convex_rate(
     x0: float = 2.0,
 ) -> CheckReport:
     """E||x^k - x*||^2 vs geometric decay plus error floor at checkpoints."""
-    obj = make_two_quadratics()
-    ctx = theory.context_from_objective(obj)
-    x0_vec = np.array([x0])
-    dist0_sq = float((x0_vec - obj.x_star) @ (x0_vec - obj.x_star))
+    obj, ctx, x0_vec, dist0_sq = _two_quadratics_start(x0)
     cadence = steps // 4
     checkpoints = [steps // 4, steps // 2, steps]
     traces = run_seeds(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec, cadence=cadence)
@@ -278,10 +280,8 @@ def check_nonconvex_rate(
     points += [x0_vec + rng.standard_normal(1) for _ in range(100)]
     noise_sq = NOISE_SAFETY_MULTIPLIER * theory.estimate_delta_noise_sq(obj, points)
 
-    ctx = theory.TheoryContext(
-        l_smooth=l_smooth, mu=0.0, delta_int=0.0, delta_pos=0.0,
-        delta_noise_sq=noise_sq, f_star=obj.f_star,
-    )
+    ctx = theory.TheoryContext(l_smooth=l_smooth, mu=0.0, delta_int=0.0, delta_pos=0.0,
+                               delta_noise_sq=noise_sq)
     rhs = theory.nonconvex_bound(ctx, sigma, steps, f0_gap)
     traces = run_seeds(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec,
                        store_iterates=True)
@@ -305,10 +305,7 @@ def check_annealed_rate(
     x0: float = 2.0,
 ) -> list[CheckReport]:
     """Weighted-average suboptimality under sigma_k = sigma0/sqrt(k+1)."""
-    obj = make_two_quadratics()
-    ctx = theory.context_from_objective(obj)
-    x0_vec = np.array([x0])
-    dist0_sq = float((x0_vec - obj.x_star) @ (x0_vec - obj.x_star))
+    obj, ctx, x0_vec, dist0_sq = _two_quadratics_start(x0)
     reports = []
     means = []
     for steps in steps_grid:

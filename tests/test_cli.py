@@ -59,10 +59,17 @@ def test_run_rejects_missing_keys(tmp_path):
     ("policy", "ngn(sigma=abc)"),
     ("problem", "logistic_file(path=no_such_file.svm)"),
     ("problem", "linear_regression(d=2.7)"),
+    ("policy", "ngn(sigma=nan)"),
+    ("policy", "ngn(sigma=inf)"),
+    ("policy", "constant(gamma=nan)"),
+    ("policy", "adagrad_norm(eta=nan, delta0=1)"),
+    ("problem", "logistic_blobs(l2=nan)"),
+    ("problem", "quadratic1d(lam=inf)"),
 ])
-def test_run_rejects_bad_spec_parameters(tmp_path, key, spec):
+def test_run_rejects_bad_spec_parameters(tmp_path, capsys, key, spec):
     cfg = write_config(tmp_path / "bad.cfg", **{key: spec})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: " in capsys.readouterr().err
 
 
 def test_run_rejects_unknown_config_key(tmp_path, capsys):
@@ -170,12 +177,26 @@ def test_diverged_seed_left_out_of_aggregate_and_exit_status(tmp_path, capsys):
     ("run", {"policy": "armijo()"}),
     ("run", {"batch_size": "2"}),
     ("sweep", {"policy": "armijo()", "axis": "c1", "values": "0.1,0.2"}),
+    *((command, bad) for command in ("run", "sweep") for bad in (
+        {"x0": "1.0,2.0"}, {"x0": "nan"}, {"seeds": "-1"}, {"seeds": "2,2"})),
 ])
-def test_sampler_the_run_cannot_use_is_config_error(tmp_path, command, overrides):
-    # polyak/armijo need sampler = full_batch; quadratic1d has one component
+def test_sampler_the_run_cannot_use_is_config_error(tmp_path, capsys, command, overrides):
+    # polyak/armijo need sampler = full_batch; quadratic1d has one component,
+    # one coordinate, and each seed names one trace file
+    if command == "sweep":
+        overrides = {"axis": "sigma", "values": "0.5,1.0", **overrides}
     cfg = write_config(tmp_path / "bad.cfg", **overrides)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_negative_seed_offset_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.cfg")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--seed-offset", "-3"]) == 2
+    assert "seeds must be >= 0, got -3" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
 
 

@@ -416,6 +416,14 @@ def test_libsvm_parse_error_reports_line(tmp_path):
     assert "2" in str(exc.value)
 
 
+def test_libsvm_rejects_repeated_index(tmp_path):
+    # a dict of entries would keep the last value, 3.0, without a word
+    path = tmp_path / "repeat.svm"
+    path.write_text("0 1:0.5 2:1.0\n1 1:2.0 1:3.0\n")
+    with pytest.raises(ParseError, match="line 2: index 1 appears twice"):
+        load_libsvm(path)
+
+
 def test_libsvm_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.svm"
     path.write_text("")

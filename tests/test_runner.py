@@ -8,12 +8,12 @@ from ngn.objectives import FiniteSumObjective, make_quadratic1d, make_two_quadra
 from ngn.runner import (
     Aggregate,
     RunError,
-    SamplerSpec,
     TRACE_COLUMNS,
     _draw_indices,
     aggregate_metric,
     averaged_iterate_uniform,
     averaged_iterate_weighted,
+    check_run,
     run_seeds,
     run_sgd,
     trace_to_csv,
@@ -85,18 +85,19 @@ def test_full_batch_rows(tmp_path):
     rng = np.random.default_rng(0)
     draws = _draw_indices("full_batch", 4, 4, 5, rng)
     assert np.array_equal(draws, [np.arange(4)])
-    trace = run_sgd(make_two_quadratics(), NGN(0.5), 5, sampler=SamplerSpec("full_batch"))
+    trace = run_sgd(make_two_quadratics(), NGN(0.5), 5, sampler="full_batch")
     assert np.array_equal(trace.batch_ids, [[0, 1]])
     trace_to_csv(trace, tmp_path / "trace.csv")
     rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == ["0;1"] * 5
 
 
-def test_sampler_spec_validation():
-    with pytest.raises(ValueError):
-        SamplerSpec(mode="bogus")
-    with pytest.raises(ValueError):
-        SamplerSpec(batch_size=0)
+def test_check_run_sampler_validation():
+    obj = make_two_quadratics()
+    with pytest.raises(ValueError, match="unknown sampler 'bogus'"):
+        check_run(obj, NGN(0.5), 5, sampler="bogus")
+    with pytest.raises(ValueError, match="batch_size must be between 1"):
+        check_run(obj, NGN(0.5), 5, batch_size=0)
 
 
 def test_aggregate_hand_values():
@@ -195,7 +196,7 @@ def test_trace_csv_cells_parse_as_floats(tmp_path):
 @pytest.mark.parametrize("make_trace", [
     lambda: run_sgd(make_two_quadratics(), NGN(0.5), 25, seed=3, cadence=4),
     lambda: run_sgd(make_two_quadratics(), NGN(0.5), 25, seed=3, cadence=4,
-                    sampler=SamplerSpec("full_batch")),
+                    sampler="full_batch"),
     lambda: run_sgd(make_quadratic1d(1.2, 0.0, 0.1), Constant(2.0), 150, x0=np.array([3.0]),
                     cadence=7),  # diverges at step 99
 ], ids=["uniform", "full_batch", "diverged"])
@@ -265,10 +266,10 @@ LOCKSTEP_POLICIES = (
 def test_lockstep_matches_solo_runs(problem, policy):
     obj = build_spec(PROBLEMS, problem)
     if policy.startswith("armijo"):
-        sampler = SamplerSpec("full_batch")
+        kwargs = dict(sampler="full_batch")
     else:
-        sampler = SamplerSpec("epoch_shuffle", batch_size=min(2, obj.n))
-    kwargs = dict(sampler=sampler, cadence=7, store_iterates=True)
+        kwargs = dict(sampler="epoch_shuffle", batch_size=min(2, obj.n))
+    kwargs.update(cadence=7, store_iterates=True)
     together = run_seeds(obj, build_spec(POLICIES, policy), 40, seeds=range(4), **kwargs)
     for seed, trace in zip(range(4), together):
         assert_same_trace(trace, run_sgd(obj, build_spec(POLICIES, policy), 40, seed=seed, **kwargs))

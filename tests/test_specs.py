@@ -31,5 +31,7 @@ def test_defaults_types_and_overrides():
         build_spec(PROBLEMS, "nonconvex_sum(n=many)")
     with pytest.raises(SpecError, match="'d' must be int, got 2.7"):
         build_spec(PROBLEMS, "linear_regression(d=2.7)")
+    with pytest.raises(SpecError, match="'sigma' must be finite, got nan"):
+        build_spec(POLICIES, "ngn(sigma=1)", sigma=float("nan"))
     with pytest.raises(SpecError, match="takes none"):
         build_spec(PROBLEMS, "two_quadratics(nn=5)")

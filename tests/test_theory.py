@@ -20,7 +20,7 @@ from ngn.theory import (
 
 def ctx(**kw):
     base = dict(l_smooth=1.0, mu=0.5, delta_int=0.5, delta_pos=0.2,
-                delta_noise_sq=0.3, f_star=0.0)
+                delta_noise_sq=0.3)
     base.update(kw)
     return TheoryContext(**base)
 
