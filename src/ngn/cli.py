@@ -128,12 +128,12 @@ def resolve_out_dir(flag_value: Optional[str], cfg_out: Optional[str]) -> Path:
     return path
 
 
-def _load_config(args) -> tuple[ExperimentConfig, Path]:
-    """The config with --seed-offset applied, and the output directory."""
+def _load_config(args) -> ExperimentConfig:
+    """The config with --seed-offset applied."""
     cfg = parse_config(args.config)
     if args.seed_offset:
         cfg = replace(cfg, seeds=tuple(s + args.seed_offset for s in cfg.seeds))
-    return cfg, resolve_out_dir(args.out, cfg.out)
+    return cfg
 
 
 def _build_runs(cfg: ExperimentConfig, points: Sequence[dict]
@@ -177,8 +177,9 @@ def _write_aggregate(traces: Sequence[RunTrace], path: Path) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg, out_dir = _load_config(args)
+    cfg = _load_config(args)
     obj, (policy,), run_args = _build_runs(cfg, [{}])
+    out_dir = resolve_out_dir(args.out, cfg.out)
     traces = run_seeds(obj, policy, cfg.steps, **run_args)
     for trace in traces:
         trace_to_csv(trace, out_dir / f"trace_seed{trace.seed}.csv")
@@ -190,10 +191,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, out_dir = _load_config(args)
+    cfg = _load_config(args)
     if cfg.axis is None or not cfg.values:
         raise ConfigError("sweep config needs 'axis' and a nonempty 'values' grid")
+    if len(set(cfg.values)) < len(cfg.values):
+        raise ConfigError(f"sweep values must be distinct, got {', '.join(map(repr, cfg.values))}")
     obj, policies, run_args = _build_runs(cfg, [{cfg.axis: value} for value in cfg.values])
+    out_dir = resolve_out_dir(args.out, cfg.out)
     rows = []  # (value, Aggregate of the final losses, or None when a seed diverged)
     for value, policy in zip(cfg.values, policies):
         traces = run_seeds(obj, policy, cfg.steps, **run_args)

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .objectives import FiniteSumObjective, as_point
+from .objectives import FiniteSumObjective, _block_rows, as_point
 from .stepsizes import StepObservation, StepsizePolicy
 
 DIVERGENCE_THRESHOLD = 1e30
@@ -130,6 +130,9 @@ def run_seeds(
     its trace is the same whichever seeds run beside it. Metric cadence
     c > 0 records full objective value, squared distance to x* (when known)
     and squared full gradient norm at every c-th iterate plus the final one.
+    They are evaluated after their steps, in blocks of at most
+    max(1, ROW_BLOCK_ENTRIES // (S * n * d)) metric points: one `full_many`
+    call per block, over the S rows of each of its points.
     A batch loss or squared batch gradient norm that is not finite or is
     above 1e30, or a non-finite coordinate, halts that seed with the
     diverged flag set: its row freezes and the other seeds go on.
@@ -195,13 +198,31 @@ def run_seeds(
         rows, x = rows[~bad], x[~bad]
         live = rows
 
-    def record_metrics(j: int) -> None:
-        fv, fg = full_many(x)
-        loss_full[live, j] = fv
-        grad_full_sq[live, j] = vecdot(fg, fg)
+    # Metric points wait in `pending`, a slot of S iterates each, until a
+    # full buffer is evaluated at once. Sized by n * d, a flush stays within
+    # one full_many row block. A stopped row's later slots keep zeros or its
+    # earlier points; their values lie past its n_recorded and are cut off.
+    pending = np.zeros((n_seeds, min(_block_rows(n_seeds * obj.n * dim), n_metrics), dim))
+    filled = first = 0  # slots in use; metric index of slot 0
+
+    def flush() -> None:
+        nonlocal filled, first
+        points = pending[:, :filled].reshape(-1, dim)
+        fv, fg = full_many(points)
+        end = first + filled
+        loss_full[:, first:end] = fv.reshape(n_seeds, filled)
+        grad_full_sq[:, first:end] = vecdot(fg, fg).reshape(n_seeds, filled)
         if x_star is not None:
-            diff = x - x_star
-            dist_sq[live, j] = vecdot(diff, diff)
+            diff = points - x_star
+            dist_sq[:, first:end] = vecdot(diff, diff).reshape(n_seeds, filled)
+        filled, first = 0, end
+
+    def record_metrics() -> None:
+        nonlocal filled
+        pending[live, filled] = x
+        filled += 1
+        if filled == pending.shape[1]:
+            flush()
 
     def probe(gamma: np.ndarray) -> np.ndarray:
         """Batch loss of every row at x - gamma * grad; stopped rows read 0."""
@@ -225,7 +246,7 @@ def run_seeds(
             if iterates is not None:
                 iterates[live, k] = x
             if cadence > 0 and k % cadence == 0:
-                record_metrics(k // cadence)
+                record_metrics()
 
             if full_batch:
                 loss, grad = full_many(x)
@@ -287,11 +308,14 @@ def run_seeds(
                 if not len(rows):
                     break
 
+        if cadence > 0 and len(rows):
+            record_metrics()
+        if filled:  # also after every row has stopped
+            flush()
+
     X[rows] = x
     if iterates is not None:
         iterates[live, steps] = x
-    if cadence > 0 and len(rows):
-        record_metrics(n_metrics - 1)
 
     metric_steps = np.array([*range(0, steps, cadence), steps] if cadence > 0 else [], dtype=int)
     traces = []

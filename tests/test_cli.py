@@ -189,7 +189,7 @@ def test_sampler_the_run_cannot_use_is_config_error(tmp_path, capsys, command, o
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error: " in capsys.readouterr().err
-    assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 def test_negative_seed_offset_is_config_error(tmp_path, capsys):
@@ -197,7 +197,7 @@ def test_negative_seed_offset_is_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out), "--seed-offset", "-3"]) == 2
     assert "seeds must be >= 0, got -3" in capsys.readouterr().err
-    assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 def test_sweep_marks_best_and_neighbors(tmp_path):
@@ -292,13 +292,22 @@ def test_sweep_with_every_point_diverged_fails(tmp_path, capsys):
 def test_sweep_requires_axis(tmp_path):
     cfg = write_config(tmp_path / "sweep.cfg")
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_rejects_repeated_value(tmp_path, capsys):
+    cfg = write_config(tmp_path / "sweep.cfg", axis="sigma", values="1,1,3")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: sweep values must be distinct" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rejects_unknown_axis(tmp_path):
     cfg = write_config(tmp_path / "sweep.cfg", axis="sigmaa", values="0.3,1,3")
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
-    assert not (out / "sweep.csv").exists()
+    assert not out.exists()
 
 
 def test_verify_gradients_suite(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ngn import runner
+from ngn import objectives, runner
 from ngn.objectives import FiniteSumObjective, make_quadratic1d, make_two_quadratics
 from ngn.runner import (
     Aggregate,
@@ -306,6 +306,73 @@ def test_lockstep_diverged_rows_match_solo_runs():
         assert (trace.diverged_step, trace.x_final.tolist()) == (solo.diverged_step,
                                                                  solo.x_final.tolist())
         assert_same_trace(trace, solo)
+
+
+METRIC_BLOCK_CASES = {
+    # blocks of 1 at ROW_BLOCK_ENTRIES = 7; at the default, one block per run,
+    # except logistic's 201 points in blocks of 65536 // (4 * 30 * 9) = 60
+    "lockstep": [
+        ("two_quadratics()", "ngn(sigma=1.0)", 3000, range(4), dict(cadence=7)),
+        ("linear_regression(d=4, n=12, seed=1, noise_std=0.1)", "sps_max(c=0.5, gamma_b=2.0)",
+         200, range(3), dict(cadence=1, sampler="epoch_shuffle", batch_size=2)),
+        ("logistic_blobs(n=30, d=3, classes=3, seed=2)", "ngn(sigma=1.0)", 200, range(4),
+         dict(cadence=1)),
+    ],
+    "diverged": [("linear_regression(d=1, n=6, seed=3)", "constant(gamma=5.0)", 300, range(6),
+                  dict(cadence=50))],
+    # three rows: blocks of 2 at ROW_BLOCK_ENTRIES = 7; seed 1 goes stationary
+    "stationary": [("quadratic1d(lam=1.0, xstar=0.0, fstar=0.0)", "aps()", 600, range(3),
+                    dict(cadence=100))],
+    # every row diverges at step 99, at cadence 1 the 100th metric point: in
+    # blocks of 3 at ROW_BLOCK_ENTRIES = 7, that point waits alone for the flush;
+    # from x0 = 1e160 every row stops at step 0, and f(x0) overflows in the flush
+    "all_diverged": [
+        ("quadratic1d(lam=1.2, xstar=0.0, fstar=0.1)", "constant(gamma=2.0)", 150, range(2),
+         dict(cadence=1, x0=np.array([3.0]))),
+        ("quadratic1d(lam=1.2, xstar=0.0, fstar=0.1)", "constant(gamma=0.1)", 10, range(2),
+         dict(cadence=1, x0=np.array([1e160]))),
+    ],
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", METRIC_BLOCK_CASES)
+def test_metric_blocks_keep_traces(monkeypatch, case):
+    # ROW_BLOCK_ENTRIES = 1 evaluates each metric point as it is reached
+    for problem, policy, steps, seeds, kwargs in METRIC_BLOCK_CASES[case]:
+        obj = build_spec(PROBLEMS, problem)
+        runs = []
+        for block_entries in (1, 7, objectives.ROW_BLOCK_ENTRIES):
+            monkeypatch.setattr(objectives, "ROW_BLOCK_ENTRIES", block_entries)
+            runs.append(run_seeds(obj, build_spec(POLICIES, policy), steps, seeds=seeds, **kwargs))
+            monkeypatch.undo()
+        diverged = [t.diverged_step is not None for t in runs[0]]
+        assert any(diverged) == case.endswith("diverged")
+        assert all(diverged) == (case == "all_diverged")
+        assert any(t.stationary.any() for t in runs[0]) == (case == "stationary")
+        for traces in runs[1:]:
+            for trace, reference in zip(traces, runs[0]):
+                assert_same_trace(trace, reference)
+
+
+def full_many_calls(obj):
+    """The row count of each `obj.full_many` call from now on."""
+    calls, full_many = [], obj.full_many
+    obj.full_many = lambda X: calls.append(len(X)) or full_many(X)
+    return calls
+
+
+def test_full_many_called_once_per_metric_block():
+    obj = make_two_quadratics()
+    calls = full_many_calls(obj)
+    run_seeds(obj, NGN(0.5), 2000, seeds=range(8), cadence=1)
+    assert calls == [8 * 2001]
+    # 3 * 2000 * 100 > ROW_BLOCK_ENTRIES: a call per metric point, as before
+    obj = build_spec(PROBLEMS, "logistic_blobs(n=2000, d=20, classes=5, seed=0)")
+    calls = full_many_calls(obj)
+    run_seeds(obj, NGN(1.0), 30, seeds=range(3), sampler="epoch_shuffle", batch_size=16,
+              cadence=10)
+    assert calls == [3] * 4
 
 
 class ScheduledStep(StepsizePolicy):
