@@ -22,6 +22,8 @@ from .objectives import (
 )
 from .runner import (
     Aggregate,
+    Chunk,
+    Run,
     RunError,
     RunTrace,
     aggregate_metric,
@@ -30,6 +32,7 @@ from .runner import (
     run_seeds,
     run_sgd,
     trace_to_csv,
+    write_traces,
 )
 from .specs import POLICIES, PROBLEMS, SpecError, build_spec
 from .stepsizes import (

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .objectives import FiniteSumObjective, make_blobs_dataset, write_libsvm
-from .runner import RunTrace, aggregate_metric, check_run, run_seeds, trace_to_csv
+from .runner import Run, aggregate_metric, check_run, run_seeds, write_traces
 from .specs import POLICIES, PROBLEMS, build_spec
 from .stepsizes import StepsizePolicy
 from .verify import REPORT_HEADER, SUITES, run_suites
@@ -157,17 +157,13 @@ def _build_runs(cfg: ExperimentConfig, points: Sequence[dict]
     return obj, policies, run_args
 
 
-def _write_aggregate(traces: Sequence[RunTrace], path: Path) -> None:
-    """Seed means of the final metrics; diverged seeds are left out."""
-    kept = [t for t in traces if not t.diverged]
-    metrics = {
-        "loss_full_final": [t.loss_full[-1] for t in kept],
-        "dist_sq_final": [t.dist_sq[-1] for t in kept],
-        "grad_full_sq_final": [t.grad_full_sq[-1] for t in kept],
-        "gamma_final": [t.gamma[-1] for t in kept],
-    }
+AGGREGATE_METRICS = ("loss_full_final", "dist_sq_final", "grad_full_sq_final", "gamma_final")
+
+
+def _write_aggregate(finals: np.ndarray, path: Path) -> None:
+    """Seed means of the final metrics, one row of AGGREGATE_METRICS per kept seed."""
     lines = ["metric,mean,std,ci_half"]
-    for name, values in metrics.items():
+    for name, values in zip(AGGREGATE_METRICS, finals.T):
         arr = [v for v in values if v == v]  # drop NaN (e.g. unknown x*)
         if not arr:
             continue
@@ -180,14 +176,15 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
     obj, (policy,), run_args = _build_runs(cfg, [{}])
     out_dir = resolve_out_dir(args.out, cfg.out)
-    traces = run_seeds(obj, policy, cfg.steps, **run_args)
-    for trace in traces:
-        trace_to_csv(trace, out_dir / f"trace_seed{trace.seed}.csv")
-        if trace.diverged:
-            print(f"seed {trace.seed}: diverged at step {trace.diverged_step}")
-    _write_aggregate(traces, out_dir / "aggregate.csv")
-    print(f"wrote {len(traces)} trace file(s) + aggregate.csv to {out_dir}")
-    return 1 if any(t.diverged for t in traces) else 0
+    run = Run(obj, policy, cfg.steps, **run_args)
+    finals = write_traces(run, [out_dir / f"trace_seed{seed}.csv" for seed in run.seeds])
+    for seed, step in zip(run.seeds, run.diverged_step.tolist()):
+        if step >= 0:
+            print(f"seed {seed}: diverged at step {step}")
+    diverged = run.diverged_step >= 0
+    _write_aggregate(finals[~diverged], out_dir / "aggregate.csv")
+    print(f"wrote {len(run.seeds)} trace file(s) + aggregate.csv to {out_dir}")
+    return 1 if diverged.any() else 0
 
 
 def cmd_sweep(args) -> int:

@@ -38,6 +38,22 @@ def as_point(x, dim: Optional[int] = None) -> np.ndarray:
 ROW_BLOCK_ENTRIES = 1 << 16
 
 
+# Largest number of float64 entries a generated or loaded problem may hold
+# in one dense array: rows x features of a dataset, d x d of a Hessian, and
+# rows x classes, the size of the full logistic objective's scores per point.
+# 2^27 entries are 1 GiB; one stray LIBSVM index near 1e9, a distinct label
+# on every row, or a mistyped size would otherwise ask for far more.
+MAX_DENSE_ENTRIES = 1 << 27
+
+
+def _check_dense(**sizes: int) -> None:
+    """ValueError if any of the named array sizes exceeds MAX_DENSE_ENTRIES."""
+    for name, entries in sizes.items():
+        if entries > MAX_DENSE_ENTRIES:
+            raise ValueError(f"{name.replace('_', ' x ')} = {entries} entries exceed the dense "
+                             f"size cap of {MAX_DENSE_ENTRIES}")
+
+
 def _block_rows(width: int) -> int:
     return max(1, ROW_BLOCK_ENTRIES // width)
 
@@ -240,6 +256,7 @@ def make_linear_regression(
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be >= 1")
+    _check_dense(n_d=n * d, d_d=d * d)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, d))
     x_planted = rng.standard_normal(d)
@@ -447,6 +464,11 @@ def _brent(f: Callable[[float], float], a: float, x: float, b: float) -> tuple[f
     return x, fx
 
 
+# Largest component count of nonconvex_sum: locating its minimum costs
+# 4001 * n cosines before the first step, about 1.5 s at this cap
+MAX_NONCONVEX_COMPONENTS = 10_000
+
+
 def make_nonconvex_sum(n: int, seed: int, eps: float = 0.5) -> FiniteSumObjective:
     """1-d nonconvex, nonnegative components 1 - cos(x - c_i) + (eps/2)(x - c_i)^2.
 
@@ -455,6 +477,8 @@ def make_nonconvex_sum(n: int, seed: int, eps: float = 0.5) -> FiniteSumObjectiv
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > MAX_NONCONVEX_COMPONENTS:
+        raise ValueError(f"n = {n} exceeds the component cap of {MAX_NONCONVEX_COMPONENTS}")
     if eps <= 0:
         raise ValueError("eps must be positive")
 
@@ -492,13 +516,6 @@ def make_nonconvex_sum(n: int, seed: int, eps: float = 0.5) -> FiniteSumObjectiv
         full=full,
         name="nonconvex_sum",
     )
-
-
-# Largest rows x features a LIBSVM file may densify to, and largest rows x
-# classes, the size of the full logistic objective's scores per point: 2^27
-# float64 entries are 1 GiB, and one stray index near 1e9, or a distinct
-# label on every row, would otherwise ask for far more.
-MAX_DENSE_ENTRIES = 1 << 27
 
 
 def load_libsvm(path) -> Dataset:
@@ -599,6 +616,7 @@ def make_blobs_dataset(n: int, d: int, classes: int, seed: int, spread: float = 
     """Gaussian blobs around random class centers; synthetic classification."""
     if n < classes:
         raise ValueError("need at least one sample per class")
+    _check_dense(n_d=n * d, n_classes=n * classes)
     rng = np.random.default_rng(seed)
     centers = spread * rng.standard_normal((classes, d))
     labels = np.arange(n) % classes

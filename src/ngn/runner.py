@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,16 +54,32 @@ class RunTrace:
     seed: int = 0
 
 
-def _draw_indices(mode: str, n: int, batch: int, steps: int, rng) -> np.ndarray:
-    if mode == "full_batch":
-        return np.arange(n)[None, :]
-    if mode == "with_replacement_uniform":
-        return rng.integers(0, n, size=(steps, batch))
-    # epoch_shuffle: concatenated permutations, chopped into batches
-    need = steps * batch
-    epochs = -(-need // n)
-    order = np.concatenate([rng.permutation(n) for _ in range(epochs)])
-    return order[:need].reshape(steps, batch)
+class _Sampler:
+    """One row's component indices, drawn a chunk of steps at a time from its stream.
+
+    Draws in a row give the indices of one draw of all their steps:
+    `integers` splits without a seam, and epoch_shuffle deals from one
+    permutation per epoch, keeping the undealt rest for the next draw.
+    """
+
+    def __init__(self, mode: str, n: int, batch: int, rng: np.random.Generator):
+        self.mode, self.n, self.batch, self.rng = mode, n, batch, rng
+        self.rest = np.empty(0, dtype=np.int64)
+
+    def draw(self, steps: int) -> np.ndarray:
+        """(steps, batch) indices; under full_batch the one row arange(N) that every step uses."""
+        if self.mode == "full_batch":
+            return np.arange(self.n)[None, :]
+        if self.mode == "with_replacement_uniform":
+            return self.rng.integers(0, self.n, size=(steps, self.batch))
+        need = steps * self.batch
+        parts, have = [self.rest], len(self.rest)
+        while have < need:
+            parts.append(self.rng.permutation(self.n))
+            have += self.n
+        order = np.concatenate(parts)
+        self.rest = order[need:]
+        return order[:need].reshape(steps, self.batch)
 
 
 def check_run(obj: FiniteSumObjective, policy: StepsizePolicy, steps: int, *,
@@ -91,6 +108,346 @@ def check_run(obj: FiniteSumObjective, policy: StepsizePolicy, steps: int, *,
             as_point(x0, obj.dim)
         except ValueError as exc:
             raise ValueError(f"x0: {exc}") from None
+
+
+def _chunk_steps(rows: int, width: int) -> int:
+    """Steps per chunk of a run whose rows keep `width` entries per step."""
+    return _block_rows(rows * width)
+
+
+@dataclass
+class Chunk:
+    """Steps k0 .. k1-1 of every row of a run, each array (S, k1 - k0, ...).
+
+    A row that is stopped reads NaN there (False in `stationary`), as its
+    whole trace does, and its iterates after its stop are NaN too.
+    """
+
+    k0: int
+    k1: int
+    batch_ids: np.ndarray  # (S, k1 - k0, batch), or (S, 1, N) under full_batch
+    loss_batch: np.ndarray
+    gamma: np.ndarray
+    grad_sq: np.ndarray
+    stationary: np.ndarray
+    sigma: np.ndarray  # (k1 - k0,) sigma_k, the same for every row
+    iterates: Optional[np.ndarray] = None  # (S, k1 - k0, d): x^k0 .. x^(k1-1)
+
+
+class Run:
+    """A lockstep run of S rows, one seed each, advanced a chunk of steps at a time.
+
+    Each `advance` takes every running row through the next chunk, steps
+    [k0, k1), and returns their per-step values as a `Chunk`. What carries
+    over from chunk to chunk is the run's state: the rows' iterates and
+    which rows still run, the policy's per-row state, the pending metric
+    points, and each row's two streams, default_rng([seed, 0]) for the start
+    point and default_rng([seed, 1]) for the indices, which are drawn a chunk
+    at a time. A chunk holds about ROW_BLOCK_ENTRIES entries, so memory does
+    not grow with the step count.
+
+    `steps` is one end step for every row, or one per row: a row that
+    reaches its end before the others retires, stopped without the diverged
+    flag, with its final metric point recorded; the run ends at the largest.
+    """
+
+    def __init__(self, obj: FiniteSumObjective, policy: StepsizePolicy,
+                 steps: Union[int, Sequence[int]], *, seeds: Sequence[int] = (0,),
+                 sampler: str = "with_replacement_uniform", batch_size: int = 1,
+                 x0: Optional[np.ndarray] = None, cadence: int = 0,
+                 store_iterates: bool = False):
+        seeds = [int(s) for s in seeds]
+        ends = [int(e) for e in np.broadcast_to(steps, (len(seeds),))]
+        check_run(obj, policy, min(ends, default=1), seeds=seeds, sampler=sampler,
+                  batch_size=batch_size, x0=x0)
+        n_rows, dim = len(seeds), obj.dim
+        self.obj, self.policy, self.seeds, self.cadence = obj, policy, seeds, cadence
+        self.ends = np.array(ends)
+        self.steps = max(ends)
+        self.full_batch = sampler == "full_batch"
+        self.store_iterates = store_iterates
+        start = None if x0 is None else as_point(x0, dim)
+        self.X = np.empty((n_rows, dim))  # every row's iterate, current for stopped rows
+        self._samplers = []
+        for r, seed in enumerate(seeds):
+            self.X[r] = (start if start is not None
+                         else np.random.default_rng([seed, 0]).standard_normal(dim))
+            self._samplers.append(_Sampler(sampler, obj.n, batch_size,
+                                           np.random.default_rng([seed, 1])))
+        self.x_start = self.X.copy()
+        policy.reset()
+        self.k = 0
+        self.diverged_step = np.full(n_rows, -1)
+        # sigma_k of row r is NaN from sigma_end[r] on
+        self.sigma_end = self.ends.copy()
+        # The rows still running, and their iterates, kept compact; X gets a
+        # row's iterate when it stops
+        self.rows = np.arange(n_rows)
+        self._x = self.X
+        width = dim + 4 + (0 if self.full_batch else batch_size)
+        self.chunk_steps = _chunk_steps(n_rows, width)
+        self._evaluate = obj.batch_evaluator(n_rows, batch_size)
+        # Metric points wait in `pending`, a slot of S iterates each, until a
+        # full buffer is evaluated at once. Sized by n * d, a flush stays
+        # within one full_many row block. Slot i holds metric point first + i
+        # of every row; a stopped row's later slots keep zeros or its earlier
+        # points, past its metric_count and cut off.
+        n_metrics = len(range(0, self.steps, cadence)) + 1 if cadence > 0 else 0
+        self._pending = np.zeros((n_rows, min(_block_rows(n_rows * obj.n * dim), n_metrics), dim))
+        self._filled = self._first = 0
+        self._values: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def __iter__(self):
+        while self.k < self.steps:
+            yield self.advance()
+
+    def metric_count(self, r: int) -> int:
+        """Number of metric points of row r: at steps 0, c, 2c, ... below its end, then its end."""
+        if self.cadence <= 0:
+            return 0
+        if self.diverged_step[r] >= 0:
+            return int(self.diverged_step[r]) // self.cadence + 1
+        return -(-int(self.ends[r]) // self.cadence) + 1
+
+    def _record(self, k: int, rows, points: np.ndarray) -> None:
+        """Queue `points`, the iterates of `rows` at step k, as their metric point.
+
+        A row's final point at step k takes slot ceil(k / c), the slot that
+        the running rows fill at step c * ceil(k / c).
+        """
+        pos = -(-k // self.cadence) - self._first
+        if pos == self._pending.shape[1]:
+            self._flush(pos)
+            pos = 0
+        self._pending[rows, pos] = points
+        self._filled = max(self._filled, pos + 1)
+
+    def _flush(self, n: int) -> None:
+        """Evaluate the first n pending slots in one full_many call."""
+        n_rows, dim = self._pending.shape[0], self._pending.shape[2]
+        points = self._pending[:, :n].reshape(-1, dim)
+        fv, fg = self.obj.full_many(points)
+        dist_sq = np.full((n_rows, n), np.nan)
+        if self.obj.x_star is not None:
+            diff = points - self.obj.x_star
+            dist_sq = np.vecdot(diff, diff).reshape(n_rows, n)
+        self._values.append((self._first, fv.reshape(n_rows, n), dist_sq,
+                             np.vecdot(fg, fg).reshape(n_rows, n)))
+        rest = self._filled - n
+        self._pending[:, :rest] = self._pending[:, n:self._filled]
+        self._first += n
+        self._filled = rest
+
+    def flush(self) -> None:
+        """Evaluate every metric point of the steps before k.
+
+        A retired row's final point waits while it shares its slot with a
+        later step's point.
+        """
+        n = self._filled
+        if self.k < self.steps and n:
+            n = min(n, -(-self.k // self.cadence) - self._first)
+        if n:
+            self._flush(n)
+
+    def take_metrics(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """Metric values evaluated since the last call.
+
+        Returns the index of the first point and (S, m) arrays of loss_full,
+        dist_sq and grad_full_sq.
+        """
+        values, self._values = self._values, []
+        if not values:
+            empty = np.empty((len(self.seeds), 0))
+            return self._first, empty, empty, empty
+        return (values[0][0], *(np.concatenate([v[i] for v in values], axis=1)
+                                for i in (1, 2, 3)))
+
+    def advance(self) -> Chunk:
+        """Run steps k .. k1-1 of every running row, k1 = min(k + chunk_steps, steps).
+
+        A batch loss or squared batch gradient norm that is not finite or is
+        above 1e30, or a non-finite coordinate, halts that row with the
+        diverged flag set: it freezes and the other rows go on.
+        """
+        k0 = self.k
+        if k0 == self.steps:
+            raise RuntimeError(f"the run has ended at step {k0}")
+        k1 = min(k0 + self.chunk_steps, self.steps)
+        n_steps = k1 - k0
+        obj, policy, cadence, full_batch = self.obj, self.policy, self.cadence, self.full_batch
+        n_rows, dim = len(self.seeds), obj.dim
+        tables = np.stack([s.draw(n_steps) for s in self._samplers])
+        sigma = policy.sigma_schedule(k1, k0)
+
+        # Chunk arrays hold the rows running at k0, compact, so that rows
+        # running on after others retired take plain slices. `rows` numbers
+        # the rows still running; `sel` indexes them in the chunk arrays and
+        # `live` among all S rows, each a full slice while none has stopped.
+        # Policies see all S rows, zeros for a stopped one, so that per-row
+        # policy state stays aligned.
+        rows = rows_at_k0 = self.rows
+        x = self._x
+        n_start = len(rows)
+        sel: slice | np.ndarray = slice(None)
+        live: slice | np.ndarray = slice(None) if n_start == n_rows else rows
+        tab = tables if n_start == n_rows or full_batch else tables[rows]
+        loss_c = np.full((n_start, n_steps), np.nan)
+        gamma_c = np.full((n_start, n_steps), np.nan)
+        grad_sq_c = np.full((n_start, n_steps), np.nan)
+        stationary_c = np.zeros((n_start, n_steps), dtype=bool)
+        iterates_c = np.full((n_start, n_steps, dim), np.nan) if self.store_iterates else None
+        component_min = None
+        if policy.requires_component_min and obj.f_i_star is not None:
+            component_min = obj.f_i_star[tables].mean(axis=-1)  # (S, n_steps), or (S, 1)
+        ends = self.ends
+
+        def next_end() -> int:
+            """The step at which the next running row retires, or -1."""
+            later = ends[rows][ends[rows] < self.steps]
+            return int(later.min()) if len(later) else -1
+
+        retire_at = next_end()
+
+        # hoist hot-loop lookups
+        evaluate = self._evaluate
+        full_many = obj.full_many
+        policy_stepsize = policy.stepsize
+        record = self._record
+        vecdot = np.vecdot
+        total = np.add.reduce
+        zero = np.array(0.0)  # 0-d, as in stepsizes._ngn_formula
+        isfinite = math.isfinite
+
+        def stop(bad: np.ndarray, k: int, sigma_from: Optional[int]) -> None:
+            """Freeze the rows flagged in `bad` at step k: diverged, or retired
+            when sigma_from is None."""
+            nonlocal rows, live, x, sel
+            gone = rows[bad]
+            self.X[gone] = x[bad]
+            if sigma_from is not None:
+                self.diverged_step[gone] = k
+                self.sigma_end[gone] = sigma_from
+            if isinstance(sel, slice):
+                sel = np.arange(n_start)
+            rows, x, sel = rows[~bad], x[~bad], sel[~bad]
+            live = rows
+
+        def probe(gamma: np.ndarray) -> np.ndarray:
+            """Batch loss of every row at x - gamma * grad; stopped rows read 0."""
+            point = x - gamma[live, None] * grad
+            trial = (full_many(point) if full_batch else evaluate(idx, point))[0]
+            if len(rows) == n_rows:
+                return trial
+            out = np.zeros(n_rows)
+            out[rows] = trial
+            return out
+
+        # One observation, refreshed in place each step: the runner's losses are
+        # clamped at zero and its squared norms are sums of squares, so the
+        # constructor's validation is not repeated.
+        obs = StepObservation(k=0, loss=np.zeros(n_rows), grad_sq_norm=np.zeros(n_rows),
+                              probe=probe)
+
+        # a diverging row overflows on its way out; it is flagged, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(n_steps if len(rows) else 0):
+                k = k0 + j
+                if k == retire_at:
+                    done = ends[rows] == k
+                    if cadence > 0:
+                        record(k, rows[done], x[done])
+                    stop(done, k, None)
+                    retire_at = next_end()
+                    if not len(rows):
+                        break
+                if iterates_c is not None:
+                    iterates_c[sel, j] = x
+                if cadence > 0 and k % cadence == 0:
+                    record(k, live, x)
+
+                if full_batch:
+                    loss, grad = full_many(x)
+                else:
+                    idx = tab[sel, j]
+                    loss, grad = evaluate(idx, x)
+                gsq = vecdot(grad, grad)
+                loss_c[sel, j] = loss
+                grad_sq_c[sel, j] = gsq
+
+                # one sum is a cheap first test: no term exceeds it, and it is
+                # NaN when any entry is
+                if not total(np.abs(loss) + gsq) <= DIVERGENCE_THRESHOLD:
+                    bad = ~((np.abs(loss) <= DIVERGENCE_THRESHOLD)
+                            & (gsq <= DIVERGENCE_THRESHOLD))
+                    if bad.any():
+                        stop(bad, k, k)
+                        if not len(rows):
+                            break
+                        loss, grad, gsq = loss[~bad], grad[~bad], gsq[~bad]
+                        if not full_batch:
+                            idx = idx[~bad]
+
+                obs.k = k
+                if len(rows) == n_rows:
+                    # a NaN loss has stopped its row, so this clamps -0.0 and
+                    # negatives to +0.0 and nothing else
+                    obs.loss = np.maximum(loss, zero)
+                    obs.grad_sq_norm = gsq
+                else:
+                    obs.loss = np.zeros(n_rows)
+                    obs.grad_sq_norm = np.zeros(n_rows)
+                    obs.loss[rows] = np.maximum(loss, zero)
+                    obs.grad_sq_norm[rows] = gsq
+                if component_min is not None:
+                    obs.component_min = component_min[:, 0 if full_batch else j]
+                try:
+                    gamma = policy_stepsize(obs)
+                except Exception as exc:  # noqa: BLE001 - annotate with step index
+                    raise RunError(k, exc) from exc
+                if len(rows) < n_rows:
+                    gamma = gamma[rows]
+
+                x_new = x - gamma[:, None] * grad
+                # one sum tests every row: a NaN gamma (a stationary row) or a
+                # non-finite coordinate makes it non-finite (inf-inf is nan)
+                if isfinite(total(x_new, axis=None)):
+                    gamma_c[sel, j] = gamma
+                    x = x_new
+                    continue
+                still = np.isnan(gamma)
+                if still.any():  # a stationary row takes no step
+                    stationary_c[sel, j] = still
+                    gamma = np.where(still, 0.0, gamma)
+                    x_new[still] = x[still]
+                gamma_c[sel, j] = gamma
+                x = x_new
+                bad = ~np.isfinite(x.sum(axis=1))
+                if bad.any():
+                    stop(bad, k, k + 1)
+                    if not len(rows):
+                        break
+
+            self.k = k1
+            if k1 == self.steps:
+                if cadence > 0 and len(rows):
+                    record(k1, live, x)
+                if self._filled:  # also after every row has stopped
+                    self._flush(self._filled)
+                self.X[rows] = x
+        self.rows, self._x = rows, x
+
+        def whole(part: np.ndarray, fill) -> np.ndarray:
+            """`part`, a chunk array of the rows running at k0, as one of all S rows."""
+            if n_start == n_rows:
+                return part
+            out = np.full((n_rows,) + part.shape[1:], fill)
+            out[rows_at_k0] = part
+            return out
+
+        return Chunk(k0, k1, tables, whole(loss_c, np.nan), whole(gamma_c, np.nan),
+                     whole(grad_sq_c, np.nan), whole(stationary_c, False), sigma,
+                     None if iterates_c is None else whole(iterates_c, np.nan))
 
 
 def run_sgd(
@@ -125,224 +482,92 @@ def run_seeds(
     """Run x^{k+1} = x^k - gamma_k * grad_batch(x^k) for every seed, in lockstep.
 
     The S seeds' iterates form one (S, d) array that each step advances
-    together. Each seed draws its start point and component indices from
-    its own streams, default_rng([seed, 0]) and default_rng([seed, 1]), so
-    its trace is the same whichever seeds run beside it. Metric cadence
-    c > 0 records full objective value, squared distance to x* (when known)
-    and squared full gradient norm at every c-th iterate plus the final one.
-    They are evaluated after their steps, in blocks of at most
-    max(1, ROW_BLOCK_ENTRIES // (S * n * d)) metric points: one `full_many`
-    call per block, over the S rows of each of its points.
+    together, a chunk of steps at a time (`Run`): a chunk's arrays hold
+    about ROW_BLOCK_ENTRIES entries, max(1, ROW_BLOCK_ENTRIES // (S * (d +
+    batch + 4))) steps, and are copied into the whole traces returned here.
+    A caller that needs only a reduction of the trace, or writes it out,
+    can advance a `Run` itself and keep memory bounded by one chunk.
+    Each seed draws its start point and component indices from its own
+    streams, default_rng([seed, 0]) and default_rng([seed, 1]), so its trace
+    is the same whichever seeds run beside it and however the steps are
+    chunked. Metric cadence c > 0 records full objective value, squared
+    distance to x* (when known) and squared full gradient norm at every c-th
+    iterate plus the final one. They are evaluated after their steps, in
+    blocks of at most max(1, ROW_BLOCK_ENTRIES // (S * n * d)) metric points:
+    one `full_many` call per block, over the S rows of each of its points.
     A batch loss or squared batch gradient norm that is not finite or is
     above 1e30, or a non-finite coordinate, halts that seed with the
     diverged flag set: its row freezes and the other seeds go on.
     """
-    seeds = [int(s) for s in seeds]
-    check_run(obj, policy, steps, seeds=seeds, sampler=sampler, batch_size=batch_size, x0=x0)
-    n_seeds, dim = len(seeds), obj.dim
-    start = None if x0 is None else as_point(x0, dim)
-    X = np.empty((n_seeds, dim))
-    tables = []
-    for r, seed in enumerate(seeds):
-        X[r] = start if start is not None else np.random.default_rng([seed, 0]).standard_normal(dim)
-        tables.append(_draw_indices(sampler, obj.n, batch_size, steps,
-                                    np.random.default_rng([seed, 1])))
-    tables = np.stack(tables)  # (S, steps, batch), or (S, 1, N) under full_batch
-    x_start = X.copy()
-    policy.reset()
+    return _whole_traces(Run(obj, policy, steps, seeds=seeds, sampler=sampler,
+                             batch_size=batch_size, x0=x0, cadence=cadence,
+                             store_iterates=store_iterates))
 
-    full_batch = sampler == "full_batch"
+
+def _whole_traces(run: Run) -> list[RunTrace]:
+    """Advance `run` to its end and return each row's whole trace."""
+    n_rows, steps, dim = len(run.seeds), run.steps, run.obj.dim
+    loss_batch = np.empty((n_rows, steps))
+    gamma = np.empty((n_rows, steps))
+    grad_sq = np.empty((n_rows, steps))
+    stationary = np.empty((n_rows, steps), dtype=bool)
+    sigma = np.empty(steps)
+    iterates = np.empty((n_rows, steps + 1, dim)) if run.store_iterates else None
+    cadence = run.cadence
     n_metrics = len(range(0, steps, cadence)) + 1 if cadence > 0 else 0
-    loss_batch = np.full((n_seeds, steps), np.nan)
-    gamma_arr = np.full((n_seeds, steps), np.nan)
-    grad_sq_arr = np.full((n_seeds, steps), np.nan)
-    stationary = np.zeros((n_seeds, steps), dtype=bool)
-    loss_full = np.full((n_seeds, n_metrics), np.nan)
-    dist_sq = np.full((n_seeds, n_metrics), np.nan)
-    grad_full_sq = np.full((n_seeds, n_metrics), np.nan)
-    iterates = np.empty((n_seeds, steps + 1, dim)) if store_iterates else None
-    diverged_step = np.full(n_seeds, -1)
-    # sigma_k is the same for every seed: one read-only row that the traces
+    metrics = np.full((3, n_rows, n_metrics), np.nan)
+    for chunk in run:
+        span = slice(chunk.k0, chunk.k1)
+        loss_batch[:, span] = chunk.loss_batch
+        gamma[:, span] = chunk.gamma
+        grad_sq[:, span] = chunk.grad_sq
+        stationary[:, span] = chunk.stationary
+        sigma[span] = chunk.sigma
+        if iterates is not None:
+            iterates[:, span] = chunk.iterates
+        if chunk.k0 == 0:  # (S, steps, batch), or the (S, 1, N) of full_batch
+            batch_ids = chunk.batch_ids if run.full_batch else np.empty(
+                (n_rows, steps) + chunk.batch_ids.shape[2:], dtype=chunk.batch_ids.dtype)
+        if not run.full_batch:
+            batch_ids[:, span] = chunk.batch_ids
+        first, *values = run.take_metrics()
+        metrics[:, :, first:first + values[0].shape[1]] = values
+    # sigma_k is the same for every row: one read-only row that the traces
     # share; a stopped row's copy reads NaN from sigma_end[r] on
-    sigma = policy.sigma_schedule(steps).view()
     sigma.flags.writeable = False
-    sigma_end = np.full(n_seeds, steps)
 
-    # The rows still running: `rows` numbers them and `live` indexes them (a
-    # full slice while none has stopped). Their iterates x are kept compact
-    # and written back to X when a row stops. Policies see all S rows, zeros
-    # for a stopped one, so that per-seed policy state stays aligned.
-    live: slice | np.ndarray = slice(None)
-    rows = np.arange(n_seeds)
-    x = X
-
-    # hoist hot-loop lookups
-    evaluate = obj.batch_evaluator(n_seeds, batch_size)
-    full_many = obj.full_many
-    x_star = obj.x_star
-    policy_stepsize = policy.stepsize
-    component_min = None
-    if policy.requires_component_min and obj.f_i_star is not None:
-        component_min = obj.f_i_star[tables].mean(axis=-1)  # (S, steps), or (S, 1)
-    vecdot = np.vecdot
-    total = np.add.reduce
-    zero = np.array(0.0)  # 0-d, as in stepsizes._ngn_formula
-    isfinite = math.isfinite
-
-    def stop(bad: np.ndarray, k: int, sigma_from: int) -> None:
-        """Freeze the rows flagged in `bad` as diverged at step k."""
-        nonlocal rows, live, x
-        X[rows[bad]] = x[bad]
-        diverged_step[rows[bad]] = k
-        sigma_end[rows[bad]] = sigma_from
-        rows, x = rows[~bad], x[~bad]
-        live = rows
-
-    # Metric points wait in `pending`, a slot of S iterates each, until a
-    # full buffer is evaluated at once. Sized by n * d, a flush stays within
-    # one full_many row block. A stopped row's later slots keep zeros or its
-    # earlier points; their values lie past its n_recorded and are cut off.
-    pending = np.zeros((n_seeds, min(_block_rows(n_seeds * obj.n * dim), n_metrics), dim))
-    filled = first = 0  # slots in use; metric index of slot 0
-
-    def flush() -> None:
-        nonlocal filled, first
-        points = pending[:, :filled].reshape(-1, dim)
-        fv, fg = full_many(points)
-        end = first + filled
-        loss_full[:, first:end] = fv.reshape(n_seeds, filled)
-        grad_full_sq[:, first:end] = vecdot(fg, fg).reshape(n_seeds, filled)
-        if x_star is not None:
-            diff = points - x_star
-            dist_sq[:, first:end] = vecdot(diff, diff).reshape(n_seeds, filled)
-        filled, first = 0, end
-
-    def record_metrics() -> None:
-        nonlocal filled
-        pending[live, filled] = x
-        filled += 1
-        if filled == pending.shape[1]:
-            flush()
-
-    def probe(gamma: np.ndarray) -> np.ndarray:
-        """Batch loss of every row at x - gamma * grad; stopped rows read 0."""
-        point = x - gamma[live, None] * grad
-        trial = (full_many(point) if full_batch else evaluate(idx, point))[0]
-        if len(rows) == n_seeds:
-            return trial
-        out = np.zeros(n_seeds)
-        out[rows] = trial
-        return out
-
-    # One observation, refreshed in place each step: the runner's losses are
-    # clamped at zero and its squared norms are sums of squares, so the
-    # constructor's validation is not repeated.
-    obs = StepObservation(k=0, loss=np.zeros(n_seeds), grad_sq_norm=np.zeros(n_seeds),
-                          probe=probe)
-
-    # a diverging row overflows on its way out; it is flagged, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            if iterates is not None:
-                iterates[live, k] = x
-            if cadence > 0 and k % cadence == 0:
-                record_metrics()
-
-            if full_batch:
-                loss, grad = full_many(x)
-            else:
-                idx = tables[live, k]
-                loss, grad = evaluate(idx, x)
-            gsq = vecdot(grad, grad)
-            loss_batch[live, k] = loss
-            grad_sq_arr[live, k] = gsq
-
-            # the sum is a cheap first test: it is NaN when any entry is
-            if not total(np.abs(loss)) + total(gsq) <= DIVERGENCE_THRESHOLD:
-                bad = ~((np.abs(loss) <= DIVERGENCE_THRESHOLD) & (gsq <= DIVERGENCE_THRESHOLD))
-                if bad.any():
-                    stop(bad, k, k)
-                    if not len(rows):
-                        break
-                    loss, grad, gsq = loss[~bad], grad[~bad], gsq[~bad]
-                    if not full_batch:
-                        idx = idx[~bad]
-
-            obs.k = k
-            if len(rows) == n_seeds:
-                # a NaN loss has stopped its row, so this clamps -0.0 and
-                # negatives to +0.0 and nothing else
-                obs.loss = np.maximum(loss, zero)
-                obs.grad_sq_norm = gsq
-            else:
-                obs.loss = np.zeros(n_seeds)
-                obs.grad_sq_norm = np.zeros(n_seeds)
-                obs.loss[rows] = np.maximum(loss, zero)
-                obs.grad_sq_norm[rows] = gsq
-            if component_min is not None:
-                obs.component_min = component_min[:, 0 if full_batch else k]
-            try:
-                gamma = policy_stepsize(obs)
-            except Exception as exc:  # noqa: BLE001 - annotate with step index
-                raise RunError(k, exc) from exc
-            if len(rows) < n_seeds:
-                gamma = gamma[live]
-
-            x_new = x - gamma[:, None] * grad
-            # one sum tests every row: a NaN gamma (a stationary row) or a
-            # non-finite coordinate makes it non-finite (inf-inf is nan)
-            if isfinite(total(x_new, axis=None)):
-                gamma_arr[live, k] = gamma
-                x = x_new
-                continue
-            still = np.isnan(gamma)
-            if still.any():  # a stationary row takes no step
-                stationary[live, k] = still
-                gamma = np.where(still, 0.0, gamma)
-                x_new[still] = x[still]
-            gamma_arr[live, k] = gamma
-            x = x_new
-            bad = ~np.isfinite(x.sum(axis=1))
-            if bad.any():
-                stop(bad, k, k + 1)
-                if not len(rows):
-                    break
-
-        if cadence > 0 and len(rows):
-            record_metrics()
-        if filled:  # also after every row has stopped
-            flush()
-
-    X[rows] = x
-    if iterates is not None:
-        iterates[live, steps] = x
-
-    metric_steps = np.array([*range(0, steps, cadence), steps] if cadence > 0 else [], dtype=int)
     traces = []
-    for r, seed in enumerate(seeds):
-        diverged = bool(diverged_step[r] >= 0)
-        n_recorded = int(diverged_step[r]) // cadence + 1 if diverged and cadence > 0 else n_metrics
-        sigma_r = sigma
-        if sigma_end[r] < steps:
-            sigma_r = sigma.copy()
-            sigma_r[sigma_end[r]:] = np.nan
+    for r, seed in enumerate(run.seeds):
+        end = int(run.ends[r])
+        diverged = bool(run.diverged_step[r] >= 0)
+        n_recorded = run.metric_count(r)
+        sigma_r = sigma if end == steps else sigma[:end]
+        if run.sigma_end[r] < end:
+            sigma_r = sigma[:end].copy()
+            sigma_r[run.sigma_end[r]:] = np.nan
+        iterates_r = None
+        if iterates is not None and not diverged:
+            iterates[r, end] = run.X[r]
+            iterates_r = iterates[r, :end + 1]
+        metric_steps = (np.append(np.arange(0, end, cadence), end) if cadence > 0
+                        else np.empty(0, dtype=int))
         traces.append(RunTrace(
-            steps=steps,
-            x0=x_start[r],
-            x_final=X[r],
-            batch_ids=tables[r],
-            loss_batch=loss_batch[r],
-            gamma=gamma_arr[r],
+            steps=end,
+            x0=run.x_start[r],
+            x_final=run.X[r],
+            batch_ids=batch_ids[r] if run.full_batch else batch_ids[r, :end],
+            loss_batch=loss_batch[r, :end],
+            gamma=gamma[r, :end],
             sigma=sigma_r,
-            grad_sq=grad_sq_arr[r],
-            stationary=stationary[r],
+            grad_sq=grad_sq[r, :end],
+            stationary=stationary[r, :end],
             metric_steps=metric_steps[:n_recorded],
-            loss_full=loss_full[r, :n_recorded],
-            dist_sq=dist_sq[r, :n_recorded],
-            grad_full_sq=grad_full_sq[r, :n_recorded],
+            loss_full=metrics[0, r, :n_recorded],
+            dist_sq=metrics[1, r, :n_recorded],
+            grad_full_sq=metrics[2, r, :n_recorded],
             diverged=diverged,
-            diverged_step=int(diverged_step[r]) if diverged else None,
-            iterates=iterates[r] if iterates is not None and not diverged else None,
+            diverged_step=int(run.diverged_step[r]) if diverged else None,
+            iterates=iterates_r,
             seed=seed,
         ))
     return traces
@@ -397,33 +622,85 @@ def _cells(values: np.ndarray) -> list[str]:
     return cells
 
 
+def _write_rows(fh, k0: int, ids: np.ndarray, per_step: Sequence[np.ndarray],
+                metric_steps: np.ndarray, metrics: Sequence[np.ndarray]) -> None:
+    """Write the trace rows of steps k0, k0 + 1, ..., CSV_BLOCK_ROWS rows per join.
+
+    `per_step` holds those steps' loss_batch, gamma, sigma and grad_sq, and
+    `ids` their batch indices, or the one row that every full_batch step
+    uses; `metrics` holds loss_full, dist_sq and grad_full_sq at the steps
+    `metric_steps`. Cells are formatted a column at a time.
+    """
+    n_rows = len(per_step[0])
+    for a in range(0, n_rows, CSV_BLOCK_ROWS):
+        b = min(a + CSV_BLOCK_ROWS, n_rows)
+        if len(ids) == 1:  # full_batch: one row that every step uses
+            id_cells = [";".join(map(str, ids[0].tolist()))] * (b - a)
+        else:
+            id_cells = list(map(";".join, zip(*(map(str, col)
+                                                for col in ids[a:b].T.tolist()))))
+        columns = [list(map(str, range(k0 + a, k0 + b))), id_cells]
+        columns += [_cells(values[a:b]) for values in per_step]
+        lo, hi = np.searchsorted(metric_steps, (k0 + a, k0 + b))
+        at = (metric_steps[lo:hi] - (k0 + a)).tolist()
+        for values in metrics:
+            spread = [""] * (b - a)
+            for row, cell in zip(at, _cells(values[lo:hi])):
+                spread[row] = cell
+            columns.append(spread)
+        fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+
+
 def trace_to_csv(trace: RunTrace, path) -> None:
     """Write the per-step trace; off-cadence and non-finite cells are empty.
 
-    A diverged trace ends at the step where it diverged. Cells are formatted
-    a column at a time, CSV_BLOCK_ROWS rows at once, so that a long trace
-    never holds all its text.
+    A diverged trace ends at the step where it diverged.
     """
     n_rows = trace.diverged_step + 1 if trace.diverged else trace.steps
-    ids = trace.batch_ids
-    metric_steps = np.asarray(trace.metric_steps)
+    ids = trace.batch_ids if len(trace.batch_ids) == 1 else trace.batch_ids[:n_rows]
     with open(path, "w") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for a in range(0, n_rows, CSV_BLOCK_ROWS):
-            b = min(a + CSV_BLOCK_ROWS, n_rows)
-            if len(ids) == 1:  # full_batch: one row that every step uses
-                id_cells = [";".join(map(str, ids[0].tolist()))] * (b - a)
-            else:
-                id_cells = list(map(";".join, zip(*(map(str, col)
-                                                    for col in ids[a:b].T.tolist()))))
-            columns = [list(map(str, range(a, b))), id_cells]
-            columns += [_cells(values[a:b]) for values in
-                        (trace.loss_batch, trace.gamma, trace.sigma, trace.grad_sq)]
-            lo, hi = np.searchsorted(metric_steps, (a, b))
-            at = (metric_steps[lo:hi] - a).tolist()
-            for values in (trace.loss_full, trace.dist_sq, trace.grad_full_sq):
-                spread = [""] * (b - a)
-                for row, cell in zip(at, _cells(values[lo:hi])):
-                    spread[row] = cell
-                columns.append(spread)
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        _write_rows(fh, 0, ids, [values[:n_rows] for values in
+                                 (trace.loss_batch, trace.gamma, trace.sigma, trace.grad_sq)],
+                    np.asarray(trace.metric_steps),
+                    (trace.loss_full, trace.dist_sq, trace.grad_full_sq))
+
+
+def write_traces(run: Run, paths: Sequence) -> np.ndarray:
+    """Advance `run` to its end, writing row r's `trace_to_csv` file to paths[r].
+
+    Each chunk's rows are written as soon as it is done, its metric points
+    evaluated first, so memory stays within a chunk however long the run.
+    Returns the (S, 4) last values of loss_full, dist_sq, grad_full_sq and
+    gamma of each row: its final ones unless it diverged.
+    """
+    last = np.full((len(run.seeds), 4), np.nan)
+    cadence = run.cadence
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w")) for path in paths]
+        for fh in files:
+            fh.write(",".join(TRACE_COLUMNS) + "\n")
+        for chunk in run:
+            run.flush()
+            first, *metrics = run.take_metrics()
+            count = metrics[0].shape[1]
+            metric_steps = np.minimum(np.arange(first, first + count) * cadence, run.steps)
+            if count:
+                last[:, :3] = np.stack([values[:, -1] for values in metrics], axis=1)
+            last[:, 3] = chunk.gamma[:, -1]
+            for r, fh in enumerate(files):
+                diverged = run.diverged_step[r] >= 0
+                n_rows = min(chunk.k1, run.diverged_step[r] + 1 if diverged else run.ends[r])
+                if n_rows <= chunk.k0:
+                    continue
+                span = slice(0, n_rows - chunk.k0)
+                sigma = chunk.sigma[span]
+                if run.sigma_end[r] < n_rows:
+                    sigma = sigma.copy()
+                    sigma[max(run.sigma_end[r] - chunk.k0, 0):] = np.nan
+                ids = chunk.batch_ids[r] if run.full_batch else chunk.batch_ids[r, span]
+                _write_rows(fh, chunk.k0, ids,
+                            (chunk.loss_batch[r, span], chunk.gamma[r, span], sigma,
+                             chunk.grad_sq[r, span]),
+                            metric_steps, [values[r] for values in metrics])
+    return last

@@ -57,9 +57,9 @@ class StepsizePolicy:
     def reset(self) -> None:
         pass
 
-    def sigma_schedule(self, steps: int) -> np.ndarray:
-        """Regularization parameter sigma_k of steps 0 .. steps-1; NaN if undefined."""
-        return np.full(steps, np.nan)
+    def sigma_schedule(self, steps: int, start: int = 0) -> np.ndarray:
+        """Regularization parameter sigma_k of steps start .. steps-1; NaN if undefined."""
+        return np.full(steps - start, np.nan)
 
     def stepsize(self, obs: StepObservation) -> np.ndarray:
         raise NotImplementedError
@@ -70,8 +70,8 @@ class StepsizePolicy:
 _ONE, _TWO, _F_FLOOR = np.array(1.0), np.array(2.0), np.array(F_FLOOR)
 
 
-def _ngn_formula(sigma: float, loss, grad_sq):
-    sigma = np.array(sigma)
+def _ngn_formula(sigma: np.ndarray, loss, grad_sq):
+    """NGN's stepsize; `sigma` is a 0-d array or a numpy float64."""
     return sigma / (_ONE + sigma * grad_sq / (_TWO * np.maximum(loss, _F_FLOOR)))
 
 
@@ -88,12 +88,13 @@ class NGN(StepsizePolicy):
         if sigma <= 0:
             raise PolicyError("sigma must be positive")
         self.sigma = float(sigma)
+        self._sigma = np.array(self.sigma)
 
-    def sigma_schedule(self, steps: int) -> np.ndarray:
-        return np.full(steps, self.sigma)
+    def sigma_schedule(self, steps: int, start: int = 0) -> np.ndarray:
+        return np.full(steps - start, self.sigma)
 
     def stepsize(self, obs: StepObservation) -> np.ndarray:
-        return _ngn_formula(self.sigma, obs.loss, obs.grad_sq_norm)
+        return _ngn_formula(self._sigma, obs.loss, obs.grad_sq_norm)
 
 
 class NGNAnnealed(StepsizePolicy):
@@ -108,20 +109,20 @@ class NGNAnnealed(StepsizePolicy):
             raise PolicyError(f"unknown schedule {schedule!r}")
         self.sigma0 = float(sigma0)
         self.schedule = schedule
-        self._sigmas = np.empty(0)  # the longest schedule computed so far
+        self._sigmas = np.empty(0)  # the schedule that stepsize reads, grown by doubling
 
-    def sigma_schedule(self, steps: int) -> np.ndarray:
-        if len(self._sigmas) < steps:
-            # sqrt and division are correctly rounded, so each entry equals
-            # sigma0 / math.sqrt(k + 1) or sigma0 / (k + 1) exactly
-            k1 = np.arange(1.0, steps + 1.0)
-            self._sigmas = self.sigma0 / (np.sqrt(k1) if self.schedule == "inv_sqrt" else k1)
-        return self._sigmas[:steps]
+    def sigma_schedule(self, steps: int, start: int = 0) -> np.ndarray:
+        # arange holds k + 1 exactly, and sqrt and division are correctly
+        # rounded, so each entry equals sigma0 / math.sqrt(k + 1) or
+        # sigma0 / (k + 1) exactly, whatever the start
+        k1 = np.arange(start + 1.0, steps + 1.0)
+        return self.sigma0 / (np.sqrt(k1) if self.schedule == "inv_sqrt" else k1)
 
     def stepsize(self, obs: StepObservation) -> np.ndarray:
         k = obs.k
-        sigmas = self._sigmas if k < len(self._sigmas) else self.sigma_schedule(2 * k + 2)
-        return _ngn_formula(sigmas[k], obs.loss, obs.grad_sq_norm)
+        if k >= len(self._sigmas):
+            self._sigmas = self.sigma_schedule(2 * k + 2)
+        return _ngn_formula(self._sigmas[k], obs.loss, obs.grad_sq_norm)
 
 
 class GGN(StepsizePolicy):
@@ -145,8 +146,8 @@ class GGN(StepsizePolicy):
         self.h_kind = h_kind
         self.p = float(p)
 
-    def sigma_schedule(self, steps: int) -> np.ndarray:
-        return np.full(steps, self.sigma)
+    def sigma_schedule(self, steps: int, start: int = 0) -> np.ndarray:
+        return np.full(steps - start, self.sigma)
 
     def stepsize(self, obs: StepObservation) -> np.ndarray:
         if self.h_kind == "neg_log":

@@ -24,7 +24,7 @@ from .objectives import (
     make_quadratic1d,
     make_two_quadratics,
 )
-from .runner import averaged_iterate_uniform, averaged_iterate_weighted, run_seeds, run_sgd
+from .runner import Run, run_seeds, run_sgd
 from .specs import PROBLEMS, build_spec
 from .stepsizes import (
     GGN,
@@ -178,10 +178,12 @@ def check_convex_rate(
     obj, ctx, x0_vec, dist0_sq = _two_quadratics_start(x0)
     rhs = theory.convex_bound(ctx, sigma, steps, dist0_sq)
     rhs_proof = theory.convex_bound(ctx, sigma, steps, dist0_sq, constant="proof")
-    traces = run_seeds(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec,
-                       store_iterates=True)
-    per_seed = [math.inf if t.diverged else obj.value(averaged_iterate_uniform(t)) - obj.f_star
-                for t in traces]
+    run = Run(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec, store_iterates=True)
+    iterate_sum = np.zeros((n_seeds, obj.dim))  # of x^0 .. x^{K-1}, a chunk at a time
+    for chunk in run:
+        iterate_sum += chunk.iterates.sum(axis=1)
+    per_seed = [math.inf if run.diverged_step[r] >= 0
+                else obj.value(iterate_sum[r] / steps) - obj.f_star for r in range(n_seeds)]
     measured = float(np.mean(per_seed))
     return CheckReport(
         name="theorem_convex_rate",
@@ -252,10 +254,9 @@ def check_strongly_convex_rate(
     )
 
 
-def _mean_grad_sq(obj, points: np.ndarray) -> float:
-    """(1/K) sum of ||grad f(x^k)||^2 over the K rows of `points`."""
-    grads = obj.full_many(points)[1]
-    return float(np.mean(np.vecdot(grads, grads)))
+# The noise bound's pilot: x^0, x^10, ..., x^2000 of seed 0
+PILOT_STEPS = 2000
+PILOT_EVERY = 10
 
 
 def check_nonconvex_rate(
@@ -272,21 +273,38 @@ def check_nonconvex_rate(
     x0_vec = obj.x_star + 2.5
     f0_gap = obj.value(x0_vec) - obj.f_star
 
-    # noise bound: trajectory points from a pilot run plus perturbations,
-    # then a safety multiplier (the empirical max is only a lower bound)
-    pilot = run_sgd(obj, NGN(sigma), 2000, seed=0, x0=x0_vec, store_iterates=True)
+    # Seed 0 runs on to PILOT_STEPS when the other seeds stop before: the
+    # pilot points of the noise bound are its own trajectory
+    run = Run(obj, NGN(sigma), [max(steps, PILOT_STEPS)] + [steps] * (n_seeds - 1),
+              seeds=range(n_seeds), x0=x0_vec, store_iterates=True)
+    grad_sq_sum = np.zeros(n_seeds)  # of ||grad f(x^k)||^2 over k < K, a chunk at a time
+    pilot = []
+    for chunk in run:
+        if chunk.k0 < steps:  # the rows not diverged, up to step K
+            ok = run.diverged_step < 0
+            points = chunk.iterates[ok, :min(chunk.k1, steps) - chunk.k0]
+            grads = obj.full_many(points.reshape(-1, obj.dim))[1]
+            grad_sq_sum[ok] += np.vecdot(grads, grads).reshape(len(points), -1).sum(axis=1)
+        if chunk.k0 <= PILOT_STEPS:
+            first = -(-chunk.k0 // PILOT_EVERY) * PILOT_EVERY - chunk.k0
+            pilot += list(chunk.iterates[0, first:PILOT_STEPS + 1 - chunk.k0:PILOT_EVERY].copy())
+    if run.diverged_step[0] >= 0:
+        raise ValueError(f"seed 0 diverged at step {run.diverged_step[0]}; "
+                         "the noise bound has no pilot trajectory")
+    if run.steps == PILOT_STEPS:
+        pilot.append(run.X[0])  # x^2000, the final iterate
+
+    # noise bound: the pilot points plus perturbations, then a safety
+    # multiplier (the empirical max is only a lower bound)
     rng = np.random.default_rng(fixture_seed)
-    points = [pilot.iterates[i] for i in range(0, 2001, 10)]
-    points += [x0_vec + rng.standard_normal(1) for _ in range(100)]
-    noise_sq = NOISE_SAFETY_MULTIPLIER * theory.estimate_delta_noise_sq(obj, points)
+    pilot += [x0_vec + rng.standard_normal(1) for _ in range(100)]
+    noise_sq = NOISE_SAFETY_MULTIPLIER * theory.estimate_delta_noise_sq(obj, pilot)
 
     ctx = theory.TheoryContext(l_smooth=l_smooth, mu=0.0, delta_int=0.0, delta_pos=0.0,
                                delta_noise_sq=noise_sq)
     rhs = theory.nonconvex_bound(ctx, sigma, steps, f0_gap)
-    traces = run_seeds(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec,
-                       store_iterates=True)
-    per_seed = [math.inf if t.diverged else _mean_grad_sq(obj, t.iterates[:steps])
-                for t in traces]
+    per_seed = [math.inf if run.diverged_step[r] >= 0 else grad_sq_sum[r] / steps
+                for r in range(n_seeds)]
     measured = float(np.mean(per_seed))
     return CheckReport(
         name="theorem_nonconvex_rate",
@@ -306,15 +324,30 @@ def check_annealed_rate(
 ) -> list[CheckReport]:
     """Weighted-average suboptimality under sigma_k = sigma0/sqrt(k+1)."""
     obj, ctx, x0_vec, dist0_sq = _two_quadratics_start(x0)
+    # one run to the largest K; the weighted average of each K is a prefix's
+    run = Run(obj, NGNAnnealed(sigma0), max(steps_grid), seeds=range(n_seeds), x0=x0_vec,
+              store_iterates=True)
+    # sums of sigma_k x^k and of sigma_k over the chunks done
+    weighted, weights = np.zeros((n_seeds, obj.dim)), 0.0
+    per_seed_at = {}
+    for chunk in run:
+        terms = chunk.sigma[:, None] * chunk.iterates
+        for steps in steps_grid:
+            if chunk.k0 < steps <= chunk.k1:
+                m = steps - chunk.k0
+                average = ((weighted + terms[:, :m].sum(axis=1))
+                           / (weights + chunk.sigma[:m].sum()))
+                per_seed_at[steps] = [
+                    obj.value(average[r]) - obj.f_star
+                    if not 0 <= run.diverged_step[r] < steps else math.inf
+                    for r in range(n_seeds)]
+        weighted += terms.sum(axis=1)
+        weights += chunk.sigma.sum()
     reports = []
     means = []
     for steps in steps_grid:
         rhs = theory.annealed_bound(ctx, sigma0, steps, dist0_sq)
-        traces = run_seeds(obj, NGNAnnealed(sigma0), steps, seeds=range(n_seeds), x0=x0_vec,
-                           store_iterates=True)
-        per_seed = [math.inf if t.diverged
-                    else obj.value(averaged_iterate_weighted(t)) - obj.f_star
-                    for t in traces]
+        per_seed = per_seed_at[steps]
         mean = float(np.mean(per_seed))
         means.append(mean)
         reports.append(CheckReport(

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from ngn import specs
+from ngn import objectives, specs
 from ngn.cli import main
 from ngn.objectives import load_libsvm
 
@@ -345,3 +345,14 @@ def test_datagen_deterministic(tmp_path):
 
 def test_datagen_bad_params(tmp_path):
     assert main(["datagen", "blobs", "n", "--out", str(tmp_path / "x.svm")]) == 2
+
+
+@pytest.mark.parametrize("problem", ["linear_regression(d=20, n=40)",
+                                     "logistic_blobs(n=40, d=5, classes=3)",
+                                     "nonconvex_sum(n=20)"])
+def test_run_rejects_oversized_problem(tmp_path, monkeypatch, problem):
+    monkeypatch.setattr(objectives, "MAX_DENSE_ENTRIES", 100)
+    monkeypatch.setattr(objectives, "MAX_NONCONVEX_COMPONENTS", 10)
+    cfg = write_config(tmp_path / "big.cfg", problem=problem)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()

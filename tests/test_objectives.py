@@ -480,3 +480,21 @@ def test_finite_difference_gradient_on_quadratic():
     obj = make_quadratic1d(1.5, 0.0, 0.0)
     fd = finite_difference_gradient(obj, 0, np.array([2.0]))
     assert fd[0] == pytest.approx(3.0, rel=1e-7)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_linear_regression(d=11, n=9, seed=0),  # n x d = 99, d x d = 121
+    lambda: make_linear_regression(d=4, n=30, seed=0),  # n x d = 120
+    lambda: make_blobs_dataset(n=30, d=4, classes=3, seed=0),  # n x d = 120
+    lambda: make_blobs_dataset(n=40, d=1, classes=3, seed=0),  # n x classes = 120
+    lambda: make_nonconvex_sum(9, seed=0),
+])
+def test_generated_problem_size_caps(monkeypatch, build):
+    # caps lowered so that no test builds a large problem
+    monkeypatch.setattr(objectives, "MAX_DENSE_ENTRIES", 100)
+    monkeypatch.setattr(objectives, "MAX_NONCONVEX_COMPONENTS", 8)
+    with pytest.raises(ValueError, match="cap"):
+        build()
+    make_linear_regression(d=10, n=10, seed=0)
+    make_blobs_dataset(n=33, d=3, classes=3, seed=0)
+    make_nonconvex_sum(8, seed=0)

@@ -1,15 +1,26 @@
+import contextlib
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ngn import objectives, runner
-from ngn.objectives import FiniteSumObjective, make_quadratic1d, make_two_quadratics
+from ngn import objectives, runner, verify
+from ngn.cli import main
+from ngn.objectives import (
+    FiniteSumObjective,
+    make_nonconvex_sum,
+    make_quadratic1d,
+    make_two_quadratics,
+)
 from ngn.runner import (
     Aggregate,
+    Run,
     RunError,
     TRACE_COLUMNS,
-    _draw_indices,
+    _Sampler,
+    _whole_traces,
     aggregate_metric,
     averaged_iterate_uniform,
     averaged_iterate_weighted,
@@ -17,6 +28,7 @@ from ngn.runner import (
     run_seeds,
     run_sgd,
     trace_to_csv,
+    write_traces,
 )
 from ngn.specs import POLICIES, PROBLEMS, build_spec
 from ngn.stepsizes import APS, NGN, Constant, NGNAnnealed, StepsizePolicy
@@ -67,7 +79,7 @@ def test_stable_gd_does_not_diverge():
 def test_with_replacement_sampling_frequencies():
     n = 10
     rng = np.random.default_rng(0)
-    draws = _draw_indices("with_replacement_uniform", n, 1, 10**6, rng)
+    draws = _Sampler("with_replacement_uniform", n, 1, rng).draw(10**6)
     freqs = np.bincount(draws.ravel(), minlength=n) / draws.size
     assert np.all(np.abs(freqs - 1.0 / n) <= 5.0 * math.sqrt(n) / 1e3)
 
@@ -75,7 +87,7 @@ def test_with_replacement_sampling_frequencies():
 def test_epoch_shuffle_covers_every_index():
     n = 7
     rng = np.random.default_rng(1)
-    draws = _draw_indices("epoch_shuffle", n, 1, 3 * n, rng).ravel()
+    draws = _Sampler("epoch_shuffle", n, 1, rng).draw(3 * n).ravel()
     for e in range(3):
         assert sorted(draws[e * n:(e + 1) * n]) == list(range(n))
 
@@ -83,7 +95,7 @@ def test_epoch_shuffle_covers_every_index():
 def test_full_batch_rows(tmp_path):
     # one row that every step uses, not a table of `steps` identical rows
     rng = np.random.default_rng(0)
-    draws = _draw_indices("full_batch", 4, 4, 5, rng)
+    draws = _Sampler("full_batch", 4, 4, rng).draw(5)
     assert np.array_equal(draws, [np.arange(4)])
     trace = run_sgd(make_two_quadratics(), NGN(0.5), 5, sampler="full_batch")
     assert np.array_equal(trace.batch_ids, [[0, 1]])
@@ -273,6 +285,13 @@ def test_lockstep_matches_solo_runs(problem, policy):
     together = run_seeds(obj, build_spec(POLICIES, policy), 40, seeds=range(4), **kwargs)
     for seed, trace in zip(range(4), together):
         assert_same_trace(trace, run_sgd(obj, build_spec(POLICIES, policy), 40, seed=seed, **kwargs))
+    # rows that retire at steps 23 and 9, off the cadence, while the others run on
+    ends = [40, 23, 40, 9]
+    retired = _whole_traces(Run(obj, build_spec(POLICIES, policy), ends, seeds=range(4), **kwargs))
+    for seed, (end, trace) in enumerate(zip(ends, retired)):
+        assert not trace.diverged
+        assert_same_trace(trace, run_sgd(obj, build_spec(POLICIES, policy), end, seed=seed,
+                                         **kwargs))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -381,8 +400,8 @@ class ScheduledStep(StepsizePolicy):
     def __init__(self, gamma_at):
         self.gamma_at = gamma_at
 
-    def sigma_schedule(self, steps):
-        return 1.0 / np.arange(1.0, steps + 1.0)
+    def sigma_schedule(self, steps, start=0):
+        return 1.0 / np.arange(start + 1.0, steps + 1.0)
 
     def stepsize(self, obs):
         return np.full(np.shape(obs.loss), 1.0) * self.gamma_at(obs.k, obs)
@@ -456,3 +475,165 @@ def test_observed_loss_clamped_to_positive_zero():
     assert np.array_equal(observed, np.maximum(np.array([t.loss_batch for t in traces]).T, 0.0))
     assert not np.signbit(observed).any()
     assert np.signbit([t.loss_batch for t in traces]).any()  # recorded as reported
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 2000])
+@pytest.mark.parametrize("mode", ["with_replacement_uniform", "epoch_shuffle"])
+def test_split_draws_match_one_draw(mode, n):
+    # a chunk at a time, the indices of one draw of all steps; epoch_shuffle
+    # carries the rest of a permutation over to the next draw
+    whole = _Sampler(mode, n, 3, np.random.default_rng([4, 1])).draw(9000)
+    for split in (5, 7, 500, 4096):
+        sampler = _Sampler(mode, n, 3, np.random.default_rng([4, 1]))
+        parts = [sampler.draw(min(split, 9000 - k)) for k in range(0, 9000, split)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+CHUNK_CASES = {
+    # every sampler; at batch 5 of 12 components, epochs split across chunks
+    "uniform": ("linear_regression(d=4, n=12, seed=1, noise_std=0.1)", "ngn(sigma=1.0)", 60,
+                range(3), dict(cadence=7, store_iterates=True)),
+    "epoch_shuffle": ("linear_regression(d=4, n=12, seed=1, noise_std=0.1)",
+                      "sps_max(c=0.5, gamma_b=2.0)", 60, range(3),
+                      dict(sampler="epoch_shuffle", batch_size=5, cadence=3)),
+    "full_batch": ("logistic_blobs(n=30, d=3, classes=3, seed=2)", "polyak(fstar=0.0)", 30,
+                   range(2), dict(sampler="full_batch", cadence=1)),
+    # Armijo's probe evaluates every row's trial point
+    "armijo": ("logistic_blobs(n=30, d=3, classes=3, seed=2)",
+               "armijo(c1=0.1, backtrack=0.7, gamma_init=2.0)", 30, range(3),
+               dict(sampler="full_batch", cadence=7, store_iterates=True)),
+    # seeds 2, 3 and 4 diverge mid-chunk, each at its own step
+    "diverged": ("linear_regression(d=1, n=6, seed=3)", "constant(gamma=5.0)", 300, range(6),
+                 dict(cadence=50, store_iterates=True)),
+    "stationary": ("quadratic1d(lam=1.0, xstar=0.0, fstar=0.0)", "aps()", 600, range(4),
+                   dict(cadence=100)),
+    "adagrad": ("nonconvex_sum(n=6, seed=1, eps=0.4)", "adagrad_norm(eta=1.0, delta0=0.1)", 50,
+                range(3), dict(sampler="epoch_shuffle", batch_size=2, cadence=1)),
+    # stepsize grows its cached schedule at steps 2, 6, 14, 30 and 62
+    "annealed": ("two_quadratics()", "ngn_annealed(sigma0=2.0)", 100, range(2),
+                 dict(cadence=7, store_iterates=True)),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", CHUNK_CASES)
+def test_chunked_runs_keep_traces(monkeypatch, case):
+    problem, policy, steps, seeds, kwargs = CHUNK_CASES[case]
+    obj = build_spec(PROBLEMS, problem)
+    reference = run_seeds(obj, build_spec(POLICIES, policy), steps, seeds=seeds, **kwargs)
+    default = Run(obj, build_spec(POLICIES, policy), steps, seeds=seeds, **kwargs)
+    assert default.chunk_steps >= steps  # one chunk
+    if case == "diverged":
+        assert [t.diverged for t in reference] == [False, False, True, True, True, False]
+    if case == "stationary":
+        assert any(t.stationary.any() for t in reference)
+    for chunk in (1, 7):
+        monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: chunk)
+        chunked = run_seeds(obj, build_spec(POLICIES, policy), steps, seeds=seeds, **kwargs)
+        for trace, expected in zip(chunked, reference):
+            assert_same_trace(trace, expected)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("chunk", [1, 7, 11])
+def test_retired_rows_across_chunks_and_flushes(monkeypatch, chunk):
+    # metric slots of two points: rows retire at steps 9 and 23, off the
+    # cadence 7, and the row ending at 33 runs past the longest end of 40's
+    # last metric step; a flush after every chunk leaves the values as they are
+    monkeypatch.setattr(objectives, "ROW_BLOCK_ENTRIES", 2 * 4 * 12 * 4)
+    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: chunk)
+    obj = build_spec(PROBLEMS, "linear_regression(d=4, n=12, seed=1, noise_std=0.1)")
+    ends = [40, 23, 33, 9]
+    kwargs = dict(seeds=range(4), sampler="epoch_shuffle", batch_size=2, cadence=7)
+    traces = _whole_traces(Run(obj, NGN(1.0), ends, **kwargs))
+    for seed, (end, trace) in enumerate(zip(ends, traces)):
+        assert_same_trace(trace, run_sgd(obj, NGN(1.0), end, seed=seed, sampler="epoch_shuffle",
+                                         batch_size=2, cadence=7))
+    run = Run(obj, NGN(1.0), ends, **kwargs)
+    values = np.full((3, 4, 7), np.nan)
+    for _ in run:
+        run.flush()
+        first, *taken = run.take_metrics()
+        values[:, :, first:first + taken[0].shape[1]] = taken
+    with pytest.raises(RuntimeError, match="ended at step 40"):
+        run.advance()
+    for r, trace in enumerate(traces):
+        n = run.metric_count(r)
+        assert n == len(trace.metric_steps)
+        assert np.array_equal(values[:, r, :n], [trace.loss_full, trace.dist_sq,
+                                                 trace.grad_full_sq])
+
+
+STREAM_CASES = {
+    "uniform": ("two_quadratics()", lambda: NGN(0.5), 40, dict(seeds=range(3), cadence=3)),
+    "epoch_shuffle": ("linear_regression(d=4, n=12, seed=1, noise_std=0.1)",
+                      lambda: build_spec(POLICIES, "sps_max(c=0.5, gamma_b=2.0)"), 40,
+                      dict(seeds=[5, 2, 9], sampler="epoch_shuffle", batch_size=5, cadence=4)),
+    "full_batch": ("two_quadratics()", lambda: build_spec(POLICIES, "armijo()"), 40,
+                   dict(seeds=range(2), sampler="full_batch", cadence=7)),
+    # the loss test stops every row at step 99 and sigma reads NaN from there;
+    # the iterate test stops them at step 5, after the step, and NaN follows
+    "loss_test": ("quadratic1d(lam=1.2, xstar=0.0, fstar=0.1)",
+                  lambda: ScheduledStep(lambda k, obs: 2.0), 150,
+                  dict(seeds=range(2), x0=np.array([3.0]), cadence=3)),
+    "iterate_test": ("quadratic1d(lam=1.2, xstar=0.0, fstar=0.1)",
+                     lambda: ScheduledStep(lambda k, obs: 1e308 if k == 5 else 0.1), 150,
+                     dict(seeds=range(2), x0=np.array([3.0]), cadence=3)),
+    "some_diverged": ("linear_regression(d=1, n=6, seed=3)", lambda: Constant(5.0), 300,
+                      dict(seeds=range(6), cadence=50)),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("case", STREAM_CASES)
+def test_streamed_csv_matches_whole_traces(tmp_path, monkeypatch, case, chunk):
+    problem, make_policy, steps, kwargs = STREAM_CASES[case]
+    obj = build_spec(PROBLEMS, problem)
+    traces = run_seeds(obj, make_policy(), steps, **kwargs)
+    if chunk is not None:
+        monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: chunk)
+    run = Run(obj, make_policy(), steps, **kwargs)
+    paths = [tmp_path / f"streamed{r}.csv" for r in range(len(traces))]
+    last = write_traces(run, paths)
+    assert any(t.diverged for t in traces) == case.endswith(("test", "diverged"))
+    for trace, path, final in zip(traces, paths, last):
+        trace_to_csv(trace, tmp_path / "whole.csv")
+        assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        if not trace.diverged:
+            assert np.array_equal(final, [trace.loss_full[-1], trace.dist_sq[-1],
+                                          trace.grad_full_sq[-1], trace.gamma[-1]],
+                                  equal_nan=True)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees during fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_runs_keep_bounded_memory(tmp_path, monkeypatch):
+    # runs of 10x the steps peak within 10% of the shorter ones, plus 32 kB:
+    # criterion 07's check reduces each chunk, and `ngn run` writes each
+    # chunk's trace rows; short chunks make both runs many chunks long
+    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 50, raising=False)
+    obj = make_nonconvex_sum(8, 3)
+    monkeypatch.setattr(verify, "make_nonconvex_sum", lambda n, seed: obj)
+    verify.check_nonconvex_rate(steps=10, n_seeds=2)
+    short, long = (traced_peak(lambda: verify.check_nonconvex_rate(steps=steps, n_seeds=2))
+                   for steps in (300, 3000))
+    assert long <= 1.1 * short + 32_000, (short, long)
+
+    def cli_run(steps):
+        cfg = tmp_path / f"run{steps}.cfg"
+        cfg.write_text(f"problem = two_quadratics()\npolicy = ngn(sigma=0.5)\n"
+                       f"steps = {steps}\ncadence = 1000\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / str(steps))]) == 0
+
+    cli_run(10)
+    short, long = (traced_peak(lambda: cli_run(steps)) for steps in (400, 4000))
+    assert long <= 1.1 * short + 32_000, (short, long)

@@ -1,12 +1,17 @@
 import csv
 
+import numpy as np
 import pytest
 
-from ngn import stepsizes
+from ngn import stepsizes, theory
+from ngn.objectives import make_nonconvex_sum
+from ngn.runner import run_sgd
 from ngn.verify import (
+    NOISE_SAFETY_MULTIPLIER,
     REPORT_HEADER,
     SUITES,
     CheckReport,
+    check_annealed_rate,
     check_baseline_sanity,
     check_deterministic_contraction,
     check_ggn_reductions,
@@ -14,6 +19,7 @@ from ngn.verify import (
     check_lemma_bounds,
     check_lemma_equality,
     check_lemma_inequality,
+    check_nonconvex_rate,
     run_suites,
 )
 
@@ -81,3 +87,57 @@ def test_report_rows_keep_seven_columns():
         assert len(row) == width
         for cell in row[2:5] + row[6:]:
             float(cell)
+
+
+@pytest.mark.parametrize("steps, n_seeds", [(500, 3), (3000, 2)])
+def test_nonconvex_pilot_is_seed_zero(steps, n_seeds):
+    # the noise bound's pilot points come from seed 0 of the main run, which
+    # runs on to step 2000 when the others stop at 500; they are those of a
+    # separate 2000-step run of seed 0
+    report = check_nonconvex_rate(steps=steps, n_seeds=n_seeds)
+    obj = make_nonconvex_sum(8, 3)
+    sigma = 1.0 / (2.0 * obj.l_max)
+    x0 = obj.x_star + 2.5
+    pilot = run_sgd(obj, stepsizes.NGN(sigma), 2000, seed=0, x0=x0, store_iterates=True)
+    rng = np.random.default_rng(3)
+    points = [pilot.iterates[i] for i in range(0, 2001, 10)]
+    points += [x0 + rng.standard_normal(1) for _ in range(100)]
+    expected = NOISE_SAFETY_MULTIPLIER * theory.estimate_delta_noise_sq(obj, points)
+    assert report.params["delta_noise_sq"] == expected
+    assert report.passed
+
+
+# check_annealed_rate(steps_grid=(5, 50, 500)) when each K had a run of its own
+ANNEALED_ROWS = [
+    "theorem_annealed_rate,sigma0=1.0;steps=5;seeds=20,0.5304659904021244,"
+    "11.377139338219479,0.0,pass,0",
+    "theorem_annealed_rate,sigma0=1.0;steps=50;seeds=20,0.044407592211869976,"
+    "3.9026438316094474,0.0,pass,0",
+    "theorem_annealed_rate,sigma0=1.0;steps=500;seeds=20,0.00440717317556869,"
+    "1.5905265100527557,0.0,pass,0",
+    'theorem_annealed_rate_decreasing,"steps_grid=[5, 50, 500]",0.09924368685746196,'
+    "1.0,0.0,pass,0",
+]
+
+
+def test_annealed_rate_prefixes_keep_rows():
+    assert [r.csv_row() for r in check_annealed_rate(steps_grid=(5, 50, 500))] == ANNEALED_ROWS
+
+
+def count_stepsize_calls(monkeypatch, policy_class) -> list:
+    calls = []
+    stepsize = policy_class.stepsize
+    monkeypatch.setattr(policy_class, "stepsize",
+                        lambda self, obs: calls.append(obs.k) or stepsize(self, obs))
+    return calls
+
+
+def test_rate_checks_step_once(monkeypatch):
+    # the nonconvex check's pilot is its own seed 0, and the annealed check
+    # runs once, to its largest K: one policy call per step of the longest row
+    calls = count_stepsize_calls(monkeypatch, stepsizes.NGN)
+    check_nonconvex_rate(steps=500, n_seeds=4)
+    assert calls == list(range(2000))  # 2500 with a separate pilot run
+    calls = count_stepsize_calls(monkeypatch, stepsizes.NGNAnnealed)
+    check_annealed_rate(steps_grid=(5, 50, 500), n_seeds=4)
+    assert calls == list(range(500))  # 555 with a run per K
