@@ -2,8 +2,9 @@
 
 Every problem family x every policy x each sampler the policy accepts,
 40 steps, seeds 0 and 1, metric cadence 7, plus a few runs at batch 5 on
-9 classes. A refactor that changes any trace or aggregate byte changes a
-digest here. The digests were recorded with Python 3.11.7 and numpy
+9 classes, and the report rows of the lemma and gradient checks. A
+refactor that changes any trace, aggregate or report byte changes a digest
+here. The digests were recorded with Python 3.11.7 and numpy
 2.4.6; another numpy may round differently.
 To re-record after an intended output change, run this file as a script.
 """
@@ -11,6 +12,7 @@ To re-record after an intended output change, run this file as a script.
 import hashlib
 
 from ngn.cli import main
+from ngn.verify import suite_gradients, suite_lemmas
 
 PROBLEMS = (
     "quadratic1d(lam=1.2, xstar=0.5, fstar=0.1)",
@@ -165,6 +167,20 @@ BATCH_GOLDEN = {
 }
 
 
+# One SHA-256 over the report rows of the lemma and gradient checks, which
+# evaluate objectives and traces outside the runner.
+REPORT_GOLDEN = 'ddf8b75e9573bda4d6d4f7b579c2e98e5749968278f56557047a9d2e9aec7eb1'
+
+
+def report_digest() -> str:
+    rows = [report.csv_row() for report in suite_lemmas() + suite_gradients()]
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+def test_lemma_and_gradient_report_hash():
+    assert report_digest() == REPORT_GOLDEN
+
+
 def digest(tmp_path, problem: str, policy: str) -> str:
     """One SHA-256 over the outputs of the policy's runs under every sampler."""
     full_batch_only = policy.startswith(FULL_BATCH_ONLY)
@@ -236,5 +252,6 @@ if __name__ == "__main__":
     for (p, q), value in got.items():
         print(f"    ({p!r}, {q!r}):\n        {value!r},")
     print(f"DIVERGING_GOLDEN = {diverging!r}")
+    print(f"REPORT_GOLDEN = {report_digest()!r}")
     for name, value in batch.items():
         print(f"    {name!r}: {value!r},")
