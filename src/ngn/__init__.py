@@ -27,8 +27,6 @@ from .runner import (
     RunError,
     RunTrace,
     aggregate_metric,
-    averaged_iterate_uniform,
-    averaged_iterate_weighted,
     run_seeds,
     run_sgd,
     trace_to_csv,

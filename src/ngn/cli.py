@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .objectives import FiniteSumObjective, make_blobs_dataset, write_libsvm
-from .runner import Run, aggregate_metric, check_run, run_seeds, write_traces
+from .runner import Run, aggregate_metric, check_run, write_traces
 from .specs import POLICIES, PROBLEMS, build_spec
 from .stepsizes import StepsizePolicy
 from .verify import REPORT_HEADER, SUITES, run_suites
@@ -138,7 +138,7 @@ def _load_config(args) -> ExperimentConfig:
 
 def _build_runs(cfg: ExperimentConfig, points: Sequence[dict]
                 ) -> tuple[FiniteSumObjective, list[StepsizePolicy], dict]:
-    """The problem, each point's policy and the `run_seeds` keyword arguments.
+    """The problem, each point's policy and the `Run` keyword arguments.
 
     `runner.check_run` checks every point; what it rejects is a config error.
     """
@@ -197,13 +197,14 @@ def cmd_sweep(args) -> int:
     out_dir = resolve_out_dir(args.out, cfg.out)
     rows = []  # (value, Aggregate of the final losses, or None when a seed diverged)
     for value, policy in zip(cfg.values, policies):
-        traces = run_seeds(obj, policy, cfg.steps, **run_args)
-        n_diverged = sum(t.diverged for t in traces)
+        run = Run(obj, policy, cfg.steps, **run_args)
+        finals = write_traces(run, [])  # no trace files: the final values only
+        n_diverged = int(np.sum(run.diverged_step >= 0))
         if n_diverged:
-            print(f"{cfg.axis} = {value}: {n_diverged} of {len(traces)} seed(s) diverged")
+            print(f"{cfg.axis} = {value}: {n_diverged} of {len(run.seeds)} seed(s) diverged")
             rows.append((value, None))
         else:
-            rows.append((value, aggregate_metric([float(t.loss_full[-1]) for t in traces])))
+            rows.append((value, aggregate_metric(finals[:, 0])))
 
     finite = [(value, agg) for value, agg in rows if agg is not None]
     best_value, best = min(finite, key=lambda row: row[1].mean) if finite else (None, None)

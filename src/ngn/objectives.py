@@ -68,20 +68,20 @@ def _by_row_blocks(fn, width: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _batch_mean(values: np.ndarray) -> np.ndarray:
-    """Mean over axis 1, summed one batch slot at a time from +0.0.
+def _slot_sum(values: np.ndarray, total: Optional[np.ndarray] = None) -> np.ndarray:
+    """total + values[:, 0] + values[:, 1] + ..., one batch slot at a time.
 
-    numpy reduces an axis that is not the innermost one element by element in
-    axis order, the rounding of a sequential loop; an innermost axis (values,
-    or gradients of a 1-d problem) it sums pairwise, so there accumulate
-    keeps the slot order. Adding 0.0 turns a sum of -0.0s into the +0.0 that
-    a sum begun at 0.0 gives, and changes nothing else.
+    Without `total` the sum starts at values[:, 0]. numpy reduces an axis
+    that is not the innermost one element by element in axis order, the
+    rounding of a sequential loop; an innermost axis (values, or gradients
+    of a 1-d problem) it sums pairwise, so there accumulate keeps the slot
+    order.
     """
+    if total is not None:
+        values = np.concatenate([total[:, None], values], axis=1)
     if values.ndim == 3 and values.shape[2] > 1:
-        total = np.add.reduce(values, axis=1)
-    else:
-        total = np.add.accumulate(values, axis=1)[:, -1]
-    return (total + 0.0) * (1.0 / values.shape[1])
+        return np.add.reduce(values, axis=1)
+    return np.add.accumulate(values, axis=1)[:, -1]
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,10 @@ class FiniteSumObjective:
     grads[s, j] are f_i(X[s]) >= 0 and its gradient for i = idx[s, j]. A
     vectorized `full` X -> (f(X[s]), grad f(X[s])) over the rows may be
     supplied for cheap full-objective metrics; otherwise the mean of all N
-    components is used. Single-point methods are the one-row cases.
+    components is used. Every evaluation goes through `eval_many`,
+    `full_many` or `batch_evaluator`: a single point or component is a
+    one-row call, and rows are evaluated independently, so a row's values do
+    not depend on the rows beside it.
     """
 
     def __init__(
@@ -141,11 +144,25 @@ class FiniteSumObjective:
         self.name = name or type(self).__name__
 
     def eval_many(self, idx: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean loss (S,) and mean gradient (S, d) over each row's batch idx[s]."""
-        values, grads = _by_row_blocks(self._evaluator, idx.shape[1] * self.dim, idx, X)
-        if values.shape[1] == 1:
-            return values[:, 0], grads[:, 0]
-        return _batch_mean(values), _batch_mean(grads)
+        """Mean loss (S,) and mean gradient (S, d) over each row's batch idx[s].
+
+        Each batch is summed one slot at a time, as a loop begun at 0.0 sums
+        it: adding 0.0 at the end turns a sum of -0.0s into +0.0 and changes
+        nothing else. A batch of more than ROW_BLOCK_ENTRIES // d slots is
+        evaluated a block of slots at a time, each block's sum going on from
+        the last one's total, so memory stays bounded and the order is kept.
+        """
+        batch, dim = idx.shape[1], self.dim
+        slots = _block_rows(dim)
+        value_sum = grad_sum = None
+        for a in range(0, batch, slots):
+            values, grads = _by_row_blocks(self._evaluator, min(batch - a, slots) * dim,
+                                           idx[:, a:a + slots], X)
+            if batch == 1:
+                return values[:, 0], grads[:, 0]
+            value_sum, grad_sum = _slot_sum(values, value_sum), _slot_sum(grads, grad_sum)
+        inv = 1.0 / batch
+        return (value_sum + 0.0) * inv, (grad_sum + 0.0) * inv
 
     def batch_evaluator(self, rows: int, batch: int):
         """eval_many for at most `rows` rows of `batch` components each.
@@ -168,24 +185,6 @@ class FiniteSumObjective:
         if self._full is not None:
             return _by_row_blocks(self._full, self.n, X)
         return self.eval_many(np.broadcast_to(np.arange(self.n), (len(X), self.n)), X)
-
-    def component_eval(self, i: int, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return self.batch_eval([i], x)
-
-    def batch_eval(self, indices: Sequence[int], x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Mean loss and mean gradient over a batch (treated as one f_i)."""
-        value, grad = self.eval_many(np.asarray(indices)[None, :], np.asarray(x)[None, :])
-        return float(value[0]), grad[0]
-
-    def full_eval(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = self.full_many(np.asarray(x)[None, :])
-        return float(value[0]), grad[0]
-
-    def value(self, x: np.ndarray) -> float:
-        return self.full_eval(x)[0]
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.full_eval(x)[1]
 
 
 def _offsets(X: np.ndarray, centers: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -580,21 +579,31 @@ def write_libsvm(dataset: Dataset, path) -> None:
 
 
 def finite_difference_gradient(
-    obj: FiniteSumObjective, i: int, x: np.ndarray, h: float = 1e-6
+    obj: FiniteSumObjective, idx: np.ndarray, X: np.ndarray, h: float = 1e-6
 ) -> np.ndarray:
-    """Central-difference gradient of component i; independent oracle."""
+    """Central-difference gradients (P, d) of component idx[p] at X[p]; independent oracle.
+
+    Coordinate j of row p moves by h (1 + |X[p, j]|) each way; the 2 d P
+    moved points are the rows of one eval_many call.
+    """
     if h <= 0:
         raise ValueError("h must be positive")
-    x = as_point(x, obj.dim)
-    grad = np.empty(obj.dim)
-    for j in range(obj.dim):
-        step = h * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += step
-        xm[j] -= step
-        grad[j] = (obj.component_eval(i, xp)[0] - obj.component_eval(i, xm)[0]) / (2 * step)
-    return grad
+    X = np.asarray(X, dtype=float)
+    idx = np.asarray(idx)
+    if X.ndim != 2 or X.shape[1] != obj.dim or idx.shape != X.shape[:1]:
+        raise ValueError(f"need idx (P,) and points (P, {obj.dim}), got {idx.shape} and {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("points have non-finite entries")
+    P, d = X.shape
+    step = h * (1.0 + np.abs(X))
+    j = np.arange(d)
+    plus = np.repeat(X[:, None, :], d, axis=1)  # (P, d, d): plus[p, j] moves coordinate j
+    minus = plus.copy()
+    plus[:, j, j] += step
+    minus[:, j, j] -= step
+    points = np.stack([plus, minus], axis=1).reshape(-1, d)
+    values = obj.eval_many(np.repeat(idx, 2 * d)[:, None], points)[0].reshape(P, 2, d)
+    return (values[:, 0] - values[:, 1]) / (2 * step)
 
 
 def compute_deltas(obj: FiniteSumObjective) -> tuple[float, float]:
@@ -606,7 +615,9 @@ def compute_deltas(obj: FiniteSumObjective) -> tuple[float, float]:
     if obj.x_star is None or obj.f_i_star is None:
         raise ValueError(f"{obj.name} has no analytic x* and f_i*; its deltas are unknown")
     x_star, f_i_star = obj.x_star, obj.f_i_star
-    at_star = np.array([obj.component_eval(i, x_star)[0] for i in range(obj.n)])
+    # f_i(x*) of every component: one row per component
+    at_star = obj.eval_many(np.arange(obj.n)[:, None],
+                            np.broadcast_to(x_star, (obj.n, obj.dim)))[0]
     delta_int = float(np.mean(at_star - f_i_star))
     delta_pos = float(np.mean(f_i_star))
     return max(delta_int, 0.0), max(delta_pos, 0.0)

@@ -1,4 +1,4 @@
-"""SGD execution: sampling, traces, averaged iterates, seed aggregation, CSV output."""
+"""SGD execution: sampling, traces, seed aggregation, CSV output."""
 
 from __future__ import annotations
 
@@ -573,28 +573,6 @@ def _whole_traces(run: Run) -> list[RunTrace]:
     return traces
 
 
-def _iterates_to_average(trace: RunTrace) -> np.ndarray:
-    """x^0 .. x^{K-1}; ValueError for a diverged run or one without iterates."""
-    if trace.diverged:
-        raise ValueError("diverged run has no valid averaged iterate")
-    if trace.iterates is None:
-        raise ValueError("averaged iterates need a run with store_iterates=True")
-    return trace.iterates[:trace.steps]
-
-
-def averaged_iterate_uniform(trace: RunTrace) -> np.ndarray:
-    """Arithmetic mean of x^0 .. x^{K-1}."""
-    return _iterates_to_average(trace).mean(axis=0)
-
-
-def averaged_iterate_weighted(trace: RunTrace) -> np.ndarray:
-    """sigma_k-weighted average sum_k p_k x^k with p_k = sigma_k / sum sigma."""
-    points, sigma = _iterates_to_average(trace), trace.sigma
-    if not np.all(np.isfinite(sigma)):
-        raise ValueError("trace has a non-finite sigma_k; weighted average undefined")
-    return (sigma[:, None] * points).sum(axis=0) / sigma.sum()
-
-
 @dataclass(frozen=True)
 class Aggregate:
     mean: float
@@ -672,7 +650,8 @@ def write_traces(run: Run, paths: Sequence) -> np.ndarray:
     Each chunk's rows are written as soon as it is done, its metric points
     evaluated first, so memory stays within a chunk however long the run.
     Returns the (S, 4) last values of loss_full, dist_sq, grad_full_sq and
-    gamma of each row: its final ones unless it diverged.
+    gamma of each row: its final ones unless it diverged. With no paths it
+    writes nothing and returns only these.
     """
     last = np.full((len(run.seeds), 4), np.nan)
     cadence = run.cadence

@@ -109,7 +109,6 @@ class NGNAnnealed(StepsizePolicy):
             raise PolicyError(f"unknown schedule {schedule!r}")
         self.sigma0 = float(sigma0)
         self.schedule = schedule
-        self._sigmas = np.empty(0)  # the schedule that stepsize reads, grown by doubling
 
     def sigma_schedule(self, steps: int, start: int = 0) -> np.ndarray:
         # arange holds k + 1 exactly, and sqrt and division are correctly
@@ -119,10 +118,9 @@ class NGNAnnealed(StepsizePolicy):
         return self.sigma0 / (np.sqrt(k1) if self.schedule == "inv_sqrt" else k1)
 
     def stepsize(self, obs: StepObservation) -> np.ndarray:
-        k = obs.k
-        if k >= len(self._sigmas):
-            self._sigmas = self.sigma_schedule(2 * k + 2)
-        return _ngn_formula(self._sigmas[k], obs.loss, obs.grad_sq_norm)
+        k1 = obs.k + 1
+        sigma = self.sigma0 / (math.sqrt(k1) if self.schedule == "inv_sqrt" else k1)
+        return _ngn_formula(np.float64(sigma), obs.loss, obs.grad_sq_norm)
 
 
 class GGN(StepsizePolicy):

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .objectives import FiniteSumObjective, compute_deltas
+from .objectives import FiniteSumObjective, _by_row_blocks, compute_deltas
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,15 @@ def estimate_delta_noise_sq(
     if len(sample_points) < 1:
         raise ValueError("need at least one sample point")
     points = np.asarray(sample_points, dtype=float)
-    full_grad = obj.full_many(points)[1]
-    var = np.zeros(len(points))
-    for i in range(obj.n):
-        diff = obj.eval_many(np.full((len(points), 1), i), points)[1] - full_grad
-        var += np.vecdot(diff, diff)
-    return float(np.max(var / obj.n, initial=0.0))
+    n = obj.n
+
+    def variances(pts: np.ndarray) -> tuple[np.ndarray]:
+        # sum_i ||grad f_i(x) - grad f(x)||^2 at each point x, added in component
+        # order; one row per (point, component) pair
+        comps = np.tile(np.arange(n), len(pts))[:, None]
+        grads = obj.eval_many(comps, np.repeat(pts, n, axis=0))[1]
+        diff = grads.reshape(len(pts), n, -1) - obj.full_many(pts)[1][:, None]
+        return (np.add.accumulate(np.vecdot(diff, diff), axis=1)[:, -1],)
+
+    var, = _by_row_blocks(variances, n * obj.dim, points)  # a point takes n x d entries
+    return float(np.max(var / n, initial=0.0))

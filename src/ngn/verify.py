@@ -130,18 +130,15 @@ def check_lemma_inequality(
     l_smooth = obj.l_max
     _, _, t2 = theory.rate_terms(sigma, l_smooth)
     coeff = 4.0 * sigma * l_smooth / (1.0 + 2.0 * sigma * l_smooth)
-    worst = -math.inf
     second_term_needed = sigma > 1.0 / (2.0 * l_smooth)
-    for k in range(trace.steps):
-        gamma = trace.gamma[k]
-        if not math.isfinite(gamma) or trace.stationary[k]:
-            continue
-        fstar = float(np.mean(obj.f_i_star[list(trace.batch_ids[k])]))
-        lhs = gamma**2 * trace.grad_sq[k]
-        rhs = coeff * gamma * max(trace.loss_batch[k] - fstar, 0.0)
-        if second_term_needed:
-            rhs += t2 * fstar
-        worst = max(worst, (lhs - rhs) / max(1.0, lhs))
+    taken = np.isfinite(trace.gamma) & ~trace.stationary
+    gamma = trace.gamma[taken]
+    fstar = obj.f_i_star[trace.batch_ids[taken]].mean(axis=1)
+    lhs = gamma**2 * trace.grad_sq[taken]
+    rhs = coeff * gamma * np.maximum(trace.loss_batch[taken] - fstar, 0.0)
+    if second_term_needed:
+        rhs += t2 * fstar
+    worst = float(np.max((lhs - rhs) / np.maximum(lhs, 1.0), initial=-math.inf))
     return CheckReport(
         name="lemma_fundamental_inequality",
         params={"problem": problem, "sigma": sigma, "steps": steps,
@@ -158,6 +155,13 @@ def _monte_carlo_pass(per_seed: Sequence[float], rhs: float) -> bool:
     arr = np.asarray(per_seed)
     slack_ok = int(np.sum(arr <= SEED_SLACK_FACTOR * rhs)) >= len(arr) - 1
     return bool(np.mean(arr) <= rhs and slack_ok)
+
+
+def _gaps(obj, X: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """f(X[r]) - f* at the kept rows in one full_many call, inf at the others."""
+    gaps = np.full(len(X), math.inf)
+    gaps[kept] = obj.full_many(X[kept])[0] - obj.f_star
+    return gaps
 
 
 def _two_quadratics_start(x0: float):
@@ -182,8 +186,7 @@ def check_convex_rate(
     iterate_sum = np.zeros((n_seeds, obj.dim))  # of x^0 .. x^{K-1}, a chunk at a time
     for chunk in run:
         iterate_sum += chunk.iterates.sum(axis=1)
-    per_seed = [math.inf if run.diverged_step[r] >= 0
-                else obj.value(iterate_sum[r] / steps) - obj.f_star for r in range(n_seeds)]
+    per_seed = _gaps(obj, iterate_sum / steps, run.diverged_step < 0)
     measured = float(np.mean(per_seed))
     return CheckReport(
         name="theorem_convex_rate",
@@ -271,7 +274,7 @@ def check_nonconvex_rate(
     l_smooth = obj.l_max
     sigma = sigma if sigma is not None else 1.0 / (2.0 * l_smooth)
     x0_vec = obj.x_star + 2.5
-    f0_gap = obj.value(x0_vec) - obj.f_star
+    f0_gap = float(obj.full_many(x0_vec[None])[0][0]) - obj.f_star
 
     # Seed 0 runs on to PILOT_STEPS when the other seeds stop before: the
     # pilot points of the noise bound are its own trajectory
@@ -337,10 +340,8 @@ def check_annealed_rate(
                 m = steps - chunk.k0
                 average = ((weighted + terms[:, :m].sum(axis=1))
                            / (weights + chunk.sigma[:m].sum()))
-                per_seed_at[steps] = [
-                    obj.value(average[r]) - obj.f_star
-                    if not 0 <= run.diverged_step[r] < steps else math.inf
-                    for r in range(n_seeds)]
+                kept = ~((0 <= run.diverged_step) & (run.diverged_step < steps))
+                per_seed_at[steps] = _gaps(obj, average, kept)
         weighted += terms.sum(axis=1)
         weights += chunk.sigma.sum()
     reports = []
@@ -464,13 +465,13 @@ def check_gradients(points_per_family: int = 100, seed: int = 0) -> CheckReport:
     worst = 0.0
     for spec in GRADIENT_FIXTURES:
         obj = build_spec(PROBLEMS, spec)
-        for _ in range(points_per_family):
-            x = rng.standard_normal(obj.dim)
-            i = int(rng.integers(obj.n))
-            analytic = obj.component_eval(i, x)[1]
-            fd = finite_difference_gradient(obj, i, x)
-            err = float(np.linalg.norm(fd - analytic)) / max(1.0, float(np.linalg.norm(analytic)))
-            worst = max(worst, err)
+        # a point, then its component, point by point from the one stream
+        points, idx = map(np.array, zip(*[(rng.standard_normal(obj.dim), rng.integers(obj.n))
+                                          for _ in range(points_per_family)]))
+        analytic = obj.eval_many(idx[:, None], points)[1]
+        for fd, grad in zip(finite_difference_gradient(obj, idx, points), analytic):
+            worst = max(worst, float(np.linalg.norm(fd - grad))
+                        / max(1.0, float(np.linalg.norm(grad))))
     return CheckReport(
         name="gradient_oracle_agreement",
         params={"points_per_family": points_per_family},

@@ -28,9 +28,9 @@ from ngn.objectives import (
 
 def test_quadratic1d_hand_values():
     obj = make_quadratic1d(2.0, 1.0, 0.3)
-    value, grad = obj.component_eval(0, np.array([3.0]))
-    assert value == pytest.approx(2.0 * 4.0 / 2.0 + 0.3)  # (lam/2)(x-1)^2 + f*
-    assert grad[0] == pytest.approx(2.0 * 2.0)
+    value, grad = obj.eval_many(np.array([[0]]), np.array([[3.0]]))
+    assert value[0] == pytest.approx(2.0 * 4.0 / 2.0 + 0.3)  # (lam/2)(x-1)^2 + f*
+    assert grad[0, 0] == pytest.approx(2.0 * 2.0)
     assert obj.l_max == 2.0
     assert obj.f_star == 0.3
 
@@ -48,9 +48,9 @@ def test_two_quadratics_metadata():
     assert obj.l_max == 1.0 and obj.mu == 1.0
     assert obj.f_star == 0.5 and obj.x_star[0] == 0.0
     # f(x) = ((x-1)^2 + (x+1)^2)/4 = (x^2 + 1)/2
-    value, grad = obj.full_eval(np.array([2.0]))
-    assert value == pytest.approx(2.5)
-    assert grad[0] == pytest.approx(2.0)
+    value, grad = obj.full_many(np.array([[2.0]]))
+    assert value[0] == pytest.approx(2.5)
+    assert grad[0, 0] == pytest.approx(2.0)
 
 
 def test_two_quadratics_deltas():
@@ -97,31 +97,20 @@ def test_no_run_path_loads_scipy(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
-def test_batch_eval_is_mean():
-    obj = make_two_quadratics()
-    x = np.array([0.7])
-    v0, g0 = obj.component_eval(0, x)
-    v1, g1 = obj.component_eval(1, x)
-    vb, gb = obj.batch_eval([0, 1], x)
-    assert vb == pytest.approx((v0 + v1) / 2)
-    assert gb[0] == pytest.approx((g0[0] + g1[0]) / 2)
-
-
 def test_linear_regression_interpolates_without_noise():
     obj = make_linear_regression(4, 20, seed=0, noise_std=0.0)
     assert obj.f_star == pytest.approx(0.0, abs=1e-18)
-    assert obj.value(obj.x_star) == pytest.approx(0.0, abs=1e-18)
-    grad = obj.gradient(obj.x_star)
-    assert np.linalg.norm(grad) < 1e-9
+    value, grad = obj.full_many(obj.x_star[None])
+    assert value[0] == pytest.approx(0.0, abs=1e-18)
+    assert np.linalg.norm(grad[0]) < 1e-9
 
 
 def test_linear_regression_smoothness_constants():
     obj = make_linear_regression(3, 10, seed=1, noise_std=0.2)
     # each component (a^T x - b)^2/2 has Hessian a a^T with norm ||a||^2
-    x = np.zeros(3)
-    for i in range(obj.n):
-        fd = finite_difference_gradient(obj, i, x)
-        assert np.allclose(fd, obj.component_eval(i, x)[1], atol=1e-6)
+    idx, X = np.arange(obj.n), np.zeros((obj.n, 3))
+    fd = finite_difference_gradient(obj, idx, X)
+    assert np.allclose(fd, obj.eval_many(idx[:, None], X)[1], atol=1e-6)
     assert obj.l_max > 0
 
 
@@ -129,12 +118,12 @@ def test_logistic_gradient_matches_finite_differences():
     data = make_blobs_dataset(n=30, d=4, classes=3, seed=5)
     obj = make_logistic(data, l2=1e-2)
     rng = np.random.default_rng(0)
-    for _ in range(5):
-        x = rng.standard_normal(obj.dim)
-        i = int(rng.integers(obj.n))
-        fd = finite_difference_gradient(obj, i, x)
-        analytic = obj.component_eval(i, x)[1]
-        assert np.linalg.norm(fd - analytic) <= 1e-5 * max(1.0, np.linalg.norm(analytic))
+    X = rng.standard_normal((5, obj.dim))
+    idx = rng.integers(obj.n, size=5)
+    fd = finite_difference_gradient(obj, idx, X)
+    analytic = obj.eval_many(idx[:, None], X)[1]
+    for fd_p, analytic_p in zip(fd, analytic):
+        assert np.linalg.norm(fd_p - analytic_p) <= 1e-5 * max(1.0, np.linalg.norm(analytic_p))
     assert obj.mu == pytest.approx(1e-2)
 
 
@@ -142,29 +131,26 @@ def test_logistic_values_nonnegative():
     data = make_blobs_dataset(n=20, d=3, classes=2, seed=2)
     obj = make_logistic(data, l2=0.0)
     rng = np.random.default_rng(1)
-    for _ in range(10):
-        x = rng.standard_normal(obj.dim) * 3
-        value, _ = obj.component_eval(int(rng.integers(obj.n)), x)
-        assert value >= 0
+    X = rng.standard_normal((10, obj.dim)) * 3
+    values, _ = obj.eval_many(rng.integers(obj.n, size=(10, 1)), X)
+    assert np.all(values >= 0)
 
 
 def test_nonconvex_components_nonnegative_and_smooth():
     obj = make_nonconvex_sum(6, seed=2)
     assert obj.l_max == pytest.approx(1.5)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        x = rng.uniform(-5, 5, 1)
-        for i in range(obj.n):
-            value, _ = obj.component_eval(i, x)
-            assert value >= 0
+    X = np.random.default_rng(0).uniform(-5, 5, (20, 1))
+    # every component at every point: one row per (point, component)
+    values, _ = obj.eval_many(np.tile(np.arange(obj.n), 20)[:, None], np.repeat(X, obj.n, axis=0))
+    assert np.all(values >= 0)
 
 
 def test_nonconvex_minimum_is_global_on_grid():
     obj = make_nonconvex_sum(8, seed=3)
     grid = np.linspace(obj.x_star[0] - 10, obj.x_star[0] + 10, 2001)
-    values = [obj.value(np.array([t])) for t in grid]
-    assert obj.f_star <= min(values) + 1e-9
-    assert abs(obj.gradient(obj.x_star)[0]) < 1e-7
+    values = obj.full_many(grid[:, None])[0]
+    assert obj.f_star <= values.min() + 1e-9
+    assert abs(obj.full_many(obj.x_star[None])[1][0, 0]) < 1e-7
 
 
 def test_nonconvex_build_memory_is_bounded():
@@ -190,7 +176,7 @@ def test_nonconvex_minimum_matches_scipy():
         grid = np.linspace(centers.min() - 2 * math.pi, centers.max() + 2 * math.pi, 4001)
         d = grid[:, None] - centers
         x0 = grid[int(np.argmin(np.mean(1.0 - np.cos(d) + 0.5 * eps * d ** 2, axis=1)))]
-        res = optimize.minimize_scalar(lambda t: obj.value(np.array([t])),
+        res = optimize.minimize_scalar(lambda t: obj.full_many(np.array([[t]]))[0][0],
                                        bracket=(x0 - 0.1, x0, x0 + 0.1), method="brent")
         assert obj.x_star.tobytes() == np.array([float(res.x)]).tobytes()
         assert float(obj.f_star).hex() == float(res.fun).hex()
@@ -238,20 +224,21 @@ def test_full_many_matches_loop():
         pts = rng.standard_normal((7, obj.dim))
         values, grads = obj.full_many(pts)
         for p, value, grad in zip(pts, values, grads):
-            assert (value, grad.tolist()) == (obj.value(p), obj.gradient(p).tolist())
+            one_value, one_grad = obj.full_many(p[None])
+            assert (value, grad.tolist()) == (one_value[0], one_grad[0].tolist())
         for batch in (1, min(3, obj.n), obj.n):
             idx = rng.integers(obj.n, size=(7, batch))
             values, grads = obj.eval_many(idx, pts)
             for s in range(7):
-                loss, grad = obj.batch_eval(idx[s], pts[s])
+                loss, grad = obj.eval_many(idx[s][None], pts[s][None])
                 total, total_grad = 0.0, np.zeros(obj.dim)
                 for i in idx[s]:
-                    v, g = obj.component_eval(i, pts[s])
-                    total += v
-                    total_grad += g
+                    v, g = obj.eval_many(np.array([[i]]), pts[s][None])
+                    total += v[0]
+                    total_grad += g[0]
                 inv = 1.0 / batch
-                assert (values[s], grads[s].tolist()) == (loss, grad.tolist())
-                assert (loss, grad.tolist()) == (total * inv, (total_grad * inv).tolist())
+                assert (values[s], grads[s].tolist()) == (loss[0], grad[0].tolist())
+                assert (loss[0], grad[0].tolist()) == (total * inv, (total_grad * inv).tolist())
 
 
 
@@ -278,6 +265,61 @@ def test_row_blocks_keep_values(monkeypatch):
     out = objectives._by_row_blocks(fn, 3, np.ones((10, 3)), np.arange(10))
     assert seen == [3, 3, 3, 1]
     assert out[0].tolist() == [3.0] * 10 and out[1].tolist() == list(range(10))
+
+def test_slot_blocks_keep_batch_sums(monkeypatch):
+    # a batch evaluated a block of slots at a time sums in the whole batch's order
+    rng = np.random.default_rng(5)
+    for make in FAMILIES:
+        obj = make()
+        pts = rng.standard_normal((3, obj.dim))
+        idx = rng.integers(obj.n, size=(3, 7))
+        whole = obj.eval_many(idx, pts)
+        for slots in (1, 2, 3):
+            monkeypatch.setattr(objectives, "ROW_BLOCK_ENTRIES", slots * obj.dim)
+            blocked = obj.eval_many(idx, pts)
+            monkeypatch.undo()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, blocked)), slots
+
+
+def test_large_batch_memory_is_bounded():
+    # 20000 slots of a 200-dim logistic problem: one block of slots takes
+    # about ROW_BLOCK_ENTRIES entries, where the whole batch took 70 MB
+    obj = make_logistic(make_blobs_dataset(n=20_000, d=20, classes=10, seed=0))
+    idx = np.arange(obj.n)[None]
+    X = np.random.default_rng(0).standard_normal((1, obj.dim))
+    obj.eval_many(idx[:, :2], X)
+    tracemalloc.start()
+    try:
+        obj.eval_many(idx, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_finite_difference_gradient_matches_one_point_loop():
+    # the moved points as rows of one call round as one point at a time
+    rng = np.random.default_rng(9)
+    for make in FAMILIES:
+        obj = make()
+        X = rng.standard_normal((4, obj.dim))
+        idx = rng.integers(obj.n, size=4)
+        fd = finite_difference_gradient(obj, idx, X)
+        for p in range(4):
+            def value(x):
+                return obj.eval_many(idx[p:p + 1, None], x[None])[0][0]
+
+            for j in range(obj.dim):
+                step = 1e-6 * (1.0 + abs(X[p, j]))
+                plus, minus = X[p].copy(), X[p].copy()
+                plus[j] += step
+                minus[j] -= step
+                assert fd[p, j] == (value(plus) - value(minus)) / (2 * step)
+    with pytest.raises(ValueError, match="need idx"):
+        finite_difference_gradient(obj, idx[:3], X)
+    with pytest.raises(ValueError, match="non-finite"):
+        finite_difference_gradient(obj, idx, np.full_like(X, np.nan))
+
 
 def table_objective(values: np.ndarray, grads: np.ndarray) -> FiniteSumObjective:
     """An objective whose component i has value values[i] and gradient grads[i] (a d-vector)."""
@@ -308,6 +350,11 @@ def test_batch_sums_are_sequential(d):
                 total_grad += grads[idx[s, j]]
             assert (loss[s].tobytes(), grad[s].tobytes()) == (
                 (total * inv).tobytes(), (total_grad * inv).tobytes())
+        for slots in (1, 4, 5):  # blocks of slots continue the same sums
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(objectives, "ROW_BLOCK_ENTRIES", slots * d)
+                blocked = obj.eval_many(idx, X)
+            assert (blocked[0].tobytes(), blocked[1].tobytes()) == (loss.tobytes(), grad.tobytes())
         differs_from_pairwise |= not np.array_equal(loss, values[idx].sum(axis=1) * inv)
         slots_last = np.ascontiguousarray(np.moveaxis(grads[idx], 1, -1))
         grad_differs_from_pairwise |= not np.array_equal(grad, slots_last.sum(axis=-1) * inv)
@@ -478,8 +525,8 @@ def test_dataset_validation():
 
 def test_finite_difference_gradient_on_quadratic():
     obj = make_quadratic1d(1.5, 0.0, 0.0)
-    fd = finite_difference_gradient(obj, 0, np.array([2.0]))
-    assert fd[0] == pytest.approx(3.0, rel=1e-7)
+    fd = finite_difference_gradient(obj, np.array([0]), np.array([[2.0]]))
+    assert fd[0, 0] == pytest.approx(3.0, rel=1e-7)
 
 
 @pytest.mark.parametrize("build", [

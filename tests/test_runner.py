@@ -22,8 +22,6 @@ from ngn.runner import (
     _Sampler,
     _whole_traces,
     aggregate_metric,
-    averaged_iterate_uniform,
-    averaged_iterate_weighted,
     check_run,
     run_seeds,
     run_sgd,
@@ -31,7 +29,7 @@ from ngn.runner import (
     write_traces,
 )
 from ngn.specs import POLICIES, PROBLEMS, build_spec
-from ngn.stepsizes import APS, NGN, Constant, NGNAnnealed, StepsizePolicy
+from ngn.stepsizes import APS, NGN, Constant, StepsizePolicy
 
 
 def test_determinism_same_seed_identical_traces():
@@ -54,10 +52,10 @@ def test_different_seeds_differ():
 def test_update_correctness_recheckable_from_trace():
     obj = make_two_quadratics()
     trace = run_sgd(obj, NGN(0.7), 50, seed=3, store_iterates=True)
-    for k in range(trace.steps):
-        _, grad = obj.batch_eval(trace.batch_ids[k], trace.iterates[k])
-        step = trace.iterates[k + 1] - trace.iterates[k]
-        assert np.allclose(step, -trace.gamma[k] * grad, rtol=0, atol=1e-15)
+    # every step's batch gradient, one row per step
+    _, grads = obj.eval_many(trace.batch_ids, trace.iterates[:-1])
+    steps = np.diff(trace.iterates, axis=0)
+    assert np.allclose(steps, -trace.gamma[:, None] * grads, rtol=0, atol=1e-15)
 
 
 def test_divergence_flag_on_unstable_gd():
@@ -65,8 +63,6 @@ def test_divergence_flag_on_unstable_gd():
     trace = run_sgd(obj, Constant(2.0), 100, seed=0, x0=np.array([3.0]))
     assert trace.diverged
     assert trace.diverged_step is not None and trace.diverged_step < 100
-    with pytest.raises(ValueError):
-        averaged_iterate_uniform(trace)
 
 
 def test_stable_gd_does_not_diverge():
@@ -130,54 +126,6 @@ def test_metric_cadence_steps():
     assert list(trace.metric_steps) == [0, 25, 50, 75, 100]
     no_metrics = run_sgd(obj, NGN(0.5), 100, seed=0)
     assert len(no_metrics.metric_steps) == 0
-
-
-def test_averaged_iterates_match_stored_iterates():
-    obj = make_two_quadratics()
-    trace = run_sgd(obj, NGN(0.5), 200, seed=5, store_iterates=True)
-    expected = trace.iterates[:200].mean(axis=0)
-    assert np.allclose(averaged_iterate_uniform(trace), expected, atol=1e-12)
-    # NGN has constant sigma_k, so the weighted average equals the uniform one
-    assert np.allclose(averaged_iterate_weighted(trace), expected, atol=1e-12)
-
-
-@pytest.mark.parametrize("policy", [
-    NGN(0.5), NGNAnnealed(1.0, "inv_sqrt"), NGNAnnealed(1.0, "inv_linear"),
-])
-def test_averaged_iterates_match_online_recurrences(policy):
-    # the recurrences the runner used to update at every step
-    obj = build_spec(PROBLEMS, "linear_regression(d=3, n=10, seed=1, noise_std=0.5)")
-    traces = run_seeds(obj, policy, 400, seeds=range(4), x0=np.full(3, 4.0),
-                       store_iterates=True)
-    for trace in traces:
-        mean = np.zeros(3)
-        weighted = np.zeros(3)
-        weight_total = 0.0
-        for k in range(trace.steps):
-            x = trace.iterates[k]
-            mean += (x - mean) / (k + 1)
-            weight_total += trace.sigma[k]
-            weighted += (trace.sigma[k] / weight_total) * (x - weighted)
-        np.testing.assert_allclose(averaged_iterate_uniform(trace), mean, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(averaged_iterate_weighted(trace), weighted,
-                                   rtol=1e-12, atol=0)
-
-
-def test_averaged_iterates_undefined():
-    obj = make_quadratic1d(1.2, 0.0, 0.1)
-    diverged = run_sgd(obj, Constant(2.0), 100, x0=np.array([3.0]), store_iterates=True)
-    no_iterates = run_sgd(obj, NGN(0.5), 20)
-    for average in (averaged_iterate_uniform, averaged_iterate_weighted):
-        with pytest.raises(ValueError, match="diverged"):
-            average(diverged)
-        with pytest.raises(ValueError, match="store_iterates"):
-            average(no_iterates)
-    # APS has no sigma_k (NaN), so only the uniform average is defined
-    aps = run_sgd(obj, APS(), 20, x0=np.array([3.0]), store_iterates=True)
-    assert np.isnan(aps.sigma).all()
-    assert np.isfinite(averaged_iterate_uniform(aps)).all()
-    with pytest.raises(ValueError, match="non-finite sigma_k"):
-        averaged_iterate_weighted(aps)
 
 
 def test_trace_csv_schema(tmp_path):
@@ -318,7 +266,8 @@ def test_lockstep_diverged_rows_match_solo_runs():
     assert len({steps[2], steps[3], steps[4]} - {None}) == 3
     for trace in together[2:5]:  # x_final is the iterate that tripped the test
         k = trace.diverged_step
-        assert obj.batch_eval(trace.batch_ids[k], trace.x_final)[0] == trace.loss_batch[k]
+        assert obj.eval_many(trace.batch_ids[k][None], trace.x_final[None])[0][0] == \
+            trace.loss_batch[k]
         assert max(trace.loss_batch[k], trace.grad_sq[k]) > 1e30
     for seed, trace in zip(range(6), together):
         solo = run_sgd(obj, Constant(5.0), 300, seed=seed, cadence=50, store_iterates=True)
@@ -636,4 +585,21 @@ def test_long_runs_keep_bounded_memory(tmp_path, monkeypatch):
 
     cli_run(10)
     short, long = (traced_peak(lambda: cli_run(steps)) for steps in (400, 4000))
+    assert long <= 1.1 * short + 32_000, (short, long)
+
+
+def test_long_sweeps_keep_bounded_memory(tmp_path, monkeypatch):
+    # a sweep keeps each point's final values, not its traces: 10x the steps
+    # peak within 10% of the shorter sweep, plus 32 kB
+    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 50)
+
+    def sweep(steps):
+        cfg = tmp_path / f"sweep{steps}.cfg"
+        cfg.write_text(f"problem = two_quadratics()\npolicy = ngn(sigma=0.5)\nsteps = {steps}\n"
+                       f"seeds = 0,1,2\naxis = sigma\nvalues = 0.1,0.5,2\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / str(steps))]) == 0
+
+    sweep(10)
+    short, long = (traced_peak(lambda: sweep(steps)) for steps in (400, 4000))
     assert long <= 1.1 * short + 32_000, (short, long)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,10 +71,27 @@ def test_annealed_schedule_matches_math_formula(sigma0):
     assert np.array_equal(inv_sqrt.sigma_schedule(10**6),
                           [sigma0 / math.sqrt(i + 1) for i in k])
     assert np.array_equal(inv_linear.sigma_schedule(10**6), [sigma0 / (i + 1) for i in k])
-    # stepsize reads the same schedule, also past the longest one computed
+    # stepsize computes sigma_k by the same formula, also past 10^6
     fresh = NGNAnnealed(sigma0, "inv_sqrt")
     for i in (0, 5, 999_999, 3_000_000):
         assert fresh.stepsize(obs(1.0, 0.0, k=i)) == sigma0 / math.sqrt(i + 1)
+
+
+@pytest.mark.parametrize("schedule", NGNAnnealed.SCHEDULES)
+def test_annealed_stepsize_keeps_no_schedule(schedule):
+    # with g^2 = 0, gamma is sigma_k exactly: the schedule's, at every step
+    policy = NGNAnnealed(0.7, schedule)
+    for k in (0, 1, 99, 100, 999_999):
+        assert policy.stepsize(obs(1.0, 0.0, k=k)) == policy.sigma_schedule(k + 1, k)[0]
+    # a late step costs no schedule of k entries
+    fresh = NGNAnnealed(0.7, schedule)
+    tracemalloc.start()
+    try:
+        fresh.stepsize(obs(1.0, 0.0, k=999_999))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
 
 
 def test_sigma_schedules_of_other_policies():

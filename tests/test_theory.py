@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ngn.objectives import make_two_quadratics
+from ngn import objectives
+from ngn.objectives import make_linear_regression, make_nonconvex_sum, make_two_quadratics
 from ngn.theory import (
     TheoryContext,
     annealed_bound,
@@ -141,6 +142,24 @@ def test_noise_estimate_two_quadratics_at_origin():
     obj = make_two_quadratics()
     est = estimate_delta_noise_sq(obj, [np.array([0.0])])
     assert est == pytest.approx(1.0)
+
+
+def test_noise_estimate_matches_component_loop(monkeypatch):
+    # one call over (point, component) rows, also a point per block, adds the
+    # components in the order of a loop over them
+    rng = np.random.default_rng(2)
+    for obj in (make_linear_regression(3, 9, seed=1, noise_std=0.3), make_nonconvex_sum(6, 2)):
+        points = rng.standard_normal((5, obj.dim))
+        full_grad = obj.full_many(points)[1]
+        var = np.zeros(5)
+        for i in range(obj.n):
+            diff = obj.eval_many(np.full((5, 1), i), points)[1] - full_grad
+            var += np.vecdot(diff, diff)
+        expected = float(np.max(var / obj.n))
+        assert estimate_delta_noise_sq(obj, points) == expected
+        monkeypatch.setattr(objectives, "ROW_BLOCK_ENTRIES", obj.n * obj.dim)
+        assert estimate_delta_noise_sq(obj, points) == expected
+        monkeypatch.undo()
 
 
 def test_bound_evaluators_are_pure():
