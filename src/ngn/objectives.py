@@ -584,7 +584,7 @@ def finite_difference_gradient(
     """Central-difference gradients (P, d) of component idx[p] at X[p]; independent oracle.
 
     Coordinate j of row p moves by h (1 + |X[p, j]|) each way; the 2 d P
-    moved points are the rows of one eval_many call.
+    moved points are the rows of one eval_many call per block of points.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -594,16 +594,21 @@ def finite_difference_gradient(
         raise ValueError(f"need idx (P,) and points (P, {obj.dim}), got {idx.shape} and {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("points have non-finite entries")
-    P, d = X.shape
-    step = h * (1.0 + np.abs(X))
+    d = obj.dim
     j = np.arange(d)
-    plus = np.repeat(X[:, None, :], d, axis=1)  # (P, d, d): plus[p, j] moves coordinate j
-    minus = plus.copy()
-    plus[:, j, j] += step
-    minus[:, j, j] -= step
-    points = np.stack([plus, minus], axis=1).reshape(-1, d)
-    values = obj.eval_many(np.repeat(idx, 2 * d)[:, None], points)[0].reshape(P, 2, d)
-    return (values[:, 0] - values[:, 1]) / (2 * step)
+
+    def central_differences(idx: np.ndarray, X: np.ndarray) -> tuple[np.ndarray]:
+        step = h * (1.0 + np.abs(X))
+        plus = np.repeat(X[:, None, :], d, axis=1)  # (P, d, d): plus[p, j] moves coordinate j
+        minus = plus.copy()
+        plus[:, j, j] += step
+        minus[:, j, j] -= step
+        points = np.stack([plus, minus], axis=1).reshape(-1, d)
+        values = obj.eval_many(np.repeat(idx, 2 * d)[:, None], points)[0].reshape(len(X), 2, d)
+        return ((values[:, 0] - values[:, 1]) / (2 * step),)
+
+    # a block of points at a time: each point moves to 2 d points of d entries
+    return _by_row_blocks(central_differences, 2 * d * d, idx, X)[0]
 
 
 def compute_deltas(obj: FiniteSumObjective) -> tuple[float, float]:
@@ -614,12 +619,11 @@ def compute_deltas(obj: FiniteSumObjective) -> tuple[float, float]:
     """
     if obj.x_star is None or obj.f_i_star is None:
         raise ValueError(f"{obj.name} has no analytic x* and f_i*; its deltas are unknown")
-    x_star, f_i_star = obj.x_star, obj.f_i_star
     # f_i(x*) of every component: one row per component
     at_star = obj.eval_many(np.arange(obj.n)[:, None],
-                            np.broadcast_to(x_star, (obj.n, obj.dim)))[0]
-    delta_int = float(np.mean(at_star - f_i_star))
-    delta_pos = float(np.mean(f_i_star))
+                            np.broadcast_to(obj.x_star, (obj.n, obj.dim)))[0]
+    delta_int = float(np.mean(at_star - obj.f_i_star))
+    delta_pos = float(np.mean(obj.f_i_star))
     return max(delta_int, 0.0), max(delta_pos, 0.0)
 
 

@@ -297,7 +297,7 @@ def test_large_batch_memory_is_bounded():
     assert peak < 10 * 2**20
 
 
-def test_finite_difference_gradient_matches_one_point_loop():
+def test_finite_difference_gradient_matches_one_point_loop(monkeypatch):
     # the moved points as rows of one call round as one point at a time
     rng = np.random.default_rng(9)
     for make in FAMILIES:
@@ -305,6 +305,9 @@ def test_finite_difference_gradient_matches_one_point_loop():
         X = rng.standard_normal((4, obj.dim))
         idx = rng.integers(obj.n, size=4)
         fd = finite_difference_gradient(obj, idx, X)
+        monkeypatch.setattr(objectives, "ROW_BLOCK_ENTRIES", 2 * obj.dim ** 2)  # a point a block
+        assert finite_difference_gradient(obj, idx, X).tobytes() == fd.tobytes()
+        monkeypatch.undo()
         for p in range(4):
             def value(x):
                 return obj.eval_many(idx[p:p + 1, None], x[None])[0][0]
