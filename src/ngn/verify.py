@@ -465,9 +465,10 @@ def check_gradients(points_per_family: int = 100, seed: int = 0) -> CheckReport:
     worst = 0.0
     for spec in GRADIENT_FIXTURES:
         obj = build_spec(PROBLEMS, spec)
-        # a point, then its component, point by point from the one stream
-        points, idx = map(np.array, zip(*[(rng.standard_normal(obj.dim), rng.integers(obj.n))
-                                          for _ in range(points_per_family)]))
+        points = np.empty((points_per_family, obj.dim))
+        idx = np.empty(points_per_family, dtype=int)
+        for p in range(points_per_family):  # a point, then its component, from the one stream
+            points[p], idx[p] = rng.standard_normal(obj.dim), rng.integers(obj.n)
         analytic = obj.eval_many(idx[:, None], points)[1]
         for fd, grad in zip(finite_difference_gradient(obj, idx, points), analytic):
             worst = max(worst, float(np.linalg.norm(fd - grad))
