@@ -12,7 +12,7 @@ Config files are flat ``key = value`` text. Example::
 
 Exit codes: 0 success, 1 verification failure, a diverged run seed or a
 sweep whose every point has a diverged seed, 2 configuration error (an
-unknown key among them).
+unknown or repeated key among them).
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def parse_config(path) -> ExperimentConfig:
     This checks the file's form and each value's type; whether the run can
     use the values is `runner.check_run`'s rule, applied in `_build_runs`.
     """
-    entries: dict[str, str] = {}
+    entries: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -90,13 +90,16 @@ def parse_config(path) -> ExperimentConfig:
         if key not in CONVERTERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
                               f"choose from {', '.join(CONVERTERS)}")
-        entries[key] = value.strip()
+        if key in entries:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {entries[key][0]}")
+        entries[key] = lineno, value.strip()
 
     for key in ("problem", "policy"):
         if key not in entries:
             raise ConfigError(f"{path}: missing required key {key!r}")
     try:
-        cfg = ExperimentConfig(**{key: CONVERTERS[key](value) for key, value in entries.items()})
+        cfg = ExperimentConfig(**{key: CONVERTERS[key](value)
+                                  for key, (_, value) in entries.items()})
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if cfg.cadence is not None and cfg.cadence < 1:

@@ -53,6 +53,11 @@ class RunTrace:
     iterates: Optional[np.ndarray] = None
     seed: int = 0
 
+    @property
+    def length(self) -> int:
+        """Steps of the trace: through the step where it diverged, else all of them."""
+        return self.diverged_step + 1 if self.diverged else self.steps
+
 
 class _Sampler:
     """One row's component indices, drawn a chunk of steps at a time from its stream.
@@ -120,7 +125,13 @@ class Chunk:
     """Steps k0 .. k1-1 of every row of a run, each array (S, k1 - k0, ...).
 
     A row that is stopped reads NaN there (False in `stationary`), as its
-    whole trace does, and its iterates after its stop are NaN too.
+    whole trace does, and its iterates after its stop are NaN too. With a
+    metric cadence c > 0 the chunk also carries the full objective value,
+    squared distance to x* (NaN when unknown) and squared full gradient
+    norm at its cadence points: x^k for k0 <= k < k1 with k % c == 0 within
+    some row's trace (`Run.lengths`), NaN for a row whose trace ends before
+    k. The last chunk adds them at each row's last iterate in `final`, NaN
+    for a row that diverged.
     """
 
     k0: int
@@ -131,6 +142,11 @@ class Chunk:
     grad_sq: np.ndarray
     stationary: np.ndarray
     sigma: np.ndarray  # (k1 - k0,) sigma_k, the same for every row
+    metric_steps: np.ndarray  # (m,) the cadence points' steps
+    loss_full: np.ndarray  # (S, m), as are dist_sq and grad_full_sq
+    dist_sq: np.ndarray
+    grad_full_sq: np.ndarray
+    final: Optional[np.ndarray] = None  # (S, 3) the three at X[r], on the last chunk
     iterates: Optional[np.ndarray] = None  # (S, k1 - k0, d): x^k0 .. x^(k1-1)
 
 
@@ -138,17 +154,18 @@ class Run:
     """A lockstep run of S rows, one seed each, advanced a chunk of steps at a time.
 
     Each `advance` takes every running row through the next chunk, steps
-    [k0, k1), and returns their per-step values as a `Chunk`. What carries
-    over from chunk to chunk is the run's state: the rows' iterates and
-    which rows still run, the policy's per-row state, the pending metric
-    points, and each row's two streams, default_rng([seed, 0]) for the start
-    point and default_rng([seed, 1]) for the indices, which are drawn a chunk
-    at a time. A chunk holds about ROW_BLOCK_ENTRIES entries, so memory does
-    not grow with the step count.
+    [k0, k1), and returns their per-step values and metric points as a
+    `Chunk`. What carries over from chunk to chunk is the run's state: the
+    rows' iterates and which rows still run, the policy's per-row state, and
+    each row's two streams, default_rng([seed, 0]) for the start point and
+    default_rng([seed, 1]) for the indices, which are drawn a chunk at a
+    time. A chunk holds about ROW_BLOCK_ENTRIES entries, so memory does not
+    grow with the step count.
 
     `steps` is one end step for every row, or one per row: a row that
     reaches its end before the others retires, stopped without the diverged
-    flag, with its final metric point recorded; the run ends at the largest.
+    flag, its last iterate kept in X for the last chunk's final metric
+    point; the run ends at the largest.
     """
 
     def __init__(self, obj: FiniteSumObjective, policy: StepsizePolicy,
@@ -187,88 +204,52 @@ class Run:
         width = dim + 4 + (0 if self.full_batch else batch_size)
         self.chunk_steps = _chunk_steps(n_rows, width)
         self._evaluate = obj.batch_evaluator(n_rows, batch_size)
-        # Metric points wait in `pending`, a slot of S iterates each, until a
-        # full buffer is evaluated at once. Sized by n * d, a flush stays
-        # within one full_many row block. Slot i holds metric point first + i
-        # of every row; a stopped row's later slots keep zeros or its earlier
-        # points, past its metric_count and cut off.
-        n_metrics = len(range(0, self.steps, cadence)) + 1 if cadence > 0 else 0
-        self._pending = np.zeros((n_rows, min(_block_rows(n_rows * obj.n * dim), n_metrics), dim))
-        self._filled = self._first = 0
-        self._values: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
 
     def __iter__(self):
         while self.k < self.steps:
             yield self.advance()
 
-    def metric_count(self, r: int) -> int:
-        """Number of metric points of row r: at steps 0, c, 2c, ... below its end, then its end."""
-        if self.cadence <= 0:
-            return 0
-        if self.diverged_step[r] >= 0:
-            return int(self.diverged_step[r]) // self.cadence + 1
-        return -(-int(self.ends[r]) // self.cadence) + 1
+    def lengths(self) -> np.ndarray:
+        """(S,) steps of each row's trace: through the step where it diverged, else to its end."""
+        return np.where(self.diverged_step >= 0, self.diverged_step + 1, self.ends)
 
-    def _record(self, k: int, rows, points: np.ndarray) -> None:
-        """Queue `points`, the iterates of `rows` at step k, as their metric point.
+    def row_sigma(self, r: int, sigma: np.ndarray, k0: int = 0) -> np.ndarray:
+        """Row r's copy of `sigma`, sigma_k from step k0 on: NaN from sigma_end[r] on."""
+        stop = int(self.sigma_end[r]) - k0
+        if stop >= len(sigma):
+            return sigma
+        sigma = sigma.copy()
+        sigma[max(stop, 0):] = np.nan
+        return sigma
 
-        A row's final point at step k takes slot ceil(k / c), the slot that
-        the running rows fill at step c * ceil(k / c).
+    def _metrics(self, points: np.ndarray) -> np.ndarray:
+        """(3, S, m) loss_full, dist_sq and grad_full_sq at (S, m, d) points.
+
+        One full_many call per block of at most ROW_BLOCK_ENTRIES // (S * n * d)
+        points, at least one, over the S rows of each.
         """
-        pos = -(-k // self.cadence) - self._first
-        if pos == self._pending.shape[1]:
-            self._flush(pos)
-            pos = 0
-        self._pending[rows, pos] = points
-        self._filled = max(self._filled, pos + 1)
-
-    def _flush(self, n: int) -> None:
-        """Evaluate the first n pending slots in one full_many call."""
-        n_rows, dim = self._pending.shape[0], self._pending.shape[2]
-        points = self._pending[:, :n].reshape(-1, dim)
-        fv, fg = self.obj.full_many(points)
-        dist_sq = np.full((n_rows, n), np.nan)
-        if self.obj.x_star is not None:
-            diff = points - self.obj.x_star
-            dist_sq = np.vecdot(diff, diff).reshape(n_rows, n)
-        self._values.append((self._first, fv.reshape(n_rows, n), dist_sq,
-                             np.vecdot(fg, fg).reshape(n_rows, n)))
-        rest = self._filled - n
-        self._pending[:, :rest] = self._pending[:, n:self._filled]
-        self._first += n
-        self._filled = rest
-
-    def flush(self) -> None:
-        """Evaluate every metric point of the steps before k.
-
-        A retired row's final point waits while it shares its slot with a
-        later step's point.
-        """
-        n = self._filled
-        if self.k < self.steps and n:
-            n = min(n, -(-self.k // self.cadence) - self._first)
-        if n:
-            self._flush(n)
-
-    def take_metrics(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """Metric values evaluated since the last call.
-
-        Returns the index of the first point and (S, m) arrays of loss_full,
-        dist_sq and grad_full_sq.
-        """
-        values, self._values = self._values, []
-        if not values:
-            empty = np.empty((len(self.seeds), 0))
-            return self._first, empty, empty, empty
-        return (values[0][0], *(np.concatenate([v[i] for v in values], axis=1)
-                                for i in (1, 2, 3)))
+        obj = self.obj
+        n_rows, m, dim = points.shape
+        out = np.full((3, n_rows, m), np.nan)
+        block = _block_rows(n_rows * obj.n * dim)
+        for a in range(0, m, block):
+            flat = points[:, a:a + block].reshape(-1, dim)
+            fv, fg = obj.full_many(flat)
+            part = out[:, :, a:a + block]
+            part[0] = fv.reshape(n_rows, -1)
+            if obj.x_star is not None:
+                diff = flat - obj.x_star
+                part[1] = np.vecdot(diff, diff).reshape(n_rows, -1)
+            part[2] = np.vecdot(fg, fg).reshape(n_rows, -1)
+        return out
 
     def advance(self) -> Chunk:
         """Run steps k .. k1-1 of every running row, k1 = min(k + chunk_steps, steps).
 
         A batch loss or squared batch gradient norm that is not finite or is
         above 1e30, or a non-finite coordinate, halts that row with the
-        diverged flag set: it freezes and the other rows go on.
+        diverged flag set: it freezes and the other rows go on. The chunk's
+        metric points are evaluated after its last step.
         """
         k0 = self.k
         if k0 == self.steps:
@@ -297,6 +278,13 @@ class Run:
         grad_sq_c = np.full((n_start, n_steps), np.nan)
         stationary_c = np.zeros((n_start, n_steps), dtype=bool)
         iterates_c = np.full((n_start, n_steps, dim), np.nan) if self.store_iterates else None
+        # every row's iterates at the cadence points, zeros where a row is
+        # stopped; the last chunk adds each row's last iterate
+        first = -(-k0 // cadence) if cadence > 0 else 0  # index of the first point
+        metric_steps = (np.arange(first * cadence, k1, cadence) if cadence > 0
+                        else np.empty(0, dtype=int))
+        last = cadence > 0 and k1 == self.steps
+        points = np.zeros((n_rows, len(metric_steps) + last, dim))
         component_min = None
         if policy.requires_component_min and obj.f_i_star is not None:
             component_min = obj.f_i_star[tables].mean(axis=-1)  # (S, n_steps), or (S, 1)
@@ -313,7 +301,6 @@ class Run:
         evaluate = self._evaluate
         full_many = obj.full_many
         policy_stepsize = policy.stepsize
-        record = self._record
         vecdot = np.vecdot
         total = np.add.reduce
         zero = np.array(0.0)  # 0-d, as in stepsizes._ngn_formula
@@ -354,17 +341,14 @@ class Run:
             for j in range(n_steps if len(rows) else 0):
                 k = k0 + j
                 if k == retire_at:
-                    done = ends[rows] == k
-                    if cadence > 0:
-                        record(k, rows[done], x[done])
-                    stop(done, k, None)
+                    stop(ends[rows] == k, k, None)
                     retire_at = next_end()
                     if not len(rows):
                         break
                 if iterates_c is not None:
                     iterates_c[sel, j] = x
                 if cadence > 0 and k % cadence == 0:
-                    record(k, live, x)
+                    points[live, k // cadence - first] = x
 
                 if full_batch:
                     loss, grad = full_many(x)
@@ -430,12 +414,22 @@ class Run:
 
             self.k = k1
             if k1 == self.steps:
-                if cadence > 0 and len(rows):
-                    record(k1, live, x)
-                if self._filled:  # also after every row has stopped
-                    self._flush(self._filled)
                 self.X[rows] = x
+            # the cadence points from m on lie past every row's trace; the
+            # final points follow the others in the same full_many call
+            lengths = self.lengths()
+            m = int(np.searchsorted(metric_steps, lengths.max()))
+            metric_steps = metric_steps[:m]
+            if last:
+                kept = self.diverged_step < 0
+                points[kept, m] = self.X[kept]
+            metrics = self._metrics(points[:, :m + last])
         self.rows, self._x = rows, x
+        metrics[:, :, :m][:, metric_steps >= lengths[:, None]] = np.nan
+        final = None
+        if last:
+            final = metrics[:, :, m].T
+            final[self.diverged_step >= 0] = np.nan
 
         def whole(part: np.ndarray, fill) -> np.ndarray:
             """`part`, a chunk array of the rows running at k0, as one of all S rows."""
@@ -447,7 +441,8 @@ class Run:
 
         return Chunk(k0, k1, tables, whole(loss_c, np.nan), whole(gamma_c, np.nan),
                      whole(grad_sq_c, np.nan), whole(stationary_c, False), sigma,
-                     None if iterates_c is None else whole(iterates_c, np.nan))
+                     metric_steps, *metrics[:, :, :m], final=final,
+                     iterates=None if iterates_c is None else whole(iterates_c, np.nan))
 
 
 def run_sgd(
@@ -492,9 +487,10 @@ def run_seeds(
     is the same whichever seeds run beside it and however the steps are
     chunked. Metric cadence c > 0 records full objective value, squared
     distance to x* (when known) and squared full gradient norm at every c-th
-    iterate plus the final one. They are evaluated after their steps, in
-    blocks of at most max(1, ROW_BLOCK_ENTRIES // (S * n * d)) metric points:
-    one `full_many` call per block, over the S rows of each of its points.
+    iterate plus the final one. Each chunk evaluates its own points after
+    its last step, the last chunk the final ones too, in blocks of at most
+    max(1, ROW_BLOCK_ENTRIES // (S * n * d)) metric points: one `full_many`
+    call per block, over the S rows of each of its points.
     A batch loss or squared batch gradient norm that is not finite or is
     above 1e30, or a non-finite coordinate, halts that seed with the
     diverged flag set: its row freezes and the other seeds go on.
@@ -506,16 +502,16 @@ def run_seeds(
 
 def _whole_traces(run: Run) -> list[RunTrace]:
     """Advance `run` to its end and return each row's whole trace."""
-    n_rows, steps, dim = len(run.seeds), run.steps, run.obj.dim
+    n_rows, steps, dim, cadence = len(run.seeds), run.steps, run.obj.dim, run.cadence
     loss_batch = np.empty((n_rows, steps))
     gamma = np.empty((n_rows, steps))
     grad_sq = np.empty((n_rows, steps))
     stationary = np.empty((n_rows, steps), dtype=bool)
     sigma = np.empty(steps)
     iterates = np.empty((n_rows, steps + 1, dim)) if run.store_iterates else None
-    cadence = run.cadence
-    n_metrics = len(range(0, steps, cadence)) + 1 if cadence > 0 else 0
-    metrics = np.full((3, n_rows, n_metrics), np.nan)
+    # every cadence point, then a slot that a row's final point may take
+    n_points = -(-steps // cadence) if cadence > 0 else 0
+    metrics = np.full((3, n_rows, n_points + 1), np.nan)
     for chunk in run:
         span = slice(chunk.k0, chunk.k1)
         loss_batch[:, span] = chunk.loss_batch
@@ -530,27 +526,27 @@ def _whole_traces(run: Run) -> list[RunTrace]:
                 (n_rows, steps) + chunk.batch_ids.shape[2:], dtype=chunk.batch_ids.dtype)
         if not run.full_batch:
             batch_ids[:, span] = chunk.batch_ids
-        first, *values = run.take_metrics()
-        metrics[:, :, first:first + values[0].shape[1]] = values
+        if cadence > 0:
+            metrics[:, :, chunk.metric_steps // cadence] = (
+                chunk.loss_full, chunk.dist_sq, chunk.grad_full_sq)
     # sigma_k is the same for every row: one read-only row that the traces
     # share; a stopped row's copy reads NaN from sigma_end[r] on
     sigma.flags.writeable = False
 
     traces = []
-    for r, seed in enumerate(run.seeds):
+    for r, (seed, length) in enumerate(zip(run.seeds, run.lengths().tolist())):
         end = int(run.ends[r])
         diverged = bool(run.diverged_step[r] >= 0)
-        n_recorded = run.metric_count(r)
-        sigma_r = sigma if end == steps else sigma[:end]
-        if run.sigma_end[r] < end:
-            sigma_r = sigma[:end].copy()
-            sigma_r[run.sigma_end[r]:] = np.nan
         iterates_r = None
         if iterates is not None and not diverged:
             iterates[r, end] = run.X[r]
             iterates_r = iterates[r, :end + 1]
-        metric_steps = (np.append(np.arange(0, end, cadence), end) if cadence > 0
+        metric_steps = (np.arange(0, length, cadence) if cadence > 0
                         else np.empty(0, dtype=int))
+        if cadence > 0 and not diverged:  # its final point follows its cadence points
+            metrics[:, r, len(metric_steps)] = chunk.final[r]
+            metric_steps = np.append(metric_steps, end)
+        n_recorded = len(metric_steps)
         traces.append(RunTrace(
             steps=end,
             x0=run.x_start[r],
@@ -558,10 +554,10 @@ def _whole_traces(run: Run) -> list[RunTrace]:
             batch_ids=batch_ids[r] if run.full_batch else batch_ids[r, :end],
             loss_batch=loss_batch[r, :end],
             gamma=gamma[r, :end],
-            sigma=sigma_r,
+            sigma=run.row_sigma(r, sigma if end == steps else sigma[:end]),
             grad_sq=grad_sq[r, :end],
             stationary=stationary[r, :end],
-            metric_steps=metric_steps[:n_recorded],
+            metric_steps=metric_steps,
             loss_full=metrics[0, r, :n_recorded],
             dist_sq=metrics[1, r, :n_recorded],
             grad_full_sq=metrics[2, r, :n_recorded],
@@ -600,16 +596,15 @@ def _cells(values: np.ndarray) -> list[str]:
     return cells
 
 
-def _write_rows(fh, k0: int, ids: np.ndarray, per_step: Sequence[np.ndarray],
+def _write_rows(fh, k0: int, n_rows: int, ids: np.ndarray, per_step: Sequence[np.ndarray],
                 metric_steps: np.ndarray, metrics: Sequence[np.ndarray]) -> None:
-    """Write the trace rows of steps k0, k0 + 1, ..., CSV_BLOCK_ROWS rows per join.
+    """Write the trace rows of steps k0 .. k0 + n_rows - 1, CSV_BLOCK_ROWS rows per join.
 
-    `per_step` holds those steps' loss_batch, gamma, sigma and grad_sq, and
-    `ids` their batch indices, or the one row that every full_batch step
-    uses; `metrics` holds loss_full, dist_sq and grad_full_sq at the steps
-    `metric_steps`. Cells are formatted a column at a time.
+    `per_step` holds the loss_batch, gamma, sigma and grad_sq of steps k0 on,
+    and `ids` their batch indices, or the one row that every full_batch
+    step uses; `metrics` holds loss_full, dist_sq and grad_full_sq at the
+    steps `metric_steps`. Cells are formatted a column at a time.
     """
-    n_rows = len(per_step[0])
     for a in range(0, n_rows, CSV_BLOCK_ROWS):
         b = min(a + CSV_BLOCK_ROWS, n_rows)
         if len(ids) == 1:  # full_batch: one row that every step uses
@@ -634,12 +629,10 @@ def trace_to_csv(trace: RunTrace, path) -> None:
 
     A diverged trace ends at the step where it diverged.
     """
-    n_rows = trace.diverged_step + 1 if trace.diverged else trace.steps
-    ids = trace.batch_ids if len(trace.batch_ids) == 1 else trace.batch_ids[:n_rows]
     with open(path, "w") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        _write_rows(fh, 0, ids, [values[:n_rows] for values in
-                                 (trace.loss_batch, trace.gamma, trace.sigma, trace.grad_sq)],
+        _write_rows(fh, 0, trace.length, trace.batch_ids,
+                    (trace.loss_batch, trace.gamma, trace.sigma, trace.grad_sq),
                     np.asarray(trace.metric_steps),
                     (trace.loss_full, trace.dist_sq, trace.grad_full_sq))
 
@@ -647,39 +640,28 @@ def trace_to_csv(trace: RunTrace, path) -> None:
 def write_traces(run: Run, paths: Sequence) -> np.ndarray:
     """Advance `run` to its end, writing row r's `trace_to_csv` file to paths[r].
 
-    Each chunk's rows are written as soon as it is done, its metric points
-    evaluated first, so memory stays within a chunk however long the run.
-    Returns the (S, 4) last values of loss_full, dist_sq, grad_full_sq and
-    gamma of each row: its final ones unless it diverged. With no paths it
-    writes nothing and returns only these.
+    Each chunk's rows, its metric points among them, are written as soon as
+    it is done, so memory stays within a chunk however long the run.
+    Returns the (S, 4) final values of loss_full, dist_sq, grad_full_sq and
+    gamma of each row, NaN for a row that diverged. With no paths it writes
+    nothing and returns only these.
     """
     last = np.full((len(run.seeds), 4), np.nan)
-    cadence = run.cadence
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(path, "w")) for path in paths]
         for fh in files:
             fh.write(",".join(TRACE_COLUMNS) + "\n")
         for chunk in run:
-            run.flush()
-            first, *metrics = run.take_metrics()
-            count = metrics[0].shape[1]
-            metric_steps = np.minimum(np.arange(first, first + count) * cadence, run.steps)
-            if count:
-                last[:, :3] = np.stack([values[:, -1] for values in metrics], axis=1)
-            last[:, 3] = chunk.gamma[:, -1]
+            lengths = run.lengths()
             for r, fh in enumerate(files):
-                diverged = run.diverged_step[r] >= 0
-                n_rows = min(chunk.k1, run.diverged_step[r] + 1 if diverged else run.ends[r])
-                if n_rows <= chunk.k0:
-                    continue
-                span = slice(0, n_rows - chunk.k0)
-                sigma = chunk.sigma[span]
-                if run.sigma_end[r] < n_rows:
-                    sigma = sigma.copy()
-                    sigma[max(run.sigma_end[r] - chunk.k0, 0):] = np.nan
-                ids = chunk.batch_ids[r] if run.full_batch else chunk.batch_ids[r, span]
-                _write_rows(fh, chunk.k0, ids,
-                            (chunk.loss_batch[r, span], chunk.gamma[r, span], sigma,
-                             chunk.grad_sq[r, span]),
-                            metric_steps, [values[r] for values in metrics])
+                _write_rows(fh, chunk.k0, min(chunk.k1, lengths[r]) - chunk.k0, chunk.batch_ids[r],
+                            (chunk.loss_batch[r], chunk.gamma[r],
+                             run.row_sigma(r, chunk.sigma, chunk.k0), chunk.grad_sq[r]),
+                            chunk.metric_steps,
+                            (chunk.loss_full[r], chunk.dist_sq[r], chunk.grad_full_sq[r]))
+            # the last gamma of each row that ended in this chunk
+            ended = (chunk.k0 < run.ends) & (run.ends <= chunk.k1) & (run.diverged_step < 0)
+            last[ended, 3] = chunk.gamma[ended, run.ends[ended] - 1 - chunk.k0]
+    if chunk.final is not None:
+        last[:, :3] = chunk.final
     return last

@@ -73,8 +73,15 @@ LEMMA_FIXTURES = {
 }
 
 
+def _check_size(name: str, value: int) -> None:
+    """ValueError unless a check's sample size is at least 1: no sample is no evidence."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def check_lemma_equality(trials: int = 10_000, seed: int = 0) -> CheckReport:
     """gamma * g^2 == 2 ((sigma - gamma)/sigma) * f, algebraic identity."""
+    _check_size("trials", trials)
     rng = np.random.default_rng(seed)
     losses = 10.0 ** rng.uniform(-6, 2, trials)
     gsqs = 10.0 ** rng.uniform(-8, 4, trials)
@@ -100,7 +107,7 @@ def check_lemma_equality(trials: int = 10_000, seed: int = 0) -> CheckReport:
 def check_lemma_bounds(
     problem: str = "quadratic1d", sigma: float = 1.0, steps: int = 1000, seed: int = 0
 ) -> CheckReport:
-    """Every observed NGN stepsize in [sigma/(1 + sigma L) - eps, sigma + eps]."""
+    """Every NGN stepsize taken, at least one, in [sigma/(1 + sigma L) - eps, sigma + eps]."""
     obj = build_spec(PROBLEMS, LEMMA_FIXTURES[problem])
     trace = run_sgd(obj, NGN(sigma), steps, seed=seed, x0=None)
     lo, hi = stepsize_bounds(sigma, obj.l_max)
@@ -113,7 +120,7 @@ def check_lemma_bounds(
         measured=violation,
         bound=1e-12,
         tolerance=1e-12,
-        passed=violation <= 1e-12,
+        passed=bool(gammas.size) and violation <= 1e-12,
         seed=seed,
     )
 
@@ -124,7 +131,7 @@ def check_lemma_inequality(
     steps: int = 1000,
     seed: int = 0,
 ) -> CheckReport:
-    """Pointwise fundamental inequality along a stochastic NGN trajectory."""
+    """Pointwise fundamental inequality at each step, at least one, of a stochastic NGN run."""
     obj = build_spec(PROBLEMS, LEMMA_FIXTURES[problem])
     trace = run_sgd(obj, NGN(sigma), steps, seed=seed)
     l_smooth = obj.l_max
@@ -146,7 +153,7 @@ def check_lemma_inequality(
         measured=worst,
         bound=1e-10,
         tolerance=1e-10,
-        passed=worst <= 1e-10,
+        passed=bool(gamma.size) and worst <= 1e-10,
         seed=seed,
     )
 
@@ -461,6 +468,7 @@ GRADIENT_FIXTURES = (
 
 def check_gradients(points_per_family: int = 100, seed: int = 0) -> CheckReport:
     """Analytic vs central-difference gradients across every family."""
+    _check_size("points_per_family", points_per_family)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for spec in GRADIENT_FIXTURES:
@@ -486,6 +494,7 @@ def check_gradients(points_per_family: int = 100, seed: int = 0) -> CheckReport:
 
 def check_ggn_reductions(trials: int = 10_000, seed: int = 0) -> CheckReport:
     """monomial(p=2) == quadratic == NGN; neg_log matches its closed form."""
+    _check_size("trials", trials)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -516,6 +525,7 @@ def check_ggn_reductions(trials: int = 10_000, seed: int = 0) -> CheckReport:
 
 def check_baseline_sanity(trials: int = 10_000, seed: int = 0) -> CheckReport:
     """AdaGrad-norm monotone, SPS cap, NGN harmonic-mean identity."""
+    _check_size("trials", trials)
     rng = np.random.default_rng(seed)
     adagrad = AdaGradNorm(eta=1.5, delta0=0.01)
     sps = SPSMax(c=1.0, gamma_b=3.0)

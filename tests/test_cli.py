@@ -86,6 +86,15 @@ def test_run_rejects_malformed_line(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_run_rejects_repeated_key(tmp_path, capsys):
+    cfg = write_config(tmp_path / "repeat.cfg", steps="10")
+    cfg.write_text(cfg.read_text() + "steps = 20\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}:5: key 'steps' repeats line 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_determinism_byte_identical(tmp_path):
     cfg = write_config(tmp_path / "run.cfg", seeds="0,1")
     out_a, out_b = tmp_path / "a", tmp_path / "b"

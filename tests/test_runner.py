@@ -277,7 +277,7 @@ def test_lockstep_diverged_rows_match_solo_runs():
 
 
 METRIC_BLOCK_CASES = {
-    # blocks of 1 at ROW_BLOCK_ENTRIES = 7; at the default, one block per run,
+    # blocks of 1 at ROW_BLOCK_ENTRIES = 7; at the default, one block per chunk,
     # except logistic's 201 points in blocks of 65536 // (4 * 30 * 9) = 60
     "lockstep": [
         ("two_quadratics()", "ngn(sigma=1.0)", 3000, range(4), dict(cadence=7)),
@@ -291,9 +291,9 @@ METRIC_BLOCK_CASES = {
     # three rows: blocks of 2 at ROW_BLOCK_ENTRIES = 7; seed 1 goes stationary
     "stationary": [("quadratic1d(lam=1.0, xstar=0.0, fstar=0.0)", "aps()", 600, range(3),
                     dict(cadence=100))],
-    # every row diverges at step 99, at cadence 1 the 100th metric point: in
-    # blocks of 3 at ROW_BLOCK_ENTRIES = 7, that point waits alone for the flush;
-    # from x0 = 1e160 every row stops at step 0, and f(x0) overflows in the flush
+    # every row diverges at step 99, at cadence 1 the 100th metric point, its
+    # last; from x0 = 1e160 every row stops at step 0, and f(x0) overflows
+    # where the chunk evaluates its metric points
     "all_diverged": [
         ("quadratic1d(lam=1.2, xstar=0.0, fstar=0.1)", "constant(gamma=2.0)", 150, range(2),
          dict(cadence=1, x0=np.array([3.0]))),
@@ -331,16 +331,31 @@ def full_many_calls(obj):
 
 
 def test_full_many_called_once_per_metric_block():
+    # a call per chunk: 1365 cadence points, then 635 and the final point
     obj = make_two_quadratics()
     calls = full_many_calls(obj)
     run_seeds(obj, NGN(0.5), 2000, seeds=range(8), cadence=1)
-    assert calls == [8 * 2001]
+    assert calls == [8 * 1365, 8 * 636]
     # 3 * 2000 * 100 > ROW_BLOCK_ENTRIES: a call per metric point, as before
     obj = build_spec(PROBLEMS, "logistic_blobs(n=2000, d=20, classes=5, seed=0)")
     calls = full_many_calls(obj)
     run_seeds(obj, NGN(1.0), 30, seeds=range(3), sampler="epoch_shuffle", batch_size=16,
               cadence=10)
     assert calls == [3] * 4
+
+
+def test_no_metric_points_after_every_row_stopped(monkeypatch):
+    # both rows diverge at step 99: the chunks after it evaluate no cadence
+    # point, and the last one only the final points, NaN for diverged rows
+    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 10)
+    obj = make_quadratic1d(1.2, 0.0, 0.1)
+    calls = full_many_calls(obj)
+    run = Run(obj, Constant(2.0), 150, seeds=range(2), x0=np.array([3.0]), cadence=1)
+    chunks = list(run)
+    assert run.diverged_step.tolist() == [99, 99]
+    assert calls == [2 * 10] * 10 + [2]
+    assert [len(c.metric_steps) for c in chunks] == [10] * 10 + [0] * 5
+    assert np.isnan(chunks[-1].final).all()
 
 
 class ScheduledStep(StepsizePolicy):
@@ -486,9 +501,9 @@ def test_chunked_runs_keep_traces(monkeypatch, case):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("chunk", [1, 7, 11])
 def test_retired_rows_across_chunks_and_flushes(monkeypatch, chunk):
-    # metric slots of two points: rows retire at steps 9 and 23, off the
+    # metric blocks of two points: rows retire at steps 9 and 23, off the
     # cadence 7, and the row ending at 33 runs past the longest end of 40's
-    # last metric step; a flush after every chunk leaves the values as they are
+    # last metric step; the chunks carry each row's values and finals
     monkeypatch.setattr(objectives, "ROW_BLOCK_ENTRIES", 2 * 4 * 12 * 4)
     monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: chunk)
     obj = build_spec(PROBLEMS, "linear_regression(d=4, n=12, seed=1, noise_std=0.1)")
@@ -499,18 +514,22 @@ def test_retired_rows_across_chunks_and_flushes(monkeypatch, chunk):
         assert_same_trace(trace, run_sgd(obj, NGN(1.0), end, seed=seed, sampler="epoch_shuffle",
                                          batch_size=2, cadence=7))
     run = Run(obj, NGN(1.0), ends, **kwargs)
-    values = np.full((3, 4, 7), np.nan)
-    for _ in run:
-        run.flush()
-        first, *taken = run.take_metrics()
-        values[:, :, first:first + taken[0].shape[1]] = taken
+    chunks = list(run)
     with pytest.raises(RuntimeError, match="ended at step 40"):
         run.advance()
-    for r, trace in enumerate(traces):
-        n = run.metric_count(r)
-        assert n == len(trace.metric_steps)
-        assert np.array_equal(values[:, r, :n], [trace.loss_full, trace.dist_sq,
-                                                 trace.grad_full_sq])
+    assert [c.final is None for c in chunks] == [True] * (len(chunks) - 1) + [False]
+    steps = np.concatenate([c.metric_steps for c in chunks])
+    assert steps.tolist() == list(range(0, 40, 7))
+    values = np.concatenate([np.stack([c.loss_full, c.dist_sq, c.grad_full_sq])
+                             for c in chunks], axis=2)
+    for r, (end, trace) in enumerate(zip(ends, traces)):
+        assert trace.metric_steps.tolist() == [k for k in steps if k < end] + [end]
+        cadence = len(trace.metric_steps) - 1
+        assert np.isnan(values[:, r, cadence:]).all()  # none after it retired
+        assert np.array_equal(values[:, r, :cadence], [trace.loss_full[:-1], trace.dist_sq[:-1],
+                                                       trace.grad_full_sq[:-1]])
+        assert np.array_equal(chunks[-1].final[r], [trace.loss_full[-1], trace.dist_sq[-1],
+                                                    trace.grad_full_sq[-1]])
 
 
 STREAM_CASES = {
@@ -530,6 +549,9 @@ STREAM_CASES = {
                      dict(seeds=range(2), x0=np.array([3.0]), cadence=3)),
     "some_diverged": ("linear_regression(d=1, n=6, seed=3)", lambda: Constant(5.0), 300,
                       dict(seeds=range(6), cadence=50)),
+    # row 1 retires at step 9, off the cadence: its finals are its own
+    "retired": ("linear_regression(d=4, n=12, seed=1, noise_std=0.1)", lambda: NGN(1.0), [40, 9],
+                dict(seeds=[0, 1], sampler="epoch_shuffle", batch_size=2, cadence=7)),
 }
 
 

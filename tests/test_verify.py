@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from ngn import stepsizes, theory
+from ngn import stepsizes, theory, verify
 from ngn.objectives import make_nonconvex_sum
 from ngn.runner import run_sgd
 from ngn.verify import (
@@ -49,6 +49,30 @@ def test_gradient_check_passes():
 def test_ggn_and_baseline_checks_pass():
     assert check_ggn_reductions().passed
     assert check_baseline_sanity().passed
+
+
+@pytest.mark.parametrize("check, size", [
+    (check_lemma_equality, "trials"),
+    (check_ggn_reductions, "trials"),
+    (check_baseline_sanity, "trials"),
+    (check_gradients, "points_per_family"),
+])
+def test_empty_samples_are_rejected(check, size):
+    for value in (0, -1):
+        with pytest.raises(ValueError, match=f"{size} must be >= 1"):
+            check(**{size: value})
+
+
+@pytest.mark.parametrize("check", [check_lemma_bounds, check_lemma_inequality])
+def test_lemma_checks_fail_without_a_step(monkeypatch, check):
+    def no_step(*args, **kwargs):
+        trace = run_sgd(*args, **kwargs)
+        trace.stationary[:] = True  # as if every step stood still
+        return trace
+
+    assert check().passed
+    monkeypatch.setattr(verify, "run_sgd", no_step)
+    assert not check().passed
 
 
 def test_injected_sign_bug_is_caught(monkeypatch):
