@@ -11,7 +11,10 @@ To re-record after an intended output change, run this file as a script.
 
 import hashlib
 
+import numpy as np
+
 from ngn.cli import main
+from ngn.objectives import make_blobs_dataset, make_logistic
 from ngn.verify import suite_gradients, suite_lemmas
 
 PROBLEMS = (
@@ -172,6 +175,29 @@ BATCH_GOLDEN = {
 REPORT_GOLDEN = 'ddf8b75e9573bda4d6d4f7b579c2e98e5749968278f56557047a9d2e9aec7eb1'
 
 
+# One SHA-256 over the logistic full objective's values and gradients at
+# 1, 3, 7 and 40 points of a 2000-sample, 5-class problem: every run above
+# has at most 40 samples, where no array of the full objective nears a row
+# block, and 7 and 40 points span more than one.
+FULL_ROWS = (1, 3, 7, 40)
+FULL_GOLDEN = '0febe5ff69decda1f2e7aec7ce832f9c2551dd2c2353035298563e766d13e06d'
+
+
+def full_digest() -> str:
+    obj = make_logistic(make_blobs_dataset(n=2000, d=20, classes=5, seed=1))
+    points = 0.3 * np.random.default_rng(5).standard_normal((max(FULL_ROWS), obj.dim))
+    h = hashlib.sha256()
+    for rows in FULL_ROWS:
+        values, grads = obj.full_many(points[:rows])
+        h.update(values.tobytes())
+        h.update(grads.tobytes())
+    return h.hexdigest()
+
+
+def test_logistic_full_objective_hash():
+    assert full_digest() == FULL_GOLDEN
+
+
 def report_digest() -> str:
     rows = [report.csv_row() for report in suite_lemmas() + suite_gradients()]
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
@@ -253,5 +279,6 @@ if __name__ == "__main__":
         print(f"    ({p!r}, {q!r}):\n        {value!r},")
     print(f"DIVERGING_GOLDEN = {diverging!r}")
     print(f"REPORT_GOLDEN = {report_digest()!r}")
+    print(f"FULL_GOLDEN = {full_digest()!r}")
     for name, value in batch.items():
         print(f"    {name!r}: {value!r},")
