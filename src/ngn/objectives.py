@@ -40,7 +40,8 @@ ROW_BLOCK_ENTRIES = 1 << 16
 
 # Largest number of float64 entries a generated or loaded problem may hold
 # in one dense array: rows x features of a dataset, d x d of a Hessian, and
-# rows x classes, the size of the full logistic objective's scores per point.
+# rows x classes, the size of each of the full logistic objective's two work
+# arrays per point.
 # 2^27 entries are 1 GiB; one stray LIBSVM index near 1e9, a distinct label
 # on every row, or a mistyped size would otherwise ask for far more.
 MAX_DENSE_ENTRIES = 1 << 27
@@ -110,11 +111,13 @@ class FiniteSumObjective:
     component indices and X an (S, d) array of points, and values[s, j] and
     grads[s, j] are f_i(X[s]) >= 0 and its gradient for i = idx[s, j]. A
     vectorized `full` X -> (f(X[s]), grad f(X[s])) over the rows may be
-    supplied for cheap full-objective metrics; otherwise the mean of all N
-    components is used. Every evaluation goes through `eval_many`,
-    `full_many` or `batch_evaluator`: a single point or component is a
-    one-row call, and rows are evaluated independently, so a row's values do
-    not depend on the rows beside it.
+    supplied for cheap full-objective metrics, with `full_width`, the
+    entries its largest temporaries take per row (N by default): `full_many`
+    calls it on blocks of at most ROW_BLOCK_ENTRIES // full_width rows.
+    Without `full` the mean of all N components is used. Every evaluation
+    goes through `eval_many`, `full_many` or `batch_evaluator`: a single
+    point or component is a one-row call, and rows are evaluated
+    independently, so a row's values do not depend on the rows beside it.
     """
 
     def __init__(
@@ -129,6 +132,7 @@ class FiniteSumObjective:
         f_star: Optional[float] = None,
         f_i_star: Optional[np.ndarray] = None,
         full: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None,
+        full_width: Optional[int] = None,
         name: str = "",
     ):
         self.n = int(n)
@@ -141,6 +145,7 @@ class FiniteSumObjective:
         self.f_star = f_star
         self.f_i_star = None if f_i_star is None else np.asarray(f_i_star, dtype=float)
         self._full = full
+        self._full_width = self.n if full_width is None else int(full_width)
         self.name = name or type(self).__name__
 
     def eval_many(self, idx: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +188,7 @@ class FiniteSumObjective:
     def full_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Full objective value (S,) and gradient (S, d) at each row of X."""
         if self._full is not None:
-            return _by_row_blocks(self._full, self.n, X)
+            return _by_row_blocks(self._full, self._full_width, X)
         return self.eval_many(np.broadcast_to(np.arange(self.n), (len(X), self.n)), X)
 
 
@@ -360,15 +365,23 @@ def make_logistic(dataset: Dataset, l2: float = 0.0) -> FiniteSumObjective:
 
     # flat positions of each row's label score in a (c, n) class-major block
     label_at = y * n + np.arange(n)
+    # (rows, n, c) and (rows, c, n) work arrays of the largest block so far,
+    # filled in place: arrays this size allocated afresh on every call take
+    # new pages from the OS each time. No returned array is a view of them;
+    # two threads must not evaluate one logistic objective at once.
+    work = [np.empty((0, n, c)), np.empty((0, c, n))]
 
     def full(X):
         S = len(X)
+        if S > len(work[0]):
+            work[:] = np.empty((S, n, c)), np.empty((S, c, n))
+        scores, cols = work[0][:S], work[1][:S]
         w = X.reshape(S, c, d)
-        scores = a @ w.transpose(0, 2, 1)  # (S, n, c)
+        np.matmul(a, w.transpose(0, 2, 1), out=scores)  # (S, n, c)
         # class-major, one contiguous row per class: the max and the sum over
         # the short class axis take one ufunc call per class, where a
         # reduction pays numpy's overhead per row, and round as _softmax_ce's
-        cols = np.ascontiguousarray(scores.transpose(0, 2, 1))  # (S, c, n)
+        np.copyto(cols, scores.transpose(0, 2, 1))  # (S, c, n)
         top = cols[:, 0].copy()
         for j in range(1, c):
             np.maximum(top, cols[:, j], out=top)
@@ -381,9 +394,9 @@ def make_logistic(dataset: Dataset, l2: float = 0.0) -> FiniteSumObjective:
         loss = (np.log(total) - picked).mean(axis=-1)
         cols /= total[:, None]
         flat[:, label_at] -= 1.0
-        # back to (S, n, c): the gradient matmul rounds by its operand layout
-        dscores = np.ascontiguousarray(cols.transpose(0, 2, 1))
-        grad = (dscores.transpose(0, 2, 1) @ a) / n
+        # dscores back to (S, n, c): the gradient matmul rounds by its operand layout
+        np.copyto(scores, cols.transpose(0, 2, 1))
+        grad = (scores.transpose(0, 2, 1) @ a) / n
         if l2 > 0:
             loss = loss + 0.5 * l2 * np.vecdot(X, X)
             grad = grad + l2 * w
@@ -394,6 +407,7 @@ def make_logistic(dataset: Dataset, l2: float = 0.0) -> FiniteSumObjective:
         l_i=np.einsum("ij,ij->i", a, a) + l2,
         mu=l2 if l2 > 0 else 0.0,
         full=full,
+        full_width=n * c,
         name="logistic",
     )
 

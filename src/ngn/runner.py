@@ -644,8 +644,11 @@ def write_traces(run: Run, paths: Sequence) -> np.ndarray:
     it is done, so memory stays within a chunk however long the run.
     Returns the (S, 4) final values of loss_full, dist_sq, grad_full_sq and
     gamma of each row, NaN for a row that diverged. With no paths it writes
-    nothing and returns only these.
+    nothing and returns only these; ValueError, before any file is opened,
+    for any other count than one path per row.
     """
+    if len(paths) not in (0, len(run.seeds)):
+        raise ValueError(f"{len(paths)} trace paths for {len(run.seeds)} rows")
     last = np.full((len(run.seeds), 4), np.nan)
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(path, "w")) for path in paths]

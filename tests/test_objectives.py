@@ -440,6 +440,50 @@ def test_logistic_full_matches_class_axis_reductions():
                         classes, l2, scale, S)
 
 
+def full_peak(obj, X) -> int:
+    tracemalloc.start()
+    try:
+        obj.full_many(X)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_logistic_full_memory_is_bounded():
+    # n x classes = 200000 entries per point: one point per block, where 20
+    # points at once held three (20, n, c) temporaries, 92 MiB
+    obj = make_logistic(make_blobs_dataset(n=1000, d=2, classes=200, seed=1))
+    X = np.random.default_rng(0).standard_normal((20, obj.dim))
+    assert full_peak(obj, X) < 8 * 2**20
+
+
+def test_logistic_full_keeps_its_work_arrays():
+    # a second call of the same shape allocates no (S, n, c) array
+    obj = make_logistic(make_blobs_dataset(n=2000, d=20, classes=5, seed=1))
+    X = 0.3 * np.random.default_rng(0).standard_normal((3, obj.dim))
+    obj.full_many(X)
+    assert full_peak(obj, X) < 2 * X.shape[0] * obj.n * 5 * 8
+
+
+def test_logistic_full_returns_fresh_arrays():
+    # results stay as returned whatever the calls after them, and equal a
+    # fresh objective's: the kept work arrays are never returned or aliased
+    data = make_blobs_dataset(n=2000, d=20, classes=5, seed=1)
+    obj = make_logistic(data)
+    X = 0.3 * np.random.default_rng(1).standard_normal((20, obj.dim))
+    first = obj.full_many(X[:3])
+    kept = [a.copy() for a in first]
+    later = [obj.full_many(X[:rows]) for rows in (20, 1, 3)]
+    for got in [first, *later]:
+        for g in got:
+            assert not any(np.shares_memory(g, h) for other in [first, *later]
+                           if other is not got for h in other)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, kept))
+    fresh = make_logistic(data).full_many(X[:3])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, fresh))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(later[2], fresh))
+
+
 def test_as_point_validation():
     assert as_point([1.0, 2.0], 2).shape == (2,)
     with pytest.raises(ValueError):

@@ -576,6 +576,16 @@ def test_streamed_csv_matches_whole_traces(tmp_path, monkeypatch, case, chunk):
                                   equal_nan=True)
 
 
+@pytest.mark.parametrize("seeds, count", [((0, 1, 2), 1), ((0, 1), 3)])
+def test_write_traces_needs_a_path_per_row(tmp_path, seeds, count):
+    run = Run(make_two_quadratics(), NGN(0.5), 20, seeds=seeds)
+    paths = [tmp_path / f"trace{r}.csv" for r in range(count)]
+    with pytest.raises(ValueError, match=f"{count} trace paths for {len(seeds)} rows"):
+        write_traces(run, paths)
+    assert list(tmp_path.iterdir()) == []
+    assert run.k == 0
+
+
 def traced_peak(fn) -> int:
     """Peak bytes that tracemalloc sees during fn()."""
     tracemalloc.start()
