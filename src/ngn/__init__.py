@@ -27,9 +27,7 @@ from .runner import (
     RunError,
     RunTrace,
     aggregate_metric,
-    run_seeds,
-    run_sgd,
-    trace_to_csv,
+    whole_traces,
     write_traces,
 )
 from .specs import POLICIES, PROBLEMS, SpecError, build_spec

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .objectives import FiniteSumObjective, make_blobs_dataset, write_libsvm
-from .runner import Run, aggregate_metric, check_run, write_traces
+from .runner import Run, aggregate_metric, write_traces
 from .specs import POLICIES, PROBLEMS, build_spec
 from .stepsizes import StepsizePolicy
 from .verify import REPORT_HEADER, SUITES, run_suites
@@ -139,25 +139,20 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _build_runs(cfg: ExperimentConfig, points: Sequence[dict]
-                ) -> tuple[FiniteSumObjective, list[StepsizePolicy], dict]:
-    """The problem, each point's policy and the `Run` keyword arguments.
-
-    `runner.check_run` checks every point; what it rejects is a config error.
-    """
+def _build_runs(cfg: ExperimentConfig, points: Sequence[dict]) -> list[Run]:
+    """One `Run` per point; what `runner.check_run` rejects there is a config error."""
     obj = build_problem(cfg.problem)
-    run_args = dict(seeds=sorted(cfg.seeds), sampler=cfg.sampler, batch_size=cfg.batch_size,
-                    x0=np.array(cfg.x0) if cfg.x0 is not None else None)
-    policies = []
+    x0 = np.array(cfg.x0) if cfg.x0 is not None else None
+    cadence = cfg.cadence if cfg.cadence is not None else cfg.steps
+    runs = []
     for overrides in points:
         policy = build_policy(cfg.policy, **overrides)
         try:
-            check_run(obj, policy, cfg.steps, **run_args)
+            runs.append(Run(obj, policy, cfg.steps, seeds=sorted(cfg.seeds), sampler=cfg.sampler,
+                            batch_size=cfg.batch_size, x0=x0, cadence=cadence))
         except ValueError as exc:
             raise ConfigError(f"{cfg.policy} on {cfg.problem}: {exc}") from exc
-        policies.append(policy)
-    run_args["cadence"] = cfg.cadence if cfg.cadence is not None else cfg.steps
-    return obj, policies, run_args
+    return runs
 
 
 AGGREGATE_METRICS = ("loss_full_final", "dist_sq_final", "grad_full_sq_final", "gamma_final")
@@ -177,9 +172,8 @@ def _write_aggregate(finals: np.ndarray, path: Path) -> None:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    obj, (policy,), run_args = _build_runs(cfg, [{}])
+    (run,) = _build_runs(cfg, [{}])
     out_dir = resolve_out_dir(args.out, cfg.out)
-    run = Run(obj, policy, cfg.steps, **run_args)
     finals = write_traces(run, [out_dir / f"trace_seed{seed}.csv" for seed in run.seeds])
     for seed, step in zip(run.seeds, run.diverged_step.tolist()):
         if step >= 0:
@@ -196,11 +190,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep config needs 'axis' and a nonempty 'values' grid")
     if len(set(cfg.values)) < len(cfg.values):
         raise ConfigError(f"sweep values must be distinct, got {', '.join(map(repr, cfg.values))}")
-    obj, policies, run_args = _build_runs(cfg, [{cfg.axis: value} for value in cfg.values])
+    runs = _build_runs(cfg, [{cfg.axis: value} for value in cfg.values])
     out_dir = resolve_out_dir(args.out, cfg.out)
     rows = []  # (value, Aggregate of the final losses, or None when a seed diverged)
-    for value, policy in zip(cfg.values, policies):
-        run = Run(obj, policy, cfg.steps, **run_args)
+    for value, run in zip(cfg.values, runs):
         finals = write_traces(run, [])  # no trace files: the final values only
         n_diverged = int(np.sum(run.diverged_step >= 0))
         if n_diverged:

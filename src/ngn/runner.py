@@ -53,11 +53,6 @@ class RunTrace:
     iterates: Optional[np.ndarray] = None
     seed: int = 0
 
-    @property
-    def length(self) -> int:
-        """Steps of the trace: through the step where it diverged, else all of them."""
-        return self.diverged_step + 1 if self.diverged else self.steps
-
 
 class _Sampler:
     """One row's component indices, drawn a chunk of steps at a time from its stream.
@@ -151,16 +146,17 @@ class Chunk:
 
 
 class Run:
-    """A lockstep run of S rows, one seed each, advanced a chunk of steps at a time.
+    """x^{k+1} = x^k - gamma_k * grad_batch(x^k) for S rows, one seed each, in lockstep.
 
     Each `advance` takes every running row through the next chunk, steps
     [k0, k1), and returns their per-step values and metric points as a
-    `Chunk`. What carries over from chunk to chunk is the run's state: the
-    rows' iterates and which rows still run, the policy's per-row state, and
-    each row's two streams, default_rng([seed, 0]) for the start point and
-    default_rng([seed, 1]) for the indices, which are drawn a chunk at a
-    time. A chunk holds about ROW_BLOCK_ENTRIES entries, so memory does not
-    grow with the step count.
+    `Chunk`; iterating the run takes it to its end, as do its two consumers,
+    `whole_traces` and `write_traces`. What carries over from chunk to chunk
+    is the run's state: the rows' iterates and which rows still run, the
+    policy's per-row state, and each row's two streams, default_rng([seed,
+    0]) for the start point and default_rng([seed, 1]) for the indices,
+    which are drawn a chunk at a time. A chunk holds about ROW_BLOCK_ENTRIES
+    entries, so memory does not grow with the step count.
 
     `steps` is one end step for every row, or one per row: a row that
     reaches its end before the others retires, stopped without the diverged
@@ -225,22 +221,21 @@ class Run:
     def _metrics(self, points: np.ndarray) -> np.ndarray:
         """(3, S, m) loss_full, dist_sq and grad_full_sq at (S, m, d) points.
 
-        One full_many call per block of at most ROW_BLOCK_ENTRIES // (S * n * d)
-        points, at least one, over the S rows of each.
+        One full_many call over all S * m points, none when there are none:
+        full_many's own row blocks bound its temporaries.
         """
         obj = self.obj
         n_rows, m, dim = points.shape
         out = np.full((3, n_rows, m), np.nan)
-        block = _block_rows(n_rows * obj.n * dim)
-        for a in range(0, m, block):
-            flat = points[:, a:a + block].reshape(-1, dim)
-            fv, fg = obj.full_many(flat)
-            part = out[:, :, a:a + block]
-            part[0] = fv.reshape(n_rows, -1)
-            if obj.x_star is not None:
-                diff = flat - obj.x_star
-                part[1] = np.vecdot(diff, diff).reshape(n_rows, -1)
-            part[2] = np.vecdot(fg, fg).reshape(n_rows, -1)
+        if m == 0:
+            return out
+        flat = points.reshape(-1, dim)
+        fv, fg = obj.full_many(flat)
+        out[0] = fv.reshape(n_rows, m)
+        if obj.x_star is not None:
+            diff = flat - obj.x_star
+            out[1] = np.vecdot(diff, diff).reshape(n_rows, m)
+        out[2] = np.vecdot(fg, fg).reshape(n_rows, m)
         return out
 
     def advance(self) -> Chunk:
@@ -445,63 +440,21 @@ class Run:
                      iterates=None if iterates_c is None else whole(iterates_c, np.nan))
 
 
-def run_sgd(
-    obj: FiniteSumObjective,
-    policy: StepsizePolicy,
-    steps: int,
-    *,
-    seed: int = 0,
-    sampler: str = "with_replacement_uniform",
-    batch_size: int = 1,
-    x0: Optional[np.ndarray] = None,
-    cadence: int = 0,
-    store_iterates: bool = False,
-) -> RunTrace:
-    """One seed of `run_seeds`."""
-    return run_seeds(obj, policy, steps, seeds=(seed,), sampler=sampler, batch_size=batch_size,
-                     x0=x0, cadence=cadence, store_iterates=store_iterates)[0]
+def _check_fresh(run: Run) -> None:
+    """ValueError unless `run` is still at step 0: a consumer reads every chunk."""
+    if run.k:
+        raise ValueError(f"the run has advanced to step {run.k}; consumers need a run at step 0")
 
 
-def run_seeds(
-    obj: FiniteSumObjective,
-    policy: StepsizePolicy,
-    steps: int,
-    *,
-    seeds: Sequence[int] = (0,),
-    sampler: str = "with_replacement_uniform",
-    batch_size: int = 1,
-    x0: Optional[np.ndarray] = None,
-    cadence: int = 0,
-    store_iterates: bool = False,
-) -> list[RunTrace]:
-    """Run x^{k+1} = x^k - gamma_k * grad_batch(x^k) for every seed, in lockstep.
+def whole_traces(run: Run) -> list[RunTrace]:
+    """Advance `run` from step 0 to its end and return each row's whole trace.
 
-    The S seeds' iterates form one (S, d) array that each step advances
-    together, a chunk of steps at a time (`Run`): a chunk's arrays hold
-    about ROW_BLOCK_ENTRIES entries, max(1, ROW_BLOCK_ENTRIES // (S * (d +
-    batch + 4))) steps, and are copied into the whole traces returned here.
-    A caller that needs only a reduction of the trace, or writes it out,
-    can advance a `Run` itself and keep memory bounded by one chunk.
-    Each seed draws its start point and component indices from its own
-    streams, default_rng([seed, 0]) and default_rng([seed, 1]), so its trace
-    is the same whichever seeds run beside it and however the steps are
-    chunked. Metric cadence c > 0 records full objective value, squared
-    distance to x* (when known) and squared full gradient norm at every c-th
-    iterate plus the final one. Each chunk evaluates its own points after
-    its last step, the last chunk the final ones too, in blocks of at most
-    max(1, ROW_BLOCK_ENTRIES // (S * n * d)) metric points: one `full_many`
-    call per block, over the S rows of each of its points.
-    A batch loss or squared batch gradient norm that is not finite or is
-    above 1e30, or a non-finite coordinate, halts that seed with the
-    diverged flag set: its row freezes and the other seeds go on.
+    The traces hold every step, so memory grows with the step count; a
+    caller that needs only a reduction of the trace, or writes it out
+    (`write_traces`), can iterate the run's chunks itself and keep memory
+    bounded by one chunk. ValueError if the run has already advanced.
     """
-    return _whole_traces(Run(obj, policy, steps, seeds=seeds, sampler=sampler,
-                             batch_size=batch_size, x0=x0, cadence=cadence,
-                             store_iterates=store_iterates))
-
-
-def _whole_traces(run: Run) -> list[RunTrace]:
-    """Advance `run` to its end and return each row's whole trace."""
+    _check_fresh(run)
     n_rows, steps, dim, cadence = len(run.seeds), run.steps, run.obj.dim, run.cadence
     loss_batch = np.empty((n_rows, steps))
     gamma = np.empty((n_rows, steps))
@@ -512,6 +465,7 @@ def _whole_traces(run: Run) -> list[RunTrace]:
     # every cadence point, then a slot that a row's final point may take
     n_points = -(-steps // cadence) if cadence > 0 else 0
     metrics = np.full((3, n_rows, n_points + 1), np.nan)
+    ids = []  # (S, k1 - k0, batch) a chunk, or the one (S, 1, N) of full_batch
     for chunk in run:
         span = slice(chunk.k0, chunk.k1)
         loss_batch[:, span] = chunk.loss_batch
@@ -521,17 +475,15 @@ def _whole_traces(run: Run) -> list[RunTrace]:
         sigma[span] = chunk.sigma
         if iterates is not None:
             iterates[:, span] = chunk.iterates
-        if chunk.k0 == 0:  # (S, steps, batch), or the (S, 1, N) of full_batch
-            batch_ids = chunk.batch_ids if run.full_batch else np.empty(
-                (n_rows, steps) + chunk.batch_ids.shape[2:], dtype=chunk.batch_ids.dtype)
-        if not run.full_batch:
-            batch_ids[:, span] = chunk.batch_ids
+        if chunk.k0 == 0 or not run.full_batch:
+            ids.append(chunk.batch_ids)
         if cadence > 0:
             metrics[:, :, chunk.metric_steps // cadence] = (
                 chunk.loss_full, chunk.dist_sq, chunk.grad_full_sq)
     # sigma_k is the same for every row: one read-only row that the traces
     # share; a stopped row's copy reads NaN from sigma_end[r] on
     sigma.flags.writeable = False
+    batch_ids = ids[0] if run.full_batch else np.concatenate(ids, axis=1)
 
     traces = []
     for r, (seed, length) in enumerate(zip(run.seeds, run.lengths().tolist())):
@@ -624,29 +576,20 @@ def _write_rows(fh, k0: int, n_rows: int, ids: np.ndarray, per_step: Sequence[np
         fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-def trace_to_csv(trace: RunTrace, path) -> None:
-    """Write the per-step trace; off-cadence and non-finite cells are empty.
-
-    A diverged trace ends at the step where it diverged.
-    """
-    with open(path, "w") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        _write_rows(fh, 0, trace.length, trace.batch_ids,
-                    (trace.loss_batch, trace.gamma, trace.sigma, trace.grad_sq),
-                    np.asarray(trace.metric_steps),
-                    (trace.loss_full, trace.dist_sq, trace.grad_full_sq))
-
-
 def write_traces(run: Run, paths: Sequence) -> np.ndarray:
-    """Advance `run` to its end, writing row r's `trace_to_csv` file to paths[r].
+    """Advance `run` from step 0 to its end, writing row r's trace CSV to paths[r].
 
-    Each chunk's rows, its metric points among them, are written as soon as
-    it is done, so memory stays within a chunk however long the run.
-    Returns the (S, 4) final values of loss_full, dist_sq, grad_full_sq and
-    gamma of each row, NaN for a row that diverged. With no paths it writes
-    nothing and returns only these; ValueError, before any file is opened,
-    for any other count than one path per row.
+    A file has the TRACE_COLUMNS header and one row per step of the trace;
+    off-cadence and non-finite cells are empty, and a diverged trace ends at
+    the step where it diverged. Each chunk's rows, its metric points among
+    them, are written as soon as it is done, so memory stays within a chunk
+    however long the run. Returns the (S, 4) final values of loss_full,
+    dist_sq, grad_full_sq and gamma of each row, NaN for a row that
+    diverged. With no paths it writes nothing and returns only these;
+    ValueError, before any file is opened, for any other count than one
+    path per row or for a run that has already advanced.
     """
+    _check_fresh(run)
     if len(paths) not in (0, len(run.seeds)):
         raise ValueError(f"{len(paths)} trace paths for {len(run.seeds)} rows")
     last = np.full((len(run.seeds), 4), np.nan)

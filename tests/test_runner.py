@@ -20,22 +20,24 @@ from ngn.runner import (
     RunError,
     TRACE_COLUMNS,
     _Sampler,
-    _whole_traces,
     aggregate_metric,
     check_run,
-    run_seeds,
-    run_sgd,
-    trace_to_csv,
+    whole_traces,
     write_traces,
 )
 from ngn.specs import POLICIES, PROBLEMS, build_spec
 from ngn.stepsizes import APS, NGN, Constant, StepsizePolicy
 
 
+def one_trace(obj, policy, steps, *, seed=0, **kwargs):
+    """The trace of a one-row run of `seed`."""
+    return whole_traces(Run(obj, policy, steps, seeds=(seed,), **kwargs))[0]
+
+
 def test_determinism_same_seed_identical_traces():
     obj = make_two_quadratics()
-    a = run_sgd(obj, NGN(0.5), 500, seed=11)
-    b = run_sgd(obj, NGN(0.5), 500, seed=11)
+    a = one_trace(obj, NGN(0.5), 500, seed=11)
+    b = one_trace(obj, NGN(0.5), 500, seed=11)
     assert np.array_equal(a.x_final, b.x_final)
     assert np.array_equal(a.loss_batch, b.loss_batch)
     assert np.array_equal(a.gamma, b.gamma)
@@ -44,14 +46,14 @@ def test_determinism_same_seed_identical_traces():
 
 def test_different_seeds_differ():
     obj = make_two_quadratics()
-    a = run_sgd(obj, NGN(0.5), 200, seed=1)
-    b = run_sgd(obj, NGN(0.5), 200, seed=2)
+    a = one_trace(obj, NGN(0.5), 200, seed=1)
+    b = one_trace(obj, NGN(0.5), 200, seed=2)
     assert not np.array_equal(a.loss_batch, b.loss_batch)
 
 
 def test_update_correctness_recheckable_from_trace():
     obj = make_two_quadratics()
-    trace = run_sgd(obj, NGN(0.7), 50, seed=3, store_iterates=True)
+    trace = one_trace(obj, NGN(0.7), 50, seed=3, store_iterates=True)
     # every step's batch gradient, one row per step
     _, grads = obj.eval_many(trace.batch_ids, trace.iterates[:-1])
     steps = np.diff(trace.iterates, axis=0)
@@ -60,14 +62,14 @@ def test_update_correctness_recheckable_from_trace():
 
 def test_divergence_flag_on_unstable_gd():
     obj = make_quadratic1d(1.2, 0.0, 0.1)
-    trace = run_sgd(obj, Constant(2.0), 100, seed=0, x0=np.array([3.0]))
+    trace = one_trace(obj, Constant(2.0), 100, seed=0, x0=np.array([3.0]))
     assert trace.diverged
     assert trace.diverged_step is not None and trace.diverged_step < 100
 
 
 def test_stable_gd_does_not_diverge():
     obj = make_quadratic1d(1.2, 0.0, 0.1)
-    trace = run_sgd(obj, Constant(1.0), 500, seed=0, x0=np.array([3.0]), cadence=500)
+    trace = one_trace(obj, Constant(1.0), 500, seed=0, x0=np.array([3.0]), cadence=500)
     assert not trace.diverged
     assert trace.loss_full[-1] == pytest.approx(0.1, abs=1e-9)
 
@@ -93,9 +95,10 @@ def test_full_batch_rows(tmp_path):
     rng = np.random.default_rng(0)
     draws = _Sampler("full_batch", 4, 4, rng).draw(5)
     assert np.array_equal(draws, [np.arange(4)])
-    trace = run_sgd(make_two_quadratics(), NGN(0.5), 5, sampler="full_batch")
+    trace = one_trace(make_two_quadratics(), NGN(0.5), 5, sampler="full_batch")
     assert np.array_equal(trace.batch_ids, [[0, 1]])
-    trace_to_csv(trace, tmp_path / "trace.csv")
+    write_traces(Run(make_two_quadratics(), NGN(0.5), 5, sampler="full_batch"),
+                 [tmp_path / "trace.csv"])
     rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == ["0;1"] * 5
 
@@ -122,17 +125,15 @@ def test_aggregate_single_seed():
 
 def test_metric_cadence_steps():
     obj = make_two_quadratics()
-    trace = run_sgd(obj, NGN(0.5), 100, seed=0, cadence=25)
+    trace = one_trace(obj, NGN(0.5), 100, seed=0, cadence=25)
     assert list(trace.metric_steps) == [0, 25, 50, 75, 100]
-    no_metrics = run_sgd(obj, NGN(0.5), 100, seed=0)
+    no_metrics = one_trace(obj, NGN(0.5), 100, seed=0)
     assert len(no_metrics.metric_steps) == 0
 
 
 def test_trace_csv_schema(tmp_path):
-    obj = make_two_quadratics()
-    trace = run_sgd(obj, NGN(0.5), 10, seed=0, cadence=5)
     path = tmp_path / "trace.csv"
-    trace_to_csv(trace, path)
+    write_traces(Run(make_two_quadratics(), NGN(0.5), 10, cadence=5), [path])
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(TRACE_COLUMNS)
     assert len(lines) == 11  # header + 10 steps
@@ -143,30 +144,27 @@ def test_trace_csv_schema(tmp_path):
 
 
 def test_trace_csv_cells_parse_as_floats(tmp_path):
-    obj = make_two_quadratics()
-    trace = run_sgd(obj, NGN(0.5), 20, seed=0, cadence=3)
     path = tmp_path / "trace.csv"
-    trace_to_csv(trace, path)
+    write_traces(Run(make_two_quadratics(), NGN(0.5), 20, cadence=3), [path])
     rows = path.read_text().splitlines()[1:]
     numeric = [c for c, name in enumerate(TRACE_COLUMNS) if name != "batch_ids"]
     cells = [row.split(",")[c] for row in rows for c in numeric]
     assert all(float(cell) == float(cell) for cell in cells if cell)
 
 
-@pytest.mark.parametrize("make_trace", [
-    lambda: run_sgd(make_two_quadratics(), NGN(0.5), 25, seed=3, cadence=4),
-    lambda: run_sgd(make_two_quadratics(), NGN(0.5), 25, seed=3, cadence=4,
-                    sampler="full_batch"),
-    lambda: run_sgd(make_quadratic1d(1.2, 0.0, 0.1), Constant(2.0), 150, x0=np.array([3.0]),
-                    cadence=7),  # diverges at step 99
+@pytest.mark.parametrize("make_run", [
+    lambda: Run(make_two_quadratics(), NGN(0.5), 25, seeds=(3,), cadence=4),
+    lambda: Run(make_two_quadratics(), NGN(0.5), 25, seeds=(3,), cadence=4,
+                sampler="full_batch"),
+    lambda: Run(make_quadratic1d(1.2, 0.0, 0.1), Constant(2.0), 150, x0=np.array([3.0]),
+                cadence=7),  # diverges at step 99
 ], ids=["uniform", "full_batch", "diverged"])
-def test_trace_csv_row_blocks_keep_bytes(tmp_path, monkeypatch, make_trace):
+def test_trace_csv_row_blocks_keep_bytes(tmp_path, monkeypatch, make_run):
     # at least three blocks of 7 rows write the bytes of one block; the metric
     # cadence 4 divides neither the block nor the 25 steps
-    trace = make_trace()
-    trace_to_csv(trace, tmp_path / "whole.csv")
+    write_traces(make_run(), [tmp_path / "whole.csv"])
     monkeypatch.setattr(runner, "CSV_BLOCK_ROWS", 7)
-    trace_to_csv(trace, tmp_path / "blocked.csv")
+    write_traces(make_run(), [tmp_path / "blocked.csv"])
     whole = (tmp_path / "whole.csv").read_bytes()
     assert whole == (tmp_path / "blocked.csv").read_bytes()
     assert whole.count(b"\n") - 1 >= 3 * 7
@@ -182,16 +180,16 @@ def test_policy_error_annotated_with_step():
             return np.full(np.shape(obs.loss), 0.1)
 
     with pytest.raises(RunError) as exc:
-        run_sgd(obj, Broken(), 10, seed=0)
+        one_trace(obj, Broken(), 10, seed=0)
     assert exc.value.step == 3
 
 
 def test_x0_pinning_and_default_draw():
     obj = make_two_quadratics()
-    pinned = run_sgd(obj, NGN(0.5), 5, seed=0, x0=np.array([2.0]))
+    pinned = one_trace(obj, NGN(0.5), 5, seed=0, x0=np.array([2.0]))
     assert pinned.x0[0] == 2.0
-    drawn_a = run_sgd(obj, NGN(0.5), 5, seed=9)
-    drawn_b = run_sgd(obj, NGN(0.5), 5, seed=9)
+    drawn_a = one_trace(obj, NGN(0.5), 5, seed=9)
+    drawn_b = one_trace(obj, NGN(0.5), 5, seed=9)
     assert drawn_a.x0[0] == drawn_b.x0[0]
 
 
@@ -220,7 +218,6 @@ LOCKSTEP_POLICIES = (
 )
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("policy", LOCKSTEP_POLICIES)
 @pytest.mark.parametrize("problem", LOCKSTEP_PROBLEMS)
 def test_lockstep_matches_solo_runs(problem, policy):
@@ -230,37 +227,36 @@ def test_lockstep_matches_solo_runs(problem, policy):
     else:
         kwargs = dict(sampler="epoch_shuffle", batch_size=min(2, obj.n))
     kwargs.update(cadence=7, store_iterates=True)
-    together = run_seeds(obj, build_spec(POLICIES, policy), 40, seeds=range(4), **kwargs)
+    together = whole_traces(Run(obj, build_spec(POLICIES, policy), 40, seeds=range(4), **kwargs))
     for seed, trace in zip(range(4), together):
-        assert_same_trace(trace, run_sgd(obj, build_spec(POLICIES, policy), 40, seed=seed, **kwargs))
+        assert_same_trace(trace, one_trace(obj, build_spec(POLICIES, policy), 40, seed=seed,
+                                           **kwargs))
     # rows that retire at steps 23 and 9, off the cadence, while the others run on
     ends = [40, 23, 40, 9]
-    retired = _whole_traces(Run(obj, build_spec(POLICIES, policy), ends, seeds=range(4), **kwargs))
+    retired = whole_traces(Run(obj, build_spec(POLICIES, policy), ends, seeds=range(4), **kwargs))
     for seed, (end, trace) in enumerate(zip(ends, retired)):
         assert not trace.diverged
-        assert_same_trace(trace, run_sgd(obj, build_spec(POLICIES, policy), end, seed=seed,
-                                         **kwargs))
+        assert_same_trace(trace, one_trace(obj, build_spec(POLICIES, policy), end, seed=seed,
+                                           **kwargs))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lockstep_stationary_rows_match_solo_runs():
     # APS halves x on this quadratic. For seed 1 the gradient underflows to
     # exactly 0 (a stationary row from step 536 on); for the other seeds the
     # loss underflows first, so their steps shrink to 0 instead
     obj = make_quadratic1d(1.0, 0.0, 0.0)
-    together = run_seeds(obj, APS(), 600, seeds=range(4), cadence=100)
+    together = whole_traces(Run(obj, APS(), 600, seeds=range(4), cadence=100))
     assert [int(t.stationary.sum()) for t in together] == [0, 64, 0, 0]
     for seed, trace in zip(range(4), together):
-        assert_same_trace(trace, run_sgd(obj, APS(), 600, seed=seed, cadence=100))
+        assert_same_trace(trace, one_trace(obj, APS(), 600, seed=seed, cadence=100))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lockstep_diverged_rows_match_solo_runs():
     # constant steps that overshoot on some components: seeds 2, 3 and 4
     # diverge, each at its own step, while 0, 1 and 5 converge
     obj = build_spec(PROBLEMS, "linear_regression(d=1, n=6, seed=3)")
-    together = run_seeds(obj, Constant(5.0), 300, seeds=range(6), cadence=50,
-                         store_iterates=True)
+    together = whole_traces(Run(obj, Constant(5.0), 300, seeds=range(6), cadence=50,
+                                store_iterates=True))
     steps = [t.diverged_step for t in together]
     assert steps[:2] == [None, None] and steps[5] is None
     assert len({steps[2], steps[3], steps[4]} - {None}) == 3
@@ -270,15 +266,17 @@ def test_lockstep_diverged_rows_match_solo_runs():
             trace.loss_batch[k]
         assert max(trace.loss_batch[k], trace.grad_sq[k]) > 1e30
     for seed, trace in zip(range(6), together):
-        solo = run_sgd(obj, Constant(5.0), 300, seed=seed, cadence=50, store_iterates=True)
+        solo = one_trace(obj, Constant(5.0), 300, seed=seed, cadence=50, store_iterates=True)
         assert (trace.diverged_step, trace.x_final.tolist()) == (solo.diverged_step,
                                                                  solo.x_final.tolist())
         assert_same_trace(trace, solo)
 
 
 METRIC_BLOCK_CASES = {
-    # blocks of 1 at ROW_BLOCK_ENTRIES = 7; at the default, one block per chunk,
-    # except logistic's 201 points in blocks of 65536 // (4 * 30 * 9) = 60
+    # ROW_BLOCK_ENTRIES = 7 makes a chunk of each step and splits its S rows
+    # in full_many into blocks of one or a few; at the default, one chunk
+    # whose points full_many takes in blocks of 65536 // n rows, logistic's
+    # 804 in blocks of 65536 // (30 * 3)
     "lockstep": [
         ("two_quadratics()", "ngn(sigma=1.0)", 3000, range(4), dict(cadence=7)),
         ("linear_regression(d=4, n=12, seed=1, noise_std=0.1)", "sps_max(c=0.5, gamma_b=2.0)",
@@ -288,7 +286,7 @@ METRIC_BLOCK_CASES = {
     ],
     "diverged": [("linear_regression(d=1, n=6, seed=3)", "constant(gamma=5.0)", 300, range(6),
                   dict(cadence=50))],
-    # three rows: blocks of 2 at ROW_BLOCK_ENTRIES = 7; seed 1 goes stationary
+    # three rows, and seed 1 goes stationary
     "stationary": [("quadratic1d(lam=1.0, xstar=0.0, fstar=0.0)", "aps()", 600, range(3),
                     dict(cadence=100))],
     # every row diverges at step 99, at cadence 1 the 100th metric point, its
@@ -303,7 +301,6 @@ METRIC_BLOCK_CASES = {
 }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", METRIC_BLOCK_CASES)
 def test_metric_blocks_keep_traces(monkeypatch, case):
     # ROW_BLOCK_ENTRIES = 1 evaluates each metric point as it is reached
@@ -312,7 +309,8 @@ def test_metric_blocks_keep_traces(monkeypatch, case):
         runs = []
         for block_entries in (1, 7, objectives.ROW_BLOCK_ENTRIES):
             monkeypatch.setattr(objectives, "ROW_BLOCK_ENTRIES", block_entries)
-            runs.append(run_seeds(obj, build_spec(POLICIES, policy), steps, seeds=seeds, **kwargs))
+            run = Run(obj, build_spec(POLICIES, policy), steps, seeds=seeds, **kwargs)
+            runs.append(whole_traces(run))
             monkeypatch.undo()
         diverged = [t.diverged_step is not None for t in runs[0]]
         assert any(diverged) == case.endswith("diverged")
@@ -334,14 +332,27 @@ def test_full_many_called_once_per_metric_block():
     # a call per chunk: 1365 cadence points, then 635 and the final point
     obj = make_two_quadratics()
     calls = full_many_calls(obj)
-    run_seeds(obj, NGN(0.5), 2000, seeds=range(8), cadence=1)
+    whole_traces(Run(obj, NGN(0.5), 2000, seeds=range(8), cadence=1))
     assert calls == [8 * 1365, 8 * 636]
-    # 3 * 2000 * 100 > ROW_BLOCK_ENTRIES: a call per metric point, as before
+    # however large a point's full objective: 3 cadence points and the final one
     obj = build_spec(PROBLEMS, "logistic_blobs(n=2000, d=20, classes=5, seed=0)")
     calls = full_many_calls(obj)
-    run_seeds(obj, NGN(1.0), 30, seeds=range(3), sampler="epoch_shuffle", batch_size=16,
+    whole_traces(Run(obj, NGN(1.0), 30, seeds=range(3), sampler="epoch_shuffle", batch_size=16,
+                     cadence=10))
+    assert calls == [12]
+
+
+def test_logistic_full_takes_blocks_of_six_rows():
+    # the benchmark's logistic_run config: chunks of 182 and 118 steps hold
+    # 19 and 11 cadence points plus the final one, each over 3 rows, and
+    # full_many gives `full` at most ROW_BLOCK_ENTRIES // (2000 * 5) = 6 rows
+    obj = build_spec(PROBLEMS, "logistic_blobs(n=2000, d=20, classes=5, seed=0)")
+    calls, full = [], obj._full
+    obj._full = lambda X: calls.append(len(X)) or full(X)
+    run = Run(obj, NGN(1.0), 300, seeds=range(3), sampler="epoch_shuffle", batch_size=16,
               cadence=10)
-    assert calls == [3] * 4
+    write_traces(run, [])
+    assert calls == [6] * 9 + [3] + [6] * 6
 
 
 def test_no_metric_points_after_every_row_stopped(monkeypatch):
@@ -371,7 +382,6 @@ class ScheduledStep(StepsizePolicy):
         return np.full(np.shape(obs.loss), 1.0) * self.gamma_at(obs.k, obs)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", ["loss_test", "iterate_test"])
 def test_sigma_cells_of_diverged_rows(case):
     # the loss test stops a row before its step: sigma_k reads NaN from k on;
@@ -382,7 +392,7 @@ def test_sigma_cells_of_diverged_rows(case):
     else:  # a step of 1e308 * grad overflows x at step 5
         policy = ScheduledStep(lambda k, obs: 1e308 if k == 5 else 0.1)
     kwargs = dict(x0=np.array([3.0]), cadence=3, store_iterates=True)
-    together = run_seeds(obj, policy, 150, seeds=range(3), **kwargs)
+    together = whole_traces(Run(obj, policy, 150, seeds=range(3), **kwargs))
     schedule = 1.0 / np.arange(1.0, 151.0)
     for seed, trace in zip(range(3), together):
         k = trace.diverged_step
@@ -391,10 +401,9 @@ def test_sigma_cells_of_diverged_rows(case):
         assert np.array_equal(trace.sigma[:kept], schedule[:kept])
         assert np.isnan(trace.sigma[kept:]).all()
         assert not np.shares_memory(trace.sigma, together[seed - 1].sigma)  # its own copy
-        assert_same_trace(trace, run_sgd(obj, policy, 150, seed=seed, **kwargs))
+        assert_same_trace(trace, one_trace(obj, policy, 150, seed=seed, **kwargs))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_stationary_and_diverging_rows_in_one_step():
     # at step 3 the rows with a small loss go stationary (NaN gamma) and those
     # with a large loss take a step that overflows; the rest step on
@@ -406,18 +415,18 @@ def test_stationary_and_diverging_rows_in_one_step():
     obj = make_quadratic1d(10.0, 0.0, 0.0)
     policy = ScheduledStep(gamma_at)
     kwargs = dict(cadence=2, store_iterates=True)
-    together = run_seeds(obj, policy, 10, seeds=range(8), **kwargs)
+    together = whole_traces(Run(obj, policy, 10, seeds=range(8), **kwargs))
     still = [bool(t.stationary[3]) for t in together]
     assert [i for i, s in enumerate(still) if s] == [0, 7]
     assert [t.diverged_step for t in together] == [None, None, None, 3, None, None, 3, None]
     for seed, trace in zip(range(8), together):
         if still[seed]:
             assert trace.gamma[3] == 0.0 and np.array_equal(trace.iterates[4], trace.iterates[3])
-        assert_same_trace(trace, run_sgd(obj, policy, 10, seed=seed, **kwargs))
+        assert_same_trace(trace, one_trace(obj, policy, 10, seed=seed, **kwargs))
 
 
 def test_sigma_row_shared_by_running_traces():
-    traces = run_seeds(make_two_quadratics(), NGN(0.5), 120, seeds=range(3))
+    traces = whole_traces(Run(make_two_quadratics(), NGN(0.5), 120, seeds=range(3)))
     assert all(t.sigma is traces[0].sigma for t in traces)
     assert not traces[0].sigma.flags.writeable
     assert np.array_equal(traces[0].sigma, np.full(120, 0.5))
@@ -434,7 +443,7 @@ def test_observed_loss_clamped_to_positive_zero():
         return 0.1
 
     policy = ScheduledStep(gamma_at)
-    traces = run_seeds(obj, policy, 30, seeds=range(3))
+    traces = whole_traces(Run(obj, policy, 30, seeds=range(3)))
     observed = np.array(seen)
     assert np.array_equal(observed, np.maximum(np.array([t.loss_batch for t in traces]).T, 0.0))
     assert not np.signbit(observed).any()
@@ -479,12 +488,11 @@ CHUNK_CASES = {
 }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", CHUNK_CASES)
 def test_chunked_runs_keep_traces(monkeypatch, case):
     problem, policy, steps, seeds, kwargs = CHUNK_CASES[case]
     obj = build_spec(PROBLEMS, problem)
-    reference = run_seeds(obj, build_spec(POLICIES, policy), steps, seeds=seeds, **kwargs)
+    reference = whole_traces(Run(obj, build_spec(POLICIES, policy), steps, seeds=seeds, **kwargs))
     default = Run(obj, build_spec(POLICIES, policy), steps, seeds=seeds, **kwargs)
     assert default.chunk_steps >= steps  # one chunk
     if case == "diverged":
@@ -493,26 +501,25 @@ def test_chunked_runs_keep_traces(monkeypatch, case):
         assert any(t.stationary.any() for t in reference)
     for chunk in (1, 7):
         monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: chunk)
-        chunked = run_seeds(obj, build_spec(POLICIES, policy), steps, seeds=seeds, **kwargs)
+        chunked = whole_traces(Run(obj, build_spec(POLICIES, policy), steps, seeds=seeds, **kwargs))
         for trace, expected in zip(chunked, reference):
             assert_same_trace(trace, expected)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("chunk", [1, 7, 11])
 def test_retired_rows_across_chunks_and_flushes(monkeypatch, chunk):
-    # metric blocks of two points: rows retire at steps 9 and 23, off the
-    # cadence 7, and the row ending at 33 runs past the longest end of 40's
-    # last metric step; the chunks carry each row's values and finals
+    # full_many blocks of 32 rows, 8 points of the 4: rows retire at steps 9
+    # and 23, off the cadence 7, and the row ending at 33 runs past the longest
+    # end of 40's last metric step; the chunks carry each row's values and finals
     monkeypatch.setattr(objectives, "ROW_BLOCK_ENTRIES", 2 * 4 * 12 * 4)
     monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: chunk)
     obj = build_spec(PROBLEMS, "linear_regression(d=4, n=12, seed=1, noise_std=0.1)")
     ends = [40, 23, 33, 9]
     kwargs = dict(seeds=range(4), sampler="epoch_shuffle", batch_size=2, cadence=7)
-    traces = _whole_traces(Run(obj, NGN(1.0), ends, **kwargs))
+    traces = whole_traces(Run(obj, NGN(1.0), ends, **kwargs))
     for seed, (end, trace) in enumerate(zip(ends, traces)):
-        assert_same_trace(trace, run_sgd(obj, NGN(1.0), end, seed=seed, sampler="epoch_shuffle",
-                                         batch_size=2, cadence=7))
+        assert_same_trace(trace, one_trace(obj, NGN(1.0), end, seed=seed,
+                                           sampler="epoch_shuffle", batch_size=2, cadence=7))
     run = Run(obj, NGN(1.0), ends, **kwargs)
     chunks = list(run)
     with pytest.raises(RuntimeError, match="ended at step 40"):
@@ -555,25 +562,67 @@ STREAM_CASES = {
 }
 
 
-@pytest.mark.parametrize("chunk", [1, 7, None])
+def assert_csv_holds_trace(path, trace):
+    """The CSV's cells are the trace's values: off-cadence and non-finite cells are empty."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert rows[0] == list(TRACE_COLUMNS)
+    length = trace.diverged_step + 1 if trace.diverged else trace.steps
+    assert len(rows) == 1 + length
+    columns = list(zip(*rows[1:]))
+    assert columns[0] == tuple(map(str, range(length)))
+    ids = np.broadcast_to(trace.batch_ids[:length], (length, trace.batch_ids.shape[1]))
+    assert columns[1] == tuple(";".join(map(str, row)) for row in ids.tolist())
+    on = trace.metric_steps < length
+    expected = [values[:length] for values in (trace.loss_batch, trace.gamma, trace.sigma,
+                                               trace.grad_sq)]
+    for values in (trace.loss_full, trace.dist_sq, trace.grad_full_sq):
+        spread = np.full(length, np.nan)
+        spread[trace.metric_steps[on]] = values[on]
+        expected.append(spread)
+    for cells, values in zip(columns[2:], expected):
+        parsed = np.array([float(cell) if cell else np.nan for cell in cells])
+        assert np.array_equal(parsed, np.where(np.isfinite(values), values, np.nan),
+                              equal_nan=True)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 11, None])
 @pytest.mark.parametrize("case", STREAM_CASES)
 def test_streamed_csv_matches_whole_traces(tmp_path, monkeypatch, case, chunk):
+    # chunks of 1, 7 and 11 steps write the bytes of the default chunk length,
+    # cell for cell the values of the whole traces
     problem, make_policy, steps, kwargs = STREAM_CASES[case]
     obj = build_spec(PROBLEMS, problem)
-    traces = run_seeds(obj, make_policy(), steps, **kwargs)
+    traces = whole_traces(Run(obj, make_policy(), steps, **kwargs))
+    default = [tmp_path / f"default{r}.csv" for r in range(len(traces))]
+    write_traces(Run(obj, make_policy(), steps, **kwargs), default)
     if chunk is not None:
         monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: chunk)
-    run = Run(obj, make_policy(), steps, **kwargs)
     paths = [tmp_path / f"streamed{r}.csv" for r in range(len(traces))]
-    last = write_traces(run, paths)
+    last = write_traces(Run(obj, make_policy(), steps, **kwargs), paths)
     assert any(t.diverged for t in traces) == case.endswith(("test", "diverged"))
-    for trace, path, final in zip(traces, paths, last):
-        trace_to_csv(trace, tmp_path / "whole.csv")
-        assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    for trace, path, default_path, final in zip(traces, paths, default, last):
+        assert path.read_bytes() == default_path.read_bytes()
+        assert_csv_holds_trace(path, trace)
         if not trace.diverged:
             assert np.array_equal(final, [trace.loss_full[-1], trace.dist_sq[-1],
                                           trace.grad_full_sq[-1], trace.gamma[-1]],
                                   equal_nan=True)
+
+
+@pytest.mark.parametrize("chunks", [1, 3])
+def test_consumers_need_a_run_at_step_zero(tmp_path, monkeypatch, chunks):
+    # after one of its three chunks, or after the last, a run has no step 0
+    # left to give: neither consumer starts from where it stands
+    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 10)
+    run = Run(make_two_quadratics(), NGN(0.5), 30, seeds=range(2), cadence=5)
+    for _ in range(chunks):
+        run.advance()
+    paths = [tmp_path / "trace0.csv", tmp_path / "trace1.csv"]
+    for consume in (whole_traces, lambda run: write_traces(run, paths)):
+        with pytest.raises(ValueError, match=f"advanced to step {10 * chunks}"):
+            consume(run)
+    assert list(tmp_path.iterdir()) == []
+    assert run.k == 10 * chunks
 
 
 @pytest.mark.parametrize("seeds, count", [((0, 1, 2), 1), ((0, 1), 3)])

@@ -5,7 +5,7 @@ import pytest
 
 from ngn import stepsizes, theory, verify
 from ngn.objectives import make_nonconvex_sum
-from ngn.runner import run_sgd
+from ngn.runner import Run, whole_traces
 from ngn.verify import (
     NOISE_SAFETY_MULTIPLIER,
     REPORT_HEADER,
@@ -20,6 +20,7 @@ from ngn.verify import (
     check_lemma_equality,
     check_lemma_inequality,
     check_nonconvex_rate,
+    check_strongly_convex_rate,
     run_suites,
 )
 
@@ -63,15 +64,29 @@ def test_empty_samples_are_rejected(check, size):
             check(**{size: value})
 
 
+@pytest.mark.parametrize("steps", [0, -4, 3, 10])
+def test_strongly_convex_rate_needs_checkpoints_on_the_cadence(steps):
+    # the checkpoints K/4, K/2 and K are metric points only when 4 divides K
+    with pytest.raises(ValueError, match=f"positive multiple of 4, got {steps}"):
+        check_strongly_convex_rate(steps=steps, n_seeds=2)
+    assert check_strongly_convex_rate(steps=8, n_seeds=2).params["steps"] == 8
+
+
+def test_contraction_needs_a_sigma_factor():
+    with pytest.raises(ValueError, match="len.sigma_factors. must be >= 1, got 0"):
+        check_deterministic_contraction(sigma_factors=())
+
+
 @pytest.mark.parametrize("check", [check_lemma_bounds, check_lemma_inequality])
 def test_lemma_checks_fail_without_a_step(monkeypatch, check):
-    def no_step(*args, **kwargs):
-        trace = run_sgd(*args, **kwargs)
-        trace.stationary[:] = True  # as if every step stood still
-        return trace
+    def no_step(run):
+        traces = whole_traces(run)
+        for trace in traces:
+            trace.stationary[:] = True  # as if every step stood still
+        return traces
 
     assert check().passed
-    monkeypatch.setattr(verify, "run_sgd", no_step)
+    monkeypatch.setattr(verify, "whole_traces", no_step)
     assert not check().passed
 
 
@@ -122,7 +137,7 @@ def test_nonconvex_pilot_is_seed_zero(steps, n_seeds):
     obj = make_nonconvex_sum(8, 3)
     sigma = 1.0 / (2.0 * obj.l_max)
     x0 = obj.x_star + 2.5
-    pilot = run_sgd(obj, stepsizes.NGN(sigma), 2000, seed=0, x0=x0, store_iterates=True)
+    (pilot,) = whole_traces(Run(obj, stepsizes.NGN(sigma), 2000, x0=x0, store_iterates=True))
     rng = np.random.default_rng(3)
     points = [pilot.iterates[i] for i in range(0, 2001, 10)]
     points += [x0 + rng.standard_normal(1) for _ in range(100)]
