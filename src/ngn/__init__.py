@@ -25,9 +25,7 @@ from .runner import (
     Chunk,
     Run,
     RunError,
-    RunTrace,
     aggregate_metric,
-    whole_traces,
     write_traces,
 )
 from .specs import POLICIES, PROBLEMS, SpecError, build_spec

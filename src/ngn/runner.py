@@ -31,29 +31,6 @@ class RunError(RuntimeError):
         self.cause = cause
 
 
-@dataclass
-class RunTrace:
-    steps: int
-    x0: np.ndarray
-    x_final: np.ndarray
-    # (steps, batch) sampled component indices; under full_batch a single
-    # row, arange(N), that every step uses
-    batch_ids: np.ndarray
-    loss_batch: np.ndarray
-    gamma: np.ndarray
-    sigma: np.ndarray
-    grad_sq: np.ndarray
-    stationary: np.ndarray
-    metric_steps: np.ndarray
-    loss_full: np.ndarray
-    dist_sq: np.ndarray
-    grad_full_sq: np.ndarray
-    diverged: bool = False
-    diverged_step: Optional[int] = None
-    iterates: Optional[np.ndarray] = None
-    seed: int = 0
-
-
 class _Sampler:
     """One row's component indices, drawn a chunk of steps at a time from its stream.
 
@@ -119,14 +96,14 @@ def _chunk_steps(rows: int, width: int) -> int:
 class Chunk:
     """Steps k0 .. k1-1 of every row of a run, each array (S, k1 - k0, ...).
 
-    A row that is stopped reads NaN there (False in `stationary`), as its
-    whole trace does, and its iterates after its stop are NaN too. With a
-    metric cadence c > 0 the chunk also carries the full objective value,
-    squared distance to x* (NaN when unknown) and squared full gradient
-    norm at its cadence points: x^k for k0 <= k < k1 with k % c == 0 within
-    some row's trace (`Run.lengths`), NaN for a row whose trace ends before
-    k. The last chunk adds them at each row's last iterate in `final`, NaN
-    for a row that diverged.
+    A row that is stopped reads NaN there (False in `stationary`), and its
+    iterates after its stop are NaN too. With a metric cadence c > 0 the
+    chunk also carries the full objective value, squared distance to x*
+    (NaN when unknown) and squared full gradient norm at its cadence
+    points: x^k for k0 <= k < k1 with k % c == 0 within some row's trace
+    (`Run.lengths`), NaN for a row whose trace ends before k. The last
+    chunk adds them at each row's last iterate in `final`, NaN for a row
+    that diverged.
     """
 
     k0: int
@@ -150,8 +127,8 @@ class Run:
 
     Each `advance` takes every running row through the next chunk, steps
     [k0, k1), and returns their per-step values and metric points as a
-    `Chunk`; iterating the run takes it to its end, as do its two consumers,
-    `whole_traces` and `write_traces`. What carries over from chunk to chunk
+    `Chunk`; iterating the run takes it to its end, as does `write_traces`,
+    which writes each row's trace out. What carries over from chunk to chunk
     is the run's state: the rows' iterates and which rows still run, the
     policy's per-row state, and each row's two streams, default_rng([seed,
     0]) for the start point and default_rng([seed, 1]) for the indices,
@@ -444,81 +421,6 @@ def _check_fresh(run: Run) -> None:
     """ValueError unless `run` is still at step 0: a consumer reads every chunk."""
     if run.k:
         raise ValueError(f"the run has advanced to step {run.k}; consumers need a run at step 0")
-
-
-def whole_traces(run: Run) -> list[RunTrace]:
-    """Advance `run` from step 0 to its end and return each row's whole trace.
-
-    The traces hold every step, so memory grows with the step count; a
-    caller that needs only a reduction of the trace, or writes it out
-    (`write_traces`), can iterate the run's chunks itself and keep memory
-    bounded by one chunk. ValueError if the run has already advanced.
-    """
-    _check_fresh(run)
-    n_rows, steps, dim, cadence = len(run.seeds), run.steps, run.obj.dim, run.cadence
-    loss_batch = np.empty((n_rows, steps))
-    gamma = np.empty((n_rows, steps))
-    grad_sq = np.empty((n_rows, steps))
-    stationary = np.empty((n_rows, steps), dtype=bool)
-    sigma = np.empty(steps)
-    iterates = np.empty((n_rows, steps + 1, dim)) if run.store_iterates else None
-    # every cadence point, then a slot that a row's final point may take
-    n_points = -(-steps // cadence) if cadence > 0 else 0
-    metrics = np.full((3, n_rows, n_points + 1), np.nan)
-    ids = []  # (S, k1 - k0, batch) a chunk, or the one (S, 1, N) of full_batch
-    for chunk in run:
-        span = slice(chunk.k0, chunk.k1)
-        loss_batch[:, span] = chunk.loss_batch
-        gamma[:, span] = chunk.gamma
-        grad_sq[:, span] = chunk.grad_sq
-        stationary[:, span] = chunk.stationary
-        sigma[span] = chunk.sigma
-        if iterates is not None:
-            iterates[:, span] = chunk.iterates
-        if chunk.k0 == 0 or not run.full_batch:
-            ids.append(chunk.batch_ids)
-        if cadence > 0:
-            metrics[:, :, chunk.metric_steps // cadence] = (
-                chunk.loss_full, chunk.dist_sq, chunk.grad_full_sq)
-    # sigma_k is the same for every row: one read-only row that the traces
-    # share; a stopped row's copy reads NaN from sigma_end[r] on
-    sigma.flags.writeable = False
-    batch_ids = ids[0] if run.full_batch else np.concatenate(ids, axis=1)
-
-    traces = []
-    for r, (seed, length) in enumerate(zip(run.seeds, run.lengths().tolist())):
-        end = int(run.ends[r])
-        diverged = bool(run.diverged_step[r] >= 0)
-        iterates_r = None
-        if iterates is not None and not diverged:
-            iterates[r, end] = run.X[r]
-            iterates_r = iterates[r, :end + 1]
-        metric_steps = (np.arange(0, length, cadence) if cadence > 0
-                        else np.empty(0, dtype=int))
-        if cadence > 0 and not diverged:  # its final point follows its cadence points
-            metrics[:, r, len(metric_steps)] = chunk.final[r]
-            metric_steps = np.append(metric_steps, end)
-        n_recorded = len(metric_steps)
-        traces.append(RunTrace(
-            steps=end,
-            x0=run.x_start[r],
-            x_final=run.X[r],
-            batch_ids=batch_ids[r] if run.full_batch else batch_ids[r, :end],
-            loss_batch=loss_batch[r, :end],
-            gamma=gamma[r, :end],
-            sigma=run.row_sigma(r, sigma if end == steps else sigma[:end]),
-            grad_sq=grad_sq[r, :end],
-            stationary=stationary[r, :end],
-            metric_steps=metric_steps,
-            loss_full=metrics[0, r, :n_recorded],
-            dist_sq=metrics[1, r, :n_recorded],
-            grad_full_sq=metrics[2, r, :n_recorded],
-            diverged=diverged,
-            diverged_step=int(run.diverged_step[r]) if diverged else None,
-            iterates=iterates_r,
-            seed=seed,
-        ))
-    return traces
 
 
 @dataclass(frozen=True)

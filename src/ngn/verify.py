@@ -24,7 +24,7 @@ from .objectives import (
     make_quadratic1d,
     make_two_quadratics,
 )
-from .runner import Run, whole_traces
+from .runner import Run, write_traces
 from .specs import PROBLEMS, build_spec
 from .stepsizes import (
     GGN,
@@ -109,18 +109,20 @@ def check_lemma_bounds(
 ) -> CheckReport:
     """Every NGN stepsize taken, at least one, in [sigma/(1 + sigma L) - eps, sigma + eps]."""
     obj = build_spec(PROBLEMS, LEMMA_FIXTURES[problem])
-    (trace,) = whole_traces(Run(obj, NGN(sigma), steps, seeds=(seed,)))
     lo, hi = stepsize_bounds(sigma, obj.l_max)
-    gammas = trace.gamma[~trace.stationary & np.isfinite(trace.gamma)]
-    violation = max(float(np.max(lo - gammas, initial=0.0)),
-                    float(np.max(gammas - hi, initial=0.0)))
+    violation, n_taken = 0.0, 0
+    for chunk in Run(obj, NGN(sigma), steps, seeds=(seed,)):
+        gammas = chunk.gamma[~chunk.stationary & np.isfinite(chunk.gamma)]
+        n_taken += gammas.size
+        violation = max(violation, float(np.max(lo - gammas, initial=0.0)),
+                        float(np.max(gammas - hi, initial=0.0)))
     return CheckReport(
         name="lemma_stepsize_bounds",
         params={"problem": problem, "sigma": sigma, "steps": steps},
         measured=violation,
         bound=1e-12,
         tolerance=1e-12,
-        passed=bool(gammas.size) and violation <= 1e-12,
+        passed=n_taken > 0 and violation <= 1e-12,
         seed=seed,
     )
 
@@ -133,19 +135,21 @@ def check_lemma_inequality(
 ) -> CheckReport:
     """Pointwise fundamental inequality at each step, at least one, of a stochastic NGN run."""
     obj = build_spec(PROBLEMS, LEMMA_FIXTURES[problem])
-    (trace,) = whole_traces(Run(obj, NGN(sigma), steps, seeds=(seed,)))
     l_smooth = obj.l_max
     _, _, t2 = theory.rate_terms(sigma, l_smooth)
     coeff = 4.0 * sigma * l_smooth / (1.0 + 2.0 * sigma * l_smooth)
     second_term_needed = sigma > 1.0 / (2.0 * l_smooth)
-    taken = np.isfinite(trace.gamma) & ~trace.stationary
-    gamma = trace.gamma[taken]
-    fstar = obj.f_i_star[trace.batch_ids[taken]].mean(axis=1)
-    lhs = gamma**2 * trace.grad_sq[taken]
-    rhs = coeff * gamma * np.maximum(trace.loss_batch[taken] - fstar, 0.0)
-    if second_term_needed:
-        rhs += t2 * fstar
-    worst = float(np.max((lhs - rhs) / np.maximum(lhs, 1.0), initial=-math.inf))
+    worst, n_taken = -math.inf, 0
+    for chunk in Run(obj, NGN(sigma), steps, seeds=(seed,)):
+        taken = np.isfinite(chunk.gamma[0]) & ~chunk.stationary[0]
+        n_taken += int(taken.sum())
+        gamma = chunk.gamma[0, taken]
+        fstar = obj.f_i_star[chunk.batch_ids[0, taken]].mean(axis=1)
+        lhs = gamma**2 * chunk.grad_sq[0, taken]
+        rhs = coeff * gamma * np.maximum(chunk.loss_batch[0, taken] - fstar, 0.0)
+        if second_term_needed:
+            rhs += t2 * fstar
+        worst = max(worst, float(np.max((lhs - rhs) / np.maximum(lhs, 1.0), initial=-math.inf)))
     return CheckReport(
         name="lemma_fundamental_inequality",
         params={"problem": problem, "sigma": sigma, "steps": steps,
@@ -153,7 +157,7 @@ def check_lemma_inequality(
         measured=worst,
         bound=1e-10,
         tolerance=1e-10,
-        passed=bool(gamma.size) and worst <= 1e-10,
+        passed=n_taken > 0 and worst <= 1e-10,
         seed=seed,
     )
 
@@ -220,13 +224,20 @@ def check_deterministic_contraction(
         sigma = factor / lam
         rho = theory.contraction_rho(sigma, lam)
         limit = (1.0 - lam * rho) + 1e-9
-        (trace,) = whole_traces(Run(obj, NGN(sigma), steps, x0=np.array([4.0]), cadence=1))
-        d = trace.dist_sq
-        # below ~1e-9 the loss is at the numerical value floor and the
-        # stepsize formula no longer reflects the analytic rule
-        mask = d[:-1] > 1e-9
-        ratios = d[1:][mask] / d[:-1][mask]
-        worst = max(worst, float(np.max(ratios - limit)))
+        run = Run(obj, NGN(sigma), steps, x0=np.array([4.0]), cadence=1)
+        before = np.empty(0)  # the last point of the chunks done
+        for chunk in run:
+            d = np.concatenate([before, chunk.dist_sq[0]])
+            if chunk.final is not None:  # x^K follows the last chunk's cadence points
+                d = np.append(d, chunk.final[0, 1])
+            # below ~1e-9 the loss is at the numerical value floor and the
+            # stepsize formula no longer reflects the analytic rule
+            mask = d[:-1] > 1e-9
+            ratios = d[1:][mask] / d[:-1][mask]
+            worst = max(worst, float(np.max(ratios - limit, initial=-math.inf)))
+            before = d[-1:]
+        if run.diverged_step[0] >= 0:
+            worst = math.inf
     return CheckReport(
         name="theorem_strongly_convex_contraction",
         params={"lam": lam, "sigma_factors": list(sigma_factors), "steps": steps},
@@ -249,10 +260,12 @@ def check_strongly_convex_rate(
     obj, ctx, x0_vec, dist0_sq = _two_quadratics_start(x0)
     cadence = steps // 4
     checkpoints = [steps // 4, steps // 2, steps]
-    traces = whole_traces(Run(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec,
-                              cadence=cadence))
-    at = [dict(zip(t.metric_steps.tolist(), t.dist_sq)) for t in traces]
-    dists = {k: [seed_at[k] for seed_at in at] for k in checkpoints}
+    dist_sq = np.full((n_seeds, 5), math.inf)  # at k = 0, K/4, K/2, 3K/4 and K
+    for chunk in Run(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec, cadence=cadence):
+        dist_sq[:, chunk.metric_steps // cadence] = chunk.dist_sq
+    dist_sq[:, 4] = chunk.final[:, 1]
+    dist_sq[np.isnan(dist_sq)] = math.inf  # past the trace of a seed that diverged
+    dists = {k: dist_sq[:, k // cadence] for k in checkpoints}
     worst_ratio = -math.inf
     ok = True
     for k in checkpoints:
@@ -393,39 +406,52 @@ def check_never_diverge(
     reports = []
 
     for sigma in sigma_grid:
-        (trace,) = whole_traces(Run(obj, NGN(sigma), steps, x0=x0_vec, store_iterates=True))
-        sup = math.inf if trace.diverged else float(np.max(np.abs(trace.iterates)))
+        run = Run(obj, NGN(sigma), steps, x0=x0_vec, store_iterates=True)
+        sup = 0.0  # of |x^k| over x^0 .. x^K
+        for chunk in run:
+            sup = max(sup, float(np.max(np.abs(chunk.iterates))))
+        diverged = run.diverged_step[0] >= 0
+        sup = math.inf if diverged else max(sup, float(np.max(np.abs(run.X))))
         reports.append(CheckReport(
             name="fig2_ngn_bounded",
             params={"sigma": sigma, "x0": x0},
             measured=sup,
             bound=envelope,
-            passed=not trace.diverged and sup <= envelope,
+            passed=not diverged and sup <= envelope,
         ))
 
-    (gd_bad,) = whole_traces(Run(obj, Constant(2.0), 100, x0=x0_vec))
+    gd_bad = Run(obj, Constant(2.0), 100, x0=x0_vec)
+    write_traces(gd_bad, [])
+    diverged_at = int(gd_bad.diverged_step[0])
     reports.append(CheckReport(
         name="fig2_gd_unstable_diverges",
         params={"gamma": 2.0, "threshold": 2.0 / lam},
-        measured=float(gd_bad.diverged_step if gd_bad.diverged else math.inf),
+        measured=float(diverged_at) if diverged_at >= 0 else math.inf,
         bound=100.0,
-        passed=gd_bad.diverged,
+        passed=diverged_at >= 0,
     ))
 
-    (gd_ok,) = whole_traces(Run(obj, Constant(1.0), 500, x0=x0_vec, cadence=500))
+    # the final loss, NaN when the run diverged
+    final = write_traces(Run(obj, Constant(1.0), 500, x0=x0_vec, cadence=500), [])[0, 0]
     reports.append(CheckReport(
         name="fig2_gd_stable_converges",
         params={"gamma": 1.0},
-        measured=float(gd_ok.loss_full[-1]) if not gd_ok.diverged else math.inf,
+        measured=math.inf if math.isnan(final) else float(final),
         bound=f_star + 1e-6,
-        passed=not gd_ok.diverged and gd_ok.loss_full[-1] <= f_star + 1e-6,
+        passed=bool(final <= f_star + 1e-6),
     ))
 
     # the stepsize cycle damps slowly at large sigma; a longer horizon is
     # needed before the tail settles
-    tail = whole_traces(Run(obj, NGN(100.0), 10_000, x0=x0_vec))[0].gamma[-100:]
-    center = float(np.mean(tail))
-    spread = float(np.max(np.abs(tail - center))) / center
+    run = Run(obj, NGN(100.0), 10_000, x0=x0_vec)
+    tail = np.empty(0)  # the last 100 stepsizes of the chunks done
+    for chunk in run:
+        tail = np.concatenate([tail, chunk.gamma[0]])[-100:]
+    if run.diverged_step[0] >= 0:
+        center = spread = math.inf
+    else:
+        center = float(np.mean(tail))
+        spread = float(np.max(np.abs(tail - center))) / center
     limit = 2.0 / lam
     reports.append(CheckReport(
         name="fig2_stepsize_settles_below_2_over_lambda",
@@ -443,18 +469,17 @@ def check_logistic_large_sigma(
 ) -> CheckReport:
     """Large-sigma NGN on a 3-class logistic problem keeps all metrics finite."""
     obj = build_spec(PROBLEMS, "logistic_blobs(seed=7)")
-    (trace,) = whole_traces(Run(obj, NGN(sigma), steps, seeds=(seed,), cadence=100))
-    finite = (
-        not trace.diverged
-        and np.all(np.isfinite(trace.loss_batch))
-        and np.all(np.isfinite(trace.gamma))
-        and np.all(np.isfinite(trace.loss_full))
-        and np.all(np.isfinite(trace.x_final))
-    )
+    run = Run(obj, NGN(sigma), steps, seeds=(seed,), cadence=100)
+    finite = True
+    for chunk in run:
+        finite &= all(np.isfinite(a).all() for a in (chunk.loss_batch, chunk.gamma,
+                                                      chunk.loss_full))
+    final = chunk.final[0, 0]  # the loss at x^K, NaN when the run diverged
+    finite = finite and run.diverged_step[0] < 0 and math.isfinite(final)
     return CheckReport(
         name="logistic_large_sigma_stable",
         params={"sigma": sigma, "steps": steps},
-        measured=float(trace.loss_full[-1]) if finite else math.inf,
+        measured=float(final) if finite else math.inf,
         bound=math.inf,
         passed=bool(finite),
         seed=seed,

@@ -8,6 +8,7 @@ import pytest
 
 from ngn import verify
 from ngn.cli import main as cli_main
+from test_golden import CONTRACTION_ROW, LOGISTIC_LARGE_SIGMA_ROW, STABILITY_ROWS
 
 
 def emit(num: int, ok: bool, detail: str) -> None:
@@ -63,6 +64,7 @@ def test_criterion_04_stability_reproduction():
          f"{tail.measured:.5f} vs 2/lambda = {tail.bound:.5f} ({elapsed:.2f}s)")
     assert ok
     assert elapsed < 5.0
+    assert [r.csv_row() for r in reports] == STABILITY_ROWS
 
 
 def test_criterion_05_deterministic_contraction():
@@ -73,6 +75,7 @@ def test_criterion_05_deterministic_contraction():
          f"worst per-step ratio excess {report.measured:.3e} <= 0 ({elapsed:.2f}s)")
     assert report.passed
     assert elapsed < 1.0
+    assert report.csv_row() == CONTRACTION_ROW
 
 
 def test_criterion_06_convex_rate_monte_carlo():
@@ -117,6 +120,7 @@ def test_criterion_09_logistic_large_sigma():
          f"({elapsed:.1f}s)")
     assert report.passed
     assert elapsed < 30.0
+    assert report.csv_row() == LOGISTIC_LARGE_SIGMA_ROW
 
 
 def test_criterion_10_gradient_oracle():

@@ -4,7 +4,8 @@ Every problem family x every policy x each sampler the policy accepts,
 40 steps, seeds 0 and 1, metric cadence 7, plus a few runs at batch 5 on
 9 classes, and the report rows of the lemma and gradient checks. A
 refactor that changes any trace, aggregate or report byte changes a digest
-here. The digests were recorded with Python 3.11.7 and numpy
+here, or a pinned report row of the stability, contraction and strongly
+convex checks. The digests were recorded with Python 3.11.7 and numpy
 2.4.6; another numpy may round differently.
 To re-record after an intended output change, run this file as a script.
 """
@@ -15,7 +16,14 @@ import numpy as np
 
 from ngn.cli import main
 from ngn.objectives import make_blobs_dataset, make_logistic
-from ngn.verify import suite_gradients, suite_lemmas
+from ngn.verify import (
+    check_deterministic_contraction,
+    check_logistic_large_sigma,
+    check_never_diverge,
+    check_strongly_convex_rate,
+    suite_gradients,
+    suite_lemmas,
+)
 
 PROBLEMS = (
     "quadratic1d(lam=1.2, xstar=0.5, fstar=0.1)",
@@ -175,6 +183,41 @@ BATCH_GOLDEN = {
 REPORT_GOLDEN = 'ddf8b75e9573bda4d6d4f7b579c2e98e5749968278f56557047a9d2e9aec7eb1'
 
 
+# The report rows, at their default arguments, of the checks that reduce a
+# run chunk by chunk and that no digest here covers. Criteria 04, 05 and 09
+# compute the first three reports and compare them with these.
+STABILITY_ROWS = [
+    "fig2_ngn_bounded,sigma=0.1;x0=3.0,3.0,30.0,0.0,pass,0",
+    "fig2_ngn_bounded,sigma=1.0;x0=3.0,3.0,30.0,0.0,pass,0",
+    "fig2_ngn_bounded,sigma=10.0;x0=3.0,3.0,30.0,0.0,pass,0",
+    "fig2_ngn_bounded,sigma=100.0;x0=3.0,3.0,30.0,0.0,pass,0",
+    "fig2_ngn_bounded,sigma=10000.0;x0=3.0,3.0,30.0,0.0,pass,0",
+    "fig2_gd_unstable_diverges,gamma=2.0;threshold=1.6666666666666667,99.0,100.0,0.0,pass,0",
+    "fig2_gd_stable_converges,gamma=1.0,0.1,0.100001,0.0,pass,0",
+    "fig2_stepsize_settles_below_2_over_lambda,sigma=100.0;tail=100;limit=1.6666666666666667;"
+    "spread=0.0024654600351736084,1.6666751521689318,1.6666666666666667,0.05,pass,0",
+]
+CONTRACTION_ROW = ('theorem_strongly_convex_contraction,"lam=1.3;sigma_factors=[0.1, 1.0, 10.0];'
+                   'steps=200",-0.09779614424553329,0.0,1e-09,pass,0')
+LOGISTIC_LARGE_SIGMA_ROW = ("logistic_large_sigma_stable,sigma=30.0;steps=10000,"
+                            "1.5417672537868619,inf,0.0,pass,0")
+STRONGLY_CONVEX_ROW = ("theorem_strongly_convex_rate,sigma=0.1;steps=2000;seeds=20,"
+                       "0.1561493917895692,1.0,0.0,pass,0")
+
+
+def pinned_rows() -> dict:
+    return {
+        "STABILITY_ROWS": [report.csv_row() for report in check_never_diverge()],
+        "CONTRACTION_ROW": check_deterministic_contraction().csv_row(),
+        "LOGISTIC_LARGE_SIGMA_ROW": check_logistic_large_sigma().csv_row(),
+        "STRONGLY_CONVEX_ROW": check_strongly_convex_rate().csv_row(),
+    }
+
+
+def test_strongly_convex_rate_row():
+    assert check_strongly_convex_rate().csv_row() == STRONGLY_CONVEX_ROW
+
+
 # One SHA-256 over the logistic full objective's values and gradients at
 # 1, 3, 7 and 40 points of a 2000-sample, 5-class problem: every run above
 # has at most 40 samples, where no array of the full objective nears a row
@@ -280,5 +323,7 @@ if __name__ == "__main__":
     print(f"DIVERGING_GOLDEN = {diverging!r}")
     print(f"REPORT_GOLDEN = {report_digest()!r}")
     print(f"FULL_GOLDEN = {full_digest()!r}")
+    for name, value in pinned_rows().items():
+        print(f"{name} = {value!r}")
     for name, value in batch.items():
         print(f"    {name!r}: {value!r},")

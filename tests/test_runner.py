@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ngn
 from ngn import objectives, runner, verify
 from ngn.cli import main
 from ngn.objectives import (
@@ -22,11 +23,11 @@ from ngn.runner import (
     _Sampler,
     aggregate_metric,
     check_run,
-    whole_traces,
     write_traces,
 )
 from ngn.specs import POLICIES, PROBLEMS, build_spec
 from ngn.stepsizes import APS, NGN, Constant, StepsizePolicy
+from traces import whole_traces
 
 
 def one_trace(obj, policy, steps, *, seed=0, **kwargs):
@@ -684,3 +685,22 @@ def test_long_sweeps_keep_bounded_memory(tmp_path, monkeypatch):
     sweep(10)
     short, long = (traced_peak(lambda: sweep(steps)) for steps in (400, 4000))
     assert long <= 1.1 * short + 32_000, (short, long)
+
+
+@pytest.mark.parametrize("check", [
+    verify.check_lemma_bounds,
+    lambda steps: verify.check_never_diverge(sigma_grid=(1.0,), steps=steps),
+], ids=["lemma_bounds", "never_diverge"])
+def test_chunked_checks_keep_bounded_memory(monkeypatch, check):
+    # verify's checks reduce each chunk: 10x the steps peak within 10% of the
+    # shorter call, plus 32 kB. The stability check's fixed 10,000-step tail
+    # run takes about 3 s a call under tracemalloc (2-vCPU host, Python
+    # 3.11.7), whatever the chunk length
+    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 50)
+    check(steps=10)
+    short, long = (traced_peak(lambda: check(steps=steps)) for steps in (300, 3000))
+    assert long <= 1.1 * short + 32_000, (short, long)
+
+
+def test_package_reads_a_run_by_chunks_or_write_traces():
+    assert not {"whole_traces", "RunTrace"} & set(ngn.__all__)

@@ -1,11 +1,12 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
-from ngn import stepsizes, theory, verify
+from ngn import stepsizes, theory
 from ngn.objectives import make_nonconvex_sum
-from ngn.runner import Run, whole_traces
+from ngn.runner import Run
 from ngn.verify import (
     NOISE_SAFETY_MULTIPLIER,
     REPORT_HEADER,
@@ -19,10 +20,12 @@ from ngn.verify import (
     check_lemma_bounds,
     check_lemma_equality,
     check_lemma_inequality,
+    check_never_diverge,
     check_nonconvex_rate,
     check_strongly_convex_rate,
     run_suites,
 )
+from traces import whole_traces
 
 
 def test_lemma_equality_check_passes():
@@ -79,15 +82,30 @@ def test_contraction_needs_a_sigma_factor():
 
 @pytest.mark.parametrize("check", [check_lemma_bounds, check_lemma_inequality])
 def test_lemma_checks_fail_without_a_step(monkeypatch, check):
+    advance = Run.advance
+
     def no_step(run):
-        traces = whole_traces(run)
-        for trace in traces:
-            trace.stationary[:] = True  # as if every step stood still
-        return traces
+        chunk = advance(run)
+        chunk.stationary[:] = True  # as if every step stood still
+        return chunk
 
     assert check().passed
-    monkeypatch.setattr(verify, "whole_traces", no_step)
+    monkeypatch.setattr(Run, "advance", no_step)
     assert not check().passed
+
+
+@pytest.mark.parametrize("check", [
+    lambda: check_strongly_convex_rate(steps=8, n_seeds=3, x0=1e20),
+    lambda: check_deterministic_contraction(lam=1e31),
+    lambda: check_never_diverge(x0=1e20, sigma_grid=(1.0,))[-1],
+], ids=["strongly_convex_rate", "contraction", "stepsize_tail"])
+def test_diverged_runs_fail_with_measured_inf(check):
+    # every run diverges at step 0: it has no checkpoint, no contraction
+    # ratio and no stepsize tail, which is no evidence of a pass
+    report = check()
+    assert report.measured == math.inf, report.csv_row()
+    assert not report.passed
+    assert report.params.get("spread", math.inf) == math.inf
 
 
 def test_injected_sign_bug_is_caught(monkeypatch):
