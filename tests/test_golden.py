@@ -2,7 +2,8 @@
 
 Every problem family x every policy x each sampler the policy accepts,
 40 steps, seeds 0 and 1, metric cadence 7, plus a few runs at batch 5 on
-9 classes, and the report rows of the lemma and gradient checks. A
+9 classes, two runs that exercise the trace writer, and the report rows of
+the lemma and gradient checks. A
 refactor that changes any trace, aggregate or report byte changes a digest
 here, or a pinned report row of the stability, contraction and strongly
 convex checks. The digests were recorded with Python 3.11.7 and numpy
@@ -178,6 +179,20 @@ BATCH_GOLDEN = {
 }
 
 
+# Runs longer or wider than any above, for the trace writer: "long" has one
+# gamma (NGN(1) takes 0.5 at every step of two_quadratics) and one sigma
+# throughout, crosses a chunk seam (5461 steps at S = 2) and fills a
+# CSV_BLOCK_ROWS block; "batch_ids" writes four indices a row.
+WRITE_RUNS = {
+    "long": ("two_quadratics()", "ngn(sigma=1.0)", "steps = 6000\ncadence = 1\n"),
+    "batch_ids": ("linear_regression(d=4, n=12, seed=1, noise_std=0.1)", "constant(gamma=0.1)",
+                  "steps = 40\nsampler = epoch_shuffle\nbatch_size = 4\ncadence = 3\n"),
+}
+WRITE_GOLDEN = {
+    'long': '7479127f133c1936b96b936e950d75cfba9a5b113c6e9083429fb8bc6bf16b0e',
+    'batch_ids': '09df92ed44d329fdebe8223e4d9e4c0883d1b524aca28434ae036daf8b4f8b77',
+}
+
 # One SHA-256 over the report rows of the lemma and gradient checks, which
 # evaluate objectives and traces outside the runner.
 REPORT_GOLDEN = 'ddf8b75e9573bda4d6d4f7b579c2e98e5749968278f56557047a9d2e9aec7eb1'
@@ -293,6 +308,22 @@ def test_batch_output_hashes(tmp_path):
     assert got == BATCH_GOLDEN
 
 
+def write_digest(tmp_path, name: str) -> str:
+    problem, policy, rest = WRITE_RUNS[name]
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(f"problem = {problem}\npolicy = {policy}\nseeds = 0,1\n{rest}")
+    out = tmp_path / name
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    h = hashlib.sha256()
+    for output in OUTPUTS:
+        h.update((out / output).read_bytes())
+    return h.hexdigest()
+
+
+def test_trace_writer_output_hashes(tmp_path):
+    got = {name: write_digest(tmp_path, name) for name in WRITE_RUNS}
+    assert got == WRITE_GOLDEN
+
 def diverging_digest(tmp_path) -> str:
     cfg = tmp_path / "diverging.cfg"
     cfg.write_text(DIVERGING_CONFIG)
@@ -318,6 +349,7 @@ if __name__ == "__main__":
         got = {(p, q): digest(Path(tmp), p, q) for p in PROBLEMS for q in POLICIES}
         diverging = diverging_digest(Path(tmp))
         batch = {name: batch_digest(Path(tmp), name) for name in BATCH_RUNS}
+        write = {name: write_digest(Path(tmp), name) for name in WRITE_RUNS}
     for (p, q), value in got.items():
         print(f"    ({p!r}, {q!r}):\n        {value!r},")
     print(f"DIVERGING_GOLDEN = {diverging!r}")
@@ -326,4 +358,6 @@ if __name__ == "__main__":
     for name, value in pinned_rows().items():
         print(f"{name} = {value!r}")
     for name, value in batch.items():
+        print(f"    {name!r}: {value!r},")
+    for name, value in write.items():
         print(f"    {name!r}: {value!r},")
