@@ -442,7 +442,15 @@ CSV_BLOCK_ROWS = 4096  # rows formatted and written per join
 
 
 def _cells(values: np.ndarray) -> list[str]:
-    """Shortest round-trip text of each value; empty where it is not finite."""
+    """Shortest round-trip text of each value; empty where it is not finite.
+
+    A block of one float64 value, bit for bit (so -0.0 is not 0.0), is
+    formatted once.
+    """
+    bits = values.view(np.uint64)
+    if len(values) > 1 and bits[0] == bits[-1] and (bits == bits[0]).all():
+        first = float(values[0])
+        return [repr(first) if math.isfinite(first) else ""] * len(values)
     # tolist() first: repr of a numpy scalar is "np.float64(...)" under numpy >= 2
     cells = list(map(repr, values.tolist()))
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
@@ -450,30 +458,35 @@ def _cells(values: np.ndarray) -> list[str]:
     return cells
 
 
-def _write_rows(fh, k0: int, n_rows: int, ids: np.ndarray, per_step: Sequence[np.ndarray],
-                metric_steps: np.ndarray, metrics: Sequence[np.ndarray]) -> None:
-    """Write the trace rows of steps k0 .. k0 + n_rows - 1, CSV_BLOCK_ROWS rows per join.
+def _write_rows(fh, steps: list[str], ids: np.ndarray, per_step: Sequence[np.ndarray],
+                k0: int, cadence: int, metric_steps: np.ndarray,
+                metrics: Sequence[np.ndarray]) -> None:
+    """Write one trace row per cell of `steps`, the text of steps k0 on, CSV_BLOCK_ROWS per join.
 
     `per_step` holds the loss_batch, gamma, sigma and grad_sq of steps k0 on,
     and `ids` their batch indices, or the one row that every full_batch
     step uses; `metrics` holds loss_full, dist_sq and grad_full_sq at the
-    steps `metric_steps`. Cells are formatted a column at a time.
+    steps `metric_steps`, multiples of `cadence`. Cells are formatted a
+    column at a time.
     """
+    n_rows = len(steps)
     for a in range(0, n_rows, CSV_BLOCK_ROWS):
         b = min(a + CSV_BLOCK_ROWS, n_rows)
         if len(ids) == 1:  # full_batch: one row that every step uses
             id_cells = [";".join(map(str, ids[0].tolist()))] * (b - a)
+        elif ids.shape[1] == 1:
+            id_cells = list(map(str, ids[a:b, 0].tolist()))
         else:
             id_cells = list(map(";".join, zip(*(map(str, col)
                                                 for col in ids[a:b].T.tolist()))))
-        columns = [list(map(str, range(k0 + a, k0 + b))), id_cells]
+        columns = [steps[a:b], id_cells]
         columns += [_cells(values[a:b]) for values in per_step]
-        lo, hi = np.searchsorted(metric_steps, (k0 + a, k0 + b))
-        at = (metric_steps[lo:hi] - (k0 + a)).tolist()
+        lo, hi = np.searchsorted(metric_steps, (k0 + a, k0 + b)).tolist()
         for values in metrics:
             spread = [""] * (b - a)
-            for row, cell in zip(at, _cells(values[lo:hi])):
-                spread[row] = cell
+            if hi > lo:  # the rows of the cadence points, every cadence-th from the first
+                first = int(metric_steps[lo]) - (k0 + a)
+                spread[first:first + cadence * (hi - lo):cadence] = _cells(values[lo:hi])
             columns.append(spread)
         fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
@@ -501,11 +514,15 @@ def write_traces(run: Run, paths: Sequence) -> np.ndarray:
             fh.write(",".join(TRACE_COLUMNS) + "\n")
         for chunk in run:
             lengths = run.lengths()
+            steps = list(map(str, range(chunk.k0, chunk.k1))) if files else []
             for r, fh in enumerate(files):
-                _write_rows(fh, chunk.k0, min(chunk.k1, lengths[r]) - chunk.k0, chunk.batch_ids[r],
+                n_rows = min(chunk.k1, lengths[r]) - chunk.k0  # below 0 after a trace ends
+                if n_rows <= 0:
+                    continue
+                _write_rows(fh, steps[:n_rows], chunk.batch_ids[r],
                             (chunk.loss_batch[r], chunk.gamma[r],
                              run.row_sigma(r, chunk.sigma, chunk.k0), chunk.grad_sq[r]),
-                            chunk.metric_steps,
+                            chunk.k0, run.cadence, chunk.metric_steps,
                             (chunk.loss_full[r], chunk.dist_sq[r], chunk.grad_full_sq[r]))
             # the last gamma of each row that ended in this chunk
             ended = (chunk.k0 < run.ends) & (run.ends <= chunk.k1) & (run.diverged_step < 0)

@@ -428,7 +428,8 @@ def check_never_diverge(
         params={"gamma": 2.0, "threshold": 2.0 / lam},
         measured=float(diverged_at) if diverged_at >= 0 else math.inf,
         bound=100.0,
-        passed=diverged_at >= 0,
+        # a run stopped at step 0 diverged before its first step, at its start
+        passed=diverged_at >= 1,
     ))
 
     # the final loss, NaN when the run diverged

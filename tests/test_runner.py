@@ -159,16 +159,31 @@ def test_trace_csv_cells_parse_as_floats(tmp_path):
                 sampler="full_batch"),
     lambda: Run(make_quadratic1d(1.2, 0.0, 0.1), Constant(2.0), 150, x0=np.array([3.0]),
                 cadence=7),  # diverges at step 99
-], ids=["uniform", "full_batch", "diverged"])
+    lambda: Run(make_two_quadratics(), NGN(0.5), 25, seeds=(3,), cadence=1),
+    lambda: Run(make_two_quadratics(), NGN(0.5), 25, seeds=(3,), cadence=5),
+], ids=["uniform", "full_batch", "diverged", "cadence1", "cadence5"])
 def test_trace_csv_row_blocks_keep_bytes(tmp_path, monkeypatch, make_run):
     # at least three blocks of 7 rows write the bytes of one block; the metric
-    # cadence 4 divides neither the block nor the 25 steps
+    # cadences 4 and 5 divide neither the block nor the 25 steps, so a block's
+    # first metric row moves from block to block (0, 3, 1 at cadence 5)
     write_traces(make_run(), [tmp_path / "whole.csv"])
     monkeypatch.setattr(runner, "CSV_BLOCK_ROWS", 7)
     write_traces(make_run(), [tmp_path / "blocked.csv"])
     whole = (tmp_path / "whole.csv").read_bytes()
     assert whole == (tmp_path / "blocked.csv").read_bytes()
     assert whole.count(b"\n") - 1 >= 3 * 7
+
+
+@pytest.mark.parametrize("values, cells", [
+    ([0.0, -0.0, 0.0], ["0.0", "-0.0", "0.0"]),
+    ([-0.0, -0.0], ["-0.0", "-0.0"]),
+    ([math.inf] * 3, [""] * 3),
+    ([math.nan] * 3, [""] * 3),
+    ([2.5] * 3, ["2.5"] * 3),
+])
+def test_cells_of_one_value_blocks(values, cells):
+    # a block formatted once must be one value bit for bit: 0.0 == -0.0
+    assert runner._cells(np.array(values)) == cells
 
 
 def test_policy_error_annotated_with_step():

@@ -108,6 +108,15 @@ def test_diverged_runs_fail_with_measured_inf(check):
     assert report.params.get("spread", math.inf) == math.inf
 
 
+def test_unstable_gd_fails_when_its_start_diverges():
+    # a start loss above the divergence threshold stops the gamma = 2 run at
+    # step 0, before any step could show the instability
+    reports = {report.name: report for report in check_never_diverge(x0=1e20, sigma_grid=())}
+    report = reports["fig2_gd_unstable_diverges"]
+    assert report.measured == 0.0
+    assert not report.passed
+
+
 def test_injected_sign_bug_is_caught(monkeypatch):
     original = stepsizes._ngn_formula
 
