@@ -3,11 +3,11 @@
 Every problem family x every policy x each sampler the policy accepts,
 40 steps, seeds 0 and 1, metric cadence 7, plus a few runs at batch 5 on
 9 classes, two runs that exercise the trace writer, and the report rows of
-the lemma and gradient checks. A
-refactor that changes any trace, aggregate or report byte changes a digest
-here, or a pinned report row of the stability, contraction and strongly
-convex checks. The digests were recorded with Python 3.11.7 and numpy
-2.4.6; another numpy may round differently.
+the lemma and gradient checks. A refactor that changes any trace,
+aggregate or report byte changes a digest here, or a pinned report row of
+the stability, contraction and strongly convex checks. The digests were
+recorded with Python 3.11.7 and numpy 2.4.6; another numpy may round
+differently.
 To re-record after an intended output change, run this file as a script.
 """
 
