@@ -37,7 +37,6 @@ from .stepsizes import (
     Armijo,
     ArmijoSearchError,
     Constant,
-    NGNAnnealed,
     PolicyError,
     PolyakKnownFStar,
     SPSMax,

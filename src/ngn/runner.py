@@ -344,7 +344,7 @@ class Run:
                         if not full_batch:
                             idx = idx[~bad]
 
-                obs.k = k
+                obs.k, obs.sigma = k, sigma[j, ...]  # 0-d: ufuncs take it faster than a float64
                 if len(rows) == n_rows:
                     # a NaN loss has stopped its row, so this clamps -0.0 and
                     # negatives to +0.0 and nothing else

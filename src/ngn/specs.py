@@ -28,7 +28,6 @@ from .stepsizes import (
     AdaGradNorm,
     Armijo,
     Constant,
-    NGNAnnealed,
     PolyakKnownFStar,
     SPSMax,
 )
@@ -60,7 +59,8 @@ PROBLEMS = {
 
 POLICIES = {
     "ngn": Entry(NGN, {"sigma": float}),
-    "ngn_annealed": Entry(NGNAnnealed, {"sigma0": float, "schedule": "inv_sqrt"}),
+    "ngn_annealed": Entry(lambda sigma0, schedule: NGN(sigma0, schedule),
+                          {"sigma0": float, "schedule": "inv_sqrt"}),
     "ggn": Entry(lambda sigma, h, p: GGN(sigma, h, p),
                  {"sigma": float, "h": "quadratic", "p": 2.0}),
     "aps": Entry(APS, {}),

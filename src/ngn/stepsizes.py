@@ -1,11 +1,12 @@
 """Stepsize policies behind a single interface.
 
 A policy observes (k, f_i(x^k), ||grad f_i(x^k)||^2) for S seeds at once,
-as arrays of shape (S,), and emits gamma_k of the same shape: gamma > 0, or
-NaN where the observation is stationary (zero gradient where the rule is
-undefined); the runner then takes a zero step for that seed. Scalars work
-too, as the S = 1 case without the axis. A line search also gets a probe:
-the batch loss of every seed at its trial point x^k - gamma * grad f_i(x^k).
+as arrays of shape (S,), and the run's sigma_k; it emits gamma_k of the
+same shape: gamma > 0, or NaN where the observation is stationary (zero
+gradient where the rule is undefined); the runner then takes a zero step
+for that seed. Scalars work too, as the S = 1 case without the axis. A
+line search also gets a probe: the batch loss of every seed at its trial
+point x^k - gamma * grad f_i(x^k).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ class StepObservation:
     grad_sq_norm: np.ndarray  # (S,) squared batch-gradient norms
     component_min: Optional[np.ndarray] = None
     probe: Optional[Callable[[np.ndarray], np.ndarray]] = None  # gamma -> batch loss after the step
+    sigma: Optional[np.ndarray] = None  # sigma_k of the policy's sigma_schedule
 
     def __post_init__(self):
         if np.any(np.less(self.loss, 0.0)):
@@ -53,13 +55,14 @@ class StepsizePolicy:
 
     requires_full_batch = False
     requires_component_min = False
+    sigma = math.nan  # the constant sigma_k, NaN for a policy without one
 
     def reset(self) -> None:
         pass
 
     def sigma_schedule(self, steps: int, start: int = 0) -> np.ndarray:
         """Regularization parameter sigma_k of steps start .. steps-1; NaN if undefined."""
-        return np.full(steps - start, np.nan)
+        return np.full(steps - start, self.sigma)
 
     def stepsize(self, obs: StepObservation) -> np.ndarray:
         raise NotImplementedError
@@ -71,7 +74,7 @@ _ONE, _TWO, _F_FLOOR = np.array(1.0), np.array(2.0), np.array(F_FLOOR)
 
 
 def _ngn_formula(sigma: np.ndarray, loss, grad_sq):
-    """NGN's stepsize; `sigma` is a 0-d array or a numpy float64."""
+    """NGN's stepsize; `sigma` is best a 0-d array."""
     return sigma / (_ONE + sigma * grad_sq / (_TWO * np.maximum(loss, _F_FLOOR)))
 
 
@@ -82,45 +85,33 @@ def _over_grad_sq(numerator, grad_sq, at_zero: float = math.nan):
 
 
 class NGN(StepsizePolicy):
-    """gamma = sigma / (1 + sigma * ||g||^2 / (2 f))."""
+    """gamma = sigma_k / (1 + sigma_k * ||g||^2 / (2 f)), sigma_k read from the observation.
 
-    def __init__(self, sigma: float):
-        if sigma <= 0:
-            raise PolicyError("sigma must be positive")
-        self.sigma = float(sigma)
-        self._sigma = np.array(self.sigma)
-
-    def sigma_schedule(self, steps: int, start: int = 0) -> np.ndarray:
-        return np.full(steps - start, self.sigma)
-
-    def stepsize(self, obs: StepObservation) -> np.ndarray:
-        return _ngn_formula(self._sigma, obs.loss, obs.grad_sq_norm)
-
-
-class NGNAnnealed(StepsizePolicy):
-    """NGN with decaying sigma_k = sigma0/sqrt(k+1) or sigma0/(k+1)."""
+    sigma_k is `sigma` at every step, or under a schedule sigma/sqrt(k+1)
+    (inv_sqrt) or sigma/(k+1) (inv_linear).
+    """
 
     SCHEDULES = ("inv_sqrt", "inv_linear")
 
-    def __init__(self, sigma0: float, schedule: str = "inv_sqrt"):
-        if sigma0 <= 0:
-            raise PolicyError("sigma0 must be positive")
-        if schedule not in self.SCHEDULES:
+    def __init__(self, sigma: float, schedule: Optional[str] = None):
+        if sigma <= 0:
+            raise PolicyError("sigma must be positive")
+        if schedule is not None and schedule not in self.SCHEDULES:
             raise PolicyError(f"unknown schedule {schedule!r}")
-        self.sigma0 = float(sigma0)
+        self.sigma = float(sigma)
         self.schedule = schedule
 
     def sigma_schedule(self, steps: int, start: int = 0) -> np.ndarray:
+        if self.schedule is None:
+            return super().sigma_schedule(steps, start)
         # arange holds k + 1 exactly, and sqrt and division are correctly
-        # rounded, so each entry equals sigma0 / math.sqrt(k + 1) or
-        # sigma0 / (k + 1) exactly, whatever the start
+        # rounded, so each entry equals sigma / math.sqrt(k + 1) or
+        # sigma / (k + 1) exactly, whatever the start
         k1 = np.arange(start + 1.0, steps + 1.0)
-        return self.sigma0 / (np.sqrt(k1) if self.schedule == "inv_sqrt" else k1)
+        return self.sigma / (np.sqrt(k1) if self.schedule == "inv_sqrt" else k1)
 
     def stepsize(self, obs: StepObservation) -> np.ndarray:
-        k1 = obs.k + 1
-        sigma = self.sigma0 / (math.sqrt(k1) if self.schedule == "inv_sqrt" else k1)
-        return _ngn_formula(np.float64(sigma), obs.loss, obs.grad_sq_norm)
+        return _ngn_formula(obs.sigma, obs.loss, obs.grad_sq_norm)
 
 
 class GGN(StepsizePolicy):
@@ -144,9 +135,6 @@ class GGN(StepsizePolicy):
         self.h_kind = h_kind
         self.p = float(p)
 
-    def sigma_schedule(self, steps: int, start: int = 0) -> np.ndarray:
-        return np.full(steps - start, self.sigma)
-
     def stepsize(self, obs: StepObservation) -> np.ndarray:
         if self.h_kind == "neg_log":
             q = 1.0
@@ -156,7 +144,7 @@ class GGN(StepsizePolicy):
                 q = 1.0 / (2.0 * f)
             else:
                 q = (self.p - 1.0) / (self.p * f)
-        return self.sigma / (1.0 + self.sigma * q * obs.grad_sq_norm)
+        return obs.sigma / (1.0 + obs.sigma * q * obs.grad_sq_norm)
 
 
 class APS(StepsizePolicy):

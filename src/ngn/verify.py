@@ -31,7 +31,6 @@ from .stepsizes import (
     NGN,
     AdaGradNorm,
     Constant,
-    NGNAnnealed,
     SPSMax,
     StepObservation,
     stepsize_bounds,
@@ -39,6 +38,7 @@ from .stepsizes import (
 
 NOISE_SAFETY_MULTIPLIER = 2.0
 SEED_SLACK_FACTOR = 1.5
+SETTLE_STEPS = 10_000  # of check_never_diverge's NGN(100) run, whose tail must settle
 
 
 @dataclass
@@ -89,7 +89,7 @@ def check_lemma_equality(trials: int = 10_000, seed: int = 0) -> CheckReport:
     sigmas = 10.0 ** rng.uniform(-3, 3, trials)
     worst = 0.0
     for loss, gsq, sigma in zip(losses, gsqs, sigmas):
-        gamma = NGN(sigma).stepsize(StepObservation(0, loss, gsq))
+        gamma = NGN(sigma).stepsize(StepObservation(0, loss, gsq, sigma=sigma))
         lhs = gamma * gsq
         rhs = 2.0 * ((sigma - gamma) / sigma) * loss
         worst = max(worst, abs(lhs - rhs) / max(1.0, lhs))
@@ -352,7 +352,7 @@ def check_annealed_rate(
     """Weighted-average suboptimality under sigma_k = sigma0/sqrt(k+1)."""
     obj, ctx, x0_vec, dist0_sq = _two_quadratics_start(x0)
     # one run to the largest K; the weighted average of each K is a prefix's
-    run = Run(obj, NGNAnnealed(sigma0), max(steps_grid), seeds=range(n_seeds), x0=x0_vec,
+    run = Run(obj, NGN(sigma0, "inv_sqrt"), max(steps_grid), seeds=range(n_seeds), x0=x0_vec,
               store_iterates=True)
     # sums of sigma_k x^k and of sigma_k over the chunks done
     weighted, weights = np.zeros((n_seeds, obj.dim)), 0.0
@@ -444,7 +444,7 @@ def check_never_diverge(
 
     # the stepsize cycle damps slowly at large sigma; a longer horizon is
     # needed before the tail settles
-    run = Run(obj, NGN(100.0), 10_000, x0=x0_vec)
+    run = Run(obj, NGN(100.0), SETTLE_STEPS, x0=x0_vec)
     tail = np.empty(0)  # the last 100 stepsizes of the chunks done
     for chunk in run:
         tail = np.concatenate([tail, chunk.gamma[0]])[-100:]
@@ -531,7 +531,7 @@ def check_ggn_reductions(trials: int = 10_000, seed: int = 0) -> CheckReport:
         loss = 10.0 ** rng.uniform(-6, 2)
         gsq = 10.0 ** rng.uniform(-8, 4)
         sigma = 10.0 ** rng.uniform(-2, 2)
-        obs = StepObservation(0, loss, gsq)
+        obs = StepObservation(0, loss, gsq, sigma=sigma)
         base = NGN(sigma).stepsize(obs)
         quad = GGN(sigma, "quadratic").stepsize(obs)
         mono = GGN(sigma, "monomial", p=2.0).stepsize(obs)
@@ -565,7 +565,7 @@ def check_baseline_sanity(trials: int = 10_000, seed: int = 0) -> CheckReport:
         loss = 10.0 ** rng.uniform(-6, 2)
         gsq = 10.0 ** rng.uniform(-8, 4)
         sigma = 10.0 ** rng.uniform(-2, 2)
-        obs = StepObservation(k, loss, gsq, component_min=0.0)
+        obs = StepObservation(k, loss, gsq, component_min=0.0, sigma=sigma)
         g_ada = adagrad.stepsize(obs)
         worst = max(worst, g_ada - prev)
         prev = g_ada

@@ -448,6 +448,36 @@ def test_sigma_row_shared_by_running_traces():
     assert np.array_equal(traces[0].sigma, np.full(120, 0.5))
 
 
+class RecordsSigma(NGN):
+    """NGN that records each step's observed sigma_k; row 2's step 30 overflows its iterate."""
+
+    def __init__(self, sigma, schedule=None):
+        super().__init__(sigma, schedule)
+        self.seen = {}
+
+    def stepsize(self, obs):
+        self.seen[obs.k] = (np.ndim(obs.sigma), float(obs.sigma))
+        gamma = super().stepsize(obs)
+        if obs.k == 30:
+            gamma[2] = np.inf
+        return gamma
+
+
+@pytest.mark.parametrize("schedule", [None, "inv_sqrt"])
+def test_policy_observes_the_chunk_sigma(monkeypatch, schedule):
+    # row 0 retires at step 25 and row 2 diverges at step 30, both mid-chunk;
+    # at every step the policy sees sigma_k as a 0-d value, the chunk's own
+    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 7)
+    policy = RecordsSigma(0.5, schedule)
+    run = Run(make_two_quadratics(), policy, [25, 100, 100], seeds=range(3))
+    for chunk in run:
+        for k in range(chunk.k0, chunk.k1):
+            assert policy.seen.pop(k) == (0, chunk.sigma[k - chunk.k0]), k
+    assert policy.seen == {}
+    assert run.diverged_step.tolist() == [-1, -1, 30]
+    assert run.lengths().tolist() == [25, 100, 31]
+
+
 def test_observed_loss_clamped_to_positive_zero():
     # components 0 and 1 report a loss of -0.0 and -1.0; policies see +0.0
     losses = np.array([-0.0, -1.0, 2.0])
@@ -498,7 +528,7 @@ CHUNK_CASES = {
                    dict(cadence=100)),
     "adagrad": ("nonconvex_sum(n=6, seed=1, eps=0.4)", "adagrad_norm(eta=1.0, delta0=0.1)", 50,
                 range(3), dict(sampler="epoch_shuffle", batch_size=2, cadence=1)),
-    # stepsize grows its cached schedule at steps 2, 6, 14, 30 and 62
+    # each chunk's sigma_k comes from a schedule that starts at its k0
     "annealed": ("two_quadratics()", "ngn_annealed(sigma0=2.0)", 100, range(2),
                  dict(cadence=7, store_iterates=True)),
 }
@@ -708,10 +738,11 @@ def test_long_sweeps_keep_bounded_memory(tmp_path, monkeypatch):
 ], ids=["lemma_bounds", "never_diverge"])
 def test_chunked_checks_keep_bounded_memory(monkeypatch, check):
     # verify's checks reduce each chunk: 10x the steps peak within 10% of the
-    # shorter call, plus 32 kB. The stability check's fixed 10,000-step tail
-    # run takes about 3 s a call under tracemalloc (2-vCPU host, Python
-    # 3.11.7), whatever the chunk length
+    # shorter call, plus 32 kB. The stability check's NGN(100) run has a fixed
+    # length whatever `steps` is, so the comparison does not measure it; 500
+    # steps, 10 chunks and more than its 100-step tail, keep it short
     monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 50)
+    monkeypatch.setattr(verify, "SETTLE_STEPS", 500)
     check(steps=10)
     short, long = (traced_peak(lambda: check(steps=steps)) for steps in (300, 3000))
     assert long <= 1.1 * short + 32_000, (short, long)

@@ -12,7 +12,6 @@ from ngn.stepsizes import (
     Armijo,
     ArmijoSearchError,
     Constant,
-    NGNAnnealed,
     PolicyError,
     PolyakKnownFStar,
     SPSMax,
@@ -22,8 +21,14 @@ from ngn.stepsizes import (
 from ngn.specs import POLICIES, SpecError, build_spec, parse_call
 
 
-def obs(loss, gsq, k=0, comp_min=None):
-    return StepObservation(k=k, loss=loss, grad_sq_norm=gsq, component_min=comp_min)
+def obs(loss, gsq, k=0, comp_min=None, sigma=None):
+    return StepObservation(k=k, loss=loss, grad_sq_norm=gsq, component_min=comp_min,
+                           sigma=sigma)
+
+
+def step(policy, loss, gsq, k=0):
+    """The policy's stepsize at step k, observing sigma_k of its own schedule, as a run does."""
+    return policy.stepsize(obs(loss, gsq, k=k, sigma=policy.sigma_schedule(k + 1, k)[0, ...]))
 
 
 def test_observation_validation():
@@ -35,11 +40,21 @@ def test_observation_validation():
 
 def test_ngn_hand_value():
     # sigma=1, f=2, g^2=4: 1/(1 + 4/4) = 0.5
-    assert NGN(1.0).stepsize(obs(2.0, 4.0)) == pytest.approx(0.5)
+    assert step(NGN(1.0), 2.0, 4.0) == pytest.approx(0.5)
 
 
 def test_ngn_zero_gradient_gives_sigma():
-    assert NGN(3.5).stepsize(obs(2.0, 0.0)) == 3.5
+    assert step(NGN(3.5), 2.0, 0.0) == 3.5
+
+
+@pytest.mark.parametrize("policy", [NGN(1.0), GGN(1.0), GGN(1.0, "neg_log")],
+                         ids=["ngn", "ggn", "ggn_neg_log"])
+@pytest.mark.parametrize("loss, gsq", [(2.0, 4.0), (np.array([2.0, 1.0]), np.array([4.0, 0.0]))],
+                         ids=["scalar", "rows"])
+def test_sigma_policies_need_the_observed_sigma(policy, loss, gsq):
+    # sigma_k comes from the observation only: no NaN, no constructor value
+    with pytest.raises(TypeError):
+        policy.stepsize(obs(loss, gsq))
 
 
 def test_ngn_rejects_nonpositive_sigma():
@@ -50,15 +65,18 @@ def test_ngn_rejects_nonpositive_sigma():
 
 
 def test_ngn_annealed_schedule():
-    pol = NGNAnnealed(2.0)
+    pol = NGN(2.0, "inv_sqrt")
     assert pol.sigma_schedule(4)[0] == pytest.approx(2.0)
     assert pol.sigma_schedule(4)[3] == pytest.approx(1.0)
     # with g^2 = 0, gamma equals sigma_k exactly
-    assert pol.stepsize(obs(1.0, 0.0, k=3)) == pytest.approx(1.0)
-    lin = NGNAnnealed(2.0, schedule="inv_linear")
+    assert step(pol, 1.0, 0.0, k=3) == pytest.approx(1.0)
+    lin = NGN(2.0, schedule="inv_linear")
     assert lin.sigma_schedule(2)[1] == pytest.approx(1.0)
     with pytest.raises(PolicyError):
-        NGNAnnealed(1.0, schedule="exp")
+        NGN(1.0, schedule="exp")
+    for schedule in ("exp", "constant"):
+        with pytest.raises(PolicyError):
+            build_spec(POLICIES, f"ngn_annealed(sigma0=1, schedule={schedule})")
 
 
 @pytest.mark.parametrize("sigma0", [2.0, 0.37, 3.0e-5])
@@ -66,28 +84,28 @@ def test_annealed_schedule_matches_math_formula(sigma0):
     # sqrt and division are correctly rounded, so the vector equals the scalar
     # formula bit for bit, for every k < 10^6
     k = range(10**6)
-    inv_sqrt = NGNAnnealed(sigma0, "inv_sqrt")
-    inv_linear = NGNAnnealed(sigma0, "inv_linear")
+    inv_sqrt = NGN(sigma0, "inv_sqrt")
+    inv_linear = NGN(sigma0, "inv_linear")
     assert np.array_equal(inv_sqrt.sigma_schedule(10**6),
                           [sigma0 / math.sqrt(i + 1) for i in k])
     assert np.array_equal(inv_linear.sigma_schedule(10**6), [sigma0 / (i + 1) for i in k])
-    # stepsize computes sigma_k by the same formula, also past 10^6
-    fresh = NGNAnnealed(sigma0, "inv_sqrt")
+    # a schedule that starts at k computes sigma_k by the same formula, also past 10^6
     for i in (0, 5, 999_999, 3_000_000):
-        assert fresh.stepsize(obs(1.0, 0.0, k=i)) == sigma0 / math.sqrt(i + 1)
+        assert inv_sqrt.sigma_schedule(i + 1, i)[0] == sigma0 / math.sqrt(i + 1)
+        assert inv_linear.sigma_schedule(i + 1, i)[0] == sigma0 / (i + 1)
 
 
-@pytest.mark.parametrize("schedule", NGNAnnealed.SCHEDULES)
+@pytest.mark.parametrize("schedule", NGN.SCHEDULES)
 def test_annealed_stepsize_keeps_no_schedule(schedule):
-    # with g^2 = 0, gamma is sigma_k exactly: the schedule's, at every step
-    policy = NGNAnnealed(0.7, schedule)
+    # with g^2 = 0, gamma is the observed sigma_k exactly: the schedule's, at every step
+    policy = NGN(0.7, schedule)
     for k in (0, 1, 99, 100, 999_999):
-        assert policy.stepsize(obs(1.0, 0.0, k=k)) == policy.sigma_schedule(k + 1, k)[0]
-    # a late step costs no schedule of k entries
-    fresh = NGNAnnealed(0.7, schedule)
+        assert step(policy, 1.0, 0.0, k=k) == policy.sigma_schedule(k + 1, k)[0]
+    # a late step's sigma_k costs no schedule of k entries
+    fresh = NGN(0.7, schedule)
     tracemalloc.start()
     try:
-        fresh.stepsize(obs(1.0, 0.0, k=999_999))
+        fresh.sigma_schedule(10**6, 10**6 - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -106,26 +124,26 @@ def test_sigma_schedules_of_other_policies():
 def test_policies_return_one_stepsize_per_row():
     loss, gsq = np.array([1.0, 2.0, 0.5]), np.array([4.0, 0.0, 1.0])
     o = StepObservation(k=2, loss=loss, grad_sq_norm=gsq, component_min=np.zeros(3),
-                        probe=lambda gamma: np.zeros(3))
-    for policy in (NGN(0.3), NGNAnnealed(0.3), GGN(0.3), APS(), SPSMax(), PolyakKnownFStar(),
+                        probe=lambda gamma: np.zeros(3), sigma=np.array(0.3))
+    for policy in (NGN(0.3), NGN(0.3, "inv_sqrt"), GGN(0.3), APS(), SPSMax(), PolyakKnownFStar(),
                    AdaGradNorm(1.0, 0.1), Constant(0.3), Armijo()):
         assert np.shape(policy.stepsize(o)) == (3,), policy
 
 
 def test_ggn_quadratic_equals_ngn():
-    o = obs(2.0, 4.0)
+    o = obs(2.0, 4.0, sigma=1.0)
     assert GGN(1.0, "quadratic").stepsize(o) == NGN(1.0).stepsize(o)
 
 
 def test_ggn_monomial_p2_equals_ngn():
-    o = obs(0.7, 2.3)
+    o = obs(0.7, 2.3, sigma=1.3)
     assert GGN(1.3, "monomial", p=2.0).stepsize(o) == pytest.approx(
         NGN(1.3).stepsize(o), rel=1e-15)
 
 
 def test_ggn_neg_log_hand_value():
     # q = 1: gamma = sigma/(1 + sigma g^2); sigma=1, g^2=1 -> 0.5
-    assert GGN(1.0, "neg_log").stepsize(obs(5.0, 1.0)) == pytest.approx(0.5)
+    assert step(GGN(1.0, "neg_log"), 5.0, 1.0) == pytest.approx(0.5)
 
 
 def test_ggn_rejects_bad_monomial():
@@ -214,9 +232,12 @@ def test_stepsize_bounds_hand_value():
 
 
 def test_parse_policy_grammar():
-    assert isinstance(build_spec(POLICIES, "ngn(sigma=3.0)"), NGN)
-    assert isinstance(build_spec(POLICIES, "ngn_annealed(sigma0=1.0, schedule=inv_sqrt)"),
-                      NGNAnnealed)
+    ngn = build_spec(POLICIES, "ngn(sigma=3.0)")
+    assert isinstance(ngn, NGN) and ngn.schedule is None
+    for schedule in NGN.SCHEDULES:
+        annealed = build_spec(POLICIES, f"ngn_annealed(sigma0=1.0, schedule={schedule})")
+        assert isinstance(annealed, NGN) and annealed.schedule == schedule
+    assert build_spec(POLICIES, "ngn_annealed(sigma0=1.0)").schedule == "inv_sqrt"
     assert isinstance(build_spec(POLICIES, "sps_max(c=1, gamma_b=3, fstar=0)"), SPSMax)
     assert isinstance(build_spec(POLICIES, "adagrad_norm(eta=10, delta0=0.01)"), AdaGradNorm)
     assert isinstance(build_spec(POLICIES, "constant(gamma=0.1)"), Constant)

@@ -204,6 +204,6 @@ def test_rate_checks_step_once(monkeypatch):
     calls = count_stepsize_calls(monkeypatch, stepsizes.NGN)
     check_nonconvex_rate(steps=500, n_seeds=4)
     assert calls == list(range(2000))  # 2500 with a separate pilot run
-    calls = count_stepsize_calls(monkeypatch, stepsizes.NGNAnnealed)
+    calls = count_stepsize_calls(monkeypatch, stepsizes.NGN)
     check_annealed_rate(steps_grid=(5, 50, 500), n_seeds=4)
     assert calls == list(range(500))  # 555 with a run per K
