@@ -104,6 +104,10 @@ class Chunk:
     (`Run.lengths`), NaN for a row whose trace ends before k. The last
     chunk adds them at each row's last iterate in `final`, NaN for a row
     that diverged.
+
+    The per-step fields loss_batch, gamma, grad_sq and stationary may be
+    non-contiguous views, transposes of the run's step-major stores: copy
+    one before handing it to code that needs contiguous memory.
     """
 
     k0: int
@@ -245,10 +249,12 @@ class Run:
         sel: slice | np.ndarray = slice(None)
         live: slice | np.ndarray = slice(None) if n_start == n_rows else rows
         tab = tables if n_start == n_rows or full_batch else tables[rows]
-        loss_c = np.full((n_start, n_steps), np.nan)
-        gamma_c = np.full((n_start, n_steps), np.nan)
-        grad_sq_c = np.full((n_start, n_steps), np.nan)
-        stationary_c = np.zeros((n_start, n_steps), dtype=bool)
+        # step-major, so that each step writes contiguous rows: step j's batch
+        # losses and squared gradient norms are lg_c[j], one row lg_flat[j]
+        lg_c = np.full((n_steps, 2, n_start), np.nan)
+        lg_flat = lg_c.reshape(n_steps, 2 * n_start)
+        gamma_c = np.full((n_steps, n_start), np.nan)
+        stationary_c = np.zeros((n_steps, n_start), dtype=bool)
         iterates_c = np.full((n_start, n_steps, dim), np.nan) if self.store_iterates else None
         # every row's iterates at the cadence points, zeros where a row is
         # stopped; the last chunk adds each row's last iterate
@@ -275,6 +281,7 @@ class Run:
         policy_stepsize = policy.stepsize
         vecdot = np.vecdot
         total = np.add.reduce
+        threshold_sq = DIVERGENCE_THRESHOLD * DIVERGENCE_THRESHOLD
         zero = np.array(0.0)  # 0-d, as in stepsizes._ngn_formula
         isfinite = math.isfinite
 
@@ -327,13 +334,19 @@ class Run:
                 else:
                     idx = tab[sel, j]
                     loss, grad = evaluate(idx, x)
-                gsq = vecdot(grad, grad)
-                loss_c[sel, j] = loss
-                grad_sq_c[sel, j] = gsq
+                # loss and gsq go straight into the store's row for step j; once
+                # a row has stopped in this chunk, into a compact row copied there
+                n = len(rows)
+                row = lg_flat[j] if n == n_start else np.empty(2 * n)
+                row[:n] = loss
+                gsq = vecdot(grad, grad, out=row[n:])
+                if n < n_start:
+                    lg_c[j][:, sel] = row.reshape(2, n)
 
-                # one sum is a cheap first test: no term exceeds it, and it is
-                # NaN when any entry is
-                if not total(np.abs(loss) + gsq) <= DIVERGENCE_THRESHOLD:
+                # one sum of squares is a cheap first test: a sum of nonnegative
+                # terms rounds to at least each term, so passing it puts every
+                # |loss| and gsq below the threshold; NaN fails it
+                if not vecdot(row, row) < threshold_sq:
                     bad = ~((np.abs(loss) <= DIVERGENCE_THRESHOLD)
                             & (gsq <= DIVERGENCE_THRESHOLD))
                     if bad.any():
@@ -368,15 +381,15 @@ class Run:
                 # one sum tests every row: a NaN gamma (a stationary row) or a
                 # non-finite coordinate makes it non-finite (inf-inf is nan)
                 if isfinite(total(x_new, axis=None)):
-                    gamma_c[sel, j] = gamma
+                    gamma_c[j, sel] = gamma
                     x = x_new
                     continue
                 still = np.isnan(gamma)
                 if still.any():  # a stationary row takes no step
-                    stationary_c[sel, j] = still
+                    stationary_c[j, sel] = still
                     gamma = np.where(still, 0.0, gamma)
                     x_new[still] = x[still]
-                gamma_c[sel, j] = gamma
+                gamma_c[j, sel] = gamma
                 x = x_new
                 bad = ~np.isfinite(x.sum(axis=1))
                 if bad.any():
@@ -411,8 +424,8 @@ class Run:
             out[rows_at_k0] = part
             return out
 
-        return Chunk(k0, k1, tables, whole(loss_c, np.nan), whole(gamma_c, np.nan),
-                     whole(grad_sq_c, np.nan), whole(stationary_c, False), sigma,
+        return Chunk(k0, k1, tables, whole(lg_c[:, 0].T, np.nan), whole(gamma_c.T, np.nan),
+                     whole(lg_c[:, 1].T, np.nan), whole(stationary_c.T, False), sigma,
                      metric_steps, *metrics[:, :, :m], final=final,
                      iterates=None if iterates_c is None else whole(iterates_c, np.nan))
 
@@ -467,7 +480,9 @@ def _write_rows(fh, steps: list[str], ids: np.ndarray, per_step: Sequence[np.nda
     and `ids` their batch indices, or the one row that every full_batch
     step uses; `metrics` holds loss_full, dist_sq and grad_full_sq at the
     steps `metric_steps`, multiples of `cadence`. Cells are formatted a
-    column at a time.
+    column at a time, and a metric column whose block is bit for bit one
+    already formatted in that block (dist_sq and grad_full_sq on
+    two_quadratics) takes its cells.
     """
     n_rows = len(steps)
     for a in range(0, n_rows, CSV_BLOCK_ROWS):
@@ -482,11 +497,18 @@ def _write_rows(fh, steps: list[str], ids: np.ndarray, per_step: Sequence[np.nda
         columns = [steps[a:b], id_cells]
         columns += [_cells(values[a:b]) for values in per_step]
         lo, hi = np.searchsorted(metric_steps, (k0 + a, k0 + b)).tolist()
+        formatted: list[tuple[np.ndarray, list[str]]] = []  # (bits, cells) of this block
         for values in metrics:
             spread = [""] * (b - a)
             if hi > lo:  # the rows of the cadence points, every cadence-th from the first
+                block = values[lo:hi]
+                bits = block.view(np.uint64)
+                cells = next((c for seen, c in formatted if np.array_equal(seen, bits)), None)
+                if cells is None:
+                    cells = _cells(block)
+                    formatted.append((bits, cells))
                 first = int(metric_steps[lo]) - (k0 + a)
-                spread[first:first + cadence * (hi - lo):cadence] = _cells(values[lo:hi])
+                spread[first:first + cadence * (hi - lo):cadence] = cells
             columns.append(spread)
         fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 

@@ -186,6 +186,16 @@ def test_cells_of_one_value_blocks(values, cells):
     assert runner._cells(np.array(values)) == cells
 
 
+def test_metric_columns_share_cells_only_when_bit_equal():
+    # dist_sq takes loss_full's cells; grad_full_sq equals them as values but
+    # not as bits (-0.0), so it is formatted on its own
+    out = io.StringIO()
+    metrics = [np.array([1.5, 0.0]), np.array([1.5, 0.0]), np.array([1.5, -0.0])]
+    runner._write_rows(out, ["0", "1"], np.array([[0], [1]]), [np.ones(2)] * 4, 0, 1,
+                       np.arange(2), metrics)
+    assert out.getvalue() == "0,0,1.0,1.0,1.0,1.0,1.5,1.5,1.5\n1,1,1.0,1.0,1.0,1.0,0.0,0.0,-0.0\n"
+
+
 def test_policy_error_annotated_with_step():
     obj = make_two_quadratics()
 
@@ -494,6 +504,97 @@ def test_observed_loss_clamped_to_positive_zero():
     assert np.array_equal(observed, np.maximum(np.array([t.loss_batch for t in traces]).T, 0.0))
     assert not np.signbit(observed).any()
     assert np.signbit([t.loss_batch for t in traces]).any()  # recorded as reported
+
+
+def fixed_rows_run(rows, steps=3):
+    """A 2-d run whose row r reports the batch loss and gradient rows[r] at every step.
+
+    The rows take steps of gamma 0, so each stays at its own start point,
+    which the stub objective looks its values up by.
+    """
+    table = {}
+
+    def evaluator(idx, X):
+        loss, grad = zip(*(table[tuple(x)] for x in X.tolist()))
+        return np.array(loss)[:, None], np.array(grad, dtype=float)[:, None, :]
+
+    run = Run(FiniteSumObjective(1, 2, evaluator), ScheduledStep(lambda k, obs: 0.0), steps,
+              seeds=range(len(rows)))
+    table.update(zip(map(tuple, run.x_start.tolist()), rows))
+    return run
+
+
+THRESHOLD = runner.DIVERGENCE_THRESHOLD
+ABOVE = np.nextafter(THRESHOLD, np.inf)
+THRESHOLD_CASES = {  # (loss, gradient, recorded grad_sq, diverges)
+    "loss_at": (THRESHOLD, [1.0, 0.0], 1.0, False),
+    "grad_sq_at": (1.0, [1e15, 0.0], THRESHOLD, False),
+    "loss_above": (ABOVE, [1.0, 0.0], 1.0, True),
+    "loss_below_minus": (-2e30, [1.0, 0.0], 1.0, True),  # |loss| is tested
+    "grad_sq_above": (1.0, [1e15, 2 ** 23.5], ABOVE, True),  # 1e30 + 2^47, one ulp up
+    "loss_nan": (np.nan, [1.0, 0.0], 1.0, True),
+}
+
+
+@pytest.mark.parametrize("case", THRESHOLD_CASES)
+def test_divergence_threshold_is_inclusive(case):
+    # a batch loss or squared gradient norm of exactly 1e30 runs on; one ulp
+    # above it, |loss| above it or NaN stops the row at that step
+    loss, grad, grad_sq, diverges = THRESHOLD_CASES[case]
+    run = fixed_rows_run([(0.5, [1.0, 1.0]), (loss, grad)])
+    chunk = next(iter(run))
+    assert np.array_equal(chunk.loss_batch[:, 0], [0.5, loss], equal_nan=True)
+    assert chunk.grad_sq[:, 0].tolist() == [2.0, grad_sq]
+    assert run.diverged_step.tolist() == [-1, 0 if diverges else -1]
+    assert run.lengths().tolist() == [3, 1 if diverges else 3]
+
+
+def test_rows_below_the_threshold_run_on_whatever_their_sum():
+    # twenty losses of 9e29: their sum of squares, 1.6e61, is above 1e30
+    # squared, yet no row is above the threshold, so every row runs on
+    values = np.array([9e29] * 20 + [1.0] * 20)  # the losses, then the squared norms
+    assert np.vecdot(values, values) > THRESHOLD ** 2
+    run = fixed_rows_run([(9e29, [1.0, 0.0])] * 20)
+    chunk = next(iter(run))
+    assert (chunk.loss_batch == 9e29).all() and (chunk.grad_sq == 1.0).all()
+    assert (run.diverged_step == -1).all()
+
+
+def test_kept_observations_and_chunks_keep_their_values(monkeypatch):
+    # a policy may keep each step's obs.loss and obs.grad_sq_norm; they keep
+    # the values the chunks hand out, and a chunk's arrays are not written
+    # once the next chunk runs. Chunks of 5 steps: row 1 retires at step 7
+    # and row 2's steps of 1e10 from step 6 on make it diverge at step 8,
+    # both inside the second chunk, where stopped rows are indexed by `sel`
+    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 5)
+    kept = []
+
+    def gamma_at(k, obs):
+        kept.append((obs.k, obs.loss, obs.grad_sq_norm))
+        return np.where((np.arange(3) == 2) & (k >= 6), 1e10, 0.5)
+
+    run = Run(make_two_quadratics(), ScheduledStep(gamma_at), [13, 7, 13], seeds=range(3),
+              store_iterates=True)
+    fields = ("loss_batch", "grad_sq", "gamma", "stationary", "iterates")
+    chunks, copies = [], []
+    for chunk in run:
+        chunks.append(chunk)
+        copies.append([getattr(chunk, f).copy() for f in fields])
+    assert [(c.k0, c.k1) for c in chunks] == [(0, 5), (5, 10), (10, 13)]
+    assert run.diverged_step.tolist() == [-1, -1, 8]
+    assert run.lengths().tolist() == [13, 7, 9]
+    for chunk, copy in zip(chunks, copies):
+        for name, before in zip(fields, copy):
+            assert getattr(chunk, name).tobytes() == before.tobytes(), (chunk.k0, name)
+    loss = np.concatenate([c.loss_batch for c in chunks], axis=1)
+    grad_sq = np.concatenate([c.grad_sq for c in chunks], axis=1)
+    assert [k for k, _, _ in kept] == list(range(13))
+    for k, obs_loss, obs_grad_sq in kept:
+        # the rows that reach the policy at step k; the others read 0 there
+        running = (k < run.ends) & ((run.diverged_step < 0) | (k < run.diverged_step))
+        assert np.array_equal(obs_loss[running], np.maximum(loss[running, k], 0.0)), k
+        assert np.array_equal(obs_grad_sq[running], grad_sq[running, k]), k
+        assert not obs_loss[~running].any() and not obs_grad_sq[~running].any(), k
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 2000])
