@@ -241,8 +241,8 @@ class Run:
         # running on after others retired take plain slices. `rows` numbers
         # the rows still running; `sel` indexes them in the chunk arrays and
         # `live` among all S rows, each a full slice while none has stopped.
-        # Policies see all S rows, zeros for a stopped one, so that per-row
-        # policy state stays aligned.
+        # Policies see the running rows only, compact; `stop` tells the
+        # policy which rows run on, so that its per-row state stays aligned.
         rows = rows_at_k0 = self.rows
         x = self._x
         n_start = len(rows)
@@ -298,22 +298,17 @@ class Run:
                 sel = np.arange(n_start)
             rows, x, sel = rows[~bad], x[~bad], sel[~bad]
             live = rows
+            policy.keep_rows(~bad)
 
         def probe(gamma: np.ndarray) -> np.ndarray:
-            """Batch loss of every row at x - gamma * grad; stopped rows read 0."""
-            point = x - gamma[live, None] * grad
-            trial = (full_many(point) if full_batch else evaluate(idx, point))[0]
-            if len(rows) == n_rows:
-                return trial
-            out = np.zeros(n_rows)
-            out[rows] = trial
-            return out
+            """Batch loss of every running row at x - gamma * grad."""
+            point = x - gamma[:, None] * grad
+            return (full_many(point) if full_batch else evaluate(idx, point))[0]
 
         # One observation, refreshed in place each step: the runner's losses are
         # clamped at zero and its squared norms are sums of squares, so the
         # constructor's validation is not repeated.
-        obs = StepObservation(k=0, loss=np.zeros(n_rows), grad_sq_norm=np.zeros(n_rows),
-                              probe=probe)
+        obs = StepObservation(k=0, loss=zero, grad_sq_norm=zero, probe=probe)
 
         # a diverging row overflows on its way out; it is flagged, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
@@ -358,24 +353,16 @@ class Run:
                             idx = idx[~bad]
 
                 obs.k, obs.sigma = k, sigma[j, ...]  # 0-d: ufuncs take it faster than a float64
-                if len(rows) == n_rows:
-                    # a NaN loss has stopped its row, so this clamps -0.0 and
-                    # negatives to +0.0 and nothing else
-                    obs.loss = np.maximum(loss, zero)
-                    obs.grad_sq_norm = gsq
-                else:
-                    obs.loss = np.zeros(n_rows)
-                    obs.grad_sq_norm = np.zeros(n_rows)
-                    obs.loss[rows] = np.maximum(loss, zero)
-                    obs.grad_sq_norm[rows] = gsq
+                # a NaN loss has stopped its row, so this clamps -0.0 and
+                # negatives to +0.0 and nothing else
+                obs.loss = np.maximum(loss, zero)
+                obs.grad_sq_norm = gsq
                 if component_min is not None:
-                    obs.component_min = component_min[:, 0 if full_batch else j]
+                    obs.component_min = component_min[live, 0 if full_batch else j]
                 try:
                     gamma = policy_stepsize(obs)
                 except Exception as exc:  # noqa: BLE001 - annotate with step index
                     raise RunError(k, exc) from exc
-                if len(rows) < n_rows:
-                    gamma = gamma[rows]
 
                 x_new = x - gamma[:, None] * grad
                 # one sum tests every row: a NaN gamma (a stationary row) or a

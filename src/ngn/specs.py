@@ -77,7 +77,7 @@ _CALL_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z0-9_]*)\s*\((.*)\)\s*$", re.DOTALL)
 def parse_call(text: str) -> tuple[str, dict]:
     """Parse "name(key=value, ...)" into (name, kwargs).
 
-    Values are floats when numeric, bare strings otherwise.
+    Values are floats when numeric, bare strings otherwise; no key may repeat.
     """
     m = _CALL_RE.match(text)
     if not m:
@@ -89,6 +89,8 @@ def parse_call(text: str) -> tuple[str, dict]:
             if "=" not in part:
                 raise SpecError(f"expected key=value in {part!r}")
             key, value = (s.strip() for s in part.split("=", 1))
+            if key in kwargs:
+                raise SpecError(f"parameter {key!r} repeats in {text!r}")
             try:
                 kwargs[key] = float(value)
             except ValueError:

@@ -1,12 +1,13 @@
 """Stepsize policies behind a single interface.
 
-A policy observes (k, f_i(x^k), ||grad f_i(x^k)||^2) for S seeds at once,
-as arrays of shape (S,), and the run's sigma_k; it emits gamma_k of the
-same shape: gamma > 0, or NaN where the observation is stationary (zero
-gradient where the rule is undefined); the runner then takes a zero step
-for that seed. Scalars work too, as the S = 1 case without the axis. A
-line search also gets a probe: the batch loss of every seed at its trial
-point x^k - gamma * grad f_i(x^k).
+A policy observes (k, f_i(x^k), ||grad f_i(x^k)||^2) of the R seeds still
+running, as (R,) arrays in row order, and the run's sigma_k; it emits
+gamma_k of the same shape: gamma > 0, or NaN where the observation is
+stationary (zero gradient where the rule is undefined); the runner then
+takes a zero step for that seed. Scalars work too, as R = 1 without the
+axis. A line search also gets a probe: the batch loss of every running
+seed at its trial point x^k - gamma * grad f_i(x^k). When seeds stop, the
+runner's `keep_rows` call keeps a policy's per-seed state in row order.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ class StepsizePolicy:
 
     def reset(self) -> None:
         pass
+
+    def keep_rows(self, keep: np.ndarray) -> None:
+        """Keep the per-seed state of the seeds flagged in `keep`, in order; none here."""
 
     def sigma_schedule(self, steps: int, start: int = 0) -> np.ndarray:
         """Regularization parameter sigma_k of steps start .. steps-1; NaN if undefined."""
@@ -204,6 +208,10 @@ class AdaGradNorm(StepsizePolicy):
     def reset(self) -> None:
         self._acc = self.delta0 * self.delta0
 
+    def keep_rows(self, keep: np.ndarray) -> None:
+        if np.ndim(self._acc):  # a scalar until the first step
+            self._acc = self._acc[keep]
+
     def stepsize(self, obs: StepObservation) -> np.ndarray:
         self._acc = self._acc + obs.grad_sq_norm
         return self.eta / np.sqrt(self._acc)
@@ -223,8 +231,8 @@ class Armijo(StepsizePolicy):
     """Backtracking line search with the sufficient-decrease condition.
 
     Every seed backtracks on the observation's probe until it accepts; the
-    probe is evaluated for all seeds together. Full-batch only, so the
-    probe evaluates the full objective.
+    probe is evaluated for all running seeds together. Full-batch only, so
+    the probe evaluates the full objective.
     """
 
     requires_full_batch = True

@@ -56,6 +56,7 @@ def test_run_rejects_missing_keys(tmp_path):
 @pytest.mark.parametrize("key,spec", [
     ("problem", "two_quadratics(nn=5)"),
     ("policy", "ngn(sigma=1.0, sigmaa=7)"),
+    ("policy", "ngn(sigma=1.0, sigma=5.0)"),
     ("policy", "ngn(sigma=abc)"),
     ("problem", "logistic_file(path=no_such_file.svm)"),
     ("problem", "linear_regression(d=2.7)"),

@@ -26,7 +26,7 @@ from ngn.runner import (
     write_traces,
 )
 from ngn.specs import POLICIES, PROBLEMS, build_spec
-from ngn.stepsizes import APS, NGN, Constant, StepsizePolicy
+from ngn.stepsizes import APS, NGN, AdaGradNorm, Constant, StepsizePolicy
 from traces import whole_traces
 
 
@@ -266,6 +266,22 @@ def test_lockstep_matches_solo_runs(problem, policy):
                                            **kwargs))
 
 
+def test_sps_max_rows_read_their_own_component_min(monkeypatch):
+    # f_i* that differ by component, so each row's component_min is its own
+    # batch's: rows 1 and 3 retire at steps 23 and 9, mid-chunk and before
+    # later chunks, and every row matches its solo run
+    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 7)
+    obj = build_spec(PROBLEMS, "linear_regression(d=4, n=12, seed=1, noise_std=0.1)")
+    obj.f_i_star = np.linspace(0.0, 1e-3, obj.n)
+    kwargs = dict(sampler="epoch_shuffle", batch_size=2, cadence=7)
+    ends = [40, 23, 40, 9]
+    policy = "sps_max(c=0.5, gamma_b=2.0)"
+    together = whole_traces(Run(obj, build_spec(POLICIES, policy), ends, seeds=range(4), **kwargs))
+    for seed, (end, trace) in enumerate(zip(ends, together)):
+        assert_same_trace(trace, one_trace(obj, build_spec(POLICIES, policy), end, seed=seed,
+                                           **kwargs))
+
+
 def test_lockstep_stationary_rows_match_solo_runs():
     # APS halves x on this quadratic. For seed 1 the gradient underflows to
     # exactly 0 (a stationary row from step 536 on); for the other seeds the
@@ -458,34 +474,91 @@ def test_sigma_row_shared_by_running_traces():
     assert np.array_equal(traces[0].sigma, np.full(120, 0.5))
 
 
-class RecordsSigma(NGN):
-    """NGN that records each step's observed sigma_k; row 2's step 30 overflows its iterate."""
+class RowIds:
+    """Stub mixin for a run of `n_rows` rows: `ids` numbers the rows the policy observes.
+
+    It holds every row after reset and follows the runner's keep_rows calls,
+    so that a stub picks a row by its number in the run.
+    """
+
+    n_rows = 0
+
+    def reset(self):
+        super().reset()
+        self.ids = np.arange(self.n_rows)
+
+    def keep_rows(self, keep):
+        super().keep_rows(keep)
+        self.ids = self.ids[keep]
+
+
+class RecordsSigma(RowIds, NGN):
+    """NGN that records each step's sigma_k and rows; row 2's step 30 overflows its iterate."""
+
+    n_rows = 3
 
     def __init__(self, sigma, schedule=None):
         super().__init__(sigma, schedule)
         self.seen = {}
 
     def stepsize(self, obs):
-        self.seen[obs.k] = (np.ndim(obs.sigma), float(obs.sigma))
+        self.seen[obs.k] = (np.ndim(obs.sigma), float(obs.sigma), self.ids.tolist())
         gamma = super().stepsize(obs)
         if obs.k == 30:
-            gamma[2] = np.inf
+            gamma[self.ids == 2] = np.inf  # IndexError unless gamma has a value per observed row
         return gamma
 
 
 @pytest.mark.parametrize("schedule", [None, "inv_sqrt"])
 def test_policy_observes_the_chunk_sigma(monkeypatch, schedule):
     # row 0 retires at step 25 and row 2 diverges at step 30, both mid-chunk;
-    # at every step the policy sees sigma_k as a 0-d value, the chunk's own
+    # at every step the policy sees sigma_k as a 0-d value, the chunk's own,
+    # and exactly the rows still running: row 0 through step 24, row 2
+    # through step 30, whose iterate overflows after the policy's call
     monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 7)
     policy = RecordsSigma(0.5, schedule)
     run = Run(make_two_quadratics(), policy, [25, 100, 100], seeds=range(3))
     for chunk in run:
         for k in range(chunk.k0, chunk.k1):
-            assert policy.seen.pop(k) == (0, chunk.sigma[k - chunk.k0]), k
+            running = [r for r, end in enumerate((25, 100, 31)) if k < end]
+            assert policy.seen.pop(k) == (0, chunk.sigma[k - chunk.k0], running), k
     assert policy.seen == {}
     assert run.diverged_step.tolist() == [-1, -1, 30]
     assert run.lengths().tolist() == [25, 100, 31]
+
+
+class AdaGradBlowsUp(RowIds, AdaGradNorm):
+    """AdaGradNorm whose row `row` takes the step `gamma` at step `at`."""
+
+    def __init__(self, n_rows, row, at, gamma):
+        self.n_rows, self.row, self.at, self.gamma = n_rows, row, at, gamma
+        super().__init__(1.0, 0.1)
+
+    def stepsize(self, obs):
+        gamma = super().stepsize(obs)
+        if obs.k == self.at:
+            gamma[self.ids == self.row] = self.gamma
+        return gamma
+
+
+@pytest.mark.parametrize("case", ["loss_test", "iterate_test"])
+def test_adagrad_rows_keep_their_state_when_a_row_diverges(monkeypatch, case):
+    # row 1 of 4 stops at step 11, mid-chunk: its step of 1e20 at step 10
+    # puts its batch loss above 1e30 at step 11, before the policy's call,
+    # or its step of inf at step 11 overflows its iterate, after the call.
+    # AdaGrad's accumulators of rows 0, 2 and 3 follow them, so each row's
+    # trace is its solo run's, bit for bit
+    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 7)
+    obj = make_two_quadratics()
+    at, gamma = (10, 1e20) if case == "loss_test" else (11, np.inf)
+    kwargs = dict(cadence=3, store_iterates=True)
+    run = Run(obj, AdaGradBlowsUp(4, 1, at, gamma), 30, seeds=range(4), **kwargs)
+    together = whole_traces(run)
+    assert run.diverged_step.tolist() == [-1, 11, -1, -1]
+    assert run.sigma_end[1] == (11 if case == "loss_test" else 12)
+    for seed, trace in zip(range(4), together):
+        policy = AdaGradBlowsUp(1, 0, at, gamma) if seed == 1 else AdaGradNorm(1.0, 0.1)
+        assert_same_trace(trace, one_trace(obj, policy, 30, seed=seed, **kwargs))
 
 
 def test_observed_loss_clamped_to_positive_zero():
@@ -560,6 +633,12 @@ def test_rows_below_the_threshold_run_on_whatever_their_sum():
     assert (run.diverged_step == -1).all()
 
 
+class TrackedStep(RowIds, ScheduledStep):
+    """ScheduledStep that knows the run's numbers of the rows it observes."""
+
+    n_rows = 3
+
+
 def test_kept_observations_and_chunks_keep_their_values(monkeypatch):
     # a policy may keep each step's obs.loss and obs.grad_sq_norm; they keep
     # the values the chunks hand out, and a chunk's arrays are not written
@@ -570,11 +649,11 @@ def test_kept_observations_and_chunks_keep_their_values(monkeypatch):
     kept = []
 
     def gamma_at(k, obs):
-        kept.append((obs.k, obs.loss, obs.grad_sq_norm))
-        return np.where((np.arange(3) == 2) & (k >= 6), 1e10, 0.5)
+        kept.append((obs.k, policy.ids.copy(), obs.loss, obs.grad_sq_norm))
+        return np.where((policy.ids == 2) & (k >= 6), 1e10, 0.5)
 
-    run = Run(make_two_quadratics(), ScheduledStep(gamma_at), [13, 7, 13], seeds=range(3),
-              store_iterates=True)
+    policy = TrackedStep(gamma_at)
+    run = Run(make_two_quadratics(), policy, [13, 7, 13], seeds=range(3), store_iterates=True)
     fields = ("loss_batch", "grad_sq", "gamma", "stationary", "iterates")
     chunks, copies = [], []
     for chunk in run:
@@ -588,13 +667,15 @@ def test_kept_observations_and_chunks_keep_their_values(monkeypatch):
             assert getattr(chunk, name).tobytes() == before.tobytes(), (chunk.k0, name)
     loss = np.concatenate([c.loss_batch for c in chunks], axis=1)
     grad_sq = np.concatenate([c.grad_sq for c in chunks], axis=1)
-    assert [k for k, _, _ in kept] == list(range(13))
-    for k, obs_loss, obs_grad_sq in kept:
-        # the rows that reach the policy at step k; the others read 0 there
-        running = (k < run.ends) & ((run.diverged_step < 0) | (k < run.diverged_step))
-        assert np.array_equal(obs_loss[running], np.maximum(loss[running, k], 0.0)), k
-        assert np.array_equal(obs_grad_sq[running], grad_sq[running, k]), k
-        assert not obs_loss[~running].any() and not obs_grad_sq[~running].any(), k
+    assert [k for k, _, _, _ in kept] == list(range(13))
+    for k, ids, obs_loss, obs_grad_sq in kept:
+        # exactly the rows that reach the policy at step k, in row order:
+        # row 1 through step 6, row 2 through step 7 (its loss stops it at 8)
+        running = np.flatnonzero((k < run.ends) & ((run.diverged_step < 0)
+                                                   | (k < run.diverged_step)))
+        assert ids.tolist() == running.tolist(), k
+        assert np.array_equal(obs_loss, np.maximum(loss[running, k], 0.0)), k
+        assert np.array_equal(obs_grad_sq, grad_sq[running, k]), k
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 2000])

@@ -37,3 +37,25 @@ def test_imports_only_stdlib_numpy_and_ngn():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in allowed]
     assert not found, found
+
+
+def test_step_loop_has_no_type_tests_or_filled_arrays():
+    # the runner's one step loop: no isinstance special cases, and no
+    # zero- or value-filled arrays allocated per step
+    (tree,) = [tree for path, tree in modules() if path.name == "runner.py"]
+    (run,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Run"]
+    (advance,) = [node for node in run.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "advance"]
+    (loop,) = [node for node in ast.walk(advance) if isinstance(node, ast.For)
+               and isinstance(node.target, ast.Name) and node.target.id == "j"]
+    found = []
+    for node in ast.walk(loop):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "isinstance":
+            found.append(f"runner.py:{node.lineno} isinstance")
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id == "np" and func.attr in ("zeros", "full")):
+            found.append(f"runner.py:{node.lineno} np.{func.attr}")
+    assert not found, found

@@ -35,3 +35,13 @@ def test_defaults_types_and_overrides():
         build_spec(POLICIES, "ngn(sigma=1)", sigma=float("nan"))
     with pytest.raises(SpecError, match="takes none"):
         build_spec(PROBLEMS, "two_quadratics(nn=5)")
+
+
+def test_repeated_parameter_is_an_error():
+    # the spec names each parameter once; an override still replaces one
+    spec = "ngn(sigma=1.0, sigma=5.0)"
+    with pytest.raises(SpecError, match=re.escape(f"parameter 'sigma' repeats in {spec!r}")):
+        build_spec(POLICIES, spec)
+    with pytest.raises(SpecError, match="'n' repeats"):
+        build_spec(PROBLEMS, "nonconvex_sum(n=4, seed=1, n=4)")
+    assert build_spec(POLICIES, "ngn(sigma=1.0)", sigma=5.0).sigma == 5.0
