@@ -12,7 +12,7 @@ Config files are flat ``key = value`` text. Example::
 
 Exit codes: 0 success, 1 verification failure, a diverged run seed or a
 sweep whose every point has a diverged seed, 2 configuration error (an
-unknown or repeated key among them).
+unknown or repeated key among them), 3 a policy failing at a step.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .objectives import FiniteSumObjective, make_blobs_dataset, write_libsvm
-from .runner import Run, aggregate_metric, write_traces
+from .runner import Run, RunError, aggregate_metric, write_traces
 from .specs import POLICIES, PROBLEMS, build_spec
 from .stepsizes import StepsizePolicy
 from .verify import REPORT_HEADER, SUITES, run_suites
@@ -322,6 +322,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except RunError as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -258,8 +258,8 @@ def make_linear_regression(
     Components f_i(x) = (a_i^T x - b_i)^2 / 2. With noise_std = 0 the planted
     predictor interpolates. Minimizer is the exact least-squares solution.
     """
-    if d < 1 or n < 1:
-        raise ValueError("d and n must be >= 1")
+    if d < 1 or n < 1 or noise_std < 0:
+        raise ValueError(f"need d, n >= 1 and noise_std >= 0, got {d}, {n} and {noise_std}")
     _check_dense(n_d=n * d, d_d=d * d)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, d))
@@ -643,8 +643,8 @@ def compute_deltas(obj: FiniteSumObjective) -> tuple[float, float]:
 
 def make_blobs_dataset(n: int, d: int, classes: int, seed: int, spread: float = 2.0) -> Dataset:
     """Gaussian blobs around random class centers; synthetic classification."""
-    if n < classes:
-        raise ValueError("need at least one sample per class")
+    if d < 1 or not 1 <= classes <= n:  # a sample per class at least
+        raise ValueError(f"need d >= 1 and 1 <= classes <= n, got {d}, {classes} and {n}")
     _check_dense(n_d=n * d, n_classes=n * classes)
     rng = np.random.default_rng(seed)
     centers = spread * rng.standard_normal((classes, d))

@@ -126,18 +126,61 @@ class Chunk:
     iterates: Optional[np.ndarray] = None  # (S, k1 - k0, d): x^k0 .. x^(k1-1)
 
 
+class _Rows:
+    """The rows of a run still running, in row order: `stop` is the one place they shrink.
+
+    `ids` numbers them among the run's S rows and `x` holds their iterates;
+    `sel` indexes them in the chunk arrays, which hold `at_k0`, the rows
+    running at the chunk's start, and is a full slice while all of those run.
+    `retire_at` is the next step at which a running row reaches its end.
+    """
+
+    def __init__(self, run: Run):
+        self.X, self.diverged_step, self.sigma_end = run.X, run.diverged_step, run.sigma_end
+        self.ends, self.steps, self.policy = run.ends, run.steps, run.policy
+        self.ids, self.x, self.retire_at = np.arange(len(run.X)), run.X, int(run.ends.min())
+
+    def start(self) -> tuple:
+        """Make the running rows a new chunk's rows; (x, sel, retire_at) for the step loop."""
+        self.at_k0, self.sel = self.ids, slice(None)
+        return self.x, self.sel, self.retire_at
+
+    def stop(self, bad: np.ndarray, k: int, sigma_from: Optional[int], x: np.ndarray) -> tuple:
+        """Freeze the rows flagged in `bad` at step k, `x` the running rows' iterates: diverged,
+        sigma_k NaN from `sigma_from` on, or retired when it is None. X gets their iterates,
+        the policy keeps the others' state; returns the new (x, sel, retire_at)."""
+        gone, keep = self.ids[bad], ~bad
+        self.X[gone] = x[bad]
+        if sigma_from is not None:
+            self.diverged_step[gone] = k
+            self.sigma_end[gone] = sigma_from
+        if isinstance(self.sel, slice):
+            self.sel = np.arange(len(self.at_k0))
+        self.ids, self.sel, self.x = self.ids[keep], self.sel[keep], x[keep]
+        self.retire_at = int(self.ends[self.ids].min(initial=self.steps))
+        self.policy.keep_rows(keep)
+        return self.x, self.sel, self.retire_at
+
+    def whole(self, part: np.ndarray, fill) -> np.ndarray:
+        """`part`, a chunk array of the rows running at k0, as one of all S rows."""
+        if len(self.at_k0) == len(self.X):
+            return part
+        out = np.full((len(self.X),) + part.shape[1:], fill)
+        out[self.at_k0] = part
+        return out
+
+
 class Run:
     """x^{k+1} = x^k - gamma_k * grad_batch(x^k) for S rows, one seed each, in lockstep.
 
-    Each `advance` takes every running row through the next chunk, steps
-    [k0, k1), and returns their per-step values and metric points as a
-    `Chunk`; iterating the run takes it to its end, as does `write_traces`,
-    which writes each row's trace out. What carries over from chunk to chunk
-    is the run's state: the rows' iterates and which rows still run, the
-    policy's per-row state, and each row's two streams, default_rng([seed,
-    0]) for the start point and default_rng([seed, 1]) for the indices,
-    which are drawn a chunk at a time. A chunk holds about ROW_BLOCK_ENTRIES
-    entries, so memory does not grow with the step count.
+    Each `advance` takes the running rows through the next chunk, steps
+    [k0, k1) of about ROW_BLOCK_ENTRIES entries, and returns their per-step
+    values and metric points as a `Chunk`; iterating the run takes it to its
+    end, as does `write_traces`. From chunk to chunk the run carries the
+    policy's per-row state, each row's two streams, default_rng([seed, 0])
+    for the start point and default_rng([seed, 1]) for the indices, drawn a
+    chunk at a time, and its running rows, which one `_Rows` holds: their
+    numbers and iterates, compacted by its `stop` when a row stops.
 
     `steps` is one end step for every row, or one per row: a row that
     reaches its end before the others retires, stopped without the diverged
@@ -161,7 +204,7 @@ class Run:
         self.full_batch = sampler == "full_batch"
         self.store_iterates = store_iterates
         start = None if x0 is None else as_point(x0, dim)
-        self.X = np.empty((n_rows, dim))  # every row's iterate, current for stopped rows
+        self.X = np.empty((n_rows, dim))  # every row's iterate as of its stop or the last chunk
         self._samplers = []
         for r, seed in enumerate(seeds):
             self.X[r] = (start if start is not None
@@ -174,10 +217,7 @@ class Run:
         self.diverged_step = np.full(n_rows, -1)
         # sigma_k of row r is NaN from sigma_end[r] on
         self.sigma_end = self.ends.copy()
-        # The rows still running, and their iterates, kept compact; X gets a
-        # row's iterate when it stops
-        self.rows = np.arange(n_rows)
-        self._x = self.X
+        self._rows = _Rows(self)  # which rows still run; X gets a row's iterate when it stops
         width = dim + 4 + (0 if self.full_batch else batch_size)
         self.chunk_steps = _chunk_steps(n_rows, width)
         self._evaluate = obj.batch_evaluator(n_rows, batch_size)
@@ -238,17 +278,12 @@ class Run:
         sigma = policy.sigma_schedule(k1, k0)
 
         # Chunk arrays hold the rows running at k0, compact, so that rows
-        # running on after others retired take plain slices. `rows` numbers
-        # the rows still running; `sel` indexes them in the chunk arrays and
-        # `live` among all S rows, each a full slice while none has stopped.
-        # Policies see the running rows only, compact; `stop` tells the
-        # policy which rows run on, so that its per-row state stays aligned.
-        rows = rows_at_k0 = self.rows
-        x = self._x
-        n_start = len(rows)
-        sel: slice | np.ndarray = slice(None)
-        live: slice | np.ndarray = slice(None) if n_start == n_rows else rows
-        tab = tables if n_start == n_rows or full_batch else tables[rows]
+        # running on after others stopped take plain slices. The step loop
+        # keeps `rows`' fields in locals, set anew by each stop.
+        rows = self._rows
+        x, sel, retire_at = rows.start()
+        n_start = len(x)
+        batch_c = tables if n_start == n_rows else tables[rows.at_k0]
         # step-major, so that each step writes contiguous rows: step j's batch
         # losses and squared gradient norms are lg_c[j], one row lg_flat[j]
         lg_c = np.full((n_steps, 2, n_start), np.nan)
@@ -256,24 +291,16 @@ class Run:
         gamma_c = np.full((n_steps, n_start), np.nan)
         stationary_c = np.zeros((n_steps, n_start), dtype=bool)
         iterates_c = np.full((n_start, n_steps, dim), np.nan) if self.store_iterates else None
-        # every row's iterates at the cadence points, zeros where a row is
-        # stopped; the last chunk adds each row's last iterate
+        # the iterates at the cadence points, zeros where a row is stopped;
+        # the last chunk adds every row's last iterate
         first = -(-k0 // cadence) if cadence > 0 else 0  # index of the first point
         metric_steps = (np.arange(first * cadence, k1, cadence) if cadence > 0
                         else np.empty(0, dtype=int))
         last = cadence > 0 and k1 == self.steps
-        points = np.zeros((n_rows, len(metric_steps) + last, dim))
+        points_c = np.zeros((n_start, len(metric_steps) + last, dim))
         component_min = None
         if policy.requires_component_min and obj.f_i_star is not None:
-            component_min = obj.f_i_star[tables].mean(axis=-1)  # (S, n_steps), or (S, 1)
-        ends = self.ends
-
-        def next_end() -> int:
-            """The step at which the next running row retires, or -1."""
-            later = ends[rows][ends[rows] < self.steps]
-            return int(later.min()) if len(later) else -1
-
-        retire_at = next_end()
+            component_min = obj.f_i_star[batch_c].mean(axis=-1)  # (n_start, n_steps or 1)
 
         # hoist hot-loop lookups
         evaluate = self._evaluate
@@ -285,25 +312,10 @@ class Run:
         zero = np.array(0.0)  # 0-d, as in stepsizes._ngn_formula
         isfinite = math.isfinite
 
-        def stop(bad: np.ndarray, k: int, sigma_from: Optional[int]) -> None:
-            """Freeze the rows flagged in `bad` at step k: diverged, or retired
-            when sigma_from is None."""
-            nonlocal rows, live, x, sel
-            gone = rows[bad]
-            self.X[gone] = x[bad]
-            if sigma_from is not None:
-                self.diverged_step[gone] = k
-                self.sigma_end[gone] = sigma_from
-            if isinstance(sel, slice):
-                sel = np.arange(n_start)
-            rows, x, sel = rows[~bad], x[~bad], sel[~bad]
-            live = rows
-            policy.keep_rows(~bad)
-
         def probe(gamma: np.ndarray) -> np.ndarray:
             """Batch loss of every running row at x - gamma * grad."""
             point = x - gamma[:, None] * grad
-            return (full_many(point) if full_batch else evaluate(idx, point))[0]
+            return (full_many(point) if full_batch else evaluate(batch_c[sel, j], point))[0]
 
         # One observation, refreshed in place each step: the runner's losses are
         # clamped at zero and its squared norms are sums of squares, so the
@@ -312,26 +324,24 @@ class Run:
 
         # a diverging row overflows on its way out; it is flagged, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(n_steps if len(rows) else 0):
+            for j in range(n_steps if n_start else 0):
                 k = k0 + j
                 if k == retire_at:
-                    stop(ends[rows] == k, k, None)
-                    retire_at = next_end()
-                    if not len(rows):
+                    x, sel, retire_at = rows.stop(self.ends[rows.ids] == k, k, None, x)
+                    if not len(x):
                         break
                 if iterates_c is not None:
                     iterates_c[sel, j] = x
                 if cadence > 0 and k % cadence == 0:
-                    points[live, k // cadence - first] = x
+                    points_c[sel, k // cadence - first] = x
 
                 if full_batch:
                     loss, grad = full_many(x)
                 else:
-                    idx = tab[sel, j]
-                    loss, grad = evaluate(idx, x)
+                    loss, grad = evaluate(batch_c[sel, j], x)
                 # loss and gsq go straight into the store's row for step j; once
                 # a row has stopped in this chunk, into a compact row copied there
-                n = len(rows)
+                n = len(x)
                 row = lg_flat[j] if n == n_start else np.empty(2 * n)
                 row[:n] = loss
                 gsq = vecdot(grad, grad, out=row[n:])
@@ -345,12 +355,10 @@ class Run:
                     bad = ~((np.abs(loss) <= DIVERGENCE_THRESHOLD)
                             & (gsq <= DIVERGENCE_THRESHOLD))
                     if bad.any():
-                        stop(bad, k, k)
-                        if not len(rows):
+                        x, sel, retire_at = rows.stop(bad, k, k, x)
+                        if not len(x):
                             break
                         loss, grad, gsq = loss[~bad], grad[~bad], gsq[~bad]
-                        if not full_batch:
-                            idx = idx[~bad]
 
                 obs.k, obs.sigma = k, sigma[j, ...]  # 0-d: ufuncs take it faster than a float64
                 # a NaN loss has stopped its row, so this clamps -0.0 and
@@ -358,7 +366,7 @@ class Run:
                 obs.loss = np.maximum(loss, zero)
                 obs.grad_sq_norm = gsq
                 if component_min is not None:
-                    obs.component_min = component_min[live, 0 if full_batch else j]
+                    obs.component_min = component_min[sel, 0 if full_batch else j]
                 try:
                     gamma = policy_stepsize(obs)
                 except Exception as exc:  # noqa: BLE001 - annotate with step index
@@ -380,41 +388,32 @@ class Run:
                 x = x_new
                 bad = ~np.isfinite(x.sum(axis=1))
                 if bad.any():
-                    stop(bad, k, k + 1)
-                    if not len(rows):
+                    x, sel, retire_at = rows.stop(bad, k, k + 1, x)
+                    if not len(x):
                         break
 
             self.k = k1
-            if k1 == self.steps:
-                self.X[rows] = x
+            self.X[rows.ids] = rows.x = x
             # the cadence points from m on lie past every row's trace; the
             # final points follow the others in the same full_many call
             lengths = self.lengths()
             m = int(np.searchsorted(metric_steps, lengths.max()))
             metric_steps = metric_steps[:m]
+            points = rows.whole(points_c, 0.0)
             if last:
                 kept = self.diverged_step < 0
                 points[kept, m] = self.X[kept]
             metrics = self._metrics(points[:, :m + last])
-        self.rows, self._x = rows, x
         metrics[:, :, :m][:, metric_steps >= lengths[:, None]] = np.nan
         final = None
         if last:
             final = metrics[:, :, m].T
             final[self.diverged_step >= 0] = np.nan
-
-        def whole(part: np.ndarray, fill) -> np.ndarray:
-            """`part`, a chunk array of the rows running at k0, as one of all S rows."""
-            if n_start == n_rows:
-                return part
-            out = np.full((n_rows,) + part.shape[1:], fill)
-            out[rows_at_k0] = part
-            return out
-
-        return Chunk(k0, k1, tables, whole(lg_c[:, 0].T, np.nan), whole(gamma_c.T, np.nan),
-                     whole(lg_c[:, 1].T, np.nan), whole(stationary_c.T, False), sigma,
-                     metric_steps, *metrics[:, :, :m], final=final,
-                     iterates=None if iterates_c is None else whole(iterates_c, np.nan))
+        return Chunk(k0, k1, tables, rows.whole(lg_c[:, 0].T, np.nan),
+                     rows.whole(gamma_c.T, np.nan), rows.whole(lg_c[:, 1].T, np.nan),
+                     rows.whole(stationary_c.T, False), sigma, metric_steps,
+                     *metrics[:, :, :m], final=final,
+                     iterates=None if iterates_c is None else rows.whole(iterates_c, np.nan))
 
 
 def _check_fresh(run: Run) -> None:

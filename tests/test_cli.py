@@ -66,6 +66,12 @@ def test_run_rejects_missing_keys(tmp_path):
     ("policy", "adagrad_norm(eta=nan, delta0=1)"),
     ("problem", "logistic_blobs(l2=nan)"),
     ("problem", "quadratic1d(lam=inf)"),
+    # sizes and a noise level the builders cannot use: no classes, no
+    # features, a negative noise standard deviation
+    ("problem", "logistic_blobs(classes=0)"),
+    ("problem", "logistic_blobs(classes=-0.0)"),
+    ("problem", "logistic_blobs(d=0)"),
+    ("problem", "linear_regression(noise_std=-1)"),
 ])
 def test_run_rejects_bad_spec_parameters(tmp_path, capsys, key, spec):
     cfg = write_config(tmp_path / "bad.cfg", **{key: spec})
@@ -200,6 +206,21 @@ def test_sampler_the_run_cannot_use_is_config_error(tmp_path, capsys, command, o
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_policy_failure_is_exit_status_3(tmp_path, capsys, command):
+    # from gamma_init = 1e308 every Armijo trial step overflows: the run fails
+    # at step 0 with a one-line message and its own status, not a traceback
+    overrides = {"axis": "c1", "values": "0.1,0.2"} if command == "sweep" else {}
+    cfg = write_config(tmp_path / "fail.cfg",
+                       problem="linear_regression(seed=-0.0, noise_std=1e-320)",
+                       policy="armijo(gamma_init=1e308)", sampler="full_batch", steps="5",
+                       **overrides)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run error: step 0: no acceptable Armijo step")
+    assert err.count("\n") == 1
 
 
 def test_negative_seed_offset_is_config_error(tmp_path, capsys):

@@ -26,7 +26,7 @@ from ngn.runner import (
     write_traces,
 )
 from ngn.specs import POLICIES, PROBLEMS, build_spec
-from ngn.stepsizes import APS, NGN, AdaGradNorm, Constant, StepsizePolicy
+from ngn.stepsizes import APS, NGN, AdaGradNorm, Armijo, Constant, StepsizePolicy
 from traces import whole_traces
 
 
@@ -279,6 +279,25 @@ def test_sps_max_rows_read_their_own_component_min(monkeypatch):
     together = whole_traces(Run(obj, build_spec(POLICIES, policy), ends, seeds=range(4), **kwargs))
     for seed, (end, trace) in enumerate(zip(ends, together)):
         assert_same_trace(trace, one_trace(obj, build_spec(POLICIES, policy), end, seed=seed,
+                                           **kwargs))
+
+
+class BatchArmijo(Armijo):
+    """Armijo on each row's own batch: its probe evaluates that batch at the trial point."""
+
+    requires_full_batch = False
+
+
+def test_probe_evaluates_each_running_rows_batch(monkeypatch):
+    # rows 1 and 3 retire at steps 23 and 9, mid-chunk: the probe evaluates
+    # each running row's own batch, so every row matches its solo run
+    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 7)
+    obj = build_spec(PROBLEMS, "linear_regression(d=4, n=12, seed=1, noise_std=0.1)")
+    kwargs = dict(sampler="epoch_shuffle", batch_size=2, cadence=7)
+    ends = [40, 23, 40, 9]
+    together = whole_traces(Run(obj, BatchArmijo(0.1, 0.7, 2.0), ends, seeds=range(4), **kwargs))
+    for seed, (end, trace) in enumerate(zip(ends, together)):
+        assert_same_trace(trace, one_trace(obj, BatchArmijo(0.1, 0.7, 2.0), end, seed=seed,
                                            **kwargs))
 
 

@@ -39,6 +39,13 @@ def test_imports_only_stdlib_numpy_and_ngn():
     assert not found, found
 
 
+def test_no_nonlocal_statements():
+    # state that outlives a call lives on an object, not in a closure's cells
+    found = [f"{path.name}:{node.lineno}" for path, tree in modules()
+             for node in ast.walk(tree) if isinstance(node, ast.Nonlocal)]
+    assert not found, found
+
+
 def test_step_loop_has_no_type_tests_or_filled_arrays():
     # the runner's one step loop: no isinstance special cases, and no
     # zero- or value-filled arrays allocated per step
