@@ -94,16 +94,13 @@ def _chunk_steps(rows: int, width: int) -> int:
 
 @dataclass
 class Chunk:
-    """Steps k0 .. k1-1 of every row of a run, each array (S, k1 - k0, ...).
+    """Steps k0 .. k1-1 of every row of a run, each per-step array (S, k1 - k0, ...).
 
-    A row that is stopped reads NaN there (False in `stationary`), and its
-    iterates after its stop are NaN too. With a metric cadence c > 0 the
-    chunk also carries the full objective value, squared distance to x*
-    (NaN when unknown) and squared full gradient norm at its cadence
-    points: x^k for k0 <= k < k1 with k % c == 0 within some row's trace
-    (`Run.lengths`), NaN for a row whose trace ends before k. The last
-    chunk adds them at each row's last iterate in `final`, NaN for a row
-    that diverged.
+    A row that is stopped reads NaN there (False in `stationary`). With a
+    cadence c > 0 the chunk also carries the iterates at its cadence
+    points, x^k for k0 <= k < k1 with k % c == 0, NaN where the row has
+    stopped; whoever reads a metric evaluates it there (`metrics`). A
+    row's last iterate stays in `Run.X`.
 
     The per-step fields loss_batch, gamma, grad_sq and stationary may be
     non-contiguous views, transposes of the run's step-major stores: copy
@@ -119,11 +116,7 @@ class Chunk:
     stationary: np.ndarray
     sigma: np.ndarray  # (k1 - k0,) sigma_k, the same for every row
     metric_steps: np.ndarray  # (m,) the cadence points' steps
-    loss_full: np.ndarray  # (S, m), as are dist_sq and grad_full_sq
-    dist_sq: np.ndarray
-    grad_full_sq: np.ndarray
-    final: Optional[np.ndarray] = None  # (S, 3) the three at X[r], on the last chunk
-    iterates: Optional[np.ndarray] = None  # (S, k1 - k0, d): x^k0 .. x^(k1-1)
+    iterates: np.ndarray  # (S, m, d) x^k at metric_steps
 
 
 class _Rows:
@@ -136,7 +129,7 @@ class _Rows:
     """
 
     def __init__(self, run: Run):
-        self.X, self.diverged_step, self.sigma_end = run.X, run.diverged_step, run.sigma_end
+        self.X, self.diverged_step = run.X, run.diverged_step
         self.ends, self.steps, self.policy = run.ends, run.steps, run.policy
         self.ids, self.x, self.retire_at = np.arange(len(run.X)), run.X, int(run.ends.min())
 
@@ -145,15 +138,14 @@ class _Rows:
         self.at_k0, self.sel = self.ids, slice(None)
         return self.x, self.sel, self.retire_at
 
-    def stop(self, bad: np.ndarray, k: int, sigma_from: Optional[int], x: np.ndarray) -> tuple:
-        """Freeze the rows flagged in `bad` at step k, `x` the running rows' iterates: diverged,
-        sigma_k NaN from `sigma_from` on, or retired when it is None. X gets their iterates,
-        the policy keeps the others' state; returns the new (x, sel, retire_at)."""
+    def stop(self, bad: np.ndarray, x: np.ndarray, diverged_at: Optional[int] = None) -> tuple:
+        """Freeze the rows flagged in `bad`, `x` the running rows' iterates: diverged at step
+        `diverged_at`, or retired when it is None. X gets their iterates, the policy keeps
+        the others' state; returns the new (x, sel, retire_at)."""
         gone, keep = self.ids[bad], ~bad
         self.X[gone] = x[bad]
-        if sigma_from is not None:
-            self.diverged_step[gone] = k
-            self.sigma_end[gone] = sigma_from
+        if diverged_at is not None:
+            self.diverged_step[gone] = diverged_at
         if isinstance(self.sel, slice):
             self.sel = np.arange(len(self.at_k0))
         self.ids, self.sel, self.x = self.ids[keep], self.sel[keep], x[keep]
@@ -175,24 +167,26 @@ class Run:
 
     Each `advance` takes the running rows through the next chunk, steps
     [k0, k1) of about ROW_BLOCK_ENTRIES entries, and returns their per-step
-    values and metric points as a `Chunk`; iterating the run takes it to its
-    end, as does `write_traces`. From chunk to chunk the run carries the
-    policy's per-row state, each row's two streams, default_rng([seed, 0])
-    for the start point and default_rng([seed, 1]) for the indices, drawn a
-    chunk at a time, and its running rows, which one `_Rows` holds: their
-    numbers and iterates, compacted by its `stop` when a row stops.
+    values and their iterates at the cadence points as a `Chunk`; iterating
+    the run takes it to its end, as does `write_traces`. The run steps and
+    keeps iterates; whoever reads a metric evaluates it (`metrics`). From
+    chunk to chunk the run carries the policy's per-row state, each row's
+    two streams, default_rng([seed, 0]) for the start point and
+    default_rng([seed, 1]) for the indices, drawn a chunk at a time, and its
+    running rows, which one `_Rows` holds: their numbers and iterates,
+    compacted by its `stop` when a row stops.
 
-    `steps` is one end step for every row, or one per row: a row that
-    reaches its end before the others retires, stopped without the diverged
-    flag, its last iterate kept in X for the last chunk's final metric
-    point; the run ends at the largest.
+    X holds every row's start point until the first chunk, then each row's
+    iterate as of its stop or the last chunk. `steps` is one end step for
+    every row, or one per row: a row that reaches its end before the others
+    retires, stopped without the diverged flag, its last iterate kept in X;
+    the run ends at the largest.
     """
 
     def __init__(self, obj: FiniteSumObjective, policy: StepsizePolicy,
                  steps: Union[int, Sequence[int]], *, seeds: Sequence[int] = (0,),
                  sampler: str = "with_replacement_uniform", batch_size: int = 1,
-                 x0: Optional[np.ndarray] = None, cadence: int = 0,
-                 store_iterates: bool = False):
+                 x0: Optional[np.ndarray] = None, cadence: int = 0):
         seeds = [int(s) for s in seeds]
         ends = [int(e) for e in np.broadcast_to(steps, (len(seeds),))]
         check_run(obj, policy, min(ends, default=1), seeds=seeds, sampler=sampler,
@@ -202,21 +196,17 @@ class Run:
         self.ends = np.array(ends)
         self.steps = max(ends)
         self.full_batch = sampler == "full_batch"
-        self.store_iterates = store_iterates
         start = None if x0 is None else as_point(x0, dim)
-        self.X = np.empty((n_rows, dim))  # every row's iterate as of its stop or the last chunk
+        self.X = np.empty((n_rows, dim))
         self._samplers = []
         for r, seed in enumerate(seeds):
             self.X[r] = (start if start is not None
                          else np.random.default_rng([seed, 0]).standard_normal(dim))
             self._samplers.append(_Sampler(sampler, obj.n, batch_size,
                                            np.random.default_rng([seed, 1])))
-        self.x_start = self.X.copy()
         policy.reset()
         self.k = 0
         self.diverged_step = np.full(n_rows, -1)
-        # sigma_k of row r is NaN from sigma_end[r] on
-        self.sigma_end = self.ends.copy()
         self._rows = _Rows(self)  # which rows still run; X gets a row's iterate when it stops
         width = dim + 4 + (0 if self.full_batch else batch_size)
         self.chunk_steps = _chunk_steps(n_rows, width)
@@ -230,42 +220,12 @@ class Run:
         """(S,) steps of each row's trace: through the step where it diverged, else to its end."""
         return np.where(self.diverged_step >= 0, self.diverged_step + 1, self.ends)
 
-    def row_sigma(self, r: int, sigma: np.ndarray, k0: int = 0) -> np.ndarray:
-        """Row r's copy of `sigma`, sigma_k from step k0 on: NaN from sigma_end[r] on."""
-        stop = int(self.sigma_end[r]) - k0
-        if stop >= len(sigma):
-            return sigma
-        sigma = sigma.copy()
-        sigma[max(stop, 0):] = np.nan
-        return sigma
-
-    def _metrics(self, points: np.ndarray) -> np.ndarray:
-        """(3, S, m) loss_full, dist_sq and grad_full_sq at (S, m, d) points.
-
-        One full_many call over all S * m points, none when there are none:
-        full_many's own row blocks bound its temporaries.
-        """
-        obj = self.obj
-        n_rows, m, dim = points.shape
-        out = np.full((3, n_rows, m), np.nan)
-        if m == 0:
-            return out
-        flat = points.reshape(-1, dim)
-        fv, fg = obj.full_many(flat)
-        out[0] = fv.reshape(n_rows, m)
-        if obj.x_star is not None:
-            diff = flat - obj.x_star
-            out[1] = np.vecdot(diff, diff).reshape(n_rows, m)
-        out[2] = np.vecdot(fg, fg).reshape(n_rows, m)
-        return out
-
     def advance(self) -> Chunk:
         """Run steps k .. k1-1 of every running row, k1 = min(k + chunk_steps, steps).
 
         A batch loss or squared batch gradient norm that is not finite or is
         above 1e30, or a non-finite coordinate, halts that row with the
-        diverged flag set: it freezes and the other rows go on. The chunk's
-        metric points are evaluated after its last step.
+        diverged flag set: it freezes and the other rows go on.
         """
         k0 = self.k
         if k0 == self.steps:
@@ -290,14 +250,12 @@ class Run:
         lg_flat = lg_c.reshape(n_steps, 2 * n_start)
         gamma_c = np.full((n_steps, n_start), np.nan)
         stationary_c = np.zeros((n_steps, n_start), dtype=bool)
-        iterates_c = np.full((n_start, n_steps, dim), np.nan) if self.store_iterates else None
-        # the iterates at the cadence points, zeros where a row is stopped;
-        # the last chunk adds every row's last iterate
-        first = -(-k0 // cadence) if cadence > 0 else 0  # index of the first point
-        metric_steps = (np.arange(first * cadence, k1, cadence) if cadence > 0
+        # x^k at each cadence point, NaN where a row is stopped: `point` is
+        # the next one's step and i its index; without a cadence, never reached
+        metric_steps = (np.arange(-(-k0 // cadence) * cadence, k1, cadence) if cadence > 0
                         else np.empty(0, dtype=int))
-        last = cadence > 0 and k1 == self.steps
-        points_c = np.zeros((n_start, len(metric_steps) + last, dim))
+        iterates_c = np.full((n_start, len(metric_steps), dim), np.nan)
+        i, point = 0, int(metric_steps[0]) if len(metric_steps) else -1
         component_min = None
         if policy.requires_component_min and obj.f_i_star is not None:
             component_min = obj.f_i_star[batch_c].mean(axis=-1)  # (n_start, n_steps or 1)
@@ -314,8 +272,8 @@ class Run:
 
         def probe(gamma: np.ndarray) -> np.ndarray:
             """Batch loss of every running row at x - gamma * grad."""
-            point = x - gamma[:, None] * grad
-            return (full_many(point) if full_batch else evaluate(batch_c[sel, j], point))[0]
+            trial = x - gamma[:, None] * grad
+            return (full_many(trial) if full_batch else evaluate(batch_c[sel, j], trial))[0]
 
         # One observation, refreshed in place each step: the runner's losses are
         # clamped at zero and its squared norms are sums of squares, so the
@@ -327,13 +285,12 @@ class Run:
             for j in range(n_steps if n_start else 0):
                 k = k0 + j
                 if k == retire_at:
-                    x, sel, retire_at = rows.stop(self.ends[rows.ids] == k, k, None, x)
+                    x, sel, retire_at = rows.stop(self.ends[rows.ids] == k, x)
                     if not len(x):
                         break
-                if iterates_c is not None:
-                    iterates_c[sel, j] = x
-                if cadence > 0 and k % cadence == 0:
-                    points_c[sel, k // cadence - first] = x
+                if k == point:
+                    iterates_c[sel, i] = x
+                    i, point = i + 1, point + cadence
 
                 if full_batch:
                     loss, grad = full_many(x)
@@ -355,7 +312,7 @@ class Run:
                     bad = ~((np.abs(loss) <= DIVERGENCE_THRESHOLD)
                             & (gsq <= DIVERGENCE_THRESHOLD))
                     if bad.any():
-                        x, sel, retire_at = rows.stop(bad, k, k, x)
+                        x, sel, retire_at = rows.stop(bad, x, k)
                         if not len(x):
                             break
                         loss, grad, gsq = loss[~bad], grad[~bad], gsq[~bad]
@@ -388,32 +345,52 @@ class Run:
                 x = x_new
                 bad = ~np.isfinite(x.sum(axis=1))
                 if bad.any():
-                    x, sel, retire_at = rows.stop(bad, k, k + 1, x)
+                    x, sel, retire_at = rows.stop(bad, x, k)
                     if not len(x):
                         break
 
-            self.k = k1
-            self.X[rows.ids] = rows.x = x
-            # the cadence points from m on lie past every row's trace; the
-            # final points follow the others in the same full_many call
-            lengths = self.lengths()
-            m = int(np.searchsorted(metric_steps, lengths.max()))
-            metric_steps = metric_steps[:m]
-            points = rows.whole(points_c, 0.0)
-            if last:
-                kept = self.diverged_step < 0
-                points[kept, m] = self.X[kept]
-            metrics = self._metrics(points[:, :m + last])
-        metrics[:, :, :m][:, metric_steps >= lengths[:, None]] = np.nan
-        final = None
-        if last:
-            final = metrics[:, :, m].T
-            final[self.diverged_step >= 0] = np.nan
+        self.k = k1
+        self.X[rows.ids] = rows.x = x
         return Chunk(k0, k1, tables, rows.whole(lg_c[:, 0].T, np.nan),
                      rows.whole(gamma_c.T, np.nan), rows.whole(lg_c[:, 1].T, np.nan),
                      rows.whole(stationary_c.T, False), sigma, metric_steps,
-                     *metrics[:, :, :m], final=final,
-                     iterates=None if iterates_c is None else rows.whole(iterates_c, np.nan))
+                     rows.whole(iterates_c, np.nan))
+
+
+def metrics(obj: FiniteSumObjective, points: np.ndarray) -> np.ndarray:
+    """(3, S, m) loss_full, dist_sq and grad_full_sq at (S, m, d) points.
+
+    One full_many call over the finite points, none when there are none:
+    full_many's own row blocks bound its temporaries. A point with a
+    non-finite coordinate, such as a chunk's iterate of a stopped row,
+    reads NaN; dist_sq is NaN when x* is unknown. A value that overflows
+    (a diverging iterate's) reads inf without a warning.
+    """
+    out = np.full((3,) + points.shape[:2], np.nan)
+    at = np.isfinite(points).all(axis=2)
+    if not at.any():
+        return out
+    flat = points[at]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fv, fg = obj.full_many(flat)
+        out[0][at] = fv
+        if obj.x_star is not None:
+            diff = flat - obj.x_star
+            out[1][at] = np.vecdot(diff, diff)
+        out[2][at] = np.vecdot(fg, fg)
+    return out
+
+
+def metric_points(run: Run, chunk: Chunk) -> np.ndarray:
+    """(S, m, d) the chunk's iterates at its cadence points, for `metrics`.
+
+    On the last chunk of a run with a cadence, (S, m + 1, d): each row's
+    last iterate, X[r], follows them, NaN for a row that diverged.
+    """
+    if run.cadence == 0 or chunk.k1 < run.steps:
+        return chunk.iterates
+    last = np.where((run.diverged_step < 0)[:, None], run.X, np.nan)
+    return np.concatenate([chunk.iterates, last[:, None]], axis=1)
 
 
 def _check_fresh(run: Run) -> None:
@@ -504,13 +481,15 @@ def write_traces(run: Run, paths: Sequence) -> np.ndarray:
 
     A file has the TRACE_COLUMNS header and one row per step of the trace;
     off-cadence and non-finite cells are empty, and a diverged trace ends at
-    the step where it diverged. Each chunk's rows, its metric points among
-    them, are written as soon as it is done, so memory stays within a chunk
-    however long the run. Returns the (S, 4) final values of loss_full,
-    dist_sq, grad_full_sq and gamma of each row, NaN for a row that
-    diverged. With no paths it writes nothing and returns only these;
-    ValueError, before any file is opened, for any other count than one
-    path per row or for a run that has already advanced.
+    the step where it diverged, its sigma cell empty where the loss test
+    stopped it (its gamma is NaN there). Each chunk's metrics are evaluated
+    at its `metric_points` in one full_many call and its rows written as
+    soon as it is done, so memory stays within a chunk however long the
+    run. Returns the (S, 4) final values of loss_full, dist_sq, grad_full_sq
+    and gamma of each row, NaN for a row that diverged, the first three NaN
+    without a cadence. With no paths it writes nothing and returns only
+    these; ValueError, before any file is opened, for any other count than
+    one path per row or for a run that has already advanced.
     """
     _check_fresh(run)
     if len(paths) not in (0, len(run.seeds)):
@@ -521,20 +500,21 @@ def write_traces(run: Run, paths: Sequence) -> np.ndarray:
         for fh in files:
             fh.write(",".join(TRACE_COLUMNS) + "\n")
         for chunk in run:
+            values = metrics(run.obj, metric_points(run, chunk))
             lengths = run.lengths()
             steps = list(map(str, range(chunk.k0, chunk.k1))) if files else []
             for r, fh in enumerate(files):
                 n_rows = min(chunk.k1, lengths[r]) - chunk.k0  # below 0 after a trace ends
                 if n_rows <= 0:
                     continue
+                gamma = chunk.gamma[r]
                 _write_rows(fh, steps[:n_rows], chunk.batch_ids[r],
-                            (chunk.loss_batch[r], chunk.gamma[r],
-                             run.row_sigma(r, chunk.sigma, chunk.k0), chunk.grad_sq[r]),
-                            chunk.k0, run.cadence, chunk.metric_steps,
-                            (chunk.loss_full[r], chunk.dist_sq[r], chunk.grad_full_sq[r]))
+                            (chunk.loss_batch[r], gamma,
+                             np.where(np.isnan(gamma), np.nan, chunk.sigma), chunk.grad_sq[r]),
+                            chunk.k0, run.cadence, chunk.metric_steps, values[:, r])
             # the last gamma of each row that ended in this chunk
             ended = (chunk.k0 < run.ends) & (run.ends <= chunk.k1) & (run.diverged_step < 0)
             last[ended, 3] = chunk.gamma[ended, run.ends[ended] - 1 - chunk.k0]
-    if chunk.final is not None:
-        last[:, :3] = chunk.final
+    if run.cadence > 0:
+        last[:, :3] = values[:, :, -1].T
     return last

@@ -24,7 +24,7 @@ from .objectives import (
     make_quadratic1d,
     make_two_quadratics,
 )
-from .runner import Run, write_traces
+from .runner import Run, metric_points, metrics, write_traces
 from .specs import PROBLEMS, build_spec
 from .stepsizes import (
     GGN,
@@ -87,12 +87,11 @@ def check_lemma_equality(trials: int = 10_000, seed: int = 0) -> CheckReport:
     gsqs = 10.0 ** rng.uniform(-8, 4, trials)
     gsqs[rng.random(trials) < 0.01] = 0.0
     sigmas = 10.0 ** rng.uniform(-3, 3, trials)
-    worst = 0.0
-    for loss, gsq, sigma in zip(losses, gsqs, sigmas):
-        gamma = NGN(sigma).stepsize(StepObservation(0, loss, gsq, sigma=sigma))
-        lhs = gamma * gsq
-        rhs = 2.0 * ((sigma - gamma) / sigma) * loss
-        worst = max(worst, abs(lhs - rhs) / max(1.0, lhs))
+    # one call for every trial: NGN reads each trial's sigma from the observation
+    gamma = NGN(1.0).stepsize(StepObservation(0, losses, gsqs, sigma=sigmas))
+    lhs = gamma * gsqs
+    rhs = 2.0 * ((sigmas - gamma) / sigmas) * losses
+    worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, lhs)))
     return CheckReport(
         name="lemma_fundamental_equality",
         params={"trials": trials},
@@ -193,7 +192,7 @@ def check_convex_rate(
     obj, ctx, x0_vec, dist0_sq = _two_quadratics_start(x0)
     rhs = theory.convex_bound(ctx, sigma, steps, dist0_sq)
     rhs_proof = theory.convex_bound(ctx, sigma, steps, dist0_sq, constant="proof")
-    run = Run(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec, store_iterates=True)
+    run = Run(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec, cadence=1)
     iterate_sum = np.zeros((n_seeds, obj.dim))  # of x^0 .. x^{K-1}, a chunk at a time
     for chunk in run:
         iterate_sum += chunk.iterates.sum(axis=1)
@@ -226,10 +225,8 @@ def check_deterministic_contraction(
         limit = (1.0 - lam * rho) + 1e-9
         run = Run(obj, NGN(sigma), steps, x0=np.array([4.0]), cadence=1)
         before = np.empty(0)  # the last point of the chunks done
-        for chunk in run:
-            d = np.concatenate([before, chunk.dist_sq[0]])
-            if chunk.final is not None:  # x^K follows the last chunk's cadence points
-                d = np.append(d, chunk.final[0, 1])
+        for chunk in run:  # x^K follows the last chunk's cadence points
+            d = np.concatenate([before, metrics(obj, metric_points(run, chunk))[1, 0]])
             # below ~1e-9 the loss is at the numerical value floor and the
             # stepsize formula no longer reflects the analytic rule
             mask = d[:-1] > 1e-9
@@ -261,9 +258,11 @@ def check_strongly_convex_rate(
     cadence = steps // 4
     checkpoints = [steps // 4, steps // 2, steps]
     dist_sq = np.full((n_seeds, 5), math.inf)  # at k = 0, K/4, K/2, 3K/4 and K
-    for chunk in Run(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec, cadence=cadence):
-        dist_sq[:, chunk.metric_steps // cadence] = chunk.dist_sq
-    dist_sq[:, 4] = chunk.final[:, 1]
+    run = Run(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec, cadence=cadence)
+    for chunk in run:
+        values = metrics(obj, metric_points(run, chunk))[1]
+        dist_sq[:, chunk.metric_steps // cadence] = values[:, :len(chunk.metric_steps)]
+    dist_sq[:, 4] = values[:, -1]  # at x^K, which follows the last chunk's cadence points
     dist_sq[np.isnan(dist_sq)] = math.inf  # past the trace of a seed that diverged
     dists = {k: dist_sq[:, k // cadence] for k in checkpoints}
     worst_ratio = -math.inf
@@ -303,7 +302,7 @@ def check_nonconvex_rate(
     # Seed 0 runs on to PILOT_STEPS when the other seeds stop before: the
     # pilot points of the noise bound are its own trajectory
     run = Run(obj, NGN(sigma), [max(steps, PILOT_STEPS)] + [steps] * (n_seeds - 1),
-              seeds=range(n_seeds), x0=x0_vec, store_iterates=True)
+              seeds=range(n_seeds), x0=x0_vec, cadence=1)
     grad_sq_sum = np.zeros(n_seeds)  # of ||grad f(x^k)||^2 over k < K, a chunk at a time
     pilot = []
     for chunk in run:
@@ -353,7 +352,7 @@ def check_annealed_rate(
     obj, ctx, x0_vec, dist0_sq = _two_quadratics_start(x0)
     # one run to the largest K; the weighted average of each K is a prefix's
     run = Run(obj, NGN(sigma0, "inv_sqrt"), max(steps_grid), seeds=range(n_seeds), x0=x0_vec,
-              store_iterates=True)
+              cadence=1)
     # sums of sigma_k x^k and of sigma_k over the chunks done
     weighted, weights = np.zeros((n_seeds, obj.dim)), 0.0
     per_seed_at = {}
@@ -406,7 +405,7 @@ def check_never_diverge(
     reports = []
 
     for sigma in sigma_grid:
-        run = Run(obj, NGN(sigma), steps, x0=x0_vec, store_iterates=True)
+        run = Run(obj, NGN(sigma), steps, x0=x0_vec, cadence=1)
         sup = 0.0  # of |x^k| over x^0 .. x^K
         for chunk in run:
             sup = max(sup, float(np.max(np.abs(chunk.iterates))))
@@ -472,10 +471,10 @@ def check_logistic_large_sigma(
     obj = build_spec(PROBLEMS, "logistic_blobs(seed=7)")
     run = Run(obj, NGN(sigma), steps, seeds=(seed,), cadence=100)
     finite = True
-    for chunk in run:
-        finite &= all(np.isfinite(a).all() for a in (chunk.loss_batch, chunk.gamma,
-                                                      chunk.loss_full))
-    final = chunk.final[0, 0]  # the loss at x^K, NaN when the run diverged
+    for chunk in run:  # x^K follows the last chunk's cadence points
+        loss_full = metrics(obj, metric_points(run, chunk))[0]
+        finite &= all(np.isfinite(a).all() for a in (chunk.loss_batch, chunk.gamma, loss_full))
+    final = loss_full[0, -1]  # the loss at x^K, NaN when the run diverged
     finite = finite and run.diverged_step[0] < 0 and math.isfinite(final)
     return CheckReport(
         name="logistic_large_sigma_stable",
@@ -526,22 +525,22 @@ def check_ggn_reductions(trials: int = 10_000, seed: int = 0) -> CheckReport:
     """monomial(p=2) == quadratic == NGN; neg_log matches its closed form."""
     _check_size("trials", trials)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        loss = 10.0 ** rng.uniform(-6, 2)
-        gsq = 10.0 ** rng.uniform(-8, 4)
-        sigma = 10.0 ** rng.uniform(-2, 2)
-        obs = StepObservation(0, loss, gsq, sigma=sigma)
-        base = NGN(sigma).stepsize(obs)
-        quad = GGN(sigma, "quadratic").stepsize(obs)
-        mono = GGN(sigma, "monomial", p=2.0).stepsize(obs)
-        nlog = GGN(sigma, "neg_log").stepsize(obs)
-        worst = max(
-            worst,
-            abs(quad - base) / base,
-            abs(mono - base) / base,
-            abs(nlog - sigma / (1.0 + sigma * gsq)) / nlog,
-        )
+    # each trial's loss, gsq and sigma exponents, drawn in that order; the
+    # powers are Python floats, since numpy's `10.0 ** array` need not round
+    # as Python's pow does and the measured value must not move
+    exponents = rng.uniform([-6, -8, -2], [2, 4, 2], size=(trials, 3))
+    loss, gsq, sigma = np.array([10.0 ** e for e in exponents.ravel().tolist()]).reshape(-1, 3).T
+    # one call for every trial: the policies read each trial's sigma from the observation
+    obs = StepObservation(0, loss, gsq, sigma=sigma)
+    base = NGN(1.0).stepsize(obs)
+    quad = GGN(1.0, "quadratic").stepsize(obs)
+    mono = GGN(1.0, "monomial", p=2.0).stepsize(obs)
+    nlog = GGN(1.0, "neg_log").stepsize(obs)
+    worst = float(max(
+        np.max(np.abs(quad - base) / base),
+        np.max(np.abs(mono - base) / base),
+        np.max(np.abs(nlog - sigma / (1.0 + sigma * gsq)) / nlog),
+    ))
     return CheckReport(
         name="ggn_reductions",
         params={"trials": trials},

@@ -23,6 +23,8 @@ from ngn.runner import (
     _Sampler,
     aggregate_metric,
     check_run,
+    metric_points,
+    metrics,
     write_traces,
 )
 from ngn.specs import POLICIES, PROBLEMS, build_spec
@@ -54,7 +56,7 @@ def test_different_seeds_differ():
 
 def test_update_correctness_recheckable_from_trace():
     obj = make_two_quadratics()
-    trace = one_trace(obj, NGN(0.7), 50, seed=3, store_iterates=True)
+    trace = one_trace(obj, NGN(0.7), 50, seed=3, cadence=1)
     # every step's batch gradient, one row per step
     _, grads = obj.eval_many(trace.batch_ids, trace.iterates[:-1])
     steps = np.diff(trace.iterates, axis=0)
@@ -252,12 +254,12 @@ def test_lockstep_matches_solo_runs(problem, policy):
         kwargs = dict(sampler="full_batch")
     else:
         kwargs = dict(sampler="epoch_shuffle", batch_size=min(2, obj.n))
-    kwargs.update(cadence=7, store_iterates=True)
+    kwargs.update(cadence=1)  # every iterate and its metrics
     together = whole_traces(Run(obj, build_spec(POLICIES, policy), 40, seeds=range(4), **kwargs))
     for seed, trace in zip(range(4), together):
         assert_same_trace(trace, one_trace(obj, build_spec(POLICIES, policy), 40, seed=seed,
                                            **kwargs))
-    # rows that retire at steps 23 and 9, off the cadence, while the others run on
+    # rows that retire at steps 23 and 9 while the others run on
     ends = [40, 23, 40, 9]
     retired = whole_traces(Run(obj, build_spec(POLICIES, policy), ends, seeds=range(4), **kwargs))
     for seed, (end, trace) in enumerate(zip(ends, retired)):
@@ -316,8 +318,7 @@ def test_lockstep_diverged_rows_match_solo_runs():
     # constant steps that overshoot on some components: seeds 2, 3 and 4
     # diverge, each at its own step, while 0, 1 and 5 converge
     obj = build_spec(PROBLEMS, "linear_regression(d=1, n=6, seed=3)")
-    together = whole_traces(Run(obj, Constant(5.0), 300, seeds=range(6), cadence=50,
-                                store_iterates=True))
+    together = whole_traces(Run(obj, Constant(5.0), 300, seeds=range(6), cadence=1))
     steps = [t.diverged_step for t in together]
     assert steps[:2] == [None, None] and steps[5] is None
     assert len({steps[2], steps[3], steps[4]} - {None}) == 3
@@ -327,7 +328,7 @@ def test_lockstep_diverged_rows_match_solo_runs():
             trace.loss_batch[k]
         assert max(trace.loss_batch[k], trace.grad_sq[k]) > 1e30
     for seed, trace in zip(range(6), together):
-        solo = one_trace(obj, Constant(5.0), 300, seed=seed, cadence=50, store_iterates=True)
+        solo = one_trace(obj, Constant(5.0), 300, seed=seed, cadence=1)
         assert (trace.diverged_step, trace.x_final.tolist()) == (solo.diverged_step,
                                                                  solo.x_final.tolist())
         assert_same_trace(trace, solo)
@@ -417,17 +418,50 @@ def test_logistic_full_takes_blocks_of_six_rows():
 
 
 def test_no_metric_points_after_every_row_stopped(monkeypatch):
-    # both rows diverge at step 99: the chunks after it evaluate no cadence
-    # point, and the last one only the final points, NaN for diverged rows
+    # both rows diverge at step 99: their iterates read NaN from step 100 on,
+    # so the chunks after it evaluate no point, nor the last one a final point
     monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 10)
     obj = make_quadratic1d(1.2, 0.0, 0.1)
     calls = full_many_calls(obj)
     run = Run(obj, Constant(2.0), 150, seeds=range(2), x0=np.array([3.0]), cadence=1)
     chunks = list(run)
     assert run.diverged_step.tolist() == [99, 99]
-    assert calls == [2 * 10] * 10 + [2]
-    assert [len(c.metric_steps) for c in chunks] == [10] * 10 + [0] * 5
-    assert np.isnan(chunks[-1].final).all()
+    assert calls == []  # the run evaluates no metric
+    assert [c.metric_steps.tolist() for c in chunks] == [list(range(k, k + 10))
+                                                         for k in range(0, 150, 10)]
+    iterates = np.concatenate([c.iterates for c in chunks], axis=1)
+    assert np.isfinite(iterates[:, :100]).all() and np.isnan(iterates[:, 100:]).all()
+    assert np.isnan(metric_points(run, chunks[-1])[:, -1]).all()
+    finals = write_traces(Run(obj, Constant(2.0), 150, seeds=range(2), x0=np.array([3.0]),
+                              cadence=1), [])
+    assert calls == [2 * 10] * 10
+    assert np.isnan(finals).all()
+
+
+def test_stopped_rows_add_no_metric_points(monkeypatch):
+    # row 0 runs 2000 steps and rows 1-19 retire at step 100, in chunks of
+    # 500: write_traces evaluates 2000 + 19 * 100 cadence points and the 20
+    # final points, none at the iterates of a row that has stopped
+    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 500)
+    obj = make_two_quadratics()
+    calls = full_many_calls(obj)
+    finals = write_traces(Run(obj, NGN(0.5), [2000] + [100] * 19, seeds=range(20), cadence=1), [])
+    assert calls == [500 + 19 * 100, 500, 500, 500 + 20]
+    assert sum(calls) == 3920
+    assert np.isfinite(finals).all()
+
+
+@pytest.mark.parametrize("sampler", ["with_replacement_uniform", "epoch_shuffle"])
+def test_chunks_evaluate_no_full_objective(monkeypatch, sampler):
+    # the runner steps and keeps iterates: read by its chunks, a run that
+    # does not step on the full objective makes no full_many call
+    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 7)
+    obj = make_two_quadratics()
+    calls = full_many_calls(obj)
+    chunks = list(Run(obj, NGN(0.5), 30, seeds=range(3), sampler=sampler, cadence=5))
+    assert calls == []
+    assert np.concatenate([c.metric_steps for c in chunks]).tolist() == list(range(0, 30, 5))
+    assert all(c.iterates.shape == (3, len(c.metric_steps), 1) for c in chunks)
 
 
 class ScheduledStep(StepsizePolicy):
@@ -452,7 +486,7 @@ def test_sigma_cells_of_diverged_rows(case):
         policy = ScheduledStep(lambda k, obs: 2.0)
     else:  # a step of 1e308 * grad overflows x at step 5
         policy = ScheduledStep(lambda k, obs: 1e308 if k == 5 else 0.1)
-    kwargs = dict(x0=np.array([3.0]), cadence=3, store_iterates=True)
+    kwargs = dict(x0=np.array([3.0]), cadence=1)
     together = whole_traces(Run(obj, policy, 150, seeds=range(3), **kwargs))
     schedule = 1.0 / np.arange(1.0, 151.0)
     for seed, trace in zip(range(3), together):
@@ -475,7 +509,7 @@ def test_stationary_and_diverging_rows_in_one_step():
 
     obj = make_quadratic1d(10.0, 0.0, 0.0)
     policy = ScheduledStep(gamma_at)
-    kwargs = dict(cadence=2, store_iterates=True)
+    kwargs = dict(cadence=1)
     together = whole_traces(Run(obj, policy, 10, seeds=range(8), **kwargs))
     still = [bool(t.stationary[3]) for t in together]
     assert [i for i, s in enumerate(still) if s] == [0, 7]
@@ -570,11 +604,15 @@ def test_adagrad_rows_keep_their_state_when_a_row_diverges(monkeypatch, case):
     monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 7)
     obj = make_two_quadratics()
     at, gamma = (10, 1e20) if case == "loss_test" else (11, np.inf)
-    kwargs = dict(cadence=3, store_iterates=True)
+    kwargs = dict(cadence=1)
     run = Run(obj, AdaGradBlowsUp(4, 1, at, gamma), 30, seeds=range(4), **kwargs)
     together = whole_traces(run)
     assert run.diverged_step.tolist() == [-1, 11, -1, -1]
-    assert run.sigma_end[1] == (11 if case == "loss_test" else 12)
+    # the loss test stops row 1 before its policy call at step 11, which
+    # leaves gamma NaN there; the iterate test stops it after its step of inf
+    assert np.array_equal(together[1].gamma[11], np.nan if case == "loss_test" else np.inf,
+                          equal_nan=True)
+    assert np.isnan(together[1].gamma[12:]).all() and np.isfinite(together[1].gamma[:11]).all()
     for seed, trace in zip(range(4), together):
         policy = AdaGradBlowsUp(1, 0, at, gamma) if seed == 1 else AdaGradNorm(1.0, 0.1)
         assert_same_trace(trace, one_trace(obj, policy, 30, seed=seed, **kwargs))
@@ -612,7 +650,7 @@ def fixed_rows_run(rows, steps=3):
 
     run = Run(FiniteSumObjective(1, 2, evaluator), ScheduledStep(lambda k, obs: 0.0), steps,
               seeds=range(len(rows)))
-    table.update(zip(map(tuple, run.x_start.tolist()), rows))
+    table.update(zip(map(tuple, run.X.tolist()), rows))  # the start points, before a chunk
     return run
 
 
@@ -672,7 +710,7 @@ def test_kept_observations_and_chunks_keep_their_values(monkeypatch):
         return np.where((policy.ids == 2) & (k >= 6), 1e10, 0.5)
 
     policy = TrackedStep(gamma_at)
-    run = Run(make_two_quadratics(), policy, [13, 7, 13], seeds=range(3), store_iterates=True)
+    run = Run(make_two_quadratics(), policy, [13, 7, 13], seeds=range(3), cadence=1)
     fields = ("loss_batch", "grad_sq", "gamma", "stationary", "iterates")
     chunks, copies = [], []
     for chunk in run:
@@ -712,7 +750,7 @@ def test_split_draws_match_one_draw(mode, n):
 CHUNK_CASES = {
     # every sampler; at batch 5 of 12 components, epochs split across chunks
     "uniform": ("linear_regression(d=4, n=12, seed=1, noise_std=0.1)", "ngn(sigma=1.0)", 60,
-                range(3), dict(cadence=7, store_iterates=True)),
+                range(3), dict(cadence=1)),
     "epoch_shuffle": ("linear_regression(d=4, n=12, seed=1, noise_std=0.1)",
                       "sps_max(c=0.5, gamma_b=2.0)", 60, range(3),
                       dict(sampler="epoch_shuffle", batch_size=5, cadence=3)),
@@ -721,17 +759,17 @@ CHUNK_CASES = {
     # Armijo's probe evaluates every row's trial point
     "armijo": ("logistic_blobs(n=30, d=3, classes=3, seed=2)",
                "armijo(c1=0.1, backtrack=0.7, gamma_init=2.0)", 30, range(3),
-               dict(sampler="full_batch", cadence=7, store_iterates=True)),
+               dict(sampler="full_batch", cadence=1)),
     # seeds 2, 3 and 4 diverge mid-chunk, each at its own step
     "diverged": ("linear_regression(d=1, n=6, seed=3)", "constant(gamma=5.0)", 300, range(6),
-                 dict(cadence=50, store_iterates=True)),
+                 dict(cadence=1)),
     "stationary": ("quadratic1d(lam=1.0, xstar=0.0, fstar=0.0)", "aps()", 600, range(4),
                    dict(cadence=100)),
     "adagrad": ("nonconvex_sum(n=6, seed=1, eps=0.4)", "adagrad_norm(eta=1.0, delta0=0.1)", 50,
                 range(3), dict(sampler="epoch_shuffle", batch_size=2, cadence=1)),
     # each chunk's sigma_k comes from a schedule that starts at its k0
     "annealed": ("two_quadratics()", "ngn_annealed(sigma0=2.0)", 100, range(2),
-                 dict(cadence=7, store_iterates=True)),
+                 dict(cadence=1)),
 }
 
 
@@ -771,19 +809,20 @@ def test_retired_rows_across_chunks_and_flushes(monkeypatch, chunk):
     chunks = list(run)
     with pytest.raises(RuntimeError, match="ended at step 40"):
         run.advance()
-    assert [c.final is None for c in chunks] == [True] * (len(chunks) - 1) + [False]
+    points = [metric_points(run, c) for c in chunks]  # the last chunk's add the finals
+    assert ([len(p[0]) - len(c.metric_steps) for p, c in zip(points, chunks)]
+            == [0] * (len(chunks) - 1) + [1])
     steps = np.concatenate([c.metric_steps for c in chunks])
     assert steps.tolist() == list(range(0, 40, 7))
-    values = np.concatenate([np.stack([c.loss_full, c.dist_sq, c.grad_full_sq])
-                             for c in chunks], axis=2)
+    values = np.concatenate([metrics(obj, p) for p in points], axis=2)
     for r, (end, trace) in enumerate(zip(ends, traces)):
         assert trace.metric_steps.tolist() == [k for k in steps if k < end] + [end]
         cadence = len(trace.metric_steps) - 1
-        assert np.isnan(values[:, r, cadence:]).all()  # none after it retired
+        assert np.isnan(values[:, r, cadence:-1]).all()  # none after it retired
         assert np.array_equal(values[:, r, :cadence], [trace.loss_full[:-1], trace.dist_sq[:-1],
                                                        trace.grad_full_sq[:-1]])
-        assert np.array_equal(chunks[-1].final[r], [trace.loss_full[-1], trace.dist_sq[-1],
-                                                    trace.grad_full_sq[-1]])
+        assert np.array_equal(values[:, r, -1], [trace.loss_full[-1], trace.dist_sq[-1],
+                                                 trace.grad_full_sq[-1]])
 
 
 STREAM_CASES = {

@@ -55,6 +55,37 @@ def test_ggn_and_baseline_checks_pass():
     assert check_baseline_sanity().passed
 
 
+@pytest.mark.parametrize("trials, seed", [(1, 0), (1000, 0), (1000, 5)])
+def test_identity_checks_match_a_loop_over_trials(trials, seed):
+    # one policy call over every trial measures, bit for bit, what one call
+    # per trial measures, each trial's values drawn as the loop draws them
+    rng = np.random.default_rng(seed)
+    losses = 10.0 ** rng.uniform(-6, 2, trials)
+    gsqs = 10.0 ** rng.uniform(-8, 4, trials)
+    gsqs[rng.random(trials) < 0.01] = 0.0
+    sigmas = 10.0 ** rng.uniform(-3, 3, trials)
+    worst = 0.0
+    for loss, gsq, sigma in zip(losses, gsqs, sigmas):
+        gamma = stepsizes.NGN(sigma).stepsize(stepsizes.StepObservation(0, loss, gsq, sigma=sigma))
+        worst = max(worst, abs(gamma * gsq - 2.0 * ((sigma - gamma) / sigma) * loss)
+                    / max(1.0, gamma * gsq))
+    assert check_lemma_equality(trials, seed).measured == worst
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        loss, gsq, sigma = (10.0 ** rng.uniform(-6, 2), 10.0 ** rng.uniform(-8, 4),
+                            10.0 ** rng.uniform(-2, 2))
+        obs = stepsizes.StepObservation(0, loss, gsq, sigma=sigma)
+        base = stepsizes.NGN(sigma).stepsize(obs)
+        quad = stepsizes.GGN(sigma, "quadratic").stepsize(obs)
+        mono = stepsizes.GGN(sigma, "monomial", p=2.0).stepsize(obs)
+        nlog = stepsizes.GGN(sigma, "neg_log").stepsize(obs)
+        worst = max(worst, abs(quad - base) / base, abs(mono - base) / base,
+                    abs(nlog - sigma / (1.0 + sigma * gsq)) / nlog)
+    assert check_ggn_reductions(trials, seed).measured == worst
+
+
 @pytest.mark.parametrize("check, size", [
     (check_lemma_equality, "trials"),
     (check_ggn_reductions, "trials"),
@@ -121,7 +152,7 @@ def test_injected_sign_bug_is_caught(monkeypatch):
     original = stepsizes._ngn_formula
 
     def broken(sigma, loss, gsq):
-        return sigma / (1.0 - sigma * gsq / (2.0 * max(loss, stepsizes.F_FLOOR)))
+        return sigma / (1.0 - sigma * gsq / (2.0 * np.maximum(loss, stepsizes.F_FLOOR)))
 
     monkeypatch.setattr(stepsizes, "_ngn_formula", broken)
     report = check_lemma_equality()
@@ -164,7 +195,7 @@ def test_nonconvex_pilot_is_seed_zero(steps, n_seeds):
     obj = make_nonconvex_sum(8, 3)
     sigma = 1.0 / (2.0 * obj.l_max)
     x0 = obj.x_star + 2.5
-    (pilot,) = whole_traces(Run(obj, stepsizes.NGN(sigma), 2000, x0=x0, store_iterates=True))
+    (pilot,) = whole_traces(Run(obj, stepsizes.NGN(sigma), 2000, x0=x0, cadence=1))
     rng = np.random.default_rng(3)
     points = [pilot.iterates[i] for i in range(0, 2001, 10)]
     points += [x0 + rng.standard_normal(1) for _ in range(100)]
