@@ -123,11 +123,19 @@ def build_policy(spec: str, **overrides) -> StepsizePolicy:
         raise ConfigError(f"bad policy spec {spec!r}: {exc}") from exc
 
 
+def _make_dir(path: Path) -> None:
+    """mkdir -p; a path that cannot be a directory is a config error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+
+
 def resolve_out_dir(flag_value: Optional[str], cfg_out: Optional[str]) -> Path:
     """Precedence: --out flag, config 'out' key, NGN_OUT_DIR, cwd."""
     target = flag_value or cfg_out or os.environ.get("NGN_OUT_DIR") or "."
     path = Path(target)
-    path.mkdir(parents=True, exist_ok=True)
+    _make_dir(path)
     return path
 
 
@@ -262,7 +270,7 @@ def cmd_datagen(args) -> int:
     out = Path(args.out) if args.out else None
     if out is None:
         raise ConfigError("datagen requires --out FILE")
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(out.parent)
     try:
         data = make_blobs_dataset(
             n=int(params.get("n", 200)),

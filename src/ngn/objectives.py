@@ -38,21 +38,22 @@ def as_point(x, dim: Optional[int] = None) -> np.ndarray:
 ROW_BLOCK_ENTRIES = 1 << 16
 
 
-# Largest number of float64 entries a generated or loaded problem may hold
-# in one dense array: rows x features of a dataset, d x d of a Hessian, and
-# rows x classes, the size of each of the full logistic objective's two work
-# arrays per point.
+# Largest number of float64 entries a generated problem may hold in its
+# dense arrays together (rows x features of a dataset, d x d of a Hessian,
+# and rows x classes, the size of each of the full logistic objective's two
+# work arrays per point), and a loaded LIBSVM file in each of rows x
+# features and rows x distinct labels.
 # 2^27 entries are 1 GiB; one stray LIBSVM index near 1e9, a distinct label
 # on every row, or a mistyped size would otherwise ask for far more.
 MAX_DENSE_ENTRIES = 1 << 27
 
 
 def _check_dense(**sizes: int) -> None:
-    """ValueError if any of the named array sizes exceeds MAX_DENSE_ENTRIES."""
-    for name, entries in sizes.items():
-        if entries > MAX_DENSE_ENTRIES:
-            raise ValueError(f"{name.replace('_', ' x ')} = {entries} entries exceed the dense "
-                             f"size cap of {MAX_DENSE_ENTRIES}")
+    """ValueError if the named array sizes together exceed MAX_DENSE_ENTRIES."""
+    if sum(sizes.values()) > MAX_DENSE_ENTRIES:
+        named = " and ".join(f"{name.replace('_', ' x ')} = {n}" for name, n in sizes.items())
+        raise ValueError(f"{named} entries together exceed the dense size cap of "
+                         f"{MAX_DENSE_ENTRIES}")
 
 
 def _block_rows(width: int) -> int:
@@ -266,7 +267,10 @@ def make_linear_regression(
     x_planted = rng.standard_normal(d)
     b = a @ x_planted
     if noise_std > 0:
-        b = b + noise_std * rng.standard_normal(n)
+        with np.errstate(over="ignore"):
+            b = b + noise_std * rng.standard_normal(n)
+            if not np.isfinite(b @ b):  # the least-squares residual is no longer than b
+                raise ValueError(f"noise_std = {noise_std} overflows the squared targets")
 
     x_star, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = a @ x_star - b
@@ -516,6 +520,11 @@ def make_nonconvex_sum(n: int, seed: int, eps: float = 0.5) -> FiniteSumObjectiv
         return (np.mean(1.0 - np.cos(d) + 0.5 * eps * d ** 2, axis=1),)
 
     grid = np.linspace(centers.min() - 2 * math.pi, centers.max() + 2 * math.pi, 4001)
+    # no |x - c_i| on the grid exceeds its width, so no component there exceeds
+    # 2 + (eps/2) width^2: an eps that overflows their sum is rejected
+    width = float(grid[-1] - grid[0])
+    if not math.isfinite(n * (2.0 + 0.5 * eps * width * width)):
+        raise ValueError(f"eps = {eps} overflows the objective on its grid")
     # a block of grid rows at a time: all 4001 rows at once take 4001 x n entries
     values, = _by_row_blocks(grid_values, n, grid)
     x0 = float(grid[int(np.argmin(values))])

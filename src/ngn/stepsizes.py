@@ -38,9 +38,9 @@ class ArmijoSearchError(RuntimeError):
 @dataclass(slots=True)
 class StepObservation:
     k: int
-    loss: np.ndarray  # (S,) batch losses
-    grad_sq_norm: np.ndarray  # (S,) squared batch-gradient norms
-    component_min: Optional[np.ndarray] = None
+    loss: np.ndarray  # (R,) batch losses of the running rows
+    grad_sq_norm: np.ndarray  # (R,) squared batch-gradient norms of the running rows
+    component_min: Optional[np.ndarray] = None  # (R,) mean f_i* of each running row's batch
     probe: Optional[Callable[[np.ndarray], np.ndarray]] = None  # gamma -> batch loss after the step
     sigma: Optional[np.ndarray] = None  # sigma_k of the policy's sigma_schedule
 

@@ -626,13 +626,13 @@ SUITES = {
 
 
 def run_suites(names: Sequence[str]) -> list[CheckReport]:
+    """The reports of the named suites in order, 'all' for every suite; ValueError for
+    an unknown name, before any suite runs."""
+    unknown = [name for name in names if name != "all" and name not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}; known: {sorted(SUITES)} or 'all'")
     reports: list[CheckReport] = []
     for name in names:
-        if name == "all":
-            for fn in SUITES.values():
-                reports.extend(fn())
-            continue
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)} or 'all'")
-        reports.extend(SUITES[name]())
+        for fn in SUITES.values() if name == "all" else [SUITES[name]]:
+            reports.extend(fn())
     return reports

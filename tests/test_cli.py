@@ -1,12 +1,14 @@
 import hashlib
 import multiprocessing
 import os
+import random
 
 import pytest
 
-from ngn import objectives, specs
-from ngn.cli import main
-from ngn.objectives import load_libsvm
+from ngn import cli, objectives, specs, verify
+from ngn.cli import ConfigError, ExperimentConfig, main
+from ngn.objectives import load_libsvm, make_blobs_dataset, write_libsvm
+from ngn.runner import SAMPLERS, RunError, write_traces
 
 
 def write_config(path, **overrides):
@@ -72,6 +74,9 @@ def test_run_rejects_missing_keys(tmp_path):
     ("problem", "logistic_blobs(classes=-0.0)"),
     ("problem", "logistic_blobs(d=0)"),
     ("problem", "linear_regression(noise_std=-1)"),
+    # a noise level and a curvature whose values overflow while the problem is built
+    ("problem", "linear_regression(d=10, n=2, noise_std=1e308)"),
+    ("problem", "nonconvex_sum(eps=1e308)"),
 ])
 def test_run_rejects_bad_spec_parameters(tmp_path, capsys, key, spec):
     cfg = write_config(tmp_path / "bad.cfg", **{key: spec})
@@ -350,6 +355,28 @@ def test_verify_unknown_suite(tmp_path):
     assert main(["verify", "bogus", "--out", str(tmp_path)]) == 2
 
 
+def test_verify_rejects_an_unknown_suite_before_running_any(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setitem(verify.SUITES, "lemmas", lambda: ran.append("lemmas") or [])
+    assert main(["verify", "lemmas", "bogus", "--out", str(tmp_path)]) == 2
+    assert ran == []
+    assert "unknown suite 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{cfg}", "--out", "{file}"],
+    ["verify", "gradients", "--out", "{file}/x"],
+    ["datagen", "blobs", "n=30", "--out", "{file}/x.svm"],
+], ids=["run", "verify", "datagen"])
+def test_output_path_at_a_file_is_config_error(tmp_path, capsys, argv):
+    # the output directory is an existing file, or lies under one
+    cfg, file = write_config(tmp_path / "run.cfg", steps="5"), tmp_path / "file"
+    file.write_text("")
+    assert main([arg.format(cfg=cfg, file=file) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory") and err.count("\n") == 1
+
+
 def test_verify_empty_selection(tmp_path):
     assert main(["verify", "--out", str(tmp_path)]) == 2
 
@@ -385,3 +412,48 @@ def test_run_rejects_oversized_problem(tmp_path, monkeypatch, problem):
     cfg = write_config(tmp_path / "big.cfg", problem=problem)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+# values that the spec fuzz draws for a parameter a quarter of the time,
+# and the choices of its string parameters (a bad one among them)
+EDGES = (0.0, -1.0, -0.0, 1e-320, 1e308)
+STRING_CHOICES = {"schedule": ("inv_sqrt", "inv_linear", "bogus"),
+                  "h": ("quadratic", "monomial", "neg_log", "bogus")}
+
+
+def fuzz_spec(rng, table, path):
+    """A random spec of `table`: each parameter its default (a typical value
+    if it is required) three times in four, else an edge value or left out."""
+    name = rng.choice(sorted(table))
+    parts = []
+    for key, declared in table[name].params.items():
+        if declared is str or isinstance(declared, str):
+            choices = STRING_CHOICES.get(key, (path, "no_such_file.svm"))
+            parts.append(f"{key}={rng.choice(choices)}")
+        elif rng.random() < 0.75:
+            value = declared if not isinstance(declared, type) else rng.choice((0.1, 0.5, 2.0))
+            parts.append(f"{key}={value!r}")
+        elif rng.random() < 0.9:
+            parts.append(f"{key}={rng.choice(EDGES)!r}")
+    return f"{name}({', '.join(parts)})"
+
+
+def test_spec_fuzz_runs_or_fails_as_config_or_run_error(tmp_path):
+    # every pair of random problem and policy specs runs 20 steps, with a
+    # random sampler and batch, or fails as a configuration error or a
+    # policy's failure at a step: no other exception, and no RuntimeWarning
+    path = tmp_path / "data.svm"
+    write_libsvm(make_blobs_dataset(12, 3, 3, 0), path)
+    rng, ran = random.Random(0), 0
+    for _ in range(1000):
+        cfg = ExperimentConfig(fuzz_spec(rng, specs.PROBLEMS, str(path)),
+                               fuzz_spec(rng, specs.POLICIES, str(path)), steps=20,
+                               seeds=(0, 1), sampler=rng.choice(SAMPLERS),
+                               batch_size=rng.choice((1, 2, 5)), cadence=rng.choice((1, 7)))
+        try:
+            (run,) = cli._build_runs(cfg, [{}])
+            write_traces(run, [])
+            ran += 1
+        except (ConfigError, RunError):
+            pass
+    assert ran > 200

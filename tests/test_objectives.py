@@ -582,6 +582,9 @@ def test_finite_difference_gradient_on_quadratic():
     lambda: make_blobs_dataset(n=30, d=4, classes=3, seed=0),  # n x d = 120
     lambda: make_blobs_dataset(n=40, d=1, classes=3, seed=0),  # n x classes = 120
     lambda: make_nonconvex_sum(9, seed=0),
+    # each array within the cap, not their sum
+    lambda: make_linear_regression(d=8, n=9, seed=0),  # n x d = 72, d x d = 64
+    lambda: make_blobs_dataset(n=25, d=3, classes=3, seed=0),  # n x d = n x classes = 75
 ])
 def test_generated_problem_size_caps(monkeypatch, build):
     # caps lowered so that no test builds a large problem
@@ -589,6 +592,6 @@ def test_generated_problem_size_caps(monkeypatch, build):
     monkeypatch.setattr(objectives, "MAX_NONCONVEX_COMPONENTS", 8)
     with pytest.raises(ValueError, match="cap"):
         build()
-    make_linear_regression(d=10, n=10, seed=0)
-    make_blobs_dataset(n=33, d=3, classes=3, seed=0)
+    make_linear_regression(d=5, n=15, seed=0)  # 75 + 25 entries
+    make_blobs_dataset(n=20, d=2, classes=3, seed=0)  # 40 + 60 entries
     make_nonconvex_sum(8, seed=0)

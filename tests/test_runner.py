@@ -1,5 +1,7 @@
 import contextlib
+import copy
 import io
+import itertools
 import math
 import tracemalloc
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 import ngn
-from ngn import objectives, runner, verify
+from ngn import runner, verify
 from ngn.cli import main
 from ngn.objectives import (
     FiniteSumObjective,
@@ -16,6 +18,7 @@ from ngn.objectives import (
     make_two_quadratics,
 )
 from ngn.runner import (
+    SAMPLERS,
     Aggregate,
     Run,
     RunError,
@@ -27,8 +30,9 @@ from ngn.runner import (
     metrics,
     write_traces,
 )
-from ngn.specs import POLICIES, PROBLEMS, build_spec
-from ngn.stepsizes import APS, NGN, AdaGradNorm, Armijo, Constant, StepsizePolicy
+from ngn.specs import POLICIES, PROBLEMS, build_spec, parse_call
+from ngn.stepsizes import NGN, Constant, StepsizePolicy
+import oracle
 from traces import whole_traces
 
 
@@ -52,15 +56,6 @@ def test_different_seeds_differ():
     a = one_trace(obj, NGN(0.5), 200, seed=1)
     b = one_trace(obj, NGN(0.5), 200, seed=2)
     assert not np.array_equal(a.loss_batch, b.loss_batch)
-
-
-def test_update_correctness_recheckable_from_trace():
-    obj = make_two_quadratics()
-    trace = one_trace(obj, NGN(0.7), 50, seed=3, cadence=1)
-    # every step's batch gradient, one row per step
-    _, grads = obj.eval_many(trace.batch_ids, trace.iterates[:-1])
-    steps = np.diff(trace.iterates, axis=0)
-    assert np.allclose(steps, -trace.gamma[:, None] * grads, rtol=0, atol=1e-15)
 
 
 def test_divergence_flag_on_unstable_gd():
@@ -230,157 +225,285 @@ def assert_same_trace(a, b):
             assert value == other, name
 
 
-LOCKSTEP_PROBLEMS = (
-    "quadratic1d(lam=1.2, xstar=0.5, fstar=0.1)",
-    "two_quadratics()",
-    "linear_regression(d=4, n=12, seed=1, noise_std=0.1)",
-    "logistic_blobs(n=30, d=3, classes=3, seed=2)",
-    "nonconvex_sum(n=6, seed=1, eps=0.4)",
-)
-LOCKSTEP_POLICIES = (
-    "ngn(sigma=1.0)",
-    "adagrad_norm(eta=1.0, delta0=0.1)",
-    "sps_max(c=0.5, gamma_b=2.0)",
-    "aps()",
-    "armijo(c1=0.1, backtrack=0.7, gamma_init=2.0)",
-)
+class Forced(StepsizePolicy):
+    """`inner`, except that row r of the run takes gamma `events[r, k]` at step k.
+
+    It follows keep_rows, to name rows by their numbers in the run, and
+    keeps in `seen` what it observes at each step. With `own_batch` a
+    full-batch policy (Armijo) runs on each row's batch.
+    """
+
+    def __init__(self, inner, n_rows, events, own_batch=False):
+        self.inner, self.n_rows, self.events = inner, n_rows, events
+        self.requires_full_batch = inner.requires_full_batch and not own_batch
+        self.requires_component_min = inner.requires_component_min
+        self.sigma_schedule = inner.sigma_schedule
+
+    def reset(self):
+        self.inner.reset()
+        self.ids, self.seen = np.arange(self.n_rows), []
+
+    def keep_rows(self, keep):
+        self.inner.keep_rows(keep)
+        self.ids = self.ids[keep]
+
+    def stepsize(self, obs):
+        self.seen.append((obs.k, self.ids, obs.sigma, obs.loss, obs.grad_sq_norm))
+        gamma = self.inner.stepsize(obs)
+        for (row, k), value in self.events.items():
+            if k == obs.k:
+                gamma[self.ids == row] = value  # IndexError unless gamma has a value per row
+        return gamma
 
 
-@pytest.mark.parametrize("policy", LOCKSTEP_POLICIES)
-@pytest.mark.parametrize("problem", LOCKSTEP_PROBLEMS)
-def test_lockstep_matches_solo_runs(problem, policy):
+def assert_rows_claim(problem, policy, ends, *, events=None, chunks=(None,), own_batch=False,
+                      f_i_star=None, shift=0.0, cadence=1, **kwargs):
+    """Row r (seed r, to step ends[r]) of a run in company, at each chunk length, is its
+    solo run bit for bit, and on a 1-d problem at cadence 1 takes the oracle's steps.
+
+    `events` maps (r, k) to a gamma that row r takes at step k; chunk
+    length None is the default, which the solo runs take. In company the
+    policy observes exactly the running rows, in row order, and sigma_k as
+    the chunk's 0-d value, and the observations it keeps and every chunk's
+    arrays keep their values. `f_i_star` replaces the problem's component
+    minima and `shift` lowers its losses. Returns the company's traces.
+    """
     obj = build_spec(PROBLEMS, problem)
-    if policy.startswith("armijo"):
-        kwargs = dict(sampler="full_batch")
-    else:
-        kwargs = dict(sampler="epoch_shuffle", batch_size=min(2, obj.n))
-    kwargs.update(cadence=1)  # every iterate and its metrics
-    together = whole_traces(Run(obj, build_spec(POLICIES, policy), 40, seeds=range(4), **kwargs))
-    for seed, trace in zip(range(4), together):
-        assert_same_trace(trace, one_trace(obj, build_spec(POLICIES, policy), 40, seed=seed,
-                                           **kwargs))
-    # rows that retire at steps 23 and 9 while the others run on
-    ends = [40, 23, 40, 9]
-    retired = whole_traces(Run(obj, build_spec(POLICIES, policy), ends, seeds=range(4), **kwargs))
-    for seed, (end, trace) in enumerate(zip(ends, retired)):
-        assert not trace.diverged
-        assert_same_trace(trace, one_trace(obj, build_spec(POLICIES, policy), end, seed=seed,
-                                           **kwargs))
+    if f_i_star is not None:
+        obj.f_i_star = np.array(f_i_star)
+    if shift:
+        def evaluator(idx, X, evaluate=obj._evaluator):
+            values, grads = evaluate(idx, X)
+            return values - shift, grads
+
+        obj = FiniteSumObjective(obj.n, obj.dim, evaluator, f_i_star=obj.f_i_star)
+    events = events or {}
+
+    def make_run(ends, seeds, events):
+        forced = Forced(build_spec(POLICIES, policy), len(seeds), events, own_batch)
+        return Run(obj, forced, ends, seeds=seeds, cadence=cadence, **kwargs)
+
+    solo = []
+    for r, end in enumerate(ends):
+        own = {k: gamma for (row, k), gamma in events.items() if row == r}
+        solo.append(whole_traces(make_run(end, [r], {(0, k): g for k, g in own.items()}))[0])
+        if cadence == 1 and parse_call(problem)[0] in oracle.PROBLEMS:
+            oracle.replay(problem, policy, solo[-1], own, obj.f_i_star, shift)
+    for length in chunks:
+        with pytest.MonkeyPatch.context() as mp:
+            if length:
+                mp.setattr(runner, "_chunk_steps", lambda rows, width: length)
+            run, kept = make_run(ends, range(len(ends)), events), []  # each chunk and a copy
+
+            def advance():
+                chunk = step()
+                kept.append((chunk, copy.deepcopy(chunk)))
+                return chunk
+
+            step, run.advance = run.advance, advance
+            traces = whole_traces(run)
+        for trace, expected in zip(traces, solo):
+            assert_same_trace(trace, expected)
+        for chunk, before in kept:
+            for name, value in vars(before).items():
+                assert (np.asarray(getattr(chunk, name)).tobytes()
+                        == np.asarray(value).tobytes()), (chunk.k0, name)
+        # a row reaches the policy at step k unless it has stopped: its gamma is NaN
+        running = [[r for r, t in enumerate(traces) if k < t.steps and not np.isnan(t.gamma[k])]
+                   for k in range(run.steps)]
+        sigma = np.concatenate([chunk.sigma for chunk, _ in kept])
+        assert [seen[0] for seen in run.policy.seen] == [k for k, r in enumerate(running) if r]
+        for k, ids, sigma_k, loss, grad_sq in run.policy.seen:
+            rows = running[k]
+            assert ids.tolist() == rows and np.ndim(sigma_k) == 0, k
+            assert np.array_equal(sigma_k, sigma[k], equal_nan=True), k
+            assert np.array_equal(loss, np.maximum([traces[r].loss_batch[k] for r in rows], 0.0))
+            assert np.array_equal(grad_sq, [traces[r].grad_sq[k] for r in rows]), k
+    return traces
 
 
-def test_sps_max_rows_read_their_own_component_min(monkeypatch):
-    # f_i* that differ by component, so each row's component_min is its own
-    # batch's: rows 1 and 3 retire at steps 23 and 9, mid-chunk and before
-    # later chunks, and every row matches its solo run
-    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 7)
-    obj = build_spec(PROBLEMS, "linear_regression(d=4, n=12, seed=1, noise_std=0.1)")
-    obj.f_i_star = np.linspace(0.0, 1e-3, obj.n)
-    kwargs = dict(sampler="epoch_shuffle", batch_size=2, cadence=7)
-    ends = [40, 23, 40, 9]
-    policy = "sps_max(c=0.5, gamma_b=2.0)"
-    together = whole_traces(Run(obj, build_spec(POLICIES, policy), ends, seeds=range(4), **kwargs))
-    for seed, (end, trace) in enumerate(zip(ends, together)):
-        assert_same_trace(trace, one_trace(obj, build_spec(POLICIES, policy), end, seed=seed,
-                                           **kwargs))
+# the oracle's 1-d problems, and specs of every policy and schedule
+ORACLE_PROBLEMS = ("quadratic1d(lam=1.2, xstar=0.5, fstar=0.1)", "two_quadratics()",
+                   "nonconvex_sum(n=6, seed=1, eps=0.4)")
+ARMIJO = "armijo(c1=0.1, backtrack=0.7, gamma_init=2.0)"
+ORACLE_POLICIES = (
+    "ngn(sigma=0.5)", "ngn_annealed(sigma0=2.0)", "ngn_annealed(sigma0=1.0, schedule=inv_linear)",
+    "ggn(sigma=1.0)", "ggn(sigma=0.5, h=monomial, p=3)", "ggn(sigma=1.0, h=neg_log)", "aps()",
+    "sps_max(c=0.5, gamma_b=2.0)", "polyak(fstar=0.0)", "adagrad_norm(eta=1.0, delta0=0.1)",
+    "constant(gamma=0.3)", ARMIJO)
 
 
-class BatchArmijo(Armijo):
-    """Armijo on each row's own batch: its probe evaluates that batch at the trial point."""
+def test_update_correctness_recheckable_from_trace():
+    # every policy under every sampler it takes, on each 1-d problem
+    names = {parse_call(policy)[0] for policy in ORACLE_POLICIES}
+    assert set(oracle.ORACLE) == names == set(POLICIES)
+    for problem, policy in itertools.product(ORACLE_PROBLEMS, ORACLE_POLICIES):
+        obj = build_spec(PROBLEMS, problem)
+        for sampler, batch in zip(SAMPLERS, (1, min(2, obj.n), obj.n)):
+            if build_spec(POLICIES, policy).requires_full_batch and sampler != "full_batch":
+                continue
+            for trace in whole_traces(Run(obj, build_spec(POLICIES, policy), 30, seeds=range(3),
+                                          sampler=sampler, batch_size=batch, cadence=1)):
+                oracle.replay(problem, policy, trace, f_i_star=obj.f_i_star)
 
-    requires_full_batch = False
+
+LINEAR = "linear_regression(d=4, n=12, seed=1, noise_std=0.1)"
+LOGISTIC = "logistic_blobs(n=30, d=3, classes=3, seed=2)"
+QUADRATIC0 = "quadratic1d(lam=1.0, xstar=0.0, fstar=0.0)"
 
 
-def test_probe_evaluates_each_running_rows_batch(monkeypatch):
-    # rows 1 and 3 retire at steps 23 and 9, mid-chunk: the probe evaluates
-    # each running row's own batch, so every row matches its solo run
-    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 7)
-    obj = build_spec(PROBLEMS, "linear_regression(d=4, n=12, seed=1, noise_std=0.1)")
-    kwargs = dict(sampler="epoch_shuffle", batch_size=2, cadence=7)
-    ends = [40, 23, 40, 9]
-    together = whole_traces(Run(obj, BatchArmijo(0.1, 0.7, 2.0), ends, seeds=range(4), **kwargs))
-    for seed, (end, trace) in enumerate(zip(ends, together)):
-        assert_same_trace(trace, one_trace(obj, BatchArmijo(0.1, 0.7, 2.0), end, seed=seed,
-                                           **kwargs))
+@pytest.mark.parametrize("policy", ("ngn(sigma=1.0)", "adagrad_norm(eta=1.0, delta0=0.1)",
+                                    "sps_max(c=0.5, gamma_b=2.0)", "aps()", ARMIJO))
+@pytest.mark.parametrize("problem", ORACLE_PROBLEMS[:2] + (LINEAR, LOGISTIC, ORACLE_PROBLEMS[2]))
+def test_lockstep_matches_solo_runs(problem, policy):
+    # rows 1 and 3 retire at steps 23 and 9 while the others run on
+    kwargs = (dict(sampler="full_batch") if policy == ARMIJO else
+              dict(sampler="epoch_shuffle", batch_size=1 if "quadratic1d" in problem else 2))
+    assert_rows_claim(problem, policy, [40, 23, 40, 9], **kwargs)
+
+
+def test_sps_max_rows_read_their_own_component_min():
+    # f_i* that differ by component, so that each row's component_min is its
+    # own batch's, while rows retire mid-chunk and before later chunks
+    assert_rows_claim("two_quadratics()", "sps_max(c=0.5, gamma_b=2.0)", [40, 23, 40, 9],
+                      f_i_star=[0.05, 0.2], chunks=(7,))
+
+
+def test_probe_evaluates_each_running_rows_batch():
+    # Armijo on each row's own batch while rows retire mid-chunk
+    assert_rows_claim(ORACLE_PROBLEMS[2], ARMIJO, [40, 23, 40, 9], own_batch=True,
+                      sampler="epoch_shuffle", batch_size=2, chunks=(7,))
 
 
 def test_lockstep_stationary_rows_match_solo_runs():
     # APS halves x on this quadratic. For seed 1 the gradient underflows to
     # exactly 0 (a stationary row from step 536 on); for the other seeds the
     # loss underflows first, so their steps shrink to 0 instead
-    obj = make_quadratic1d(1.0, 0.0, 0.0)
-    together = whole_traces(Run(obj, APS(), 600, seeds=range(4), cadence=100))
-    assert [int(t.stationary.sum()) for t in together] == [0, 64, 0, 0]
-    for seed, trace in zip(range(4), together):
-        assert_same_trace(trace, one_trace(obj, APS(), 600, seed=seed, cadence=100))
+    traces = assert_rows_claim(QUADRATIC0, "aps()", [600] * 4)
+    assert [int(t.stationary.sum()) for t in traces] == [0, 64, 0, 0]
 
 
 def test_lockstep_diverged_rows_match_solo_runs():
     # constant steps that overshoot on some components: seeds 2, 3 and 4
     # diverge, each at its own step, while 0, 1 and 5 converge
-    obj = build_spec(PROBLEMS, "linear_regression(d=1, n=6, seed=3)")
-    together = whole_traces(Run(obj, Constant(5.0), 300, seeds=range(6), cadence=1))
-    steps = [t.diverged_step for t in together]
-    assert steps[:2] == [None, None] and steps[5] is None
-    assert len({steps[2], steps[3], steps[4]} - {None}) == 3
-    for trace in together[2:5]:  # x_final is the iterate that tripped the test
-        k = trace.diverged_step
-        assert obj.eval_many(trace.batch_ids[k][None], trace.x_final[None])[0][0] == \
-            trace.loss_batch[k]
-        assert max(trace.loss_batch[k], trace.grad_sq[k]) > 1e30
-    for seed, trace in zip(range(6), together):
-        solo = one_trace(obj, Constant(5.0), 300, seed=seed, cadence=1)
-        assert (trace.diverged_step, trace.x_final.tolist()) == (solo.diverged_step,
-                                                                 solo.x_final.tolist())
-        assert_same_trace(trace, solo)
+    traces = assert_rows_claim("linear_regression(d=1, n=6, seed=3)", "constant(gamma=5.0)",
+                               [300] * 6)
+    assert [t.diverged for t in traces] == [False, False, True, True, True, False]
+    assert len({t.diverged_step for t in traces}) == 4
 
 
-METRIC_BLOCK_CASES = {
-    # ROW_BLOCK_ENTRIES = 7 makes a chunk of each step and splits its S rows
-    # in full_many into blocks of one or a few; at the default, one chunk
-    # whose points full_many takes in blocks of 65536 // n rows, logistic's
-    # 804 in blocks of 65536 // (30 * 3)
-    "lockstep": [
-        ("two_quadratics()", "ngn(sigma=1.0)", 3000, range(4), dict(cadence=7)),
-        ("linear_regression(d=4, n=12, seed=1, noise_std=0.1)", "sps_max(c=0.5, gamma_b=2.0)",
-         200, range(3), dict(cadence=1, sampler="epoch_shuffle", batch_size=2)),
-        ("logistic_blobs(n=30, d=3, classes=3, seed=2)", "ngn(sigma=1.0)", 200, range(4),
-         dict(cadence=1)),
-    ],
-    "diverged": [("linear_regression(d=1, n=6, seed=3)", "constant(gamma=5.0)", 300, range(6),
-                  dict(cadence=50))],
-    # three rows, and seed 1 goes stationary
-    "stationary": [("quadratic1d(lam=1.0, xstar=0.0, fstar=0.0)", "aps()", 600, range(3),
-                    dict(cadence=100))],
-    # every row diverges at step 99, at cadence 1 the 100th metric point, its
-    # last; from x0 = 1e160 every row stops at step 0, and f(x0) overflows
-    # where the chunk evaluates its metric points
-    "all_diverged": [
-        ("quadratic1d(lam=1.2, xstar=0.0, fstar=0.1)", "constant(gamma=2.0)", 150, range(2),
-         dict(cadence=1, x0=np.array([3.0]))),
-        ("quadratic1d(lam=1.2, xstar=0.0, fstar=0.1)", "constant(gamma=0.1)", 10, range(2),
-         dict(cadence=1, x0=np.array([1e160]))),
-    ],
+METRIC_BLOCK_CASES = {  # a chunk of every step, and so of every metric point
+    "lockstep": (LOGISTIC, "ngn(sigma=1.0)", [200, 60, 200], {}),
+    "diverged": ("linear_regression(d=1, n=6, seed=3)", "constant(gamma=5.0)", [300] * 6,
+                 dict(cadence=50)),
+    "stationary": (QUADRATIC0, "aps()", [600] * 3, dict(cadence=100)),
+    # from x0 = 1e160 every row stops at step 0, where f(x0) overflows
+    "all_diverged": ("quadratic1d(lam=1.2, xstar=0.0, fstar=0.1)", "constant(gamma=0.1)",
+                     [10] * 2, dict(x0=np.array([1e160]))),
 }
 
 
+def assert_case(case, problem, policy, ends, kwargs, chunks):
+    """The claim on a case whose id says which rows diverge, go stationary or see a loss < 0."""
+    traces = assert_rows_claim(problem, policy, ends, chunks=chunks, **kwargs)
+    assert any(t.diverged for t in traces) == case.endswith("diverged")
+    assert all(t.diverged for t in traces) == (case == "all_diverged")
+    assert any(t.stationary.any() for t in traces) == (case == "stationary")
+    assert any((t.loss_batch < 0).any() for t in traces) == (case == "clamp")
+
+
 @pytest.mark.parametrize("case", METRIC_BLOCK_CASES)
-def test_metric_blocks_keep_traces(monkeypatch, case):
-    # ROW_BLOCK_ENTRIES = 1 evaluates each metric point as it is reached
-    for problem, policy, steps, seeds, kwargs in METRIC_BLOCK_CASES[case]:
-        obj = build_spec(PROBLEMS, problem)
-        runs = []
-        for block_entries in (1, 7, objectives.ROW_BLOCK_ENTRIES):
-            monkeypatch.setattr(objectives, "ROW_BLOCK_ENTRIES", block_entries)
-            run = Run(obj, build_spec(POLICIES, policy), steps, seeds=seeds, **kwargs)
-            runs.append(whole_traces(run))
-            monkeypatch.undo()
-        diverged = [t.diverged_step is not None for t in runs[0]]
-        assert any(diverged) == case.endswith("diverged")
-        assert all(diverged) == (case == "all_diverged")
-        assert any(t.stationary.any() for t in runs[0]) == (case == "stationary")
-        for traces in runs[1:]:
-            for trace, reference in zip(traces, runs[0]):
-                assert_same_trace(trace, reference)
+def test_metric_blocks_keep_traces(case):
+    assert_case(case, *METRIC_BLOCK_CASES[case], chunks=(1,))
+
+
+@pytest.mark.parametrize("case", ["loss_test", "iterate_test"])
+def test_sigma_cells_of_diverged_rows(case):
+    # a step of 1e20 at step 5 puts the loss above 1e30 at step 6, which
+    # stops the row before its step there; a step of inf at step 5 overflows
+    # x after the step. Either way sigma_k is kept through step 5, NaN after
+    gamma = 1e20 if case == "loss_test" else np.inf
+    traces = assert_rows_claim("quadratic1d(lam=1.2, xstar=0.0, fstar=0.1)",
+                               "ngn_annealed(sigma0=1.0, schedule=inv_linear)", [40] * 3,
+                               events={(r, 5): gamma for r in range(3)}, x0=np.array([3.0]))
+    for seed, trace in enumerate(traces):
+        assert trace.diverged_step == (6 if case == "loss_test" else 5)
+        assert np.array_equal(trace.sigma[:6], 1.0 / np.arange(1.0, 7.0))
+        assert np.isnan(trace.sigma[6:]).all()
+        assert not np.shares_memory(trace.sigma, traces[seed - 1].sigma)  # its own copy
+
+
+def test_stationary_and_diverging_rows_in_one_step():
+    # at step 3 rows 0 and 7 go stationary (NaN gamma) and the steps of rows
+    # 3 and 6 overflow; at step 5, after those stopped, row 7 again
+    events = {(0, 3): np.nan, (7, 3): np.nan, (3, 3): 1e308, (6, 3): np.inf, (7, 5): np.nan}
+    traces = assert_rows_claim("quadratic1d(lam=10.0, xstar=0.0, fstar=0.0)",
+                               "constant(gamma=0.01)", [10] * 8, events=events)
+    assert [r for r, t in enumerate(traces) if t.stationary[3]] == [0, 7]
+    assert [r for r, t in enumerate(traces) if t.stationary[5]] == [7]
+    assert [t.diverged_step for t in traces] == [None, None, None, 3, None, None, 3, None]
+
+
+@pytest.mark.parametrize("schedule", [None, "inv_sqrt"])
+def test_policy_observes_the_chunk_sigma(schedule):
+    # row 0 retires at step 25 and row 2's step of inf at step 30 overflows
+    # its iterate after the policy's call, both mid-chunk
+    policy = "ngn(sigma=0.5)" if schedule is None else "ngn_annealed(sigma0=0.5)"
+    traces = assert_rows_claim("two_quadratics()", policy, [25, 100, 100],
+                               events={(2, 30): np.inf}, chunks=(7,))
+    assert [t.diverged_step for t in traces] == [None, None, 30]
+
+
+@pytest.mark.parametrize("case", ["loss_test", "iterate_test"])
+def test_adagrad_rows_keep_their_state_when_a_row_diverges(case):
+    # row 1 of 4 stops at step 11, mid-chunk: its step of 1e20 at step 10
+    # puts its loss above 1e30 at step 11, before the policy's call, or its
+    # step of inf at step 11 overflows its iterate, after the call
+    events = {(1, 10): 1e20} if case == "loss_test" else {(1, 11): np.inf}
+    traces = assert_rows_claim("two_quadratics()", "adagrad_norm(eta=1.0, delta0=0.1)",
+                               [30] * 4, events=events, chunks=(7,))
+    assert [t.diverged_step for t in traces] == [None, 11, None, None]
+
+
+def test_kept_observations_and_chunks_keep_their_values():
+    # chunks of 5 steps: row 1 retires at step 7 and row 2's steps of 1e10
+    # make it diverge at step 8, both inside the second chunk
+    traces = assert_rows_claim("two_quadratics()", "constant(gamma=0.5)", [13, 7, 13],
+                               events={(2, 6): 1e10, (2, 7): 1e10}, chunks=(5,))
+    assert [t.diverged_step for t in traces] == [None, None, 8]
+
+
+CHUNK_CASES = {
+    # every sampler; at batch 5 of 12 components, epochs split across chunks
+    "uniform": (LINEAR, "ngn(sigma=1.0)", [60] * 3, {}),
+    "epoch_shuffle": (LINEAR, "sps_max(c=0.5, gamma_b=2.0)", [60] * 3,
+                      dict(sampler="epoch_shuffle", batch_size=5, cadence=3)),
+    "full_batch": (ORACLE_PROBLEMS[2], "polyak(fstar=0.0)", [30] * 2, dict(sampler="full_batch")),
+    "armijo": (LOGISTIC, ARMIJO, [30] * 3, dict(sampler="full_batch")),
+    "diverged": ("linear_regression(d=1, n=6, seed=3)", "constant(gamma=5.0)", [300] * 6, {}),
+    "stationary": (QUADRATIC0, "aps()", [600] * 4, dict(cadence=100)),
+    "adagrad": (ORACLE_PROBLEMS[2], "adagrad_norm(eta=1.0, delta0=0.1)", [50] * 3,
+                dict(sampler="epoch_shuffle", batch_size=2)),
+    # each chunk's sigma_k comes from a schedule that starts at its k0
+    "annealed": ("two_quadratics()", "ngn_annealed(sigma0=2.0)", [100] * 2, {}),
+    # losses lowered by 1 are negative where |x| < sqrt(2): APS steps on the
+    # loss clamped at zero
+    "clamp": (QUADRATIC0, "aps()", [20] * 4, dict(shift=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", CHUNK_CASES)
+def test_chunked_runs_keep_traces(case):
+    assert_case(case, *CHUNK_CASES[case], chunks=(1, 7))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 11])
+def test_retired_rows_across_chunks_and_flushes(chunk):
+    # rows retire at steps 9 and 23, off the cadence 7, and the row ending at
+    # 33 runs past the longest end of 40's last metric step
+    traces = assert_rows_claim(LINEAR, "ngn(sigma=1.0)", [40, 23, 33, 9], chunks=(chunk,),
+                               sampler="epoch_shuffle", batch_size=2, cadence=7)
+    assert [t.metric_steps[-2:].tolist() for t in traces] == [[35, 40], [21, 23], [28, 33], [7, 9]]
 
 
 def full_many_calls(obj):
@@ -464,62 +587,6 @@ def test_chunks_evaluate_no_full_objective(monkeypatch, sampler):
     assert all(c.iterates.shape == (3, len(c.metric_steps), 1) for c in chunks)
 
 
-class ScheduledStep(StepsizePolicy):
-    """Stub: sigma_k = 1/(k+1) and a stepsize that `gamma_at(k, obs)` picks."""
-
-    def __init__(self, gamma_at):
-        self.gamma_at = gamma_at
-
-    def sigma_schedule(self, steps, start=0):
-        return 1.0 / np.arange(start + 1.0, steps + 1.0)
-
-    def stepsize(self, obs):
-        return np.full(np.shape(obs.loss), 1.0) * self.gamma_at(obs.k, obs)
-
-
-@pytest.mark.parametrize("case", ["loss_test", "iterate_test"])
-def test_sigma_cells_of_diverged_rows(case):
-    # the loss test stops a row before its step: sigma_k reads NaN from k on;
-    # the iterate test stops it after the step: sigma_k stays, NaN after k
-    obj = make_quadratic1d(1.2, 0.0, 0.1)
-    if case == "loss_test":  # the loss passes 1e30 at step 99
-        policy = ScheduledStep(lambda k, obs: 2.0)
-    else:  # a step of 1e308 * grad overflows x at step 5
-        policy = ScheduledStep(lambda k, obs: 1e308 if k == 5 else 0.1)
-    kwargs = dict(x0=np.array([3.0]), cadence=1)
-    together = whole_traces(Run(obj, policy, 150, seeds=range(3), **kwargs))
-    schedule = 1.0 / np.arange(1.0, 151.0)
-    for seed, trace in zip(range(3), together):
-        k = trace.diverged_step
-        assert k == (99 if case == "loss_test" else 5)
-        kept = k if case == "loss_test" else k + 1
-        assert np.array_equal(trace.sigma[:kept], schedule[:kept])
-        assert np.isnan(trace.sigma[kept:]).all()
-        assert not np.shares_memory(trace.sigma, together[seed - 1].sigma)  # its own copy
-        assert_same_trace(trace, one_trace(obj, policy, 150, seed=seed, **kwargs))
-
-
-def test_stationary_and_diverging_rows_in_one_step():
-    # at step 3 the rows with a small loss go stationary (NaN gamma) and those
-    # with a large loss take a step that overflows; the rest step on
-    def gamma_at(k, obs):
-        if k != 3:
-            return 0.01
-        return np.where(obs.loss < 0.05, np.nan, np.where(obs.loss > 2.0, 1e308, 0.01))
-
-    obj = make_quadratic1d(10.0, 0.0, 0.0)
-    policy = ScheduledStep(gamma_at)
-    kwargs = dict(cadence=1)
-    together = whole_traces(Run(obj, policy, 10, seeds=range(8), **kwargs))
-    still = [bool(t.stationary[3]) for t in together]
-    assert [i for i, s in enumerate(still) if s] == [0, 7]
-    assert [t.diverged_step for t in together] == [None, None, None, 3, None, None, 3, None]
-    for seed, trace in zip(range(8), together):
-        if still[seed]:
-            assert trace.gamma[3] == 0.0 and np.array_equal(trace.iterates[4], trace.iterates[3])
-        assert_same_trace(trace, one_trace(obj, policy, 10, seed=seed, **kwargs))
-
-
 def test_sigma_row_shared_by_running_traces():
     traces = whole_traces(Run(make_two_quadratics(), NGN(0.5), 120, seeds=range(3)))
     assert all(t.sigma is traces[0].sigma for t in traces)
@@ -527,110 +594,13 @@ def test_sigma_row_shared_by_running_traces():
     assert np.array_equal(traces[0].sigma, np.full(120, 0.5))
 
 
-class RowIds:
-    """Stub mixin for a run of `n_rows` rows: `ids` numbers the rows the policy observes.
-
-    It holds every row after reset and follows the runner's keep_rows calls,
-    so that a stub picks a row by its number in the run.
-    """
-
-    n_rows = 0
-
-    def reset(self):
-        super().reset()
-        self.ids = np.arange(self.n_rows)
-
-    def keep_rows(self, keep):
-        super().keep_rows(keep)
-        self.ids = self.ids[keep]
-
-
-class RecordsSigma(RowIds, NGN):
-    """NGN that records each step's sigma_k and rows; row 2's step 30 overflows its iterate."""
-
-    n_rows = 3
-
-    def __init__(self, sigma, schedule=None):
-        super().__init__(sigma, schedule)
-        self.seen = {}
-
-    def stepsize(self, obs):
-        self.seen[obs.k] = (np.ndim(obs.sigma), float(obs.sigma), self.ids.tolist())
-        gamma = super().stepsize(obs)
-        if obs.k == 30:
-            gamma[self.ids == 2] = np.inf  # IndexError unless gamma has a value per observed row
-        return gamma
-
-
-@pytest.mark.parametrize("schedule", [None, "inv_sqrt"])
-def test_policy_observes_the_chunk_sigma(monkeypatch, schedule):
-    # row 0 retires at step 25 and row 2 diverges at step 30, both mid-chunk;
-    # at every step the policy sees sigma_k as a 0-d value, the chunk's own,
-    # and exactly the rows still running: row 0 through step 24, row 2
-    # through step 30, whose iterate overflows after the policy's call
-    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 7)
-    policy = RecordsSigma(0.5, schedule)
-    run = Run(make_two_quadratics(), policy, [25, 100, 100], seeds=range(3))
-    for chunk in run:
-        for k in range(chunk.k0, chunk.k1):
-            running = [r for r, end in enumerate((25, 100, 31)) if k < end]
-            assert policy.seen.pop(k) == (0, chunk.sigma[k - chunk.k0], running), k
-    assert policy.seen == {}
-    assert run.diverged_step.tolist() == [-1, -1, 30]
-    assert run.lengths().tolist() == [25, 100, 31]
-
-
-class AdaGradBlowsUp(RowIds, AdaGradNorm):
-    """AdaGradNorm whose row `row` takes the step `gamma` at step `at`."""
-
-    def __init__(self, n_rows, row, at, gamma):
-        self.n_rows, self.row, self.at, self.gamma = n_rows, row, at, gamma
-        super().__init__(1.0, 0.1)
-
-    def stepsize(self, obs):
-        gamma = super().stepsize(obs)
-        if obs.k == self.at:
-            gamma[self.ids == self.row] = self.gamma
-        return gamma
-
-
-@pytest.mark.parametrize("case", ["loss_test", "iterate_test"])
-def test_adagrad_rows_keep_their_state_when_a_row_diverges(monkeypatch, case):
-    # row 1 of 4 stops at step 11, mid-chunk: its step of 1e20 at step 10
-    # puts its batch loss above 1e30 at step 11, before the policy's call,
-    # or its step of inf at step 11 overflows its iterate, after the call.
-    # AdaGrad's accumulators of rows 0, 2 and 3 follow them, so each row's
-    # trace is its solo run's, bit for bit
-    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 7)
-    obj = make_two_quadratics()
-    at, gamma = (10, 1e20) if case == "loss_test" else (11, np.inf)
-    kwargs = dict(cadence=1)
-    run = Run(obj, AdaGradBlowsUp(4, 1, at, gamma), 30, seeds=range(4), **kwargs)
-    together = whole_traces(run)
-    assert run.diverged_step.tolist() == [-1, 11, -1, -1]
-    # the loss test stops row 1 before its policy call at step 11, which
-    # leaves gamma NaN there; the iterate test stops it after its step of inf
-    assert np.array_equal(together[1].gamma[11], np.nan if case == "loss_test" else np.inf,
-                          equal_nan=True)
-    assert np.isnan(together[1].gamma[12:]).all() and np.isfinite(together[1].gamma[:11]).all()
-    for seed, trace in zip(range(4), together):
-        policy = AdaGradBlowsUp(1, 0, at, gamma) if seed == 1 else AdaGradNorm(1.0, 0.1)
-        assert_same_trace(trace, one_trace(obj, policy, 30, seed=seed, **kwargs))
-
-
 def test_observed_loss_clamped_to_positive_zero():
     # components 0 and 1 report a loss of -0.0 and -1.0; policies see +0.0
     losses = np.array([-0.0, -1.0, 2.0])
     obj = FiniteSumObjective(3, 1, lambda idx, X: (losses[idx], np.ones(idx.shape + (1,))))
-    seen = []
-
-    def gamma_at(k, obs):
-        seen.append(obs.loss.copy())
-        return 0.1
-
-    policy = ScheduledStep(gamma_at)
-    traces = whole_traces(Run(obj, policy, 30, seeds=range(3)))
-    observed = np.array(seen)
+    run = Run(obj, Forced(Constant(0.1), 3, {}), 30, seeds=range(3))
+    traces = whole_traces(run)
+    observed = np.array([loss for _, _, _, loss, _ in run.policy.seen])
     assert np.array_equal(observed, np.maximum(np.array([t.loss_batch for t in traces]).T, 0.0))
     assert not np.signbit(observed).any()
     assert np.signbit([t.loss_batch for t in traces]).any()  # recorded as reported
@@ -648,7 +618,8 @@ def fixed_rows_run(rows, steps=3):
         loss, grad = zip(*(table[tuple(x)] for x in X.tolist()))
         return np.array(loss)[:, None], np.array(grad, dtype=float)[:, None, :]
 
-    run = Run(FiniteSumObjective(1, 2, evaluator), ScheduledStep(lambda k, obs: 0.0), steps,
+    zero = dict.fromkeys(itertools.product(range(len(rows)), range(steps)), 0.0)
+    run = Run(FiniteSumObjective(1, 2, evaluator), Forced(Constant(1.0), len(rows), zero), steps,
               seeds=range(len(rows)))
     table.update(zip(map(tuple, run.X.tolist()), rows))  # the start points, before a chunk
     return run
@@ -690,51 +661,6 @@ def test_rows_below_the_threshold_run_on_whatever_their_sum():
     assert (run.diverged_step == -1).all()
 
 
-class TrackedStep(RowIds, ScheduledStep):
-    """ScheduledStep that knows the run's numbers of the rows it observes."""
-
-    n_rows = 3
-
-
-def test_kept_observations_and_chunks_keep_their_values(monkeypatch):
-    # a policy may keep each step's obs.loss and obs.grad_sq_norm; they keep
-    # the values the chunks hand out, and a chunk's arrays are not written
-    # once the next chunk runs. Chunks of 5 steps: row 1 retires at step 7
-    # and row 2's steps of 1e10 from step 6 on make it diverge at step 8,
-    # both inside the second chunk, where stopped rows are indexed by `sel`
-    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 5)
-    kept = []
-
-    def gamma_at(k, obs):
-        kept.append((obs.k, policy.ids.copy(), obs.loss, obs.grad_sq_norm))
-        return np.where((policy.ids == 2) & (k >= 6), 1e10, 0.5)
-
-    policy = TrackedStep(gamma_at)
-    run = Run(make_two_quadratics(), policy, [13, 7, 13], seeds=range(3), cadence=1)
-    fields = ("loss_batch", "grad_sq", "gamma", "stationary", "iterates")
-    chunks, copies = [], []
-    for chunk in run:
-        chunks.append(chunk)
-        copies.append([getattr(chunk, f).copy() for f in fields])
-    assert [(c.k0, c.k1) for c in chunks] == [(0, 5), (5, 10), (10, 13)]
-    assert run.diverged_step.tolist() == [-1, -1, 8]
-    assert run.lengths().tolist() == [13, 7, 9]
-    for chunk, copy in zip(chunks, copies):
-        for name, before in zip(fields, copy):
-            assert getattr(chunk, name).tobytes() == before.tobytes(), (chunk.k0, name)
-    loss = np.concatenate([c.loss_batch for c in chunks], axis=1)
-    grad_sq = np.concatenate([c.grad_sq for c in chunks], axis=1)
-    assert [k for k, _, _, _ in kept] == list(range(13))
-    for k, ids, obs_loss, obs_grad_sq in kept:
-        # exactly the rows that reach the policy at step k, in row order:
-        # row 1 through step 6, row 2 through step 7 (its loss stops it at 8)
-        running = np.flatnonzero((k < run.ends) & ((run.diverged_step < 0)
-                                                   | (k < run.diverged_step)))
-        assert ids.tolist() == running.tolist(), k
-        assert np.array_equal(obs_loss, np.maximum(loss[running, k], 0.0)), k
-        assert np.array_equal(obs_grad_sq, grad_sq[running, k]), k
-
-
 @pytest.mark.parametrize("n", [2, 3, 8, 2000])
 @pytest.mark.parametrize("mode", ["with_replacement_uniform", "epoch_shuffle"])
 def test_split_draws_match_one_draw(mode, n):
@@ -747,84 +673,6 @@ def test_split_draws_match_one_draw(mode, n):
         assert np.array_equal(np.concatenate(parts), whole)
 
 
-CHUNK_CASES = {
-    # every sampler; at batch 5 of 12 components, epochs split across chunks
-    "uniform": ("linear_regression(d=4, n=12, seed=1, noise_std=0.1)", "ngn(sigma=1.0)", 60,
-                range(3), dict(cadence=1)),
-    "epoch_shuffle": ("linear_regression(d=4, n=12, seed=1, noise_std=0.1)",
-                      "sps_max(c=0.5, gamma_b=2.0)", 60, range(3),
-                      dict(sampler="epoch_shuffle", batch_size=5, cadence=3)),
-    "full_batch": ("logistic_blobs(n=30, d=3, classes=3, seed=2)", "polyak(fstar=0.0)", 30,
-                   range(2), dict(sampler="full_batch", cadence=1)),
-    # Armijo's probe evaluates every row's trial point
-    "armijo": ("logistic_blobs(n=30, d=3, classes=3, seed=2)",
-               "armijo(c1=0.1, backtrack=0.7, gamma_init=2.0)", 30, range(3),
-               dict(sampler="full_batch", cadence=1)),
-    # seeds 2, 3 and 4 diverge mid-chunk, each at its own step
-    "diverged": ("linear_regression(d=1, n=6, seed=3)", "constant(gamma=5.0)", 300, range(6),
-                 dict(cadence=1)),
-    "stationary": ("quadratic1d(lam=1.0, xstar=0.0, fstar=0.0)", "aps()", 600, range(4),
-                   dict(cadence=100)),
-    "adagrad": ("nonconvex_sum(n=6, seed=1, eps=0.4)", "adagrad_norm(eta=1.0, delta0=0.1)", 50,
-                range(3), dict(sampler="epoch_shuffle", batch_size=2, cadence=1)),
-    # each chunk's sigma_k comes from a schedule that starts at its k0
-    "annealed": ("two_quadratics()", "ngn_annealed(sigma0=2.0)", 100, range(2),
-                 dict(cadence=1)),
-}
-
-
-@pytest.mark.parametrize("case", CHUNK_CASES)
-def test_chunked_runs_keep_traces(monkeypatch, case):
-    problem, policy, steps, seeds, kwargs = CHUNK_CASES[case]
-    obj = build_spec(PROBLEMS, problem)
-    reference = whole_traces(Run(obj, build_spec(POLICIES, policy), steps, seeds=seeds, **kwargs))
-    default = Run(obj, build_spec(POLICIES, policy), steps, seeds=seeds, **kwargs)
-    assert default.chunk_steps >= steps  # one chunk
-    if case == "diverged":
-        assert [t.diverged for t in reference] == [False, False, True, True, True, False]
-    if case == "stationary":
-        assert any(t.stationary.any() for t in reference)
-    for chunk in (1, 7):
-        monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: chunk)
-        chunked = whole_traces(Run(obj, build_spec(POLICIES, policy), steps, seeds=seeds, **kwargs))
-        for trace, expected in zip(chunked, reference):
-            assert_same_trace(trace, expected)
-
-
-@pytest.mark.parametrize("chunk", [1, 7, 11])
-def test_retired_rows_across_chunks_and_flushes(monkeypatch, chunk):
-    # full_many blocks of 32 rows, 8 points of the 4: rows retire at steps 9
-    # and 23, off the cadence 7, and the row ending at 33 runs past the longest
-    # end of 40's last metric step; the chunks carry each row's values and finals
-    monkeypatch.setattr(objectives, "ROW_BLOCK_ENTRIES", 2 * 4 * 12 * 4)
-    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: chunk)
-    obj = build_spec(PROBLEMS, "linear_regression(d=4, n=12, seed=1, noise_std=0.1)")
-    ends = [40, 23, 33, 9]
-    kwargs = dict(seeds=range(4), sampler="epoch_shuffle", batch_size=2, cadence=7)
-    traces = whole_traces(Run(obj, NGN(1.0), ends, **kwargs))
-    for seed, (end, trace) in enumerate(zip(ends, traces)):
-        assert_same_trace(trace, one_trace(obj, NGN(1.0), end, seed=seed,
-                                           sampler="epoch_shuffle", batch_size=2, cadence=7))
-    run = Run(obj, NGN(1.0), ends, **kwargs)
-    chunks = list(run)
-    with pytest.raises(RuntimeError, match="ended at step 40"):
-        run.advance()
-    points = [metric_points(run, c) for c in chunks]  # the last chunk's add the finals
-    assert ([len(p[0]) - len(c.metric_steps) for p, c in zip(points, chunks)]
-            == [0] * (len(chunks) - 1) + [1])
-    steps = np.concatenate([c.metric_steps for c in chunks])
-    assert steps.tolist() == list(range(0, 40, 7))
-    values = np.concatenate([metrics(obj, p) for p in points], axis=2)
-    for r, (end, trace) in enumerate(zip(ends, traces)):
-        assert trace.metric_steps.tolist() == [k for k in steps if k < end] + [end]
-        cadence = len(trace.metric_steps) - 1
-        assert np.isnan(values[:, r, cadence:-1]).all()  # none after it retired
-        assert np.array_equal(values[:, r, :cadence], [trace.loss_full[:-1], trace.dist_sq[:-1],
-                                                       trace.grad_full_sq[:-1]])
-        assert np.array_equal(values[:, r, -1], [trace.loss_full[-1], trace.dist_sq[-1],
-                                                 trace.grad_full_sq[-1]])
-
-
 STREAM_CASES = {
     "uniform": ("two_quadratics()", lambda: NGN(0.5), 40, dict(seeds=range(3), cadence=3)),
     "epoch_shuffle": ("linear_regression(d=4, n=12, seed=1, noise_std=0.1)",
@@ -835,10 +683,13 @@ STREAM_CASES = {
     # the loss test stops every row at step 99 and sigma reads NaN from there;
     # the iterate test stops them at step 5, after the step, and NaN follows
     "loss_test": ("quadratic1d(lam=1.2, xstar=0.0, fstar=0.1)",
-                  lambda: ScheduledStep(lambda k, obs: 2.0), 150,
+                  lambda: Forced(NGN(1.0, "inv_linear"), 2,
+                                 dict.fromkeys(itertools.product(range(2), range(150)), 2.0)), 150,
                   dict(seeds=range(2), x0=np.array([3.0]), cadence=3)),
     "iterate_test": ("quadratic1d(lam=1.2, xstar=0.0, fstar=0.1)",
-                     lambda: ScheduledStep(lambda k, obs: 1e308 if k == 5 else 0.1), 150,
+                     lambda: Forced(NGN(1.0, "inv_linear"), 2, {
+                         (r, k): 1e308 if k == 5 else 0.1 for r in range(2) for k in range(150)}),
+                     150,
                      dict(seeds=range(2), x0=np.array([3.0]), cadence=3)),
     "some_diverged": ("linear_regression(d=1, n=6, seed=3)", lambda: Constant(5.0), 300,
                       dict(seeds=range(6), cadence=50)),
@@ -907,6 +758,9 @@ def test_consumers_need_a_run_at_step_zero(tmp_path, monkeypatch, chunks):
     for consume in (whole_traces, lambda run: write_traces(run, paths)):
         with pytest.raises(ValueError, match=f"advanced to step {10 * chunks}"):
             consume(run)
+    if chunks == 3:
+        with pytest.raises(RuntimeError, match="ended at step 30"):
+            run.advance()
     assert list(tmp_path.iterdir()) == []
     assert run.k == 10 * chunks
 
