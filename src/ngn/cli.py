@@ -30,7 +30,7 @@ from .objectives import FiniteSumObjective, make_blobs_dataset, write_libsvm
 from .runner import Run, RunError, aggregate_metric, write_traces
 from .specs import POLICIES, PROBLEMS, build_spec
 from .stepsizes import StepsizePolicy
-from .verify import REPORT_HEADER, SUITES, run_suites
+from .verify import REPORT_HEADER, SUITES, select_suites
 
 
 class ConfigError(Exception):
@@ -239,10 +239,11 @@ def cmd_verify(args) -> int:
         raise ConfigError("no suites selected; choose from "
                           f"{sorted(SUITES)} or 'all'")
     try:
-        reports = run_suites(args.suites)
+        suites = select_suites(args.suites)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out_dir = resolve_out_dir(args.out, None)
+    reports = [report for fn in suites for report in fn()]
     lines = [REPORT_HEADER] + [r.csv_row() for r in reports]
     (out_dir / "verify_report.csv").write_text("\n".join(lines) + "\n")
     for line in lines:

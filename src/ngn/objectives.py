@@ -38,11 +38,11 @@ def as_point(x, dim: Optional[int] = None) -> np.ndarray:
 ROW_BLOCK_ENTRIES = 1 << 16
 
 
-# Largest number of float64 entries a generated problem may hold in its
-# dense arrays together (rows x features of a dataset, d x d of a Hessian,
-# and rows x classes, the size of each of the full logistic objective's two
-# work arrays per point), and a loaded LIBSVM file in each of rows x
-# features and rows x distinct labels.
+# Largest number of float64 entries a generated problem or a loaded LIBSVM
+# file may hold in its dense arrays together: rows x features of a dataset,
+# d x d of a Hessian, and rows x classes (distinct labels), the size of the
+# logistic objective's label table and of its full objective's work array
+# per point.
 # 2^27 entries are 1 GiB; one stray LIBSVM index near 1e9, a distinct label
 # on every row, or a mistyped size would otherwise ask for far more.
 MAX_DENSE_ENTRIES = 1 << 27
@@ -167,22 +167,25 @@ class FiniteSumObjective:
             if batch == 1:
                 return values[:, 0], grads[:, 0]
             value_sum, grad_sum = _slot_sum(values, value_sum), _slot_sum(grads, grad_sum)
-        inv = 1.0 / batch
-        return (value_sum + 0.0) * inv, (grad_sum + 0.0) * inv
+        inv = np.array(1.0 / batch)
+        return (value_sum + _ZERO) * inv, (grad_sum + _ZERO) * inv
 
     def batch_evaluator(self, rows: int, batch: int):
         """eval_many for at most `rows` rows of `batch` components each.
 
-        At batch 1 with every row in one block, that is the evaluator with
-        its one batch slot dropped: eval_many's wrappers would change nothing.
+        With every row and batch slot in one block, that is the evaluator
+        and the means of its slot sums, or at batch 1 its one slot:
+        eval_many's blocking would change nothing.
         """
-        if batch > 1 or rows > _block_rows(self.dim):
+        if batch > _block_rows(self.dim) or rows > _block_rows(batch * self.dim):
             return self.eval_many
-        evaluator = self._evaluator
+        evaluator, inv = self._evaluator, np.array(1.0 / batch)
 
         def evaluate(idx: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             values, grads = evaluator(idx, X)
-            return values[:, 0], grads[:, 0]
+            if batch == 1:
+                return values[:, 0], grads[:, 0]
+            return (_slot_sum(values) + _ZERO) * inv, (_slot_sum(grads) + _ZERO) * inv
 
         return evaluate
 
@@ -195,7 +198,7 @@ class FiniteSumObjective:
 
 def _offsets(X: np.ndarray, centers: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """x - c_i for every (row, batch slot) of a 1-d problem: shape (S, b)."""
-    return X[:, :1] - centers[idx]
+    return X - centers[idx]
 
 
 # The 1-d and logistic evaluators run once per SGD step on a few numbers,
@@ -299,13 +302,18 @@ def make_linear_regression(
 
 def _softmax_ce(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cross-entropy loss and dL/dscores over the last axis, numerically stable."""
+    c = scores.shape[-1]
     shifted = scores - scores.max(axis=-1, keepdims=True)
+    # flat positions of each row's label score in the fresh, contiguous
+    # arrays shifted and exp. A sum of that score and zeros would turn -0.0
+    # into +0.0, but log(total) is never -0.0, so the loss does not see it
+    at = labels + np.arange(0, labels.size * c, c).reshape(labels.shape)
+    picked = shifted.take(at)
     exp = np.exp(shifted)
     total = exp.sum(axis=-1)
-    onehot = labels[..., None] == np.arange(scores.shape[-1])
-    # a sum of one entry and zeros is that entry exactly
-    picked = np.where(onehot, shifted, _ZERO).sum(axis=-1)
-    return np.log(total) - picked, exp / total[..., None] - onehot
+    exp /= total[..., None]
+    exp.reshape(-1)[at] -= 1.0
+    return np.log(total) - picked, exp
 
 
 def _sum_in_numpy_order(parts: Sequence[np.ndarray]) -> np.ndarray:
@@ -367,39 +375,39 @@ def make_logistic(dataset: Dataset, l2: float = 0.0) -> FiniteSumObjective:
             grad = grad + l2 * w[:, None]
         return loss, grad.reshape(len(X), idx.shape[1], dim)
 
-    # flat positions of each row's label score in a (c, n) class-major block
-    label_at = y * n + np.arange(n)
-    # (rows, n, c) and (rows, c, n) work arrays of the largest block so far,
-    # filled in place: arrays this size allocated afresh on every call take
-    # new pages from the OS each time. No returned array is a view of them;
-    # two threads must not evaluate one logistic objective at once.
-    work = [np.empty((0, n, c)), np.empty((0, c, n))]
+    # flat positions of each row's label score in an (n, c) block, and 1.0
+    # there in an (n, c) table of zeros
+    label_at = np.arange(n) * c + y
+    onehot = (y[:, None] == np.arange(c)).astype(float)
+    # (rows, n, c) work array of the largest block so far, filled in place:
+    # arrays this size allocated afresh on every call take new pages from the
+    # OS each time. No returned array is a view of it; two threads must not
+    # evaluate one logistic objective at once.
+    work = [np.empty((0, n, c))]
 
     def full(X):
         S = len(X)
         if S > len(work[0]):
-            work[:] = np.empty((S, n, c)), np.empty((S, c, n))
-        scores, cols = work[0][:S], work[1][:S]
+            work[0] = np.empty((S, n, c))
+        scores = work[0][:S]
         w = X.reshape(S, c, d)
         np.matmul(a, w.transpose(0, 2, 1), out=scores)  # (S, n, c)
-        # class-major, one contiguous row per class: the max and the sum over
-        # the short class axis take one ufunc call per class, where a
-        # reduction pays numpy's overhead per row, and round as _softmax_ce's
-        np.copyto(cols, scores.transpose(0, 2, 1))  # (S, c, n)
-        top = cols[:, 0].copy()
+        # the max and the sum over the short class axis take one ufunc call
+        # per class column, where a reduction pays numpy's overhead per row,
+        # and round as _softmax_ce's. Everything stays in this layout: w @ a.T
+        # into class-major rows need not round as a @ w.T, and dscores' layout
+        # decides how the gradient matmul rounds
+        top = scores[..., 0].copy()
         for j in range(1, c):
-            np.maximum(top, cols[:, j], out=top)
-        cols -= top[:, None]
-        flat = cols.reshape(S, c * n)
-        # the label's shifted score; + 0.0 as the sum of it and zeros
-        picked = flat[:, label_at] + _ZERO
-        np.exp(cols, out=cols)
-        total = _sum_in_numpy_order(cols.transpose(1, 0, 2))
+            np.maximum(top, scores[..., j], out=top)
+        scores -= top[..., None]
+        flat = scores.reshape(S, n * c)
+        picked = flat.take(label_at, axis=1)  # the label's shifted score, as in _softmax_ce
+        np.exp(scores, out=scores)
+        total = _sum_in_numpy_order(scores.transpose(2, 0, 1))
         loss = (np.log(total) - picked).mean(axis=-1)
-        cols /= total[:, None]
-        flat[:, label_at] -= 1.0
-        # dscores back to (S, n, c): the gradient matmul rounds by its operand layout
-        np.copyto(scores, cols.transpose(0, 2, 1))
+        scores /= total[..., None]
+        scores -= onehot  # p - 0.0 is p
         grad = (scores.transpose(0, 2, 1) @ a) / n
         if l2 > 0:
             loss = loss + 0.5 * l2 * np.vecdot(X, X)
@@ -567,6 +575,8 @@ def load_libsvm(path) -> Dataset:
                     val = float(val_s)
                 except ValueError:
                     raise ParseError(f"line {lineno}: non-numeric entry {token!r}")
+                if not math.isfinite(val):
+                    raise ParseError(f"line {lineno}: non-finite value {token!r}")
                 if idx < 1:
                     raise ParseError(f"line {lineno}: index {idx} is not 1-based")
                 if idx in entries:
@@ -577,13 +587,11 @@ def load_libsvm(path) -> Dataset:
             rows.append(entries)
     if not rows:
         raise ParseError("no samples")
-    if len(rows) * max_index > MAX_DENSE_ENTRIES:
-        raise ParseError(f"{len(rows)} rows x {max_index} features exceed the dense size "
-                         f"cap of {MAX_DENSE_ENTRIES} entries")
     distinct = sorted(set(labels_raw))
-    if len(rows) * len(distinct) > MAX_DENSE_ENTRIES:
-        raise ParseError(f"{len(rows)} rows x {len(distinct)} distinct labels exceed the dense "
-                         f"size cap of {MAX_DENSE_ENTRIES} entries")
+    if len(rows) * (max_index + len(distinct)) > MAX_DENSE_ENTRIES:
+        raise ParseError(f"{len(rows)} rows x {max_index} features and {len(rows)} rows x "
+                         f"{len(distinct)} distinct labels together exceed the dense size "
+                         f"cap of {MAX_DENSE_ENTRIES} entries")
     features = np.zeros((len(rows), max_index))
     for r, entries in enumerate(rows):
         for idx, val in entries.items():

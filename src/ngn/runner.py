@@ -102,9 +102,11 @@ class Chunk:
     stopped; whoever reads a metric evaluates it there (`metrics`). A
     row's last iterate stays in `Run.X`.
 
-    The per-step fields loss_batch, gamma, grad_sq and stationary may be
-    non-contiguous views, transposes of the run's step-major stores: copy
-    one before handing it to code that needs contiguous memory.
+    The per-step fields batch_ids, loss_batch, gamma, grad_sq and
+    stationary may be non-contiguous views, transposes of the run's
+    step-major stores (batch_ids always is one, of the (k1 - k0, S, batch)
+    index table): copy one before handing it to code that needs contiguous
+    memory.
     """
 
     k0: int
@@ -234,7 +236,8 @@ class Run:
         n_steps = k1 - k0
         obj, policy, cadence, full_batch = self.obj, self.policy, self.cadence, self.full_batch
         n_rows, dim = len(self.seeds), obj.dim
-        tables = np.stack([s.draw(n_steps) for s in self._samplers])
+        # step-major, so that step j's indices are one contiguous block tables[j]
+        tables = np.stack([s.draw(n_steps) for s in self._samplers], axis=1)
         sigma = policy.sigma_schedule(k1, k0)
 
         # Chunk arrays hold the rows running at k0, compact, so that rows
@@ -243,7 +246,7 @@ class Run:
         rows = self._rows
         x, sel, retire_at = rows.start()
         n_start = len(x)
-        batch_c = tables if n_start == n_rows else tables[rows.at_k0]
+        batch_c = tables if n_start == n_rows else tables[:, rows.at_k0]
         # step-major, so that each step writes contiguous rows: step j's batch
         # losses and squared gradient norms are lg_c[j], one row lg_flat[j]
         lg_c = np.full((n_steps, 2, n_start), np.nan)
@@ -258,7 +261,7 @@ class Run:
         i, point = 0, int(metric_steps[0]) if len(metric_steps) else -1
         component_min = None
         if policy.requires_component_min and obj.f_i_star is not None:
-            component_min = obj.f_i_star[batch_c].mean(axis=-1)  # (n_start, n_steps or 1)
+            component_min = obj.f_i_star[batch_c].mean(axis=-1)  # (n_steps or 1, n_start)
 
         # hoist hot-loop lookups
         evaluate = self._evaluate
@@ -273,7 +276,7 @@ class Run:
         def probe(gamma: np.ndarray) -> np.ndarray:
             """Batch loss of every running row at x - gamma * grad."""
             trial = x - gamma[:, None] * grad
-            return (full_many(trial) if full_batch else evaluate(batch_c[sel, j], trial))[0]
+            return (full_many(trial) if full_batch else evaluate(batch_c[j, sel], trial))[0]
 
         # One observation, refreshed in place each step: the runner's losses are
         # clamped at zero and its squared norms are sums of squares, so the
@@ -295,7 +298,7 @@ class Run:
                 if full_batch:
                     loss, grad = full_many(x)
                 else:
-                    loss, grad = evaluate(batch_c[sel, j], x)
+                    loss, grad = evaluate(batch_c[j, sel], x)
                 # loss and gsq go straight into the store's row for step j; once
                 # a row has stopped in this chunk, into a compact row copied there
                 n = len(x)
@@ -323,7 +326,7 @@ class Run:
                 obs.loss = np.maximum(loss, zero)
                 obs.grad_sq_norm = gsq
                 if component_min is not None:
-                    obs.component_min = component_min[sel, 0 if full_batch else j]
+                    obs.component_min = component_min[0 if full_batch else j, sel]
                 try:
                     gamma = policy_stepsize(obs)
                 except Exception as exc:  # noqa: BLE001 - annotate with step index
@@ -351,7 +354,7 @@ class Run:
 
         self.k = k1
         self.X[rows.ids] = rows.x = x
-        return Chunk(k0, k1, tables, rows.whole(lg_c[:, 0].T, np.nan),
+        return Chunk(k0, k1, tables.transpose(1, 0, 2), rows.whole(lg_c[:, 0].T, np.nan),
                      rows.whole(gamma_c.T, np.nan), rows.whole(lg_c[:, 1].T, np.nan),
                      rows.whole(stationary_c.T, False), sigma, metric_steps,
                      rows.whole(iterates_c, np.nan))

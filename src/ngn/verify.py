@@ -13,7 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -521,15 +521,21 @@ def check_gradients(points_per_family: int = 100, seed: int = 0) -> CheckReport:
     )
 
 
+def _trials(trials: int, seed: int) -> np.ndarray:
+    """(3, trials) losses, squared gradient norms and sigmas, 10^u for u uniform in
+    [-6, 2], [-8, 4] and [-2, 2], drawn a trial at a time in that order.
+
+    The powers are Python floats, since numpy's `10.0 ** array` need not
+    round as Python's pow does and the measured values must not move.
+    """
+    _check_size("trials", trials)
+    exponents = np.random.default_rng(seed).uniform([-6, -8, -2], [2, 4, 2], size=(trials, 3))
+    return np.array([10.0 ** e for e in exponents.ravel().tolist()]).reshape(-1, 3).T
+
+
 def check_ggn_reductions(trials: int = 10_000, seed: int = 0) -> CheckReport:
     """monomial(p=2) == quadratic == NGN; neg_log matches its closed form."""
-    _check_size("trials", trials)
-    rng = np.random.default_rng(seed)
-    # each trial's loss, gsq and sigma exponents, drawn in that order; the
-    # powers are Python floats, since numpy's `10.0 ** array` need not round
-    # as Python's pow does and the measured value must not move
-    exponents = rng.uniform([-6, -8, -2], [2, 4, 2], size=(trials, 3))
-    loss, gsq, sigma = np.array([10.0 ** e for e in exponents.ravel().tolist()]).reshape(-1, 3).T
+    loss, gsq, sigma = _trials(trials, seed)
     # one call for every trial: the policies read each trial's sigma from the observation
     obs = StepObservation(0, loss, gsq, sigma=sigma)
     base = NGN(1.0).stepsize(obs)
@@ -554,24 +560,19 @@ def check_ggn_reductions(trials: int = 10_000, seed: int = 0) -> CheckReport:
 
 def check_baseline_sanity(trials: int = 10_000, seed: int = 0) -> CheckReport:
     """AdaGrad-norm monotone, SPS cap, NGN harmonic-mean identity."""
-    _check_size("trials", trials)
-    rng = np.random.default_rng(seed)
+    loss, gsq, sigma = _trials(trials, seed)
+    # AdaGrad's accumulator takes one trial at a time; SPS and NGN take every trial in one call
     adagrad = AdaGradNorm(eta=1.5, delta0=0.01)
+    step, g_ada = StepObservation(0, 0.0, 0.0), []  # step is refreshed in place
+    for step.k, step.grad_sq_norm in enumerate(gsq.tolist()):
+        g_ada.append(adagrad.stepsize(step))
+    obs = StepObservation(0, loss, gsq, component_min=0.0, sigma=sigma)
     sps = SPSMax(c=1.0, gamma_b=3.0)
-    worst = 0.0
-    prev = math.inf
-    for k in range(trials):
-        loss = 10.0 ** rng.uniform(-6, 2)
-        gsq = 10.0 ** rng.uniform(-8, 4)
-        sigma = 10.0 ** rng.uniform(-2, 2)
-        obs = StepObservation(k, loss, gsq, component_min=0.0, sigma=sigma)
-        g_ada = adagrad.stepsize(obs)
-        worst = max(worst, g_ada - prev)
-        prev = g_ada
-        worst = max(worst, sps.stepsize(obs) - sps.gamma_b)
-        harmonic = 2.0 / (2.0 / sigma + gsq / loss)
-        ngn = NGN(sigma).stepsize(obs)
-        worst = max(worst, abs(ngn - harmonic) / ngn - 1e-12)
+    ngn = NGN(1.0).stepsize(obs)
+    harmonic = 2.0 / (2.0 / sigma + gsq / loss)
+    worst = float(max(0.0, np.max(np.diff(g_ada), initial=-math.inf),
+                      np.max(sps.stepsize(obs) - sps.gamma_b),
+                      np.max(np.abs(ngn - harmonic) / ngn - 1e-12)))
     return CheckReport(
         name="baseline_sanity",
         params={"trials": trials},
@@ -625,14 +626,15 @@ SUITES = {
 }
 
 
-def run_suites(names: Sequence[str]) -> list[CheckReport]:
-    """The reports of the named suites in order, 'all' for every suite; ValueError for
-    an unknown name, before any suite runs."""
+def select_suites(names: Sequence[str]) -> list[Callable[[], list[CheckReport]]]:
+    """The named suites in order, 'all' for every suite; ValueError for an unknown name."""
     unknown = [name for name in names if name != "all" and name not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite {unknown[0]!r}; known: {sorted(SUITES)} or 'all'")
-    reports: list[CheckReport] = []
-    for name in names:
-        for fn in SUITES.values() if name == "all" else [SUITES[name]]:
-            reports.extend(fn())
-    return reports
+    return [fn for name in names for fn in (SUITES.values() if name == "all" else [SUITES[name]])]
+
+
+def run_suites(names: Sequence[str]) -> list[CheckReport]:
+    """The reports of the named suites in order; ValueError for an unknown name, before
+    any suite runs."""
+    return [report for fn in select_suites(names) for report in fn()]

@@ -2,6 +2,8 @@ import hashlib
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -363,6 +365,20 @@ def test_verify_rejects_an_unknown_suite_before_running_any(tmp_path, monkeypatc
     assert "unknown suite 'bogus'" in capsys.readouterr().err
 
 
+def test_verify_makes_its_output_directory_before_running_a_suite(tmp_path, monkeypatch, capsys):
+    def fail():
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setitem(verify.SUITES, "rates", fail)
+    file = tmp_path / "file"
+    file.write_text("")
+    assert main(["verify", "rates", "--out", str(file / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot create output directory")
+    # an unknown suite name is rejected before the directory is made
+    assert main(["verify", "rates", "bogus", "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--config", "{cfg}", "--out", "{file}"],
     ["verify", "gradients", "--out", "{file}/x"],
@@ -379,6 +395,14 @@ def test_output_path_at_a_file_is_config_error(tmp_path, capsys, argv):
 
 def test_verify_empty_selection(tmp_path):
     assert main(["verify", "--out", str(tmp_path)]) == 2
+
+
+def test_python_dash_m_passes_the_exit_status(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-m", "ngn", "verify", "bogus"], cwd=tmp_path,
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.startswith("config error: unknown suite 'bogus'")
 
 
 def test_datagen_blobs_round_trip(tmp_path):

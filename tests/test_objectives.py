@@ -440,6 +440,64 @@ def test_logistic_full_matches_class_axis_reductions():
                         classes, l2, scale, S)
 
 
+def reference_softmax_ce(scores, labels):
+    """The batch softmax as first written: a bool one-hot, a where-sum and a bool subtract."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=-1)
+    onehot = labels[..., None] == np.arange(scores.shape[-1])
+    picked = np.where(onehot, shifted, 0.0).sum(axis=-1)
+    return np.log(total) - picked, exp / total[..., None] - onehot
+
+
+def reference_logistic(dataset: Dataset, l2: float) -> FiniteSumObjective:
+    """The logistic objective on reference_softmax_ce and reference_logistic_full."""
+    a, y, c = dataset.features, dataset.labels, dataset.num_classes
+    n, d = a.shape
+
+    def evaluator(idx, X):
+        w = X.reshape(len(X), c, d)
+        rows = a[idx]
+        scores = (w[:, None] @ rows[..., None])[..., 0]
+        loss, dscores = reference_softmax_ce(scores, y[idx])
+        loss = np.maximum(loss, 0.0)
+        grad = dscores[..., :, None] * rows[..., None, :]
+        if l2 > 0:
+            loss = loss + (0.5 * l2 * np.vecdot(X, X))[:, None]
+            grad = grad + l2 * w[:, None]
+        return loss, grad.reshape(len(X), idx.shape[1], c * d)
+
+    return FiniteSumObjective(n, c * d, evaluator, full=reference_logistic_full(dataset, l2))
+
+
+# n, d, classes of the bit-for-bit logistic fixtures: n = 2 classes + 40 and
+# d = 3, and one shape (n not a multiple of 8, 12 classes or more) where on
+# OpenBLAS w @ a.T into class-major rows rounds otherwise than a @ w.T
+LOGISTIC_BIT_SHAPES = [(2 * c + 40, 3, c) for c in (1, 2, 3, 5, 8, 9, 17)] + [(210, 10, 12)]
+
+
+@pytest.mark.parametrize("n, d, classes", LOGISTIC_BIT_SHAPES)
+def test_logistic_matches_the_reference_softmax_bit_for_bit(n, d, classes):
+    rng = np.random.default_rng(classes)
+    data = make_blobs_dataset(n=n, d=d, classes=classes, seed=classes)
+    for l2 in (0.0, 1e-4):
+        obj, reference = make_logistic(data, l2=l2), reference_logistic(data, l2)
+        # 1e150 and 1e308 overflow the scores to inf and NaN
+        for scale in (0.3, 30.0, 1e3, 1e150, 1e308):
+            for S in (1, 3, 20):
+                with np.errstate(all="ignore"):
+                    X = rng.standard_normal((S, obj.dim)) * scale
+                    pairs = [(obj.full_many(X), reference.full_many(X))]
+                    for batch in (1, 5, 16):
+                        idx = rng.integers(0, n, (S, batch))
+                        want = reference.eval_many(idx, X)
+                        pairs += [(obj.eval_many(idx, X), want),
+                                  (obj.batch_evaluator(S, batch)(idx, X), want)]
+                for got, want in pairs:
+                    assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want)), (
+                        l2, scale, S)
+
+
 def full_peak(obj, X) -> int:
     tracemalloc.start()
     try:
@@ -553,14 +611,37 @@ def test_libsvm_rejects_non_finite_label(tmp_path, label):
 
 
 def test_libsvm_rows_times_labels_cap(tmp_path, monkeypatch):
-    # a distinct label on every row: the logistic scores grow with rows^2
+    # a distinct label on every row: the logistic scores grow with rows^2;
+    # 11 x 11 label entries and 11 x 1 feature entries
     path = tmp_path / "labels.svm"
     path.write_text("".join(f"{i} 1:0.5\n" for i in range(11)))
-    monkeypatch.setattr(objectives, "MAX_DENSE_ENTRIES", 120)
+    monkeypatch.setattr(objectives, "MAX_DENSE_ENTRIES", 131)
     with pytest.raises(ParseError, match="11 rows x 11 distinct labels"):
         load_libsvm(path)
-    monkeypatch.setattr(objectives, "MAX_DENSE_ENTRIES", 121)
+    monkeypatch.setattr(objectives, "MAX_DENSE_ENTRIES", 132)
     assert load_libsvm(path).num_classes == 11
+
+
+def test_libsvm_caps_features_and_labels_together(tmp_path, monkeypatch):
+    # 10 x 10 feature entries and 10 x 10 label entries, each within the cap
+    # of 100 but not together, as make_blobs_dataset(10, 10, 10, 0) is not
+    path = tmp_path / "square.svm"
+    path.write_text("".join(f"{i} 10:0.5\n" for i in range(10)))
+    monkeypatch.setattr(objectives, "MAX_DENSE_ENTRIES", 100)
+    with pytest.raises(ParseError, match="10 rows x 10 features and 10 rows x 10 distinct"):
+        load_libsvm(path)
+    with pytest.raises(ValueError, match="cap"):
+        make_blobs_dataset(10, 10, 10, 0)
+    monkeypatch.setattr(objectives, "MAX_DENSE_ENTRIES", 200)
+    assert load_libsvm(path).features.shape == (10, 10)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_libsvm_rejects_non_finite_value(tmp_path, value):
+    path = tmp_path / "values.svm"
+    path.write_text(f"1 1:0.5\n2 1:1.0 2:{value}\n")
+    with pytest.raises(ParseError, match=f"line 2: non-finite value '2:{value}'"):
+        load_libsvm(path)
 
 
 def test_dataset_validation():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ngn import stepsizes, theory
+from ngn import stepsizes, theory, verify
 from ngn.objectives import make_nonconvex_sum
 from ngn.runner import Run
 from ngn.verify import (
@@ -55,8 +55,15 @@ def test_ggn_and_baseline_checks_pass():
     assert check_baseline_sanity().passed
 
 
+class OffNGN(stepsizes.NGN):
+    """NGN off by one part in 1e9, so that criterion 12's harmonic-mean term reads above 0."""
+
+    def stepsize(self, obs):
+        return super().stepsize(obs) * (1.0 + 1e-9)
+
+
 @pytest.mark.parametrize("trials, seed", [(1, 0), (1000, 0), (1000, 5)])
-def test_identity_checks_match_a_loop_over_trials(trials, seed):
+def test_identity_checks_match_a_loop_over_trials(trials, seed, monkeypatch):
     # one policy call over every trial measures, bit for bit, what one call
     # per trial measures, each trial's values drawn as the loop draws them
     rng = np.random.default_rng(seed)
@@ -84,6 +91,22 @@ def test_identity_checks_match_a_loop_over_trials(trials, seed):
         worst = max(worst, abs(quad - base) / base, abs(mono - base) / base,
                     abs(nlog - sigma / (1.0 + sigma * gsq)) / nlog)
     assert check_ggn_reductions(trials, seed).measured == worst
+
+    rng = np.random.default_rng(seed)
+    adagrad, sps = stepsizes.AdaGradNorm(eta=1.5, delta0=0.01), stepsizes.SPSMax(1.0, 3.0)
+    worst, prev = 0.0, math.inf
+    for k in range(trials):
+        loss, gsq, sigma = (10.0 ** rng.uniform(-6, 2), 10.0 ** rng.uniform(-8, 4),
+                            10.0 ** rng.uniform(-2, 2))
+        obs = stepsizes.StepObservation(k, loss, gsq, component_min=0.0, sigma=sigma)
+        g_ada = adagrad.stepsize(obs)
+        worst, prev = max(worst, g_ada - prev, sps.stepsize(obs) - sps.gamma_b), g_ada
+        ngn = OffNGN(sigma).stepsize(obs)
+        harmonic = 2.0 / (2.0 / sigma + gsq / loss)
+        worst = max(worst, abs(ngn - harmonic) / ngn - 1e-12)
+    monkeypatch.setattr(verify, "NGN", OffNGN)
+    measured = check_baseline_sanity(trials, seed).measured
+    assert measured == worst and measured > 0.0
 
 
 @pytest.mark.parametrize("check, size", [
