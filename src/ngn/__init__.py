@@ -28,7 +28,7 @@ from .runner import (
     aggregate_metric,
     write_traces,
 )
-from .specs import POLICIES, PROBLEMS, SpecError, build_spec
+from .specs import DATASETS, POLICIES, PROBLEMS, SpecError, build, build_spec
 from .stepsizes import (
     APS,
     GGN,
@@ -37,7 +37,6 @@ from .stepsizes import (
     Armijo,
     ArmijoSearchError,
     Constant,
-    PolicyError,
     PolyakKnownFStar,
     SPSMax,
     StepObservation,

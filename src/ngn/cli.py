@@ -26,9 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .objectives import FiniteSumObjective, make_blobs_dataset, write_libsvm
+from .objectives import FiniteSumObjective, write_libsvm
 from .runner import Run, RunError, aggregate_metric, write_traces
-from .specs import POLICIES, PROBLEMS, build_spec
+from .specs import DATASETS, POLICIES, PROBLEMS, build_spec
 from .stepsizes import StepsizePolicy
 from .verify import REPORT_HEADER, SUITES, select_suites
 
@@ -71,7 +71,7 @@ def parse_config(path) -> ExperimentConfig:
     """Parse a flat key = value config file into an ExperimentConfig.
 
     This checks the file's form and each value's type; whether the run can
-    use the values is `runner.check_run`'s rule, applied in `_build_runs`.
+    use the values is `runner.check_run`'s rule, applied in `_build_run`.
     """
     entries: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     try:
@@ -116,7 +116,7 @@ def build_problem(spec: str) -> FiniteSumObjective:
 
 
 def build_policy(spec: str, **overrides) -> StepsizePolicy:
-    """Instantiate a policy; `overrides` replace spec parameters (sweep points)."""
+    """Instantiate a policy; `overrides` replace spec parameters (a sweep's values per row)."""
     try:
         return build_spec(POLICIES, spec, **overrides)
     except ValueError as exc:
@@ -147,20 +147,21 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _build_runs(cfg: ExperimentConfig, points: Sequence[dict]) -> list[Run]:
-    """One `Run` per point; what `runner.check_run` rejects there is a config error."""
+def _build_run(cfg: ExperimentConfig, values: Sequence[float] = ()) -> Run:
+    """The config's one `Run`: a row per seed, or with sweep `values` a row per (value,
+    seed), the parameter `cfg.axis` holding each row's value. What `runner.check_run`
+    rejects is a config error."""
     obj = build_problem(cfg.problem)
+    seeds = sorted(cfg.seeds)
+    overrides = {cfg.axis: np.repeat(values, len(seeds))} if values else {}
+    policy = build_policy(cfg.policy, **overrides)
     x0 = np.array(cfg.x0) if cfg.x0 is not None else None
     cadence = cfg.cadence if cfg.cadence is not None else cfg.steps
-    runs = []
-    for overrides in points:
-        policy = build_policy(cfg.policy, **overrides)
-        try:
-            runs.append(Run(obj, policy, cfg.steps, seeds=sorted(cfg.seeds), sampler=cfg.sampler,
-                            batch_size=cfg.batch_size, x0=x0, cadence=cadence))
-        except ValueError as exc:
-            raise ConfigError(f"{cfg.policy} on {cfg.problem}: {exc}") from exc
-    return runs
+    try:
+        return Run(obj, policy, cfg.steps, seeds=seeds * max(len(values), 1),
+                   sampler=cfg.sampler, batch_size=cfg.batch_size, x0=x0, cadence=cadence)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.policy} on {cfg.problem}: {exc}") from exc
 
 
 AGGREGATE_METRICS = ("loss_full_final", "dist_sq_final", "grad_full_sq_final", "gamma_final")
@@ -180,7 +181,7 @@ def _write_aggregate(finals: np.ndarray, path: Path) -> None:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    (run,) = _build_runs(cfg, [{}])
+    run = _build_run(cfg)
     out_dir = resolve_out_dir(args.out, cfg.out)
     finals = write_traces(run, [out_dir / f"trace_seed{seed}.csv" for seed in run.seeds])
     for seed, step in zip(run.seeds, run.diverged_step.tolist()):
@@ -198,17 +199,19 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep config needs 'axis' and a nonempty 'values' grid")
     if len(set(cfg.values)) < len(cfg.values):
         raise ConfigError(f"sweep values must be distinct, got {', '.join(map(repr, cfg.values))}")
-    runs = _build_runs(cfg, [{cfg.axis: value} for value in cfg.values])
+    run = _build_run(cfg, cfg.values)
     out_dir = resolve_out_dir(args.out, cfg.out)
+    # no trace files: each row's final loss, and whether it diverged, by (value, seed)
+    shape = len(cfg.values), len(cfg.seeds)
+    losses = write_traces(run, [])[:, 0].reshape(shape)
+    diverged = (run.diverged_step >= 0).reshape(shape)
     rows = []  # (value, Aggregate of the final losses, or None when a seed diverged)
-    for value, run in zip(cfg.values, runs):
-        finals = write_traces(run, [])  # no trace files: the final values only
-        n_diverged = int(np.sum(run.diverged_step >= 0))
-        if n_diverged:
-            print(f"{cfg.axis} = {value}: {n_diverged} of {len(run.seeds)} seed(s) diverged")
+    for value, final, bad in zip(cfg.values, losses, diverged):
+        if bad.any():
+            print(f"{cfg.axis} = {value}: {bad.sum()} of {len(bad)} seed(s) diverged")
             rows.append((value, None))
         else:
-            rows.append((value, aggregate_metric(finals[:, 0])))
+            rows.append((value, aggregate_metric(final)))
 
     finite = [(value, agg) for value, agg in rows if agg is not None]
     best_value, best = min(finite, key=lambda row: row[1].mean) if finite else (None, None)
@@ -256,32 +259,16 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _params_from_pairs(pairs: Sequence[str]) -> dict[str, str]:
-    params = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"expected key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
-        params[key.strip()] = value.strip()
-    return params
-
-
 def cmd_datagen(args) -> int:
-    params = _params_from_pairs(args.params)
-    out = Path(args.out) if args.out else None
-    if out is None:
+    if not args.out:
         raise ConfigError("datagen requires --out FILE")
-    _make_dir(out.parent)
-    try:
-        data = make_blobs_dataset(
-            n=int(params.get("n", 200)),
-            d=int(params.get("d", 5)),
-            classes=int(params.get("classes", 3)),
-            seed=int(params.get("seed", 0)),
-        )
-        write_libsvm(data, out)
+    try:  # the key=value pairs are a spec's parameters
+        data = build_spec(DATASETS, f"{args.kind}({', '.join(args.params)})")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    out = Path(args.out)
+    _make_dir(out.parent)
+    write_libsvm(data, out)
     print(f"wrote {out}")
     return 0
 
@@ -315,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.set_defaults(func=cmd_verify)
 
     datagen_p = sub.add_parser("datagen", help="write a synthetic dataset")
-    datagen_p.add_argument("kind", choices=["blobs"])
+    datagen_p.add_argument("kind", choices=list(DATASETS))
     datagen_p.add_argument("params", nargs="*", help="key=value pairs")
     datagen_p.add_argument("--out", required=True)
     datagen_p.set_defaults(func=cmd_datagen)

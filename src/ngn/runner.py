@@ -62,13 +62,20 @@ class _Sampler:
 def check_run(obj: FiniteSumObjective, policy: StepsizePolicy, steps: int, *,
               seeds: Sequence[int] = (0,), sampler: str = "with_replacement_uniform",
               batch_size: int = 1, x0: Optional[np.ndarray] = None) -> None:
-    """Raise ValueError unless this objective and policy can run with these parameters."""
+    """Raise ValueError unless this objective and policy can run with these parameters.
+
+    Row r runs seed seeds[r] with the policy's values of row r: no two rows may
+    have the same seed and the same parameter values.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not seeds:
         raise ValueError("at least one seed is required")
-    if len(set(seeds)) < len(seeds):
-        raise ValueError(f"seeds must be distinct, got {', '.join(map(str, seeds))}")
+    rows = list(zip(seeds, policy.row_params(len(seeds))))
+    if len(set(rows)) < len(rows):
+        seed, values = next(row for r, row in enumerate(rows) if row in rows[:r])
+        raise ValueError(f"each row needs its own seed or parameter values; seed {seed} "
+                         "repeats" + (f" with parameter values {values}" if values else ""))
     if min(seeds) < 0:
         raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
     if sampler not in SAMPLERS:
@@ -102,11 +109,12 @@ class Chunk:
     stopped; whoever reads a metric evaluates it there (`metrics`). A
     row's last iterate stays in `Run.X`.
 
-    The per-step fields batch_ids, loss_batch, gamma, grad_sq and
-    stationary may be non-contiguous views, transposes of the run's
+    The per-step fields batch_ids, loss_batch, gamma, grad_sq, stationary
+    and sigma may be non-contiguous views, transposes of the run's
     step-major stores (batch_ids always is one, of the (k1 - k0, S, batch)
-    index table): copy one before handing it to code that needs contiguous
-    memory.
+    index table, and sigma a read-only one, with a stride of 0 across rows
+    when they share one sigma): copy one before handing it to code that
+    needs contiguous memory.
     """
 
     k0: int
@@ -116,7 +124,7 @@ class Chunk:
     gamma: np.ndarray
     grad_sq: np.ndarray
     stationary: np.ndarray
-    sigma: np.ndarray  # (k1 - k0,) sigma_k, the same for every row
+    sigma: np.ndarray  # each row's sigma_k, NaN only for a row stopped before k0
     metric_steps: np.ndarray  # (m,) the cadence points' steps
     iterates: np.ndarray  # (S, m, d) x^k at metric_steps
 
@@ -238,7 +246,6 @@ class Run:
         n_rows, dim = len(self.seeds), obj.dim
         # step-major, so that step j's indices are one contiguous block tables[j]
         tables = np.stack([s.draw(n_steps) for s in self._samplers], axis=1)
-        sigma = policy.sigma_schedule(k1, k0)
 
         # Chunk arrays hold the rows running at k0, compact, so that rows
         # running on after others stopped take plain slices. The step loop
@@ -246,6 +253,10 @@ class Run:
         rows = self._rows
         x, sel, retire_at = rows.start()
         n_start = len(x)
+        # (n_steps, n_start) sigma_k of each running row: the policy's sigma
+        # holds one value for them all or one for each
+        sigma = policy.sigma_schedule(k1, k0)
+        sigma = np.broadcast_to(sigma[:, None] if sigma.ndim == 1 else sigma, (n_steps, n_start))
         batch_c = tables if n_start == n_rows else tables[:, rows.at_k0]
         # step-major, so that each step writes contiguous rows: step j's batch
         # losses and squared gradient norms are lg_c[j], one row lg_flat[j]
@@ -320,7 +331,7 @@ class Run:
                             break
                         loss, grad, gsq = loss[~bad], grad[~bad], gsq[~bad]
 
-                obs.k, obs.sigma = k, sigma[j, ...]  # 0-d: ufuncs take it faster than a float64
+                obs.k, obs.sigma = k, sigma[j, sel]
                 # a NaN loss has stopped its row, so this clamps -0.0 and
                 # negatives to +0.0 and nothing else
                 obs.loss = np.maximum(loss, zero)
@@ -356,7 +367,7 @@ class Run:
         self.X[rows.ids] = rows.x = x
         return Chunk(k0, k1, tables.transpose(1, 0, 2), rows.whole(lg_c[:, 0].T, np.nan),
                      rows.whole(gamma_c.T, np.nan), rows.whole(lg_c[:, 1].T, np.nan),
-                     rows.whole(stationary_c.T, False), sigma, metric_steps,
+                     rows.whole(stationary_c.T, False), rows.whole(sigma.T, np.nan), metric_steps,
                      rows.whole(iterates_c, np.nan))
 
 
@@ -513,7 +524,7 @@ def write_traces(run: Run, paths: Sequence) -> np.ndarray:
                 gamma = chunk.gamma[r]
                 _write_rows(fh, steps[:n_rows], chunk.batch_ids[r],
                             (chunk.loss_batch[r], gamma,
-                             np.where(np.isnan(gamma), np.nan, chunk.sigma), chunk.grad_sq[r]),
+                             np.where(np.isnan(gamma), np.nan, chunk.sigma[r]), chunk.grad_sq[r]),
                             chunk.k0, run.cadence, chunk.metric_steps, values[:, r])
             # the last gamma of each row that ended in this chunk
             ended = (chunk.k0 < run.ends) & (run.ends <= chunk.k1) & (run.diverged_step < 0)

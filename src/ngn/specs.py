@@ -1,8 +1,10 @@
 """The spec grammar ``name(key=value, ...)`` and the one table behind it.
 
 Each table entry declares its parameters once: a default value, or a type
-when the parameter is required. Parsing, type conversion, defaults and
-every error message for problem and policy specs come from these tables.
+when the parameter is required, and beside it the `Bound` that each value
+must meet, if any. Parsing, type conversion, defaults, the checks and every
+error message for problem, policy and dataset specs come from these tables;
+every policy is built through them (`build` or `build_spec`).
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .objectives import (
     load_libsvm,
@@ -34,13 +38,37 @@ from .stepsizes import (
 
 
 class SpecError(ValueError):
-    """Unparsable spec, unknown name, or unknown, missing, mistyped or non-finite parameter."""
+    """Unparsable spec, unknown name, or unknown, missing, mistyped or out-of-bounds parameter."""
+
+
+@dataclass(frozen=True)
+class Bound:
+    """What each value of a parameter must be: `text` says it, `holds(value)` tests one value."""
+
+    text: str
+    holds: Callable[[object], bool]
+
+
+FINITE = Bound("finite", math.isfinite)  # every float parameter's
+POSITIVE = Bound("positive", lambda v: v > 0)
+NONNEGATIVE = Bound("nonnegative", lambda v: v >= 0)
+OPEN_UNIT = Bound("in (0, 1)", lambda v: 0 < v < 1)
+ABOVE_ONE = Bound("above 1", lambda v: v > 1)
+
+
+def one_of(*choices: str) -> Bound:
+    return Bound(f"one of {', '.join(choices)}", choices.__contains__)
 
 
 @dataclass(frozen=True)
 class Entry:
     build: Callable
-    params: dict  # name -> default value, or its type when required
+    params: dict  # name -> default value, or its type when required; alone or (it, Bound)
+
+
+def declaration(declared) -> tuple:
+    """(default value or type, Bound or None) of a parameter that a table declares."""
+    return declared if isinstance(declared, tuple) else (declared, None)
 
 
 PROBLEMS = {
@@ -57,18 +85,27 @@ PROBLEMS = {
     "nonconvex_sum": Entry(make_nonconvex_sum, {"n": 8, "seed": 0, "eps": 0.5}),
 }
 
+# A numeric policy parameter takes one value, or an array of one value per row of a run
 POLICIES = {
-    "ngn": Entry(NGN, {"sigma": float}),
-    "ngn_annealed": Entry(lambda sigma0, schedule: NGN(sigma0, schedule),
-                          {"sigma0": float, "schedule": "inv_sqrt"}),
-    "ggn": Entry(lambda sigma, h, p: GGN(sigma, h, p),
-                 {"sigma": float, "h": "quadratic", "p": 2.0}),
+    "ngn": Entry(NGN, {"sigma": (float, POSITIVE)}),
+    "ngn_annealed": Entry(lambda sigma0, schedule: NGN(sigma=sigma0, schedule=schedule),
+                          {"sigma0": (float, POSITIVE),
+                           "schedule": ("inv_sqrt", one_of(*NGN.SCHEDULES))}),
+    "ggn": Entry(GGN, {"sigma": (float, POSITIVE), "h": ("quadratic", one_of(*GGN.KINDS)),
+                       "p": (2.0, ABOVE_ONE)}),
     "aps": Entry(APS, {}),
-    "sps_max": Entry(SPSMax, {"c": 1.0, "gamma_b": float, "fstar": 0.0}),
-    "polyak": Entry(lambda fstar: PolyakKnownFStar(fstar), {"fstar": 0.0}),
-    "adagrad_norm": Entry(AdaGradNorm, {"eta": float, "delta0": float}),
-    "constant": Entry(Constant, {"gamma": float}),
-    "armijo": Entry(Armijo, {"c1": 1e-4, "backtrack": 0.5, "gamma_init": 1.0}),
+    "sps_max": Entry(SPSMax, {"c": (1.0, POSITIVE), "gamma_b": (float, POSITIVE),
+                              "fstar": (0.0, NONNEGATIVE)}),
+    "polyak": Entry(PolyakKnownFStar, {"fstar": (0.0, NONNEGATIVE)}),
+    "adagrad_norm": Entry(AdaGradNorm, {"eta": (float, POSITIVE), "delta0": (float, POSITIVE)}),
+    "constant": Entry(Constant, {"gamma": (float, POSITIVE)}),
+    "armijo": Entry(Armijo, {"c1": (1e-4, OPEN_UNIT), "backtrack": (0.5, OPEN_UNIT),
+                             "gamma_init": (1.0, POSITIVE)}),
+}
+
+# `ngn datagen KIND key=value ...`
+DATASETS = {
+    "blobs": Entry(make_blobs_dataset, {"n": 200, "d": 5, "classes": 3, "seed": 0}),
 }
 
 _CALL_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z0-9_]*)\s*\((.*)\)\s*$", re.DOTALL)
@@ -98,31 +135,45 @@ def parse_call(text: str) -> tuple[str, dict]:
     return name, kwargs
 
 
-def build_spec(table: dict, spec: str, **overrides):
-    """Build the object `spec` names in `table`; `overrides` replace parameters."""
-    name, given = parse_call(spec)
+def build(table: dict, name: str, **given):
+    """Build the object `name` names in `table` from the parameters `given`, checked
+    against its declarations; a float parameter may hold one value per row (a 1-d array)."""
     if name not in table:
         raise SpecError(f"unknown name {name!r}; choose from {', '.join(table)}")
     entry = table[name]
-    given.update(overrides)
     for key in given:
         if key not in entry.params:
             raise SpecError(f"{name}() has no parameter {key!r}; "
                             f"it takes {', '.join(entry.params) or 'none'}")
     kwargs = {}
     for key, declared in entry.params.items():
-        required = isinstance(declared, type)
-        kind = declared if required else type(declared)
+        default, bound = declaration(declared)
+        required = isinstance(default, type)
+        kind = default if required else type(default)
         if required and key not in given:
             raise SpecError(f"{name}() missing required parameter {key!r}")
-        value = given.get(key, declared)
+        value = given.get(key, default)
         try:
-            if kind is int and not float(value).is_integer():
+            if np.ndim(value):  # one value per row
+                if kind is not float or np.ndim(value) > 1:
+                    raise ValueError(value)
+                kwargs[key] = np.array(value, dtype=float)
+            elif kind is int and not float(value).is_integer():
                 raise ValueError(value)  # int() would truncate it silently
-            kwargs[key] = kind(value)
+            else:
+                kwargs[key] = kind(value)
         except (ValueError, OverflowError):
             raise SpecError(f"{name}() parameter {key!r} must be {kind.__name__}, "
                             f"got {value!r}") from None
-        if kind is float and not math.isfinite(kwargs[key]):
-            raise SpecError(f"{name}() parameter {key!r} must be finite, got {value!r}")
+        for test in ((FINITE,) if kind is float else ()) + ((bound,) if bound else ()):
+            bad = [v for v in np.ravel(kwargs[key]).tolist() if not test.holds(v)]
+            if bad:
+                raise SpecError(f"{name}() parameter {key!r} must be {test.text}, "
+                                f"got {bad[0]!r}")
     return entry.build(**kwargs)
+
+
+def build_spec(table: dict, spec: str, **overrides):
+    """Build the object `spec` names in `table`; `overrides` replace parameters."""
+    name, given = parse_call(spec)
+    return build(table, name, **{**given, **overrides})

@@ -1,13 +1,15 @@
 """Stepsize policies behind a single interface.
 
 A policy observes (k, f_i(x^k), ||grad f_i(x^k)||^2) of the R seeds still
-running, as (R,) arrays in row order, and the run's sigma_k; it emits
+running, as (R,) arrays in row order, and their sigma_k; it emits
 gamma_k of the same shape: gamma > 0, or NaN where the observation is
 stationary (zero gradient where the rule is undefined); the runner then
 takes a zero step for that seed. Scalars work too, as R = 1 without the
 axis. A line search also gets a probe: the batch loss of every running
 seed at its trial point x^k - gamma * grad f_i(x^k). When seeds stop, the
-runner's `keep_rows` call keeps a policy's per-seed state in row order.
+runner's `keep_rows` call keeps a policy's per-row parameters and state in
+row order. `ngn.specs.POLICIES` declares and checks every parameter; the
+classes check none.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ import numpy as np
 # Floor applied to the loss inside stepsize formulas only; guards the
 # division in the harmonic-mean form. Recorded losses are never modified.
 F_FLOOR = 1e-12
-
-
-class PolicyError(ValueError):
-    """Invalid policy parameters or specification string."""
 
 
 class ArmijoSearchError(RuntimeError):
@@ -42,7 +40,7 @@ class StepObservation:
     grad_sq_norm: np.ndarray  # (R,) squared batch-gradient norms of the running rows
     component_min: Optional[np.ndarray] = None  # (R,) mean f_i* of each running row's batch
     probe: Optional[Callable[[np.ndarray], np.ndarray]] = None  # gamma -> batch loss after the step
-    sigma: Optional[np.ndarray] = None  # sigma_k of the policy's sigma_schedule
+    sigma: Optional[np.ndarray] = None  # (R,) sigma_k of the running rows, from sigma_schedule
 
     def __post_init__(self):
         if np.any(np.less(self.loss, 0.0)):
@@ -52,21 +50,46 @@ class StepObservation:
 
 
 class StepsizePolicy:
-    """Base class; subclasses implement stepsize(obs)."""
+    """Base class; subclasses implement stepsize(obs).
+
+    A policy holds its parameters as attributes of their names: a string is
+    shared by every row, and a number is a float, or an (S,) array of one
+    value per row of the run. `reset` sets every row's values, and
+    `keep_rows` keeps those of the running rows, in row order.
+    """
 
     requires_full_batch = False
     requires_component_min = False
     sigma = math.nan  # the constant sigma_k, NaN for a policy without one
 
+    def __init__(self, **params):
+        self.params = params
+        self.reset()
+
     def reset(self) -> None:
-        pass
+        """Every row's parameters, and no per-row state: a run starts."""
+        vars(self).update(self.params)
 
     def keep_rows(self, keep: np.ndarray) -> None:
-        """Keep the per-seed state of the seeds flagged in `keep`, in order; none here."""
+        """Keep the per-row parameters and state of the rows flagged in `keep`, in order."""
+        for name, value in self.params.items():
+            if np.ndim(value):
+                setattr(self, name, getattr(self, name)[keep])
+
+    def row_params(self, n_rows: int) -> list[tuple]:
+        """Each of `n_rows` rows' values of the parameters that hold one per row;
+        ValueError unless each holds one value per row or one for all."""
+        columns = [value for value in self.params.values() if np.ndim(value)]
+        for value in columns:
+            if np.shape(value) != (n_rows,):
+                raise ValueError(f"a policy parameter holds {np.size(value)} values "
+                                 f"for {n_rows} rows")
+        return list(zip(*(value.tolist() for value in columns))) if columns else [()] * n_rows
 
     def sigma_schedule(self, steps: int, start: int = 0) -> np.ndarray:
-        """Regularization parameter sigma_k of steps start .. steps-1; NaN if undefined."""
-        return np.full(steps - start, self.sigma)
+        """Regularization parameter sigma_k of steps start .. steps-1, a column of
+        the running rows' values when sigma holds one per row; NaN if undefined."""
+        return np.full((steps - start,) + np.shape(self.sigma), self.sigma)
 
     def stepsize(self, obs: StepObservation) -> np.ndarray:
         raise NotImplementedError
@@ -78,7 +101,7 @@ _ONE, _TWO, _F_FLOOR = np.array(1.0), np.array(2.0), np.array(F_FLOOR)
 
 
 def _ngn_formula(sigma: np.ndarray, loss, grad_sq):
-    """NGN's stepsize; `sigma` is best a 0-d array."""
+    """NGN's stepsize of each row; `sigma` is an array, as an observation holds it."""
     return sigma / (_ONE + sigma * grad_sq / (_TWO * np.maximum(loss, _F_FLOOR)))
 
 
@@ -96,14 +119,7 @@ class NGN(StepsizePolicy):
     """
 
     SCHEDULES = ("inv_sqrt", "inv_linear")
-
-    def __init__(self, sigma: float, schedule: Optional[str] = None):
-        if sigma <= 0:
-            raise PolicyError("sigma must be positive")
-        if schedule is not None and schedule not in self.SCHEDULES:
-            raise PolicyError(f"unknown schedule {schedule!r}")
-        self.sigma = float(sigma)
-        self.schedule = schedule
+    schedule: Optional[str] = None
 
     def sigma_schedule(self, steps: int, start: int = 0) -> np.ndarray:
         if self.schedule is None:
@@ -112,6 +128,8 @@ class NGN(StepsizePolicy):
         # rounded, so each entry equals sigma / math.sqrt(k + 1) or
         # sigma / (k + 1) exactly, whatever the start
         k1 = np.arange(start + 1.0, steps + 1.0)
+        if np.ndim(self.sigma):  # a column, which each row's sigma divides
+            k1 = k1[:, None]
         return self.sigma / (np.sqrt(k1) if self.schedule == "inv_sqrt" else k1)
 
     def stepsize(self, obs: StepObservation) -> np.ndarray:
@@ -128,23 +146,12 @@ class GGN(StepsizePolicy):
 
     KINDS = ("quadratic", "monomial", "neg_log")
 
-    def __init__(self, sigma: float, h_kind: str = "quadratic", p: float = 2.0):
-        if sigma <= 0:
-            raise PolicyError("sigma must be positive")
-        if h_kind not in self.KINDS:
-            raise PolicyError(f"unknown h kind {h_kind!r}")
-        if h_kind == "monomial" and p <= 1:
-            raise PolicyError("monomial exponent p must be > 1")
-        self.sigma = float(sigma)
-        self.h_kind = h_kind
-        self.p = float(p)
-
     def stepsize(self, obs: StepObservation) -> np.ndarray:
-        if self.h_kind == "neg_log":
+        if self.h == "neg_log":
             q = 1.0
         else:
             f = np.maximum(obs.loss, F_FLOOR)
-            if self.h_kind == "quadratic":
+            if self.h == "quadratic":
                 q = 1.0 / (2.0 * f)
             else:
                 q = (self.p - 1.0) / (self.p * f)
@@ -163,15 +170,8 @@ class SPSMax(StepsizePolicy):
 
     requires_component_min = True
 
-    def __init__(self, c: float = 1.0, gamma_b: float = 1.0, fstar: float = 0.0):
-        if c <= 0 or gamma_b <= 0:
-            raise PolicyError("c and gamma_b must be positive")
-        self.c = float(c)
-        self.gamma_b = float(gamma_b)
-        self.default_fstar = float(fstar)
-
     def stepsize(self, obs: StepObservation) -> np.ndarray:
-        fstar = obs.component_min if obs.component_min is not None else self.default_fstar
+        fstar = obs.component_min if obs.component_min is not None else self.fstar
         numerator = np.maximum(obs.loss - fstar, 0.0)
         ratio = _over_grad_sq(numerator, self.c * obs.grad_sq_norm, self.gamma_b)
         return np.minimum(ratio, self.gamma_b)
@@ -182,13 +182,8 @@ class PolyakKnownFStar(StepsizePolicy):
 
     requires_full_batch = True
 
-    def __init__(self, f_star: float = 0.0):
-        if f_star < 0:
-            raise PolicyError("f_star must be nonnegative")
-        self.f_star = float(f_star)
-
     def stepsize(self, obs: StepObservation) -> np.ndarray:
-        return _over_grad_sq(np.maximum(obs.loss - self.f_star, 0.0), obs.grad_sq_norm)
+        return _over_grad_sq(np.maximum(obs.loss - self.fstar, 0.0), obs.grad_sq_norm)
 
 
 class AdaGradNorm(StepsizePolicy):
@@ -198,18 +193,13 @@ class AdaGradNorm(StepsizePolicy):
     emission, so each seed's emitted sequence is monotone nonincreasing.
     """
 
-    def __init__(self, eta: float, delta0: float):
-        if eta <= 0 or delta0 <= 0:
-            raise PolicyError("eta and delta0 must be positive")
-        self.eta = float(eta)
-        self.delta0 = float(delta0)
-        self.reset()
-
     def reset(self) -> None:
+        super().reset()
         self._acc = self.delta0 * self.delta0
 
     def keep_rows(self, keep: np.ndarray) -> None:
-        if np.ndim(self._acc):  # a scalar until the first step
+        super().keep_rows(keep)
+        if np.ndim(self._acc):  # a scalar until the first step, unless delta0 is per row
             self._acc = self._acc[keep]
 
     def stepsize(self, obs: StepObservation) -> np.ndarray:
@@ -218,11 +208,6 @@ class AdaGradNorm(StepsizePolicy):
 
 
 class Constant(StepsizePolicy):
-    def __init__(self, gamma: float):
-        if gamma <= 0:
-            raise PolicyError("gamma must be positive")
-        self.gamma = float(gamma)
-
     def stepsize(self, obs: StepObservation) -> np.ndarray:
         return np.full(np.shape(obs.grad_sq_norm), self.gamma)
 
@@ -237,17 +222,6 @@ class Armijo(StepsizePolicy):
 
     requires_full_batch = True
     MAX_BACKTRACKS = 60
-
-    def __init__(self, c1: float = 1e-4, backtrack: float = 0.5, gamma_init: float = 1.0):
-        if not 0 < c1 < 1:
-            raise PolicyError("c1 must be in (0, 1)")
-        if not 0 < backtrack < 1:
-            raise PolicyError("backtrack must be in (0, 1)")
-        if gamma_init <= 0:
-            raise PolicyError("gamma_init must be positive")
-        self.c1 = float(c1)
-        self.backtrack = float(backtrack)
-        self.gamma_init = float(gamma_init)
 
     def stepsize(self, obs: StepObservation) -> np.ndarray:
         gamma = np.full(np.shape(obs.grad_sq_norm), self.gamma_init)

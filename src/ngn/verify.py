@@ -25,16 +25,8 @@ from .objectives import (
     make_two_quadratics,
 )
 from .runner import Run, metric_points, metrics, write_traces
-from .specs import PROBLEMS, build_spec
-from .stepsizes import (
-    GGN,
-    NGN,
-    AdaGradNorm,
-    Constant,
-    SPSMax,
-    StepObservation,
-    stepsize_bounds,
-)
+from .specs import POLICIES, PROBLEMS, build, build_spec
+from .stepsizes import StepObservation, stepsize_bounds
 
 NOISE_SAFETY_MULTIPLIER = 2.0
 SEED_SLACK_FACTOR = 1.5
@@ -73,6 +65,11 @@ LEMMA_FIXTURES = {
 }
 
 
+def _ngn(sigma: float):
+    """NGN(sigma), built through the policy table like every policy."""
+    return build(POLICIES, "ngn", sigma=sigma)
+
+
 def _check_size(name: str, value: int) -> None:
     """ValueError unless a check's sample size is at least 1: no sample is no evidence."""
     if value < 1:
@@ -88,7 +85,7 @@ def check_lemma_equality(trials: int = 10_000, seed: int = 0) -> CheckReport:
     gsqs[rng.random(trials) < 0.01] = 0.0
     sigmas = 10.0 ** rng.uniform(-3, 3, trials)
     # one call for every trial: NGN reads each trial's sigma from the observation
-    gamma = NGN(1.0).stepsize(StepObservation(0, losses, gsqs, sigma=sigmas))
+    gamma = _ngn(1.0).stepsize(StepObservation(0, losses, gsqs, sigma=sigmas))
     lhs = gamma * gsqs
     rhs = 2.0 * ((sigmas - gamma) / sigmas) * losses
     worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, lhs)))
@@ -110,7 +107,7 @@ def check_lemma_bounds(
     obj = build_spec(PROBLEMS, LEMMA_FIXTURES[problem])
     lo, hi = stepsize_bounds(sigma, obj.l_max)
     violation, n_taken = 0.0, 0
-    for chunk in Run(obj, NGN(sigma), steps, seeds=(seed,)):
+    for chunk in Run(obj, _ngn(sigma), steps, seeds=(seed,)):
         gammas = chunk.gamma[~chunk.stationary & np.isfinite(chunk.gamma)]
         n_taken += gammas.size
         violation = max(violation, float(np.max(lo - gammas, initial=0.0)),
@@ -139,7 +136,7 @@ def check_lemma_inequality(
     coeff = 4.0 * sigma * l_smooth / (1.0 + 2.0 * sigma * l_smooth)
     second_term_needed = sigma > 1.0 / (2.0 * l_smooth)
     worst, n_taken = -math.inf, 0
-    for chunk in Run(obj, NGN(sigma), steps, seeds=(seed,)):
+    for chunk in Run(obj, _ngn(sigma), steps, seeds=(seed,)):
         taken = np.isfinite(chunk.gamma[0]) & ~chunk.stationary[0]
         n_taken += int(taken.sum())
         gamma = chunk.gamma[0, taken]
@@ -192,7 +189,7 @@ def check_convex_rate(
     obj, ctx, x0_vec, dist0_sq = _two_quadratics_start(x0)
     rhs = theory.convex_bound(ctx, sigma, steps, dist0_sq)
     rhs_proof = theory.convex_bound(ctx, sigma, steps, dist0_sq, constant="proof")
-    run = Run(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec, cadence=1)
+    run = Run(obj, _ngn(sigma), steps, seeds=range(n_seeds), x0=x0_vec, cadence=1)
     iterate_sum = np.zeros((n_seeds, obj.dim))  # of x^0 .. x^{K-1}, a chunk at a time
     for chunk in run:
         iterate_sum += chunk.iterates.sum(axis=1)
@@ -223,7 +220,7 @@ def check_deterministic_contraction(
         sigma = factor / lam
         rho = theory.contraction_rho(sigma, lam)
         limit = (1.0 - lam * rho) + 1e-9
-        run = Run(obj, NGN(sigma), steps, x0=np.array([4.0]), cadence=1)
+        run = Run(obj, _ngn(sigma), steps, x0=np.array([4.0]), cadence=1)
         before = np.empty(0)  # the last point of the chunks done
         for chunk in run:  # x^K follows the last chunk's cadence points
             d = np.concatenate([before, metrics(obj, metric_points(run, chunk))[1, 0]])
@@ -258,7 +255,7 @@ def check_strongly_convex_rate(
     cadence = steps // 4
     checkpoints = [steps // 4, steps // 2, steps]
     dist_sq = np.full((n_seeds, 5), math.inf)  # at k = 0, K/4, K/2, 3K/4 and K
-    run = Run(obj, NGN(sigma), steps, seeds=range(n_seeds), x0=x0_vec, cadence=cadence)
+    run = Run(obj, _ngn(sigma), steps, seeds=range(n_seeds), x0=x0_vec, cadence=cadence)
     for chunk in run:
         values = metrics(obj, metric_points(run, chunk))[1]
         dist_sq[:, chunk.metric_steps // cadence] = values[:, :len(chunk.metric_steps)]
@@ -301,7 +298,7 @@ def check_nonconvex_rate(
 
     # Seed 0 runs on to PILOT_STEPS when the other seeds stop before: the
     # pilot points of the noise bound are its own trajectory
-    run = Run(obj, NGN(sigma), [max(steps, PILOT_STEPS)] + [steps] * (n_seeds - 1),
+    run = Run(obj, _ngn(sigma), [max(steps, PILOT_STEPS)] + [steps] * (n_seeds - 1),
               seeds=range(n_seeds), x0=x0_vec, cadence=1)
     grad_sq_sum = np.zeros(n_seeds)  # of ||grad f(x^k)||^2 over k < K, a chunk at a time
     pilot = []
@@ -351,22 +348,23 @@ def check_annealed_rate(
     """Weighted-average suboptimality under sigma_k = sigma0/sqrt(k+1)."""
     obj, ctx, x0_vec, dist0_sq = _two_quadratics_start(x0)
     # one run to the largest K; the weighted average of each K is a prefix's
-    run = Run(obj, NGN(sigma0, "inv_sqrt"), max(steps_grid), seeds=range(n_seeds), x0=x0_vec,
-              cadence=1)
+    policy = build(POLICIES, "ngn_annealed", sigma0=sigma0, schedule="inv_sqrt")
+    run = Run(obj, policy, max(steps_grid), seeds=range(n_seeds), x0=x0_vec, cadence=1)
     # sums of sigma_k x^k and of sigma_k over the chunks done
     weighted, weights = np.zeros((n_seeds, obj.dim)), 0.0
     per_seed_at = {}
     for chunk in run:
-        terms = chunk.sigma[:, None] * chunk.iterates
+        sigma = policy.sigma_schedule(chunk.k1, chunk.k0)  # every row's
+        terms = sigma[:, None] * chunk.iterates
         for steps in steps_grid:
             if chunk.k0 < steps <= chunk.k1:
                 m = steps - chunk.k0
                 average = ((weighted + terms[:, :m].sum(axis=1))
-                           / (weights + chunk.sigma[:m].sum()))
+                           / (weights + sigma[:m].sum()))
                 kept = ~((0 <= run.diverged_step) & (run.diverged_step < steps))
                 per_seed_at[steps] = _gaps(obj, average, kept)
         weighted += terms.sum(axis=1)
-        weights += chunk.sigma.sum()
+        weights += sigma.sum()
     reports = []
     means = []
     for steps in steps_grid:
@@ -405,7 +403,7 @@ def check_never_diverge(
     reports = []
 
     for sigma in sigma_grid:
-        run = Run(obj, NGN(sigma), steps, x0=x0_vec, cadence=1)
+        run = Run(obj, _ngn(sigma), steps, x0=x0_vec, cadence=1)
         sup = 0.0  # of |x^k| over x^0 .. x^K
         for chunk in run:
             sup = max(sup, float(np.max(np.abs(chunk.iterates))))
@@ -419,7 +417,7 @@ def check_never_diverge(
             passed=not diverged and sup <= envelope,
         ))
 
-    gd_bad = Run(obj, Constant(2.0), 100, x0=x0_vec)
+    gd_bad = Run(obj, build(POLICIES, "constant", gamma=2.0), 100, x0=x0_vec)
     write_traces(gd_bad, [])
     diverged_at = int(gd_bad.diverged_step[0])
     reports.append(CheckReport(
@@ -432,7 +430,8 @@ def check_never_diverge(
     ))
 
     # the final loss, NaN when the run diverged
-    final = write_traces(Run(obj, Constant(1.0), 500, x0=x0_vec, cadence=500), [])[0, 0]
+    final = write_traces(Run(obj, build(POLICIES, "constant", gamma=1.0), 500, x0=x0_vec,
+                             cadence=500), [])[0, 0]
     reports.append(CheckReport(
         name="fig2_gd_stable_converges",
         params={"gamma": 1.0},
@@ -443,7 +442,7 @@ def check_never_diverge(
 
     # the stepsize cycle damps slowly at large sigma; a longer horizon is
     # needed before the tail settles
-    run = Run(obj, NGN(100.0), SETTLE_STEPS, x0=x0_vec)
+    run = Run(obj, _ngn(100.0), SETTLE_STEPS, x0=x0_vec)
     tail = np.empty(0)  # the last 100 stepsizes of the chunks done
     for chunk in run:
         tail = np.concatenate([tail, chunk.gamma[0]])[-100:]
@@ -469,7 +468,7 @@ def check_logistic_large_sigma(
 ) -> CheckReport:
     """Large-sigma NGN on a 3-class logistic problem keeps all metrics finite."""
     obj = build_spec(PROBLEMS, "logistic_blobs(seed=7)")
-    run = Run(obj, NGN(sigma), steps, seeds=(seed,), cadence=100)
+    run = Run(obj, _ngn(sigma), steps, seeds=(seed,), cadence=100)
     finite = True
     for chunk in run:  # x^K follows the last chunk's cadence points
         loss_full = metrics(obj, metric_points(run, chunk))[0]
@@ -538,10 +537,9 @@ def check_ggn_reductions(trials: int = 10_000, seed: int = 0) -> CheckReport:
     loss, gsq, sigma = _trials(trials, seed)
     # one call for every trial: the policies read each trial's sigma from the observation
     obs = StepObservation(0, loss, gsq, sigma=sigma)
-    base = NGN(1.0).stepsize(obs)
-    quad = GGN(1.0, "quadratic").stepsize(obs)
-    mono = GGN(1.0, "monomial", p=2.0).stepsize(obs)
-    nlog = GGN(1.0, "neg_log").stepsize(obs)
+    base = _ngn(1.0).stepsize(obs)
+    quad, mono, nlog = (build(POLICIES, "ggn", sigma=1.0, h=h, p=2.0).stepsize(obs)
+                        for h in ("quadratic", "monomial", "neg_log"))
     worst = float(max(
         np.max(np.abs(quad - base) / base),
         np.max(np.abs(mono - base) / base),
@@ -562,13 +560,13 @@ def check_baseline_sanity(trials: int = 10_000, seed: int = 0) -> CheckReport:
     """AdaGrad-norm monotone, SPS cap, NGN harmonic-mean identity."""
     loss, gsq, sigma = _trials(trials, seed)
     # AdaGrad's accumulator takes one trial at a time; SPS and NGN take every trial in one call
-    adagrad = AdaGradNorm(eta=1.5, delta0=0.01)
+    adagrad = build(POLICIES, "adagrad_norm", eta=1.5, delta0=0.01)
     step, g_ada = StepObservation(0, 0.0, 0.0), []  # step is refreshed in place
     for step.k, step.grad_sq_norm in enumerate(gsq.tolist()):
         g_ada.append(adagrad.stepsize(step))
     obs = StepObservation(0, loss, gsq, component_min=0.0, sigma=sigma)
-    sps = SPSMax(c=1.0, gamma_b=3.0)
-    ngn = NGN(1.0).stepsize(obs)
+    sps = build(POLICIES, "sps_max", c=1.0, gamma_b=3.0)
+    ngn = _ngn(1.0).stepsize(obs)
     harmonic = 2.0 / (2.0 / sigma + gsq / loss)
     worst = float(max(0.0, np.max(np.diff(g_ada), initial=-math.inf),
                       np.max(sps.stepsize(obs) - sps.gamma_b),

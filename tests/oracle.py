@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ngn.specs import POLICIES, parse_call
+from ngn.specs import POLICIES, declaration, parse_call
 from ngn.specs import PROBLEMS as PROBLEM_SPECS
 
 # Largest difference between the runner's value and the oracle's, relative
@@ -104,8 +104,8 @@ def _sigma(name, p, k):
 def _parse(table, spec):
     """(name, every parameter) of a spec string, defaults included."""
     name, given = parse_call(spec)
-    return name, {**{k: v for k, v in table[name].params.items() if not isinstance(v, type)},
-                  **given}
+    defaults = {k: declaration(v)[0] for k, v in table[name].params.items()}
+    return name, {**{k: v for k, v in defaults.items() if not isinstance(v, type)}, **given}
 
 
 def close(actual, expected, scale=0.0) -> bool:

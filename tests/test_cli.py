@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import multiprocessing
 import os
@@ -5,12 +6,13 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ngn import cli, objectives, specs, verify
 from ngn.cli import ConfigError, ExperimentConfig, main
-from ngn.objectives import load_libsvm, make_blobs_dataset, write_libsvm
-from ngn.runner import SAMPLERS, RunError, write_traces
+from ngn.objectives import ParseError, load_libsvm, make_blobs_dataset, write_libsvm
+from ngn.runner import SAMPLERS, Run, RunError, write_traces
 
 
 def write_config(path, **overrides):
@@ -325,6 +327,40 @@ def test_sweep_with_every_point_diverged_fails(tmp_path, capsys):
     assert "no best value" in printed
 
 
+def test_sweep_is_one_run_whose_points_are_their_own_runs(tmp_path, monkeypatch):
+    # one Run of (value, seed) rows; each value's row of sweep.csv holds the
+    # final-loss statistics that `ngn run` of that value writes
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(cli_run := Run(*args, **kwargs))
+        return cli_run
+
+    monkeypatch.setattr(cli, "Run", counted)
+    common = dict(problem="two_quadratics()", steps="300", seeds="2,0,1")
+    cfg = write_config(tmp_path / "sweep.cfg", axis="sigma", values="0.3,1,3", **common)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+    assert len(runs) == 1 and runs[0].seeds == [0, 1, 2] * 3
+    assert runs[0].policy.params["sigma"].tolist() == [0.3] * 3 + [1.0] * 3 + [3.0] * 3
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+    for row, value in zip(rows, ("0.3", "1", "3")):
+        cfg = write_config(tmp_path / f"run{value}.cfg", policy=f"ngn(sigma={value})", **common)
+        out = tmp_path / f"run{value}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        loss = (out / "aggregate.csv").read_text().splitlines()[1].split(",")
+        assert loss[0] == "loss_full_final" and row.split(",")[1:4] == loss[1:4]
+    assert len(runs) == 4
+
+
+def test_sweep_rows_repeat_seeds_under_distinct_values_only(tmp_path, capsys):
+    # a seed given twice repeats a (value, seed) row: a config error
+    cfg = write_config(tmp_path / "sweep.cfg", seeds="1,1", axis="sigma", values="0.5,2")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "seed 1 repeats with parameter values (0.5,)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_requires_axis(tmp_path):
     cfg = write_config(tmp_path / "sweep.cfg")
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -423,6 +459,30 @@ def test_datagen_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("params, error", [
+    (["foo=1", "n=10", "n=20"], "parameter 'n' repeats in 'blobs(foo=1, n=10, n=20)'"),
+    (["foo=1", "n=10"], "blobs() has no parameter 'foo'; it takes n, d, classes, seed"),
+    (["n=2.5"], "blobs() parameter 'n' must be int, got 2.5"),
+    (["seed=x"], "blobs() parameter 'seed' must be int, got 'x'"),
+], ids=["repeated", "unknown", "fraction", "text"])
+def test_datagen_reads_its_pairs_through_the_table(tmp_path, capsys, params, error):
+    # the key=value pairs are a spec of the DATASETS table: an unknown or
+    # repeated key is a config error, as in a problem or policy spec
+    out = tmp_path / "x.svm"
+    assert main(["datagen", "blobs", *params, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not out.exists()
+
+
+def test_datagen_takes_the_table_defaults_and_integral_floats(tmp_path):
+    # n=1e2 is the integer 100, as in logistic_blobs(n=1e2); d and classes default
+    out = tmp_path / "x.svm"
+    assert main(["datagen", "blobs", "n=1e2", "seed=3", "--out", str(out)]) == 0
+    data, expected = load_libsvm(out), make_blobs_dataset(100, 5, 3, 3)
+    assert np.array_equal(data.features, expected.features)
+    assert np.array_equal(data.labels, expected.labels) and data.num_classes == 3
+
+
 def test_datagen_bad_params(tmp_path):
     assert main(["datagen", "blobs", "n", "--out", str(tmp_path / "x.svm")]) == 2
 
@@ -451,33 +511,82 @@ def fuzz_spec(rng, table, path):
     name = rng.choice(sorted(table))
     parts = []
     for key, declared in table[name].params.items():
-        if declared is str or isinstance(declared, str):
+        default = specs.declaration(declared)[0]
+        if default is str or isinstance(default, str):
             choices = STRING_CHOICES.get(key, (path, "no_such_file.svm"))
             parts.append(f"{key}={rng.choice(choices)}")
         elif rng.random() < 0.75:
-            value = declared if not isinstance(declared, type) else rng.choice((0.1, 0.5, 2.0))
+            value = default if not isinstance(default, type) else rng.choice((0.1, 0.5, 2.0))
             parts.append(f"{key}={value!r}")
         elif rng.random() < 0.9:
             parts.append(f"{key}={rng.choice(EDGES)!r}")
     return f"{name}({', '.join(parts)})"
 
 
-def test_spec_fuzz_runs_or_fails_as_config_or_run_error(tmp_path):
+def fuzz_datagen(rng):
+    """Random `ngn datagen blobs` arguments: known, unknown and repeated keys,
+    odd values, and one pair in ten malformed."""
+    pairs = []
+    for _ in range(rng.randrange(4)):
+        key = rng.choice(("n", "d", "classes", "seed") * 2 + ("foo",))
+        value = rng.choice(("2", "3", "7", "12", "0", "-1", "2.5", "1e3", "nan", "x"))
+        pairs.append(f"{key}={value}" if rng.random() < 0.9
+                     else rng.choice((key, f"{key}={value},1", f"{key}={value})")))
+    return pairs
+
+
+LIBSVM_VALUES = ("0.5", "-1.25", "1e-300", "2", "1e308", "0", "-0.0")
+LIBSVM_BAD = ("1:nan", "2:inf", "0:1", "x:1", "2:", "7", "1000000000:1", "1:1 1:2", "a", "nan")
+
+
+def fuzz_libsvm(rng):
+    """Random LIBSVM text: lines of a label and entries, one line in ten with a
+    malformed token."""
+    lines = []
+    for _ in range(rng.randrange(6)):
+        tokens = [rng.choice(("0", "1", "2", "-1", "1.5"))]
+        tokens += [f"{j}:{rng.choice(LIBSVM_VALUES)}"
+                   for j in sorted(rng.sample(range(1, 6), rng.randrange(4)))]
+        if rng.random() < 0.1:
+            tokens[rng.randrange(len(tokens))] = rng.choice(LIBSVM_BAD)
+        lines.append(" ".join(tokens))
+    return "\n".join(lines)
+
+
+def test_spec_fuzz_runs_or_fails_as_config_or_run_error(tmp_path, monkeypatch):
     # every pair of random problem and policy specs runs 20 steps, with a
     # random sampler and batch, or fails as a configuration error or a
-    # policy's failure at a step: no other exception, and no RuntimeWarning
-    path = tmp_path / "data.svm"
-    write_libsvm(make_blobs_dataset(12, 3, 3, 0), path)
-    rng, ran = random.Random(0), 0
-    for _ in range(1000):
-        cfg = ExperimentConfig(fuzz_spec(rng, specs.PROBLEMS, str(path)),
-                               fuzz_spec(rng, specs.POLICIES, str(path)), steps=20,
+    # policy's failure at a step: no other exception, and no RuntimeWarning.
+    # So does every random `datagen` call, and a LIBSVM file of random text
+    # loads or fails as a parse error; logistic_file reads a fixed dataset
+    # or the latest random text
+    monkeypatch.setattr(objectives, "MAX_DENSE_ENTRIES", 4096)  # index 1e9 is over it
+    data, text, generated = tmp_path / "data.svm", tmp_path / "text.svm", tmp_path / "gen.svm"
+    write_libsvm(make_blobs_dataset(12, 3, 3, 0), data)
+    rng, ran, made, loaded = random.Random(0), 0, 0, 0
+    for i in range(1000):
+        if i % 10 == 0:
+            try:
+                cli.cmd_datagen(argparse.Namespace(kind="blobs", params=fuzz_datagen(rng),
+                                                   out=str(generated)))
+                made += 1
+            except ConfigError:
+                pass
+        if i % 4 == 0:
+            text.write_text(fuzz_libsvm(rng))
+            try:
+                load_libsvm(text)
+                loaded += 1
+            except ParseError:
+                pass
+        path = str(data if i % 2 else text)
+        cfg = ExperimentConfig(fuzz_spec(rng, specs.PROBLEMS, path),
+                               fuzz_spec(rng, specs.POLICIES, path), steps=20,
                                seeds=(0, 1), sampler=rng.choice(SAMPLERS),
                                batch_size=rng.choice((1, 2, 5)), cadence=rng.choice((1, 7)))
         try:
-            (run,) = cli._build_runs(cfg, [{}])
-            write_traces(run, [])
+            write_traces(cli._build_run(cfg), [])
             ran += 1
         except (ConfigError, RunError):
             pass
-    assert ran > 200
+    assert ran > 200 and made > 20 and loaded > 100, (ran, made, loaded)

@@ -30,10 +30,14 @@ from ngn.runner import (
     metrics,
     write_traces,
 )
-from ngn.specs import POLICIES, PROBLEMS, build_spec, parse_call
-from ngn.stepsizes import NGN, Constant, StepsizePolicy
+from ngn.specs import POLICIES, PROBLEMS, build, build_spec, parse_call
+from ngn.stepsizes import StepsizePolicy
 import oracle
 from traces import whole_traces
+
+
+def policy(spec):
+    return build_spec(POLICIES, spec)
 
 
 def one_trace(obj, policy, steps, *, seed=0, **kwargs):
@@ -43,8 +47,8 @@ def one_trace(obj, policy, steps, *, seed=0, **kwargs):
 
 def test_determinism_same_seed_identical_traces():
     obj = make_two_quadratics()
-    a = one_trace(obj, NGN(0.5), 500, seed=11)
-    b = one_trace(obj, NGN(0.5), 500, seed=11)
+    a = one_trace(obj, policy("ngn(sigma=0.5)"), 500, seed=11)
+    b = one_trace(obj, policy("ngn(sigma=0.5)"), 500, seed=11)
     assert np.array_equal(a.x_final, b.x_final)
     assert np.array_equal(a.loss_batch, b.loss_batch)
     assert np.array_equal(a.gamma, b.gamma)
@@ -53,21 +57,22 @@ def test_determinism_same_seed_identical_traces():
 
 def test_different_seeds_differ():
     obj = make_two_quadratics()
-    a = one_trace(obj, NGN(0.5), 200, seed=1)
-    b = one_trace(obj, NGN(0.5), 200, seed=2)
+    a = one_trace(obj, policy("ngn(sigma=0.5)"), 200, seed=1)
+    b = one_trace(obj, policy("ngn(sigma=0.5)"), 200, seed=2)
     assert not np.array_equal(a.loss_batch, b.loss_batch)
 
 
 def test_divergence_flag_on_unstable_gd():
     obj = make_quadratic1d(1.2, 0.0, 0.1)
-    trace = one_trace(obj, Constant(2.0), 100, seed=0, x0=np.array([3.0]))
+    trace = one_trace(obj, policy("constant(gamma=2.0)"), 100, seed=0, x0=np.array([3.0]))
     assert trace.diverged
     assert trace.diverged_step is not None and trace.diverged_step < 100
 
 
 def test_stable_gd_does_not_diverge():
     obj = make_quadratic1d(1.2, 0.0, 0.1)
-    trace = one_trace(obj, Constant(1.0), 500, seed=0, x0=np.array([3.0]), cadence=500)
+    trace = one_trace(obj, policy("constant(gamma=1.0)"), 500, seed=0, x0=np.array([3.0]),
+                      cadence=500)
     assert not trace.diverged
     assert trace.loss_full[-1] == pytest.approx(0.1, abs=1e-9)
 
@@ -93,9 +98,9 @@ def test_full_batch_rows(tmp_path):
     rng = np.random.default_rng(0)
     draws = _Sampler("full_batch", 4, 4, rng).draw(5)
     assert np.array_equal(draws, [np.arange(4)])
-    trace = one_trace(make_two_quadratics(), NGN(0.5), 5, sampler="full_batch")
+    trace = one_trace(make_two_quadratics(), policy("ngn(sigma=0.5)"), 5, sampler="full_batch")
     assert np.array_equal(trace.batch_ids, [[0, 1]])
-    write_traces(Run(make_two_quadratics(), NGN(0.5), 5, sampler="full_batch"),
+    write_traces(Run(make_two_quadratics(), policy("ngn(sigma=0.5)"), 5, sampler="full_batch"),
                  [tmp_path / "trace.csv"])
     rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == ["0;1"] * 5
@@ -104,9 +109,9 @@ def test_full_batch_rows(tmp_path):
 def test_check_run_sampler_validation():
     obj = make_two_quadratics()
     with pytest.raises(ValueError, match="unknown sampler 'bogus'"):
-        check_run(obj, NGN(0.5), 5, sampler="bogus")
+        check_run(obj, policy("ngn(sigma=0.5)"), 5, sampler="bogus")
     with pytest.raises(ValueError, match="batch_size must be between 1"):
-        check_run(obj, NGN(0.5), 5, batch_size=0)
+        check_run(obj, policy("ngn(sigma=0.5)"), 5, batch_size=0)
 
 
 def test_aggregate_hand_values():
@@ -123,15 +128,15 @@ def test_aggregate_single_seed():
 
 def test_metric_cadence_steps():
     obj = make_two_quadratics()
-    trace = one_trace(obj, NGN(0.5), 100, seed=0, cadence=25)
+    trace = one_trace(obj, policy("ngn(sigma=0.5)"), 100, seed=0, cadence=25)
     assert list(trace.metric_steps) == [0, 25, 50, 75, 100]
-    no_metrics = one_trace(obj, NGN(0.5), 100, seed=0)
+    no_metrics = one_trace(obj, policy("ngn(sigma=0.5)"), 100, seed=0)
     assert len(no_metrics.metric_steps) == 0
 
 
 def test_trace_csv_schema(tmp_path):
     path = tmp_path / "trace.csv"
-    write_traces(Run(make_two_quadratics(), NGN(0.5), 10, cadence=5), [path])
+    write_traces(Run(make_two_quadratics(), policy("ngn(sigma=0.5)"), 10, cadence=5), [path])
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(TRACE_COLUMNS)
     assert len(lines) == 11  # header + 10 steps
@@ -143,7 +148,7 @@ def test_trace_csv_schema(tmp_path):
 
 def test_trace_csv_cells_parse_as_floats(tmp_path):
     path = tmp_path / "trace.csv"
-    write_traces(Run(make_two_quadratics(), NGN(0.5), 20, cadence=3), [path])
+    write_traces(Run(make_two_quadratics(), policy("ngn(sigma=0.5)"), 20, cadence=3), [path])
     rows = path.read_text().splitlines()[1:]
     numeric = [c for c, name in enumerate(TRACE_COLUMNS) if name != "batch_ids"]
     cells = [row.split(",")[c] for row in rows for c in numeric]
@@ -151,13 +156,13 @@ def test_trace_csv_cells_parse_as_floats(tmp_path):
 
 
 @pytest.mark.parametrize("make_run", [
-    lambda: Run(make_two_quadratics(), NGN(0.5), 25, seeds=(3,), cadence=4),
-    lambda: Run(make_two_quadratics(), NGN(0.5), 25, seeds=(3,), cadence=4,
+    lambda: Run(make_two_quadratics(), policy("ngn(sigma=0.5)"), 25, seeds=(3,), cadence=4),
+    lambda: Run(make_two_quadratics(), policy("ngn(sigma=0.5)"), 25, seeds=(3,), cadence=4,
                 sampler="full_batch"),
-    lambda: Run(make_quadratic1d(1.2, 0.0, 0.1), Constant(2.0), 150, x0=np.array([3.0]),
-                cadence=7),  # diverges at step 99
-    lambda: Run(make_two_quadratics(), NGN(0.5), 25, seeds=(3,), cadence=1),
-    lambda: Run(make_two_quadratics(), NGN(0.5), 25, seeds=(3,), cadence=5),
+    lambda: Run(make_quadratic1d(1.2, 0.0, 0.1), policy("constant(gamma=2.0)"), 150,
+                x0=np.array([3.0]), cadence=7),  # diverges at step 99
+    lambda: Run(make_two_quadratics(), policy("ngn(sigma=0.5)"), 25, seeds=(3,), cadence=1),
+    lambda: Run(make_two_quadratics(), policy("ngn(sigma=0.5)"), 25, seeds=(3,), cadence=5),
 ], ids=["uniform", "full_batch", "diverged", "cadence1", "cadence5"])
 def test_trace_csv_row_blocks_keep_bytes(tmp_path, monkeypatch, make_run):
     # at least three blocks of 7 rows write the bytes of one block; the metric
@@ -209,10 +214,10 @@ def test_policy_error_annotated_with_step():
 
 def test_x0_pinning_and_default_draw():
     obj = make_two_quadratics()
-    pinned = one_trace(obj, NGN(0.5), 5, seed=0, x0=np.array([2.0]))
+    pinned = one_trace(obj, policy("ngn(sigma=0.5)"), 5, seed=0, x0=np.array([2.0]))
     assert pinned.x0[0] == 2.0
-    drawn_a = one_trace(obj, NGN(0.5), 5, seed=9)
-    drawn_b = one_trace(obj, NGN(0.5), 5, seed=9)
+    drawn_a = one_trace(obj, policy("ngn(sigma=0.5)"), 5, seed=9)
+    drawn_b = one_trace(obj, policy("ngn(sigma=0.5)"), 5, seed=9)
     assert drawn_a.x0[0] == drawn_b.x0[0]
 
 
@@ -237,7 +242,7 @@ class Forced(StepsizePolicy):
         self.inner, self.n_rows, self.events = inner, n_rows, events
         self.requires_full_batch = inner.requires_full_batch and not own_batch
         self.requires_component_min = inner.requires_component_min
-        self.sigma_schedule = inner.sigma_schedule
+        self.sigma_schedule, self.row_params = inner.sigma_schedule, inner.row_params
 
     def reset(self):
         self.inner.reset()
@@ -256,17 +261,28 @@ class Forced(StepsizePolicy):
         return gamma
 
 
-def assert_rows_claim(problem, policy, ends, *, events=None, chunks=(None,), own_batch=False,
-                      f_i_star=None, shift=0.0, cadence=1, **kwargs):
-    """Row r (seed r, to step ends[r]) of a run in company, at each chunk length, is its
-    solo run bit for bit, and on a 1-d problem at cadence 1 takes the oracle's steps.
+def with_params(spec, **params):
+    """The policy spec `spec` with `params` replacing its parameters."""
+    name, given = parse_call(spec)
+    return f"{name}({', '.join(f'{k}={v!r}' for k, v in {**given, **params}.items())})"
 
-    `events` maps (r, k) to a gamma that row r takes at step k; chunk
-    length None is the default, which the solo runs take. In company the
-    policy observes exactly the running rows, in row order, and sigma_k as
-    the chunk's 0-d value, and the observations it keeps and every chunk's
-    arrays keep their values. `f_i_star` replaces the problem's component
-    minima and `shift` lowers its losses. Returns the company's traces.
+
+def assert_rows_claim(problem, policy, ends, *, values=None, seeds=None, events=None,
+                      chunks=(None,), own_batch=False, f_i_star=None, shift=0.0, cadence=1,
+                      **kwargs):
+    """Row r (seed seeds[r], by default r, to step ends[r]) of a run in company, at each
+    chunk length, is its solo run bit for bit, and on a 1-d problem at cadence 1 takes
+    the oracle's steps.
+
+    `values` maps a parameter of the policy spec to each row's value: in
+    company the parameter holds one value per row, and row r runs alone
+    with its own. `events` maps (r, k) to a gamma that row r takes at step
+    k; chunk length None is the default, which the solo runs take. In
+    company the policy observes exactly the running rows, in row order, and
+    their sigma_k as the chunk holds it, and the observations it keeps and
+    every chunk's arrays keep their values. `f_i_star` replaces the
+    problem's component minima and `shift` lowers its losses. Returns the
+    company's traces.
     """
     obj = build_spec(PROBLEMS, problem)
     if f_i_star is not None:
@@ -277,23 +293,28 @@ def assert_rows_claim(problem, policy, ends, *, events=None, chunks=(None,), own
             return values - shift, grads
 
         obj = FiniteSumObjective(obj.n, obj.dim, evaluator, f_i_star=obj.f_i_star)
-    events = events or {}
+    events, values = events or {}, values or {}
+    seeds = list(range(len(ends))) if seeds is None else seeds
 
-    def make_run(ends, seeds, events):
-        forced = Forced(build_spec(POLICIES, policy), len(seeds), events, own_batch)
+    def make_run(spec, ends, seeds, events, **params):
+        forced = Forced(build_spec(POLICIES, spec, **params), len(seeds), events, own_batch)
         return Run(obj, forced, ends, seeds=seeds, cadence=cadence, **kwargs)
 
     solo = []
     for r, end in enumerate(ends):
         own = {k: gamma for (row, k), gamma in events.items() if row == r}
-        solo.append(whole_traces(make_run(end, [r], {(0, k): g for k, g in own.items()}))[0])
+        spec = with_params(policy, **{key: column[r] for key, column in values.items()})
+        solo.append(whole_traces(make_run(spec, end, [seeds[r]],
+                                          {(0, k): g for k, g in own.items()}))[0])
         if cadence == 1 and parse_call(problem)[0] in oracle.PROBLEMS:
-            oracle.replay(problem, policy, solo[-1], own, obj.f_i_star, shift)
+            oracle.replay(problem, spec, solo[-1], own, obj.f_i_star, shift)
     for length in chunks:
         with pytest.MonkeyPatch.context() as mp:
             if length:
                 mp.setattr(runner, "_chunk_steps", lambda rows, width: length)
-            run, kept = make_run(ends, range(len(ends)), events), []  # each chunk and a copy
+            run = make_run(policy, ends, seeds, events,
+                           **{key: np.array(column) for key, column in values.items()})
+            kept = []  # each chunk and a copy
 
             def advance():
                 chunk = step()
@@ -311,12 +332,12 @@ def assert_rows_claim(problem, policy, ends, *, events=None, chunks=(None,), own
         # a row reaches the policy at step k unless it has stopped: its gamma is NaN
         running = [[r for r, t in enumerate(traces) if k < t.steps and not np.isnan(t.gamma[k])]
                    for k in range(run.steps)]
-        sigma = np.concatenate([chunk.sigma for chunk, _ in kept])
+        sigma = np.concatenate([chunk.sigma for chunk, _ in kept], axis=1)
         assert [seen[0] for seen in run.policy.seen] == [k for k, r in enumerate(running) if r]
         for k, ids, sigma_k, loss, grad_sq in run.policy.seen:
             rows = running[k]
-            assert ids.tolist() == rows and np.ndim(sigma_k) == 0, k
-            assert np.array_equal(sigma_k, sigma[k], equal_nan=True), k
+            assert ids.tolist() == rows, k
+            assert np.array_equal(sigma_k, sigma[rows, k], equal_nan=True), k
             assert np.array_equal(loss, np.maximum([traces[r].loss_batch[k] for r in rows], 0.0))
             assert np.array_equal(grad_sq, [traces[r].grad_sq[k] for r in rows]), k
     return traces
@@ -360,6 +381,49 @@ def test_lockstep_matches_solo_runs(problem, policy):
     kwargs = (dict(sampler="full_batch") if policy == ARMIJO else
               dict(sampler="epoch_shuffle", batch_size=1 if "quadratic1d" in problem else 2))
     assert_rows_claim(problem, policy, [40, 23, 40, 9], **kwargs)
+
+
+# a sweep's layout: each seed under each value, while rows retire mid-chunk
+MIXED_CASES = {
+    "ngn_sigma": ("two_quadratics()", "ngn(sigma=1.0)", {"sigma": [0.1, 0.1, 2.0, 2.0]}, {}),
+    "annealed_sigma0": (ORACLE_PROBLEMS[0], "ngn_annealed(sigma0=1.0)",
+                        {"sigma0": [0.5, 0.5, 4.0, 4.0]}, {}),
+    "ggn_p": (ORACLE_PROBLEMS[2], "ggn(sigma=0.5, h=monomial)",
+              {"sigma": [0.5, 0.5, 1.0, 2.0], "p": [1.5, 3.0, 1.5, 3.0]}, {}),
+    # rows 2 and 3 overshoot, and row 2 diverges before it ends
+    "constant_gamma": (QUADRATIC0.replace("lam=1.0", "lam=10.0"), "constant(gamma=0.01)",
+                       {"gamma": [0.01, 0.01, 1.0, 1.0]}, {}),
+    "adagrad_eta": (ORACLE_PROBLEMS[2], "adagrad_norm(eta=1.0, delta0=0.1)",
+                    {"eta": [0.5, 0.5, 2.0, 2.0], "delta0": [0.1, 1.0, 0.1, 1.0]},
+                    dict(sampler="epoch_shuffle", batch_size=2)),
+    "sps_max_gamma_b": (ORACLE_PROBLEMS[2], "sps_max(c=0.5, gamma_b=2.0)",
+                        {"gamma_b": [0.1, 0.1, 2.0, 2.0], "c": [0.5, 1.0, 0.5, 1.0]}, {}),
+    "armijo": (ORACLE_PROBLEMS[2], ARMIJO, {"c1": [0.1, 0.1, 0.5, 0.5],
+                                            "backtrack": [0.7, 0.3, 0.7, 0.3],
+                                            "gamma_init": [2.0, 2.0, 0.5, 0.5]},
+               dict(sampler="full_batch")),
+}
+
+
+@pytest.mark.parametrize("case", MIXED_CASES)
+def test_rows_with_their_own_parameter_values_match_solo_runs(case):
+    # each row takes its own parameter values, as a solo run and the oracle
+    # do; they compact with the running rows at each stop
+    problem, spec, values, kwargs = MIXED_CASES[case]
+    traces = assert_rows_claim(problem, spec, [40, 23, 40, 9], values=values, seeds=[0, 1, 0, 1],
+                               chunks=(None, 7), **kwargs)
+    assert [t.diverged for t in traces] == [False, False, case == "constant_gamma", False]
+
+
+def test_rows_must_differ_in_seed_or_parameter_values():
+    obj = make_two_quadratics()
+    check_run(obj, build(POLICIES, "ngn", sigma=[0.5, 1.0]), 5, seeds=[0, 0])
+    with pytest.raises(ValueError, match="seed 0 repeats with parameter values"):
+        check_run(obj, build(POLICIES, "ngn", sigma=[0.5, 0.5]), 5, seeds=[0, 0])
+    with pytest.raises(ValueError, match="seed 2 repeats$"):
+        check_run(obj, policy("ngn(sigma=0.5)"), 5, seeds=[2, 1, 2])
+    with pytest.raises(ValueError, match="holds 3 values for 2 rows"):
+        check_run(obj, build(POLICIES, "ngn", sigma=[0.5, 1.0, 2.0]), 5, seeds=[0, 1])
 
 
 def test_sps_max_rows_read_their_own_component_min():
@@ -517,13 +581,13 @@ def test_full_many_called_once_per_metric_block():
     # a call per chunk: 1365 cadence points, then 635 and the final point
     obj = make_two_quadratics()
     calls = full_many_calls(obj)
-    whole_traces(Run(obj, NGN(0.5), 2000, seeds=range(8), cadence=1))
+    whole_traces(Run(obj, policy("ngn(sigma=0.5)"), 2000, seeds=range(8), cadence=1))
     assert calls == [8 * 1365, 8 * 636]
     # however large a point's full objective: 3 cadence points and the final one
     obj = build_spec(PROBLEMS, "logistic_blobs(n=2000, d=20, classes=5, seed=0)")
     calls = full_many_calls(obj)
-    whole_traces(Run(obj, NGN(1.0), 30, seeds=range(3), sampler="epoch_shuffle", batch_size=16,
-                     cadence=10))
+    whole_traces(Run(obj, policy("ngn(sigma=1.0)"), 30, seeds=range(3), sampler="epoch_shuffle",
+                     batch_size=16, cadence=10))
     assert calls == [12]
 
 
@@ -534,8 +598,8 @@ def test_logistic_full_takes_blocks_of_six_rows():
     obj = build_spec(PROBLEMS, "logistic_blobs(n=2000, d=20, classes=5, seed=0)")
     calls, full = [], obj._full
     obj._full = lambda X: calls.append(len(X)) or full(X)
-    run = Run(obj, NGN(1.0), 300, seeds=range(3), sampler="epoch_shuffle", batch_size=16,
-              cadence=10)
+    run = Run(obj, policy("ngn(sigma=1.0)"), 300, seeds=range(3), sampler="epoch_shuffle",
+              batch_size=16, cadence=10)
     write_traces(run, [])
     assert calls == [6] * 9 + [3] + [6] * 6
 
@@ -546,7 +610,8 @@ def test_no_metric_points_after_every_row_stopped(monkeypatch):
     monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 10)
     obj = make_quadratic1d(1.2, 0.0, 0.1)
     calls = full_many_calls(obj)
-    run = Run(obj, Constant(2.0), 150, seeds=range(2), x0=np.array([3.0]), cadence=1)
+    run = Run(obj, policy("constant(gamma=2.0)"), 150, seeds=range(2), x0=np.array([3.0]),
+              cadence=1)
     chunks = list(run)
     assert run.diverged_step.tolist() == [99, 99]
     assert calls == []  # the run evaluates no metric
@@ -555,8 +620,8 @@ def test_no_metric_points_after_every_row_stopped(monkeypatch):
     iterates = np.concatenate([c.iterates for c in chunks], axis=1)
     assert np.isfinite(iterates[:, :100]).all() and np.isnan(iterates[:, 100:]).all()
     assert np.isnan(metric_points(run, chunks[-1])[:, -1]).all()
-    finals = write_traces(Run(obj, Constant(2.0), 150, seeds=range(2), x0=np.array([3.0]),
-                              cadence=1), [])
+    finals = write_traces(Run(obj, policy("constant(gamma=2.0)"), 150, seeds=range(2),
+                              x0=np.array([3.0]), cadence=1), [])
     assert calls == [2 * 10] * 10
     assert np.isnan(finals).all()
 
@@ -568,7 +633,8 @@ def test_stopped_rows_add_no_metric_points(monkeypatch):
     monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 500)
     obj = make_two_quadratics()
     calls = full_many_calls(obj)
-    finals = write_traces(Run(obj, NGN(0.5), [2000] + [100] * 19, seeds=range(20), cadence=1), [])
+    finals = write_traces(Run(obj, policy("ngn(sigma=0.5)"), [2000] + [100] * 19, seeds=range(20),
+                              cadence=1), [])
     assert calls == [500 + 19 * 100, 500, 500, 500 + 20]
     assert sum(calls) == 3920
     assert np.isfinite(finals).all()
@@ -581,24 +647,27 @@ def test_chunks_evaluate_no_full_objective(monkeypatch, sampler):
     monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 7)
     obj = make_two_quadratics()
     calls = full_many_calls(obj)
-    chunks = list(Run(obj, NGN(0.5), 30, seeds=range(3), sampler=sampler, cadence=5))
+    chunks = list(Run(obj, policy("ngn(sigma=0.5)"), 30, seeds=range(3), sampler=sampler,
+                      cadence=5))
     assert calls == []
     assert np.concatenate([c.metric_steps for c in chunks]).tolist() == list(range(0, 30, 5))
     assert all(c.iterates.shape == (3, len(c.metric_steps), 1) for c in chunks)
 
 
-def test_sigma_row_shared_by_running_traces():
-    traces = whole_traces(Run(make_two_quadratics(), NGN(0.5), 120, seeds=range(3)))
-    assert all(t.sigma is traces[0].sigma for t in traces)
-    assert not traces[0].sigma.flags.writeable
-    assert np.array_equal(traces[0].sigma, np.full(120, 0.5))
+def test_sigma_rows_of_running_traces():
+    # each trace reads its own row's sigma_k, a read-only view of the run's
+    sigmas = [0.5, 0.5, 2.0]
+    run = Run(make_two_quadratics(), build(POLICIES, "ngn", sigma=sigmas), 120, seeds=[0, 1, 0])
+    for trace, sigma in zip(whole_traces(run), sigmas):
+        assert not trace.sigma.flags.writeable
+        assert np.array_equal(trace.sigma, np.full(120, sigma))
 
 
 def test_observed_loss_clamped_to_positive_zero():
     # components 0 and 1 report a loss of -0.0 and -1.0; policies see +0.0
     losses = np.array([-0.0, -1.0, 2.0])
     obj = FiniteSumObjective(3, 1, lambda idx, X: (losses[idx], np.ones(idx.shape + (1,))))
-    run = Run(obj, Forced(Constant(0.1), 3, {}), 30, seeds=range(3))
+    run = Run(obj, Forced(policy("constant(gamma=0.1)"), 3, {}), 30, seeds=range(3))
     traces = whole_traces(run)
     observed = np.array([loss for _, _, _, loss, _ in run.policy.seen])
     assert np.array_equal(observed, np.maximum(np.array([t.loss_batch for t in traces]).T, 0.0))
@@ -619,7 +688,8 @@ def fixed_rows_run(rows, steps=3):
         return np.array(loss)[:, None], np.array(grad, dtype=float)[:, None, :]
 
     zero = dict.fromkeys(itertools.product(range(len(rows)), range(steps)), 0.0)
-    run = Run(FiniteSumObjective(1, 2, evaluator), Forced(Constant(1.0), len(rows), zero), steps,
+    run = Run(FiniteSumObjective(1, 2, evaluator),
+              Forced(policy("constant(gamma=1.0)"), len(rows), zero), steps,
               seeds=range(len(rows)))
     table.update(zip(map(tuple, run.X.tolist()), rows))  # the start points, before a chunk
     return run
@@ -674,27 +744,29 @@ def test_split_draws_match_one_draw(mode, n):
 
 
 STREAM_CASES = {
-    "uniform": ("two_quadratics()", lambda: NGN(0.5), 40, dict(seeds=range(3), cadence=3)),
+    "uniform": ("two_quadratics()", lambda: policy("ngn(sigma=0.5)"), 40,
+                dict(seeds=range(3), cadence=3)),
     "epoch_shuffle": ("linear_regression(d=4, n=12, seed=1, noise_std=0.1)",
-                      lambda: build_spec(POLICIES, "sps_max(c=0.5, gamma_b=2.0)"), 40,
+                      lambda: policy("sps_max(c=0.5, gamma_b=2.0)"), 40,
                       dict(seeds=[5, 2, 9], sampler="epoch_shuffle", batch_size=5, cadence=4)),
-    "full_batch": ("two_quadratics()", lambda: build_spec(POLICIES, "armijo()"), 40,
+    "full_batch": ("two_quadratics()", lambda: policy("armijo()"), 40,
                    dict(seeds=range(2), sampler="full_batch", cadence=7)),
     # the loss test stops every row at step 99 and sigma reads NaN from there;
     # the iterate test stops them at step 5, after the step, and NaN follows
     "loss_test": ("quadratic1d(lam=1.2, xstar=0.0, fstar=0.1)",
-                  lambda: Forced(NGN(1.0, "inv_linear"), 2,
+                  lambda: Forced(policy("ngn_annealed(sigma0=1.0, schedule=inv_linear)"), 2,
                                  dict.fromkeys(itertools.product(range(2), range(150)), 2.0)), 150,
                   dict(seeds=range(2), x0=np.array([3.0]), cadence=3)),
     "iterate_test": ("quadratic1d(lam=1.2, xstar=0.0, fstar=0.1)",
-                     lambda: Forced(NGN(1.0, "inv_linear"), 2, {
+                     lambda: Forced(policy("ngn_annealed(sigma0=1.0, schedule=inv_linear)"), 2, {
                          (r, k): 1e308 if k == 5 else 0.1 for r in range(2) for k in range(150)}),
                      150,
                      dict(seeds=range(2), x0=np.array([3.0]), cadence=3)),
-    "some_diverged": ("linear_regression(d=1, n=6, seed=3)", lambda: Constant(5.0), 300,
-                      dict(seeds=range(6), cadence=50)),
+    "some_diverged": ("linear_regression(d=1, n=6, seed=3)", lambda: policy("constant(gamma=5.0)"),
+                      300, dict(seeds=range(6), cadence=50)),
     # row 1 retires at step 9, off the cadence: its finals are its own
-    "retired": ("linear_regression(d=4, n=12, seed=1, noise_std=0.1)", lambda: NGN(1.0), [40, 9],
+    "retired": ("linear_regression(d=4, n=12, seed=1, noise_std=0.1)",
+                lambda: policy("ngn(sigma=1.0)"), [40, 9],
                 dict(seeds=[0, 1], sampler="epoch_shuffle", batch_size=2, cadence=7)),
 }
 
@@ -751,7 +823,7 @@ def test_consumers_need_a_run_at_step_zero(tmp_path, monkeypatch, chunks):
     # after one of its three chunks, or after the last, a run has no step 0
     # left to give: neither consumer starts from where it stands
     monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 10)
-    run = Run(make_two_quadratics(), NGN(0.5), 30, seeds=range(2), cadence=5)
+    run = Run(make_two_quadratics(), policy("ngn(sigma=0.5)"), 30, seeds=range(2), cadence=5)
     for _ in range(chunks):
         run.advance()
     paths = [tmp_path / "trace0.csv", tmp_path / "trace1.csv"]
@@ -767,7 +839,7 @@ def test_consumers_need_a_run_at_step_zero(tmp_path, monkeypatch, chunks):
 
 @pytest.mark.parametrize("seeds, count", [((0, 1, 2), 1), ((0, 1), 3)])
 def test_write_traces_needs_a_path_per_row(tmp_path, seeds, count):
-    run = Run(make_two_quadratics(), NGN(0.5), 20, seeds=seeds)
+    run = Run(make_two_quadratics(), policy("ngn(sigma=0.5)"), 20, seeds=seeds)
     paths = [tmp_path / f"trace{r}.csv" for r in range(count)]
     with pytest.raises(ValueError, match=f"{count} trace paths for {len(seeds)} rows"):
         write_traces(run, paths)

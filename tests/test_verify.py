@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from ngn import stepsizes, theory, verify
+from ngn import specs, stepsizes, theory, verify
 from ngn.objectives import make_nonconvex_sum
 from ngn.runner import Run
+from ngn.specs import POLICIES, build
 from ngn.verify import (
     NOISE_SAFETY_MULTIPLIER,
     REPORT_HEADER,
@@ -73,7 +74,8 @@ def test_identity_checks_match_a_loop_over_trials(trials, seed, monkeypatch):
     sigmas = 10.0 ** rng.uniform(-3, 3, trials)
     worst = 0.0
     for loss, gsq, sigma in zip(losses, gsqs, sigmas):
-        gamma = stepsizes.NGN(sigma).stepsize(stepsizes.StepObservation(0, loss, gsq, sigma=sigma))
+        gamma = build(POLICIES, "ngn", sigma=sigma).stepsize(
+            stepsizes.StepObservation(0, loss, gsq, sigma=sigma))
         worst = max(worst, abs(gamma * gsq - 2.0 * ((sigma - gamma) / sigma) * loss)
                     / max(1.0, gamma * gsq))
     assert check_lemma_equality(trials, seed).measured == worst
@@ -84,16 +86,17 @@ def test_identity_checks_match_a_loop_over_trials(trials, seed, monkeypatch):
         loss, gsq, sigma = (10.0 ** rng.uniform(-6, 2), 10.0 ** rng.uniform(-8, 4),
                             10.0 ** rng.uniform(-2, 2))
         obs = stepsizes.StepObservation(0, loss, gsq, sigma=sigma)
-        base = stepsizes.NGN(sigma).stepsize(obs)
-        quad = stepsizes.GGN(sigma, "quadratic").stepsize(obs)
-        mono = stepsizes.GGN(sigma, "monomial", p=2.0).stepsize(obs)
-        nlog = stepsizes.GGN(sigma, "neg_log").stepsize(obs)
+        base = build(POLICIES, "ngn", sigma=sigma).stepsize(obs)
+        quad = build(POLICIES, "ggn", sigma=sigma, h="quadratic").stepsize(obs)
+        mono = build(POLICIES, "ggn", sigma=sigma, h="monomial", p=2.0).stepsize(obs)
+        nlog = build(POLICIES, "ggn", sigma=sigma, h="neg_log").stepsize(obs)
         worst = max(worst, abs(quad - base) / base, abs(mono - base) / base,
                     abs(nlog - sigma / (1.0 + sigma * gsq)) / nlog)
     assert check_ggn_reductions(trials, seed).measured == worst
 
     rng = np.random.default_rng(seed)
-    adagrad, sps = stepsizes.AdaGradNorm(eta=1.5, delta0=0.01), stepsizes.SPSMax(1.0, 3.0)
+    adagrad = build(POLICIES, "adagrad_norm", eta=1.5, delta0=0.01)
+    sps = build(POLICIES, "sps_max", c=1.0, gamma_b=3.0)
     worst, prev = 0.0, math.inf
     for k in range(trials):
         loss, gsq, sigma = (10.0 ** rng.uniform(-6, 2), 10.0 ** rng.uniform(-8, 4),
@@ -101,10 +104,10 @@ def test_identity_checks_match_a_loop_over_trials(trials, seed, monkeypatch):
         obs = stepsizes.StepObservation(k, loss, gsq, component_min=0.0, sigma=sigma)
         g_ada = adagrad.stepsize(obs)
         worst, prev = max(worst, g_ada - prev, sps.stepsize(obs) - sps.gamma_b), g_ada
-        ngn = OffNGN(sigma).stepsize(obs)
+        ngn = OffNGN(sigma=sigma).stepsize(obs)
         harmonic = 2.0 / (2.0 / sigma + gsq / loss)
         worst = max(worst, abs(ngn - harmonic) / ngn - 1e-12)
-    monkeypatch.setattr(verify, "NGN", OffNGN)
+    monkeypatch.setitem(POLICIES, "ngn", specs.Entry(OffNGN, POLICIES["ngn"].params))
     measured = check_baseline_sanity(trials, seed).measured
     assert measured == worst and measured > 0.0
 
@@ -218,7 +221,8 @@ def test_nonconvex_pilot_is_seed_zero(steps, n_seeds):
     obj = make_nonconvex_sum(8, 3)
     sigma = 1.0 / (2.0 * obj.l_max)
     x0 = obj.x_star + 2.5
-    (pilot,) = whole_traces(Run(obj, stepsizes.NGN(sigma), 2000, x0=x0, cadence=1))
+    (pilot,) = whole_traces(Run(obj, build(POLICIES, "ngn", sigma=sigma), 2000, x0=x0,
+                                cadence=1))
     rng = np.random.default_rng(3)
     points = [pilot.iterates[i] for i in range(0, 2001, 10)]
     points += [x0 + rng.standard_normal(1) for _ in range(100)]

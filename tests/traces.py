@@ -54,7 +54,7 @@ def whole_traces(run: Run) -> list[RunTrace]:
     gamma = np.empty((n_rows, steps))
     grad_sq = np.empty((n_rows, steps))
     stationary = np.empty((n_rows, steps), dtype=bool)
-    sigma = np.empty(steps)
+    sigma = np.empty((n_rows, steps))
     ids = []  # (S, k1 - k0, batch) a chunk, or the one (S, 1, N) of full_batch
     metric_steps, points, values = [], [], []
     for chunk in run:
@@ -63,14 +63,14 @@ def whole_traces(run: Run) -> list[RunTrace]:
         gamma[:, span] = chunk.gamma
         grad_sq[:, span] = chunk.grad_sq
         stationary[:, span] = chunk.stationary
-        sigma[span] = chunk.sigma
+        sigma[:, span] = chunk.sigma
         if chunk.k0 == 0 or not run.full_batch:
             ids.append(chunk.batch_ids)
         metric_steps.append(chunk.metric_steps)
         points.append(metric_points(run, chunk))
         values.append(metrics(run.obj, points[-1]))
-    # sigma_k is the same for every row: one read-only row that the traces
-    # share, but a row's copy reads NaN where its gamma is NaN
+    # a trace's sigma_k is a read-only view of its row, but a copy that
+    # reads NaN where its gamma is NaN
     sigma.flags.writeable = False
     batch_ids = ids[0] if run.full_batch else np.concatenate(ids, axis=1)
     metric_steps = np.concatenate(metric_steps)
@@ -82,7 +82,7 @@ def whole_traces(run: Run) -> list[RunTrace]:
         end = int(run.ends[r])
         diverged = bool(run.diverged_step[r] >= 0)
         gamma_r = gamma[r, :end]
-        sigma_r = sigma if end == steps else sigma[:end]
+        sigma_r = sigma[r, :end]
         if np.isnan(gamma_r).any():
             sigma_r = np.where(np.isnan(gamma_r), np.nan, sigma_r)
         on = metric_steps < length
