@@ -55,6 +55,6 @@ from .theory import (
     rate_terms,
     strongly_convex_bound,
 )
-from .verify import SUITES, CheckReport, run_suites
+from .verify import SUITES, CheckReport
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .objectives import FiniteSumObjective, write_libsvm
+from .objectives import FiniteSumObjective, ParseError, text_lines, write_libsvm
 from .runner import Run, RunError, aggregate_metric, write_traces
 from .specs import DATASETS, POLICIES, PROBLEMS, build_spec
 from .stepsizes import StepsizePolicy
@@ -75,10 +75,12 @@ def parse_config(path) -> ExperimentConfig:
     """
     entries: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = list(text_lines(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
+    except ParseError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -268,7 +270,10 @@ def cmd_datagen(args) -> int:
         raise ConfigError(str(exc)) from exc
     out = Path(args.out)
     _make_dir(out.parent)
-    write_libsvm(data, out)
+    try:
+        write_libsvm(data, out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write dataset {out}: {exc}") from exc
     print(f"wrote {out}")
     return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -548,43 +548,55 @@ def make_nonconvex_sum(n: int, seed: int, eps: float = 0.5) -> FiniteSumObjectiv
     )
 
 
+def text_lines(path) -> Iterator[tuple[int, str]]:
+    """The number and text of each line of the UTF-8 text file at `path`, its line break
+    dropped; ParseError at the first line with a byte that is not UTF-8."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode()
+            except UnicodeEncodeError as exc:  # a byte that reading escaped
+                raise ParseError(f"line {lineno}: byte {ord(line[exc.start]) - 0xDC00:#04x} "
+                                 "is not UTF-8 text") from None
+            yield lineno, line.rstrip("\n")
+
+
 def load_libsvm(path) -> Dataset:
-    """Parse LIBSVM sparse text ("label idx:val ...", 1-based indices)."""
+    """Parse LIBSVM sparse text ("label idx:val ...", 1-based indices) in UTF-8."""
     labels_raw: list[float] = []
     rows: list[dict[int, float]] = []
     max_index = 0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            label = float(parts[0])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-numeric label {parts[0]!r}")
+        if not math.isfinite(label):
+            raise ParseError(f"line {lineno}: non-finite label {parts[0]!r}")
+        entries: dict[int, float] = {}
+        for token in parts[1:]:
+            if ":" not in token:
+                raise ParseError(f"line {lineno}: malformed entry {token!r}")
+            idx_s, val_s = token.split(":", 1)
             try:
-                label = float(parts[0])
+                idx = int(idx_s)
+                val = float(val_s)
             except ValueError:
-                raise ParseError(f"line {lineno}: non-numeric label {parts[0]!r}")
-            if not math.isfinite(label):
-                raise ParseError(f"line {lineno}: non-finite label {parts[0]!r}")
-            entries: dict[int, float] = {}
-            for token in parts[1:]:
-                if ":" not in token:
-                    raise ParseError(f"line {lineno}: malformed entry {token!r}")
-                idx_s, val_s = token.split(":", 1)
-                try:
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError:
-                    raise ParseError(f"line {lineno}: non-numeric entry {token!r}")
-                if not math.isfinite(val):
-                    raise ParseError(f"line {lineno}: non-finite value {token!r}")
-                if idx < 1:
-                    raise ParseError(f"line {lineno}: index {idx} is not 1-based")
-                if idx in entries:
-                    raise ParseError(f"line {lineno}: index {idx} appears twice")
-                entries[idx] = val
-                max_index = max(max_index, idx)
-            labels_raw.append(label)
-            rows.append(entries)
+                raise ParseError(f"line {lineno}: non-numeric entry {token!r}")
+            if not math.isfinite(val):
+                raise ParseError(f"line {lineno}: non-finite value {token!r}")
+            if idx < 1:
+                raise ParseError(f"line {lineno}: index {idx} is not 1-based")
+            if idx in entries:
+                raise ParseError(f"line {lineno}: index {idx} appears twice")
+            entries[idx] = val
+            max_index = max(max_index, idx)
+        labels_raw.append(label)
+        rows.append(entries)
     if not rows:
         raise ParseError("no samples")
     distinct = sorted(set(labels_raw))

@@ -111,15 +111,16 @@ class Chunk:
 
     The per-step fields batch_ids, loss_batch, gamma, grad_sq, stationary
     and sigma may be non-contiguous views, transposes of the run's
-    step-major stores (batch_ids always is one, of the (k1 - k0, S, batch)
-    index table, and sigma a read-only one, with a stride of 0 across rows
-    when they share one sigma): copy one before handing it to code that
-    needs contiguous memory.
+    step-major stores (batch_ids is one of the (k1 - k0, S, batch) index
+    table while every row runs, and sigma a read-only one, with a stride of
+    0 across rows when they share one sigma): copy one before handing it to
+    code that needs contiguous memory. A chunk draws indices for the rows
+    running at k0 only: a row stopped before k0 reads -1 in batch_ids.
     """
 
     k0: int
     k1: int
-    batch_ids: np.ndarray  # (S, k1 - k0, batch), or (S, 1, N) under full_batch
+    batch_ids: np.ndarray  # (S, k1 - k0, batch), or (S, 1, N) under full_batch; -1 if stopped
     loss_batch: np.ndarray
     gamma: np.ndarray
     grad_sq: np.ndarray
@@ -135,23 +136,21 @@ class _Rows:
     `ids` numbers them among the run's S rows and `x` holds their iterates;
     `sel` indexes them in the chunk arrays, which hold `at_k0`, the rows
     running at the chunk's start, and is a full slice while all of those run.
-    `retire_at` is the next step at which a running row reaches its end.
     """
 
     def __init__(self, run: Run):
-        self.X, self.diverged_step = run.X, run.diverged_step
-        self.ends, self.steps, self.policy = run.ends, run.steps, run.policy
-        self.ids, self.x, self.retire_at = np.arange(len(run.X)), run.X, int(run.ends.min())
+        self.X, self.diverged_step, self.policy = run.X, run.diverged_step, run.policy
+        self.ids, self.x = np.arange(len(run.X)), run.X
 
     def start(self) -> tuple:
-        """Make the running rows a new chunk's rows; (x, sel, retire_at) for the step loop."""
+        """Make the running rows a new chunk's rows; (x, sel) for the step loop."""
         self.at_k0, self.sel = self.ids, slice(None)
-        return self.x, self.sel, self.retire_at
+        return self.x, self.sel
 
     def stop(self, bad: np.ndarray, x: np.ndarray, diverged_at: Optional[int] = None) -> tuple:
         """Freeze the rows flagged in `bad`, `x` the running rows' iterates: diverged at step
-        `diverged_at`, or retired when it is None. X gets their iterates, the policy keeps
-        the others' state; returns the new (x, sel, retire_at)."""
+        `diverged_at`, or retired at their end when it is None. X gets their iterates, the
+        policy keeps the others' state; returns the new (x, sel)."""
         gone, keep = self.ids[bad], ~bad
         self.X[gone] = x[bad]
         if diverged_at is not None:
@@ -159,9 +158,8 @@ class _Rows:
         if isinstance(self.sel, slice):
             self.sel = np.arange(len(self.at_k0))
         self.ids, self.sel, self.x = self.ids[keep], self.sel[keep], x[keep]
-        self.retire_at = int(self.ends[self.ids].min(initial=self.steps))
         self.policy.keep_rows(keep)
-        return self.x, self.sel, self.retire_at
+        return self.x, self.sel
 
     def whole(self, part: np.ndarray, fill) -> np.ndarray:
         """`part`, a chunk array of the rows running at k0, as one of all S rows."""
@@ -176,9 +174,10 @@ class Run:
     """x^{k+1} = x^k - gamma_k * grad_batch(x^k) for S rows, one seed each, in lockstep.
 
     Each `advance` takes the running rows through the next chunk, steps
-    [k0, k1) of about ROW_BLOCK_ENTRIES entries, and returns their per-step
-    values and their iterates at the cadence points as a `Chunk`; iterating
-    the run takes it to its end, as does `write_traces`. The run steps and
+    [k0, k1) of about ROW_BLOCK_ENTRIES entries, or fewer when one of them
+    ends before, and returns their per-step values and their iterates at the
+    cadence points as a `Chunk`; iterating the run takes it to its end, as
+    does `write_traces`. The run steps and
     keeps iterates; whoever reads a metric evaluates it (`metrics`). From
     chunk to chunk the run carries the policy's per-row state, each row's
     two streams, default_rng([seed, 0]) for the start point and
@@ -189,8 +188,8 @@ class Run:
     X holds every row's start point until the first chunk, then each row's
     iterate as of its stop or the last chunk. `steps` is one end step for
     every row, or one per row: a row that reaches its end before the others
-    retires, stopped without the diverged flag, its last iterate kept in X;
-    the run ends at the largest.
+    retires with the chunk that ends there, stopped without the diverged
+    flag, its last iterate kept in X; the run ends at the largest.
     """
 
     def __init__(self, obj: FiniteSumObjective, policy: StepsizePolicy,
@@ -218,8 +217,8 @@ class Run:
         self.k = 0
         self.diverged_step = np.full(n_rows, -1)
         self._rows = _Rows(self)  # which rows still run; X gets a row's iterate when it stops
-        width = dim + 4 + (0 if self.full_batch else batch_size)
-        self.chunk_steps = _chunk_steps(n_rows, width)
+        self._batch = obj.n if self.full_batch else batch_size  # indices a step
+        self.chunk_steps = _chunk_steps(n_rows, dim + 4 + (0 if self.full_batch else batch_size))
         self._evaluate = obj.batch_evaluator(n_rows, batch_size)
 
     def __iter__(self):
@@ -231,7 +230,8 @@ class Run:
         return np.where(self.diverged_step >= 0, self.diverged_step + 1, self.ends)
 
     def advance(self) -> Chunk:
-        """Run steps k .. k1-1 of every running row, k1 = min(k + chunk_steps, steps).
+        """Run steps k .. k1-1 of the rows running at k, k1 = min(k + chunk_steps, the next
+        end among them); the rows that end at k1 retire after its last step.
 
         A batch loss or squared batch gradient norm that is not finite or is
         above 1e30, or a non-finite coordinate, halts that row with the
@@ -240,24 +240,24 @@ class Run:
         k0 = self.k
         if k0 == self.steps:
             raise RuntimeError(f"the run has ended at step {k0}")
-        k1 = min(k0 + self.chunk_steps, self.steps)
-        n_steps = k1 - k0
         obj, policy, cadence, full_batch = self.obj, self.policy, self.cadence, self.full_batch
-        n_rows, dim = len(self.seeds), obj.dim
-        # step-major, so that step j's indices are one contiguous block tables[j]
-        tables = np.stack([s.draw(n_steps) for s in self._samplers], axis=1)
-
+        dim = obj.dim
         # Chunk arrays hold the rows running at k0, compact, so that rows
         # running on after others stopped take plain slices. The step loop
         # keeps `rows`' fields in locals, set anew by each stop.
         rows = self._rows
-        x, sel, retire_at = rows.start()
+        x, sel = rows.start()
         n_start = len(x)
+        k1 = min(k0 + self.chunk_steps, int(self.ends[rows.ids].min(initial=self.steps)))
+        n_steps = k1 - k0
+        # step-major, so that step j's indices are one contiguous block tables[j]
+        tables = np.empty((1 if full_batch else n_steps, n_start, self._batch), dtype=np.int64)
+        for c, r in enumerate(rows.ids.tolist()):
+            tables[:, c] = self._samplers[r].draw(n_steps)
         # (n_steps, n_start) sigma_k of each running row: the policy's sigma
         # holds one value for them all or one for each
         sigma = policy.sigma_schedule(k1, k0)
         sigma = np.broadcast_to(sigma[:, None] if sigma.ndim == 1 else sigma, (n_steps, n_start))
-        batch_c = tables if n_start == n_rows else tables[:, rows.at_k0]
         # step-major, so that each step writes contiguous rows: step j's batch
         # losses and squared gradient norms are lg_c[j], one row lg_flat[j]
         lg_c = np.full((n_steps, 2, n_start), np.nan)
@@ -272,7 +272,7 @@ class Run:
         i, point = 0, int(metric_steps[0]) if len(metric_steps) else -1
         component_min = None
         if policy.requires_component_min and obj.f_i_star is not None:
-            component_min = obj.f_i_star[batch_c].mean(axis=-1)  # (n_steps or 1, n_start)
+            component_min = obj.f_i_star[tables].mean(axis=-1)  # (n_steps or 1, n_start)
 
         # hoist hot-loop lookups
         evaluate = self._evaluate
@@ -287,7 +287,7 @@ class Run:
         def probe(gamma: np.ndarray) -> np.ndarray:
             """Batch loss of every running row at x - gamma * grad."""
             trial = x - gamma[:, None] * grad
-            return (full_many(trial) if full_batch else evaluate(batch_c[j, sel], trial))[0]
+            return (full_many(trial) if full_batch else evaluate(tables[j, sel], trial))[0]
 
         # One observation, refreshed in place each step: the runner's losses are
         # clamped at zero and its squared norms are sums of squares, so the
@@ -298,10 +298,6 @@ class Run:
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(n_steps if n_start else 0):
                 k = k0 + j
-                if k == retire_at:
-                    x, sel, retire_at = rows.stop(self.ends[rows.ids] == k, x)
-                    if not len(x):
-                        break
                 if k == point:
                     iterates_c[sel, i] = x
                     i, point = i + 1, point + cadence
@@ -309,7 +305,7 @@ class Run:
                 if full_batch:
                     loss, grad = full_many(x)
                 else:
-                    loss, grad = evaluate(batch_c[j, sel], x)
+                    loss, grad = evaluate(tables[j, sel], x)
                 # loss and gsq go straight into the store's row for step j; once
                 # a row has stopped in this chunk, into a compact row copied there
                 n = len(x)
@@ -326,7 +322,7 @@ class Run:
                     bad = ~((np.abs(loss) <= DIVERGENCE_THRESHOLD)
                             & (gsq <= DIVERGENCE_THRESHOLD))
                     if bad.any():
-                        x, sel, retire_at = rows.stop(bad, x, k)
+                        x, sel = rows.stop(bad, x, k)
                         if not len(x):
                             break
                         loss, grad, gsq = loss[~bad], grad[~bad], gsq[~bad]
@@ -359,13 +355,15 @@ class Run:
                 x = x_new
                 bad = ~np.isfinite(x.sum(axis=1))
                 if bad.any():
-                    x, sel, retire_at = rows.stop(bad, x, k)
+                    x, sel = rows.stop(bad, x, k)
                     if not len(x):
                         break
 
         self.k = k1
-        self.X[rows.ids] = rows.x = x
-        return Chunk(k0, k1, tables.transpose(1, 0, 2), rows.whole(lg_c[:, 0].T, np.nan),
+        self.X[rows.ids] = x
+        rows.stop(self.ends[rows.ids] == k1, x)  # the rows that end at k1 retire
+        return Chunk(k0, k1, rows.whole(tables.transpose(1, 0, 2), -1),
+                     rows.whole(lg_c[:, 0].T, np.nan),
                      rows.whole(gamma_c.T, np.nan), rows.whole(lg_c[:, 1].T, np.nan),
                      rows.whole(stationary_c.T, False), rows.whole(sigma.T, np.nan), metric_steps,
                      rows.whole(iterates_c, np.nan))
@@ -526,9 +524,9 @@ def write_traces(run: Run, paths: Sequence) -> np.ndarray:
                             (chunk.loss_batch[r], gamma,
                              np.where(np.isnan(gamma), np.nan, chunk.sigma[r]), chunk.grad_sq[r]),
                             chunk.k0, run.cadence, chunk.metric_steps, values[:, r])
-            # the last gamma of each row that ended in this chunk
-            ended = (chunk.k0 < run.ends) & (run.ends <= chunk.k1) & (run.diverged_step < 0)
-            last[ended, 3] = chunk.gamma[ended, run.ends[ended] - 1 - chunk.k0]
+            # the last gamma of each row that ended with this chunk
+            ended = (run.ends == chunk.k1) & (run.diverged_step < 0)
+            last[ended, 3] = chunk.gamma[ended, -1]
     if run.cadence > 0:
         last[:, :3] = values[:, :, -1].T
     return last

@@ -630,9 +630,3 @@ def select_suites(names: Sequence[str]) -> list[Callable[[], list[CheckReport]]]
     if unknown:
         raise ValueError(f"unknown suite {unknown[0]!r}; known: {sorted(SUITES)} or 'all'")
     return [fn for name in names for fn in (SUITES.values() if name == "all" else [SUITES[name]])]
-
-
-def run_suites(names: Sequence[str]) -> list[CheckReport]:
-    """The reports of the named suites in order; ValueError for an unknown name, before
-    any suite runs."""
-    return [report for fn in select_suites(names) for report in fn()]

@@ -1,5 +1,8 @@
 import argparse
+import collections
+import contextlib
 import hashlib
+import io
 import multiprocessing
 import os
 import random
@@ -429,6 +432,23 @@ def test_output_path_at_a_file_is_config_error(tmp_path, capsys, argv):
     assert err.startswith("config error: cannot create output directory") and err.count("\n") == 1
 
 
+def test_datagen_into_a_directory_is_config_error(tmp_path, capsys):
+    # the output file is an existing directory: open() fails after the
+    # directory check, and that failure too is a config error naming the path
+    assert main(["datagen", "blobs", "n=10", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write dataset {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.cfg")
+    cfg.write_bytes(cfg.read_bytes() + b"# caf\xc3\xa9\n# \xff\xfe\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: line 6: byte 0xff is not UTF-8 text\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_verify_empty_selection(tmp_path):
     assert main(["verify", "--out", str(tmp_path)]) == 2
 
@@ -513,7 +533,7 @@ def fuzz_spec(rng, table, path):
     for key, declared in table[name].params.items():
         default = specs.declaration(declared)[0]
         if default is str or isinstance(default, str):
-            choices = STRING_CHOICES.get(key, (path, "no_such_file.svm"))
+            choices = STRING_CHOICES.get(key, (path, f"{path}.missing"))
             parts.append(f"{key}={rng.choice(choices)}")
         elif rng.random() < 0.75:
             value = default if not isinstance(default, type) else rng.choice((0.1, 0.5, 2.0))
@@ -539,9 +559,14 @@ LIBSVM_VALUES = ("0.5", "-1.25", "1e-300", "2", "1e308", "0", "-0.0")
 LIBSVM_BAD = ("1:nan", "2:inf", "0:1", "x:1", "2:", "7", "1000000000:1", "1:1 1:2", "a", "nan")
 
 
+# bytes that are not UTF-8: a UTF-16 byte order mark, a lone continuation
+# byte, a lead byte without its continuation
+NOT_UTF8 = (b"\xff\xfe", b"\x80", b"\xc3(")
+
+
 def fuzz_libsvm(rng):
-    """Random LIBSVM text: lines of a label and entries, one line in ten with a
-    malformed token."""
+    """Random LIBSVM bytes: lines of a label and entries, one line in ten with a
+    malformed token and one in twenty starting with bytes that are not UTF-8."""
     lines = []
     for _ in range(rng.randrange(6)):
         tokens = [rng.choice(("0", "1", "2", "-1", "1.5"))]
@@ -549,8 +574,10 @@ def fuzz_libsvm(rng):
                    for j in sorted(rng.sample(range(1, 6), rng.randrange(4)))]
         if rng.random() < 0.1:
             tokens[rng.randrange(len(tokens))] = rng.choice(LIBSVM_BAD)
-        lines.append(" ".join(tokens))
-    return "\n".join(lines)
+        lines.append(" ".join(tokens).encode())
+        if rng.random() < 0.05:
+            lines[-1] = rng.choice(NOT_UTF8) + lines[-1]
+    return b"\n".join(lines)
 
 
 def test_spec_fuzz_runs_or_fails_as_config_or_run_error(tmp_path, monkeypatch):
@@ -573,7 +600,7 @@ def test_spec_fuzz_runs_or_fails_as_config_or_run_error(tmp_path, monkeypatch):
             except ConfigError:
                 pass
         if i % 4 == 0:
-            text.write_text(fuzz_libsvm(rng))
+            text.write_bytes(fuzz_libsvm(rng))
             try:
                 load_libsvm(text)
                 loaded += 1
@@ -590,3 +617,62 @@ def test_spec_fuzz_runs_or_fails_as_config_or_run_error(tmp_path, monkeypatch):
         except (ConfigError, RunError):
             pass
     assert ran > 200 and made > 20 and loaded > 100, (ran, made, loaded)
+
+
+# (good, bad) values that the config fuzz draws for each key besides problem
+# and policy, a bad one (empty, non-numeric or out of range) one time in ten;
+# steps stay at 50 or below and seeds at 5 or fewer
+CONFIG_VALUES = {
+    "steps": (("1", "20", "50"), ("0", "-3", "2.5", "", "x")),
+    "seeds": (("0", "0,1", "0,1,2,3,4", " 4, 2 "), ("3,3", "-1", "", "a", "1,,2")),
+    "sampler": (SAMPLERS, ("bogus", "")),
+    "batch_size": (("1", "2", "5"), ("0", "", "x")),
+    "cadence": (("1", "7"), ("0", "", "x")),
+    "x0": (("0.5", "-2"), ("1,2", "nan", "1e308", "", "x")),
+    "out": (("elsewhere",), ("",)),
+    "axis": (("sigma",), ("",)),
+    "values": (("0.1,1",), ("", "x")),
+}
+# lines that are not a known key's: comments and blank lines, which parse,
+# and an unknown key, lines without '=' and bytes that are not UTF-8, which do not
+HARMLESS_LINES = (b"# a comment", b"", b"   ", b"#steps = 1000")
+BAD_LINES = (b"foo = 1", b"Steps = 5", b"= 3", b"steps", b"problem two_quadratics()") + NOT_UTF8
+
+
+def fuzz_config(rng, path):
+    """Random config-file bytes: problem and policy specs (one left out a time in
+    twenty), a steps line, up to four more keys, one key repeated a time in ten,
+    and in one draw in ten a line that is not a key's."""
+    lines = [f"problem = {fuzz_spec(rng, specs.PROBLEMS, path)}",
+             f"policy = {fuzz_spec(rng, specs.POLICIES, path)}"]
+    if rng.random() < 0.05:
+        del lines[rng.randrange(2)]
+    keys = ["steps"] + rng.sample(list(CONFIG_VALUES)[1:], rng.randrange(5))
+    if rng.random() < 0.1:
+        keys.append(rng.choice(keys))
+    lines += [f"{key} = {rng.choice(CONFIG_VALUES[key][rng.random() < 0.1])}" for key in keys]
+    lines = [line.encode() for line in lines]
+    lines += rng.sample(HARMLESS_LINES, rng.randrange(3))
+    if rng.random() < 0.1:
+        lines.append(rng.choice(BAD_LINES))
+    rng.shuffle(lines)
+    return b"\n".join(lines) + b"\n"
+
+
+def test_config_fuzz_exits_with_a_status(tmp_path, monkeypatch):
+    # `ngn run` on random config text, in process: every draw returns 0, 1, 2
+    # or 3 and raises nothing. Problems come from the generated families and
+    # from this test's own LIBSVM files, a fixed dataset and random text
+    monkeypatch.setattr(objectives, "MAX_DENSE_ENTRIES", 4096)  # index 1e9 is over it
+    data, text, cfg = tmp_path / "data.svm", tmp_path / "text.svm", tmp_path / "fuzz.cfg"
+    write_libsvm(make_blobs_dataset(12, 3, 3, 0), data)
+    rng, codes = random.Random(1), []
+    for i in range(300):
+        if i % 10 == 0:
+            text.write_bytes(fuzz_libsvm(rng))
+        cfg.write_bytes(fuzz_config(rng, str(data if i % 2 else text)))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]))
+    counts = collections.Counter(codes)
+    assert set(counts) <= {0, 1, 2, 3}, counts
+    assert counts[0] > 30 and counts[2] > 100, counts

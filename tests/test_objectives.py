@@ -568,6 +568,13 @@ def test_libsvm_parse_error_reports_line(tmp_path):
     assert "2" in str(exc.value)
 
 
+def test_libsvm_names_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "utf16.svm"
+    path.write_bytes(b"0 1:0.25\n\xff\xfe1 1:0.5\n")
+    with pytest.raises(ParseError, match="^line 2: byte 0xff is not UTF-8 text$"):
+        load_libsvm(path)
+
+
 def test_libsvm_rejects_repeated_index(tmp_path):
     # a dict of entries would keep the last value, 3.0, without a word
     path = tmp_path / "repeat.svm"

@@ -383,7 +383,7 @@ def test_lockstep_matches_solo_runs(problem, policy):
     assert_rows_claim(problem, policy, [40, 23, 40, 9], **kwargs)
 
 
-# a sweep's layout: each seed under each value, while rows retire mid-chunk
+# a sweep's layout: each seed under each value, while rows retire at chunk seams
 MIXED_CASES = {
     "ngn_sigma": ("two_quadratics()", "ngn(sigma=1.0)", {"sigma": [0.1, 0.1, 2.0, 2.0]}, {}),
     "annealed_sigma0": (ORACLE_PROBLEMS[0], "ngn_annealed(sigma0=1.0)",
@@ -428,13 +428,13 @@ def test_rows_must_differ_in_seed_or_parameter_values():
 
 def test_sps_max_rows_read_their_own_component_min():
     # f_i* that differ by component, so that each row's component_min is its
-    # own batch's, while rows retire mid-chunk and before later chunks
+    # own batch's, while rows retire at chunk seams and before later chunks
     assert_rows_claim("two_quadratics()", "sps_max(c=0.5, gamma_b=2.0)", [40, 23, 40, 9],
                       f_i_star=[0.05, 0.2], chunks=(7,))
 
 
 def test_probe_evaluates_each_running_rows_batch():
-    # Armijo on each row's own batch while rows retire mid-chunk
+    # Armijo on each row's own batch while rows retire at chunk seams
     assert_rows_claim(ORACLE_PROBLEMS[2], ARMIJO, [40, 23, 40, 9], own_batch=True,
                       sampler="epoch_shuffle", batch_size=2, chunks=(7,))
 
@@ -510,8 +510,8 @@ def test_stationary_and_diverging_rows_in_one_step():
 
 @pytest.mark.parametrize("schedule", [None, "inv_sqrt"])
 def test_policy_observes_the_chunk_sigma(schedule):
-    # row 0 retires at step 25 and row 2's step of inf at step 30 overflows
-    # its iterate after the policy's call, both mid-chunk
+    # row 0 retires at step 25, where a chunk ends, and row 2's step of inf at
+    # step 30 overflows its iterate after the policy's call, mid-chunk
     policy = "ngn(sigma=0.5)" if schedule is None else "ngn_annealed(sigma0=0.5)"
     traces = assert_rows_claim("two_quadratics()", policy, [25, 100, 100],
                                events={(2, 30): np.inf}, chunks=(7,))
@@ -530,8 +530,8 @@ def test_adagrad_rows_keep_their_state_when_a_row_diverges(case):
 
 
 def test_kept_observations_and_chunks_keep_their_values():
-    # chunks of 5 steps: row 1 retires at step 7 and row 2's steps of 1e10
-    # make it diverge at step 8, both inside the second chunk
+    # chunks of 5 steps: row 1 retires at step 7, which ends the second
+    # chunk, and row 2's steps of 1e10 make it diverge at step 8, inside the third
     traces = assert_rows_claim("two_quadratics()", "constant(gamma=0.5)", [13, 7, 13],
                                events={(2, 6): 1e10, (2, 7): 1e10}, chunks=(5,))
     assert [t.diverged_step for t in traces] == [None, None, 8]
@@ -627,17 +627,40 @@ def test_no_metric_points_after_every_row_stopped(monkeypatch):
 
 
 def test_stopped_rows_add_no_metric_points(monkeypatch):
-    # row 0 runs 2000 steps and rows 1-19 retire at step 100, in chunks of
-    # 500: write_traces evaluates 2000 + 19 * 100 cadence points and the 20
-    # final points, none at the iterates of a row that has stopped
+    # row 0 runs 2000 steps and rows 1-19 retire at step 100, which ends the
+    # first chunk, then chunks of 500: write_traces evaluates 2000 + 19 * 100
+    # cadence points and the 20 final points, none at the iterates of a row
+    # that has stopped
     monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 500)
     obj = make_two_quadratics()
     calls = full_many_calls(obj)
     finals = write_traces(Run(obj, policy("ngn(sigma=0.5)"), [2000] + [100] * 19, seeds=range(20),
                               cadence=1), [])
-    assert calls == [500 + 19 * 100, 500, 500, 500 + 20]
+    assert calls == [20 * 100, 500, 500, 500, 400 + 20]
     assert sum(calls) == 3920
     assert np.isfinite(finals).all()
+
+
+def test_rows_retire_at_a_chunk_seam():
+    # rows 1-19 end at step 100, before the 546 steps of a chunk of 20 rows
+    # at d = 1: the chunk ends there, they draw no indices after it and read
+    # -1 in batch_ids, and row 0 runs on alone
+    run = Run(make_two_quadratics(), policy("ngn(sigma=0.5)"), [2000] + [100] * 19,
+              seeds=range(20))
+    drawn = np.zeros(20, dtype=int)  # steps of indices drawn by each row
+    for r, sampler in enumerate(run._samplers):
+        def draw(steps, r=r, draw=sampler.draw):
+            drawn[r] += steps
+            return draw(steps)
+
+        sampler.draw = draw
+    chunks = list(run)
+    assert [(c.k0, c.k1) for c in chunks] == [(0, 100), (100, 646), (646, 1192), (1192, 1738),
+                                             (1738, 2000)]
+    assert drawn.tolist() == [2000] + [100] * 19
+    assert (chunks[0].batch_ids >= 0).all()
+    for chunk in chunks[1:]:
+        assert (chunk.batch_ids[1:] == -1).all() and (chunk.batch_ids[0] >= 0).all()
 
 
 @pytest.mark.parametrize("sampler", ["with_replacement_uniform", "epoch_shuffle"])
@@ -860,8 +883,11 @@ def traced_peak(fn) -> int:
 def test_long_runs_keep_bounded_memory(tmp_path, monkeypatch):
     # runs of 10x the steps peak within 10% of the shorter ones, plus 32 kB:
     # criterion 07's check reduces each chunk, and `ngn run` writes each
-    # chunk's trace rows; short chunks make both runs many chunks long
-    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 50, raising=False)
+    # chunk's trace rows; short chunks make both runs many chunks long. A
+    # pilot of 10 steps keeps seed 0 from running on to 2000 in the shorter
+    # check, which would make it 1.5x the steps, not 10x
+    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 50)
+    monkeypatch.setattr(verify, "PILOT_STEPS", 10)
     obj = make_nonconvex_sum(8, 3)
     monkeypatch.setattr(verify, "make_nonconvex_sum", lambda n, seed: obj)
     verify.check_nonconvex_rate(steps=10, n_seeds=2)

@@ -24,7 +24,7 @@ from ngn.verify import (
     check_never_diverge,
     check_nonconvex_rate,
     check_strongly_convex_rate,
-    run_suites,
+    select_suites,
 )
 from traces import whole_traces
 
@@ -188,8 +188,8 @@ def test_injected_sign_bug_is_caught(monkeypatch):
 
 def test_suite_registry():
     assert set(SUITES) == {"lemmas", "stability", "gradients", "baselines", "rates"}
-    with pytest.raises(ValueError):
-        run_suites(["nonexistent"])
+    with pytest.raises(ValueError, match="unknown suite 'nonexistent'"):
+        select_suites(["nonexistent"])
 
 
 def test_report_csv_row_format():
@@ -229,6 +229,17 @@ def test_nonconvex_pilot_is_seed_zero(steps, n_seeds):
     expected = NOISE_SAFETY_MULTIPLIER * theory.estimate_delta_noise_sq(obj, points)
     assert report.params["delta_noise_sq"] == expected
     assert report.passed
+
+
+def test_nonconvex_rate_averages_the_first_k_steps_only():
+    # with one seed, its row runs on to the pilot's 2000 steps, so chunks
+    # pass K = 100; the measured value is the mean over x^0 .. x^99 alone
+    report = check_nonconvex_rate(steps=100, n_seeds=1)
+    obj = make_nonconvex_sum(8, 3)
+    (trace,) = whole_traces(Run(obj, build(POLICIES, "ngn", sigma=1.0 / (2.0 * obj.l_max)), 100,
+                                x0=obj.x_star + 2.5, cadence=1))
+    grads = obj.full_many(trace.iterates[:100])[1]
+    assert report.measured == pytest.approx(np.vecdot(grads, grads).mean(), rel=1e-12)
 
 
 # check_annealed_rate(steps_grid=(5, 50, 500)) when each K had a run of its own

@@ -20,8 +20,8 @@ class RunTrace:
     steps: int
     x0: np.ndarray
     x_final: np.ndarray
-    # (steps, batch) sampled component indices; under full_batch a single
-    # row, arange(N), that every step uses
+    # (steps, batch) sampled component indices, -1 past the trace's end;
+    # under full_batch a single row, arange(N), that every step uses
     batch_ids: np.ndarray
     loss_batch: np.ndarray
     gamma: np.ndarray
@@ -91,11 +91,14 @@ def whole_traces(run: Run) -> list[RunTrace]:
         if run.cadence > 0 and not diverged:  # its final point follows its cadence points
             at = np.append(at, len(metric_steps))
             steps_r = np.append(steps_r, end)
+        ids_r = batch_ids[r] if run.full_batch else batch_ids[r, :end].copy()
+        if not run.full_batch:  # past the trace, -1: a stopped row draws no more
+            ids_r[length:] = -1
         traces.append(RunTrace(
             steps=end,
             x0=x0[r],
             x_final=run.X[r],
-            batch_ids=batch_ids[r] if run.full_batch else batch_ids[r, :end],
+            batch_ids=ids_r,
             loss_batch=loss_batch[r, :end],
             gamma=gamma_r,
             sigma=sigma_r,
