@@ -115,10 +115,10 @@ class FiniteSumObjective:
     supplied for cheap full-objective metrics, with `full_width`, the
     entries its largest temporaries take per row (N by default): `full_many`
     calls it on blocks of at most ROW_BLOCK_ENTRIES // full_width rows.
-    Without `full` the mean of all N components is used. Every evaluation
-    goes through `eval_many`, `full_many` or `batch_evaluator`: a single
-    point or component is a one-row call, and rows are evaluated
-    independently, so a row's values do not depend on the rows beside it.
+    Without `full` the mean of all N components is used. `eval_many` and
+    `full_many` are the only entry points: a single point or component is
+    a one-row call, and rows are evaluated independently, so a row's
+    values do not depend on the rows beside it.
     """
 
     def __init__(
@@ -154,40 +154,29 @@ class FiniteSumObjective:
 
         Each batch is summed one slot at a time, as a loop begun at 0.0 sums
         it: adding 0.0 at the end turns a sum of -0.0s into +0.0 and changes
-        nothing else. A batch of more than ROW_BLOCK_ENTRIES // d slots is
-        evaluated a block of slots at a time, each block's sum going on from
-        the last one's total, so memory stays bounded and the order is kept.
+        nothing else. Rows and slots that fit one block of ROW_BLOCK_ENTRIES
+        are one evaluator call; more are evaluated a block of slots at a
+        time, each of those a block of rows at a time, each block's sum going
+        on from the last one's total, so memory stays bounded and the order
+        is kept.
         """
         batch, dim = idx.shape[1], self.dim
-        slots = _block_rows(dim)
-        value_sum = grad_sum = None
-        for a in range(0, batch, slots):
-            values, grads = _by_row_blocks(self._evaluator, min(batch - a, slots) * dim,
-                                           idx[:, a:a + slots], X)
+        if idx.size * dim <= ROW_BLOCK_ENTRIES:
+            values, grads = self._evaluator(idx, X)
             if batch == 1:
                 return values[:, 0], grads[:, 0]
-            value_sum, grad_sum = _slot_sum(values, value_sum), _slot_sum(grads, grad_sum)
+            value_sum, grad_sum = _slot_sum(values), _slot_sum(grads)
+        else:
+            slots = _block_rows(dim)
+            value_sum = grad_sum = None
+            for a in range(0, batch, slots):
+                values, grads = _by_row_blocks(self._evaluator, min(batch - a, slots) * dim,
+                                               idx[:, a:a + slots], X)
+                if batch == 1:
+                    return values[:, 0], grads[:, 0]
+                value_sum, grad_sum = _slot_sum(values, value_sum), _slot_sum(grads, grad_sum)
         inv = np.array(1.0 / batch)
         return (value_sum + _ZERO) * inv, (grad_sum + _ZERO) * inv
-
-    def batch_evaluator(self, rows: int, batch: int):
-        """eval_many for at most `rows` rows of `batch` components each.
-
-        With every row and batch slot in one block, that is the evaluator
-        and the means of its slot sums, or at batch 1 its one slot:
-        eval_many's blocking would change nothing.
-        """
-        if batch > _block_rows(self.dim) or rows > _block_rows(batch * self.dim):
-            return self.eval_many
-        evaluator, inv = self._evaluator, np.array(1.0 / batch)
-
-        def evaluate(idx: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            values, grads = evaluator(idx, X)
-            if batch == 1:
-                return values[:, 0], grads[:, 0]
-            return (_slot_sum(values) + _ZERO) * inv, (_slot_sum(grads) + _ZERO) * inv
-
-        return evaluate
 
     def full_many(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Full objective value (S,) and gradient (S, d) at each row of X."""
@@ -562,11 +551,19 @@ def text_lines(path) -> Iterator[tuple[int, str]]:
 
 
 def load_libsvm(path) -> Dataset:
-    """Parse LIBSVM sparse text ("label idx:val ...", 1-based indices) in UTF-8."""
+    """Parse LIBSVM sparse text ("label idx:val ...", 1-based indices) in UTF-8.
+
+    Its numbers are ASCII: a line with an underscore or a character that is
+    not ASCII is a ParseError, where Python's int and float would take
+    digit-group underscores and other scripts' digits.
+    """
     labels_raw: list[float] = []
     rows: list[dict[int, float]] = []
     max_index = 0
     for lineno, line in text_lines(path):
+        if "_" in line or not line.isascii():
+            char = next(c for c in line if c == "_" or not c.isascii())
+            raise ParseError(f"line {lineno}: {char!r} is not LIBSVM text")
         line = line.strip()
         if not line:
             continue

@@ -219,7 +219,6 @@ class Run:
         self._rows = _Rows(self)  # which rows still run; X gets a row's iterate when it stops
         self._batch = obj.n if self.full_batch else batch_size  # indices a step
         self.chunk_steps = _chunk_steps(n_rows, dim + 4 + (0 if self.full_batch else batch_size))
-        self._evaluate = obj.batch_evaluator(n_rows, batch_size)
 
     def __iter__(self):
         while self.k < self.steps:
@@ -275,7 +274,7 @@ class Run:
             component_min = obj.f_i_star[tables].mean(axis=-1)  # (n_steps or 1, n_start)
 
         # hoist hot-loop lookups
-        evaluate = self._evaluate
+        eval_many = obj.eval_many
         full_many = obj.full_many
         policy_stepsize = policy.stepsize
         vecdot = np.vecdot
@@ -287,7 +286,7 @@ class Run:
         def probe(gamma: np.ndarray) -> np.ndarray:
             """Batch loss of every running row at x - gamma * grad."""
             trial = x - gamma[:, None] * grad
-            return (full_many(trial) if full_batch else evaluate(tables[j, sel], trial))[0]
+            return (full_many(trial) if full_batch else eval_many(tables[j, sel], trial))[0]
 
         # One observation, refreshed in place each step: the runner's losses are
         # clamped at zero and its squared norms are sums of squares, so the
@@ -305,7 +304,7 @@ class Run:
                 if full_batch:
                     loss, grad = full_many(x)
                 else:
-                    loss, grad = evaluate(tables[j, sel], x)
+                    loss, grad = eval_many(tables[j, sel], x)
                 # loss and gsq go straight into the store's row for step j; once
                 # a row has stopped in this chunk, into a compact row copied there
                 n = len(x)

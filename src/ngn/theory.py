@@ -59,8 +59,7 @@ def rate_terms(sigma: float, l_smooth: float) -> tuple[float, float, float]:
 
 def contraction_rho(sigma: float, l_smooth: float) -> float:
     """rho = sigma / ((1 + 2 sigma L)(1 + sigma L)); equals T0 / 2."""
-    sl = sigma * l_smooth
-    return sigma / ((1.0 + 2.0 * sl) * (1.0 + sl))
+    return rate_terms(sigma, l_smooth)[0] / 2.0
 
 
 def convex_bound(
@@ -118,6 +117,8 @@ def nonconvex_bound(ctx: TheoryContext, sigma: float, steps: int, f0_gap: float)
 
 
 def annealed_constants(ctx: TheoryContext, sigma0: float) -> tuple[float, float]:
+    if sigma0 <= 0:
+        raise ValueError("sigma0 must be positive")
     sl = sigma0 * ctx.l_smooth
     c1 = (1.0 + 2.0 * sl) * (1.0 + sl) / (4.0 * sigma0)
     c2 = (6.0 * ctx.delta_int + 2.0 * max(0.0, 2.0 * sl - 1.0) * ctx.delta_pos) \
@@ -129,9 +130,9 @@ def annealed_bound(ctx: TheoryContext, sigma0: float, steps: int, dist0_sq: floa
     """Bound for the sigma_k-weighted average with sigma_k = sigma0/sqrt(k+1)."""
     if steps < 2:
         raise ValueError("annealed bound requires K >= 2")
-    if sigma0 <= 0 or dist0_sq < 0:
-        raise ValueError("need sigma0 > 0, dist0_sq >= 0")
-    c1, c2 = annealed_constants(ctx, sigma0)
+    if dist0_sq < 0:
+        raise ValueError("dist0_sq must be nonnegative")
+    c1, c2 = annealed_constants(ctx, sigma0)  # checks sigma0
     denom = math.sqrt(steps) - 1.0
     return c1 * dist0_sq / denom + c1 * c2 * math.log(steps + 1) / denom
 

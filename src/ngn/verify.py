@@ -214,7 +214,6 @@ def check_deterministic_contraction(
     """Per-step distance contraction of deterministic NGN on N=1, f*=0."""
     _check_size("len(sigma_factors)", len(sigma_factors))
     obj = make_quadratic1d(lam, 1.0, 0.0)
-    ctx = theory.context_from_objective(obj)
     worst = -math.inf
     for factor in sigma_factors:
         sigma = factor / lam

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -365,19 +366,25 @@ def test_batch_sums_are_sequential(d):
     assert all(math.copysign(1.0, g) == 1.0 for g in grad[0])
 
 
-def test_batch_evaluator_matches_eval_many(monkeypatch):
+def test_one_block_eval_many_matches_blocks_of_one_entry(monkeypatch):
+    # at the default block size each batch is one evaluator call; at one entry
+    # a block, each slot of each row is a call of its own
     rng = np.random.default_rng(8)
     for make in FAMILIES:
         obj = make()
+        calls, evaluator = [], obj._evaluator
+        obj._evaluator = lambda idx, X: calls.append(idx.size) or evaluator(idx, X)
         pts = rng.standard_normal((7, obj.dim))
         for batch in (1, min(3, obj.n)):
             idx = rng.integers(obj.n, size=(7, batch))
-            expected = obj.eval_many(idx, pts)
-            for block_entries in (objectives.ROW_BLOCK_ENTRIES, 1):
-                monkeypatch.setattr(objectives, "ROW_BLOCK_ENTRIES", block_entries)
-                got = obj.batch_evaluator(7, batch)(idx, pts)
-                monkeypatch.undo()
-                assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            one_block = obj.eval_many(idx, pts)
+            monkeypatch.setattr(objectives, "ROW_BLOCK_ENTRIES", 1)
+            blocked = obj.eval_many(idx, pts)
+            monkeypatch.undo()
+            assert calls == [7 * batch] + [1] * (7 * batch)
+            calls.clear()
+            assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                       for a, b in zip(one_block, blocked))
 
 
 def test_sum_in_numpy_order_matches_np_sum():
@@ -490,9 +497,7 @@ def test_logistic_matches_the_reference_softmax_bit_for_bit(n, d, classes):
                     pairs = [(obj.full_many(X), reference.full_many(X))]
                     for batch in (1, 5, 16):
                         idx = rng.integers(0, n, (S, batch))
-                        want = reference.eval_many(idx, X)
-                        pairs += [(obj.eval_many(idx, X), want),
-                                  (obj.batch_evaluator(S, batch)(idx, X), want)]
+                        pairs.append((obj.eval_many(idx, X), reference.eval_many(idx, X)))
                 for got, want in pairs:
                     assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want)), (
                         l2, scale, S)
@@ -572,6 +577,19 @@ def test_libsvm_names_a_line_that_is_not_utf8(tmp_path):
     path = tmp_path / "utf16.svm"
     path.write_bytes(b"0 1:0.25\n\xff\xfe1 1:0.5\n")
     with pytest.raises(ParseError, match="^line 2: byte 0xff is not UTF-8 text$"):
+        load_libsvm(path)
+
+
+@pytest.mark.parametrize("text, line, char", [
+    ("1 1:1_000 2:\u0663\n0 1_0:2\n", 1, "_"), ("1 1:1\n0 1_0:2\n", 2, "_"),
+    ("1 1:1 2:\u0663\n", 1, "\u0663"), ("1_0 1:1\n", 1, "_"), ("1 1:1\u00a02:3\n", 1, "\u00a0")])
+def test_libsvm_takes_ascii_numbers_only(tmp_path, text, line, char):
+    # int and float take "1_000", "1_0" and the Arabic-Indic digit three; the
+    # no-break space would split the line
+    path = tmp_path / "digits.svm"
+    path.write_text(text, encoding="utf-8")
+    message = f"line {line}: {char!r} is not LIBSVM text"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         load_libsvm(path)
 
 

@@ -66,3 +66,12 @@ def test_step_loop_has_no_type_tests_or_filled_arrays():
               and func.value.id == "np" and func.attr in ("zeros", "full")):
             found.append(f"runner.py:{node.lineno} np.{func.attr}")
     assert not found, found
+
+
+def test_only_objectives_reaches_past_eval_many_and_full_many():
+    # wrapping FiniteSumObjective.eval_many and full_many sees every evaluation
+    private = {"batch_evaluator", "_evaluator", "_full"}
+    found = [f"{path.name}:{node.lineno} {node.attr}" for path, tree in modules()
+             if path.name != "objectives.py" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in private]
+    assert not found, found

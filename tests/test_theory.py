@@ -46,13 +46,20 @@ def test_rho_is_half_t0():
         for l_smooth in (0.5, 1.0, 4.0):
             t0, _, _ = rate_terms(sigma, l_smooth)
             rho = contraction_rho(sigma, l_smooth)
-            assert rho == pytest.approx(t0 / 2.0)
+            assert rho == t0 / 2.0
             # mu = L, the largest mu a context admits: mu*rho peaks at 3 - 2 sqrt(2)
             # (sigma L = 1/sqrt(2)), so the strongly convex bound's base stays in (0, 1)
             assert 0.0 < l_smooth * rho <= 3.0 - 2.0 * math.sqrt(2.0) + 1e-15
             c = ctx(l_smooth=l_smooth, mu=l_smooth)
             floor = strongly_convex_bound(c, sigma, 10**6, 1.0)
             assert strongly_convex_bound(c, sigma, 1, 1.0) > floor > 0.0
+
+
+@pytest.mark.parametrize("sigma, l_smooth", [(0.0, 1.0), (-2.0, 1.0), (-1.0, 1.0), (1.0, -0.5)])
+def test_contraction_rho_needs_positive_sigma_and_l(sigma, l_smooth):
+    # unchecked, the formula gives 0.0 and -2/3 for the first two and divides by zero for the others
+    with pytest.raises(ValueError, match="sigma and L must be positive"):
+        contraction_rho(sigma, l_smooth)
 
 
 def test_convex_bound_hand_value():
@@ -108,6 +115,13 @@ def test_annealed_constants_hand_values():
     c1, c2 = annealed_constants(ctx(), 1.0)
     assert c1 == pytest.approx(1.5)
     assert c2 == pytest.approx(3.4)
+
+
+@pytest.mark.parametrize("sigma0", [-1.0, 0.0])
+def test_annealed_constants_need_positive_sigma0(sigma0):
+    # unchecked, the formulas give (0.0, 0.0) for -1.0 and divide by zero for 0.0
+    with pytest.raises(ValueError, match="sigma0 must be positive"):
+        annealed_constants(ctx(), sigma0)
 
 
 def test_annealed_bound_hand_value():

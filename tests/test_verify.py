@@ -43,7 +43,10 @@ def test_lemma_inequality_check_passes():
     assert check_lemma_inequality(problem="two_quadratics", sigma=0.3).passed
 
 
-def test_contraction_check_passes():
+def test_contraction_check_passes(monkeypatch):
+    # its bound needs only lam and sigma: no theory context, which costs an evaluation
+    monkeypatch.setattr(theory, "context_from_objective",
+                        lambda *args, **kwargs: pytest.fail("built a theory context"))
     assert check_deterministic_contraction().passed
 
 
