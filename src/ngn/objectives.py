@@ -9,6 +9,7 @@ minima) used by the theory and verification modules.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -550,20 +551,25 @@ def text_lines(path) -> Iterator[tuple[int, str]]:
             yield lineno, line.rstrip("\n")
 
 
+# A character that LIBSVM text does not hold: its numbers are ASCII, where Python's int
+# and float would take digit-group underscores and other scripts' digits, and LIBSVM
+# splits on space and tab only, where str.split also splits on \x0b, \x0c and \x1c-\x1f
+_NOT_LIBSVM = re.compile(r"[^\t -^`-~]")  # all but tab and printable ASCII, "_" excluded
+
+
 def load_libsvm(path) -> Dataset:
     """Parse LIBSVM sparse text ("label idx:val ...", 1-based indices) in UTF-8.
 
-    Its numbers are ASCII: a line with an underscore or a character that is
-    not ASCII is a ParseError, where Python's int and float would take
-    digit-group underscores and other scripts' digits.
+    A line with an underscore, a character that is not ASCII or an ASCII
+    control character other than tab is a ParseError (`_NOT_LIBSVM`).
     """
     labels_raw: list[float] = []
     rows: list[dict[int, float]] = []
     max_index = 0
     for lineno, line in text_lines(path):
-        if "_" in line or not line.isascii():
-            char = next(c for c in line if c == "_" or not c.isascii())
-            raise ParseError(f"line {lineno}: {char!r} is not LIBSVM text")
+        bad = _NOT_LIBSVM.search(line)
+        if bad:
+            raise ParseError(f"line {lineno}: {bad.group()!r} is not LIBSVM text")
         line = line.strip()
         if not line:
             continue

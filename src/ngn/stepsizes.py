@@ -239,6 +239,6 @@ class Armijo(StepsizePolicy):
 
 def stepsize_bounds(sigma: float, l_smooth: float) -> tuple[float, float]:
     """Range [sigma/(1 + sigma L), sigma] of the NGN stepsize on L-smooth f."""
-    if sigma <= 0 or l_smooth <= 0:
-        raise ValueError("sigma and L must be positive")
+    if not (0 < sigma < math.inf and 0 < l_smooth < math.inf):
+        raise ValueError("sigma and L must be positive and finite")
     return sigma / (1.0 + sigma * l_smooth), sigma

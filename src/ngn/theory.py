@@ -25,12 +25,13 @@ class TheoryContext:
     delta_noise_sq: float = 0.0
 
     def __post_init__(self):
-        if self.l_smooth <= 0:
-            raise ValueError("L must be positive")
-        if self.mu < 0 or self.mu > self.l_smooth:
+        if not 0 < self.l_smooth < math.inf:
+            raise ValueError("L must be positive and finite")
+        if not 0 <= self.mu <= self.l_smooth:
             raise ValueError("need 0 <= mu <= L")
-        if min(self.delta_int, self.delta_pos, self.delta_noise_sq) < 0:
-            raise ValueError("gap terms must be nonnegative")
+        if not all(0 <= gap < math.inf
+                   for gap in (self.delta_int, self.delta_pos, self.delta_noise_sq)):
+            raise ValueError("gap terms must be nonnegative and finite")
 
 
 def context_from_objective(obj: FiniteSumObjective, delta_noise_sq: float = 0.0) -> TheoryContext:
@@ -48,8 +49,8 @@ def context_from_objective(obj: FiniteSumObjective, delta_noise_sq: float = 0.0)
 
 def rate_terms(sigma: float, l_smooth: float) -> tuple[float, float, float]:
     """Per-step error expansion terms (T0, T1, T2)."""
-    if sigma <= 0 or l_smooth <= 0:
-        raise ValueError("sigma and L must be positive")
+    if not (0 < sigma < math.inf and 0 < l_smooth < math.inf):
+        raise ValueError("sigma and L must be positive and finite")
     sl = sigma * l_smooth
     t0 = 2.0 * sigma / ((1.0 + 2.0 * sl) * (1.0 + sl))
     t1 = 6.0 * l_smooth * sigma**2 / (1.0 + 2.0 * sl)
@@ -75,8 +76,8 @@ def convex_bound(
     eta = 2 sigma / (1 + 2 sigma L)^2; "proof" uses the slightly tighter
     2 sigma / ((1 + 2 sigma L)(1 + sigma L)) that the derivation yields.
     """
-    if sigma <= 0 or steps < 1 or dist0_sq < 0:
-        raise ValueError("need sigma > 0, steps >= 1, dist0_sq >= 0")
+    if not (0 < sigma < math.inf and 1 <= steps < math.inf and 0 <= dist0_sq < math.inf):
+        raise ValueError("need finite sigma > 0, steps >= 1, dist0_sq >= 0")
     sl = sigma * ctx.l_smooth
     if constant == "stated":
         eta = 2.0 * sigma / (1.0 + 2.0 * sl) ** 2
@@ -95,8 +96,8 @@ def strongly_convex_bound(ctx: TheoryContext, sigma: float, k: int, dist0_sq: fl
     """Squared-distance bound after k steps under mu-strong convexity."""
     if ctx.mu <= 0:
         raise ValueError("requires strong convexity (mu > 0)")
-    if sigma <= 0 or k < 0 or dist0_sq < 0:
-        raise ValueError("need sigma > 0, k >= 0, dist0_sq >= 0")
+    if not (0 < sigma < math.inf and 0 <= k < math.inf and 0 <= dist0_sq < math.inf):
+        raise ValueError("need finite sigma > 0, k >= 0, dist0_sq >= 0")
     sl = sigma * ctx.l_smooth
     # mu <= L and L*rho <= 3 - 2 sqrt(2) ~ 0.172, so the base 1 - mu*rho is in (0.82, 1]
     rho = contraction_rho(sigma, ctx.l_smooth)
@@ -111,14 +112,14 @@ def nonconvex_bound(ctx: TheoryContext, sigma: float, steps: int, f0_gap: float)
     """Bound on the average squared full-gradient norm, sigma <= 1/(2L)."""
     if sigma > 1.0 / (2.0 * ctx.l_smooth) + 1e-15:
         raise ValueError("theorem precondition violated: sigma > 1/(2L)")
-    if sigma <= 0 or steps < 1 or f0_gap < 0:
-        raise ValueError("need sigma > 0, steps >= 1, f0_gap >= 0")
+    if not (0 < sigma < math.inf and 1 <= steps < math.inf and 0 <= f0_gap < math.inf):
+        raise ValueError("need finite sigma > 0, steps >= 1, f0_gap >= 0")
     return 12.0 * f0_gap / (sigma * steps) + 18.0 * sigma * ctx.l_smooth * ctx.delta_noise_sq
 
 
 def annealed_constants(ctx: TheoryContext, sigma0: float) -> tuple[float, float]:
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
+    if not 0 < sigma0 < math.inf:
+        raise ValueError("sigma0 must be positive and finite")
     sl = sigma0 * ctx.l_smooth
     c1 = (1.0 + 2.0 * sl) * (1.0 + sl) / (4.0 * sigma0)
     c2 = (6.0 * ctx.delta_int + 2.0 * max(0.0, 2.0 * sl - 1.0) * ctx.delta_pos) \
@@ -130,8 +131,8 @@ def annealed_bound(ctx: TheoryContext, sigma0: float, steps: int, dist0_sq: floa
     """Bound for the sigma_k-weighted average with sigma_k = sigma0/sqrt(k+1)."""
     if steps < 2:
         raise ValueError("annealed bound requires K >= 2")
-    if dist0_sq < 0:
-        raise ValueError("dist0_sq must be nonnegative")
+    if not 0 <= dist0_sq < math.inf:
+        raise ValueError("dist0_sq must be nonnegative and finite")
     c1, c2 = annealed_constants(ctx, sigma0)  # checks sigma0
     denom = math.sqrt(steps) - 1.0
     return c1 * dist0_sq / denom + c1 * c2 * math.log(steps + 1) / denom

@@ -65,8 +65,8 @@ LEMMA_FIXTURES = {
 }
 
 
-def _ngn(sigma: float):
-    """NGN(sigma), built through the policy table like every policy."""
+def _ngn(sigma):
+    """NGN(sigma), sigma one value or one per row, built through the policy table."""
     return build(POLICIES, "ngn", sigma=sigma)
 
 
@@ -125,37 +125,39 @@ def check_lemma_bounds(
 
 def check_lemma_inequality(
     problem: str = "two_quadratics",
-    sigma: float = 1.0,
+    sigma_factors: Sequence[float] = (0.1, 0.5, 2.0),
     steps: int = 1000,
     seed: int = 0,
-) -> CheckReport:
-    """Pointwise fundamental inequality at each step, at least one, of a stochastic NGN run."""
+) -> list[CheckReport]:
+    """Pointwise fundamental inequality at each step, at least one, of a stochastic NGN run
+    at each sigma = factor / L: one run, a row of seed `seed` per sigma."""
+    _check_size("len(sigma_factors)", len(sigma_factors))
     obj = build_spec(PROBLEMS, LEMMA_FIXTURES[problem])
     l_smooth = obj.l_max
-    _, _, t2 = theory.rate_terms(sigma, l_smooth)
-    coeff = 4.0 * sigma * l_smooth / (1.0 + 2.0 * sigma * l_smooth)
-    second_term_needed = sigma > 1.0 / (2.0 * l_smooth)
-    worst, n_taken = -math.inf, 0
-    for chunk in Run(obj, _ngn(sigma), steps, seeds=(seed,)):
-        taken = np.isfinite(chunk.gamma[0]) & ~chunk.stationary[0]
-        n_taken += int(taken.sum())
-        gamma = chunk.gamma[0, taken]
-        fstar = obj.f_i_star[chunk.batch_ids[0, taken]].mean(axis=1)
-        lhs = gamma**2 * chunk.grad_sq[0, taken]
-        rhs = coeff * gamma * np.maximum(chunk.loss_batch[0, taken] - fstar, 0.0)
-        if second_term_needed:
-            rhs += t2 * fstar
-        worst = max(worst, float(np.max((lhs - rhs) / np.maximum(lhs, 1.0), initial=-math.inf)))
-    return CheckReport(
+    sigmas = [factor / l_smooth for factor in sigma_factors]
+    second_term = [sigma > 1.0 / (2.0 * l_smooth) for sigma in sigmas]
+    # (S, 1) columns: each row's coefficient, and its second-term weight, 0 where not needed
+    coeff = np.array([[4.0 * s * l_smooth / (1.0 + 2.0 * s * l_smooth)] for s in sigmas])
+    t2 = np.array([[theory.rate_terms(s, l_smooth)[2] if needed else 0.0]
+                   for s, needed in zip(sigmas, second_term)])
+    worst, n_taken = np.full(len(sigmas), -math.inf), np.zeros(len(sigmas), dtype=int)
+    for chunk in Run(obj, _ngn(sigmas), steps, seeds=[seed] * len(sigmas)):
+        taken = np.isfinite(chunk.gamma) & ~chunk.stationary
+        n_taken += taken.sum(axis=1)
+        fstar = obj.f_i_star[chunk.batch_ids].mean(axis=2)
+        lhs = chunk.gamma**2 * chunk.grad_sq
+        rhs = coeff * chunk.gamma * np.maximum(chunk.loss_batch - fstar, 0.0) + t2 * fstar
+        excess = np.where(taken, (lhs - rhs) / np.maximum(lhs, 1.0), -math.inf)
+        worst = np.maximum(worst, excess.max(axis=1))
+    return [CheckReport(
         name="lemma_fundamental_inequality",
-        params={"problem": problem, "sigma": sigma, "steps": steps,
-                "second_term": second_term_needed},
-        measured=worst,
+        params={"problem": problem, "sigma": sigma, "steps": steps, "second_term": needed},
+        measured=w,
         bound=1e-10,
         tolerance=1e-10,
-        passed=n_taken > 0 and worst <= 1e-10,
+        passed=n > 0 and w <= 1e-10,
         seed=seed,
-    )
+    ) for sigma, needed, w, n in zip(sigmas, second_term, worst.tolist(), n_taken.tolist())]
 
 
 def _monte_carlo_pass(per_seed: Sequence[float], rhs: float) -> bool:
@@ -211,26 +213,26 @@ def check_deterministic_contraction(
     sigma_factors: Sequence[float] = (0.1, 1.0, 10.0),
     steps: int = 200,
 ) -> CheckReport:
-    """Per-step distance contraction of deterministic NGN on N=1, f*=0."""
+    """Per-step distance contraction of deterministic NGN on N=1, f*=0, at each
+    sigma = factor / lam: one run, a row per sigma."""
     _check_size("len(sigma_factors)", len(sigma_factors))
     obj = make_quadratic1d(lam, 1.0, 0.0)
+    sigmas = [factor / lam for factor in sigma_factors]
+    limit = np.array([[(1.0 - lam * theory.contraction_rho(sigma, lam)) + 1e-9]
+                      for sigma in sigmas])  # each row's, a column
+    run = Run(obj, _ngn(sigmas), steps, seeds=[0] * len(sigmas), x0=np.array([4.0]), cadence=1)
     worst = -math.inf
-    for factor in sigma_factors:
-        sigma = factor / lam
-        rho = theory.contraction_rho(sigma, lam)
-        limit = (1.0 - lam * rho) + 1e-9
-        run = Run(obj, _ngn(sigma), steps, x0=np.array([4.0]), cadence=1)
-        before = np.empty(0)  # the last point of the chunks done
-        for chunk in run:  # x^K follows the last chunk's cadence points
-            d = np.concatenate([before, metrics(obj, metric_points(run, chunk))[1, 0]])
-            # below ~1e-9 the loss is at the numerical value floor and the
-            # stepsize formula no longer reflects the analytic rule
-            mask = d[:-1] > 1e-9
-            ratios = d[1:][mask] / d[:-1][mask]
-            worst = max(worst, float(np.max(ratios - limit, initial=-math.inf)))
-            before = d[-1:]
-        if run.diverged_step[0] >= 0:
-            worst = math.inf
+    before = np.empty((len(sigmas), 0))  # each row's last point of the chunks done
+    for chunk in run:  # x^K follows the last chunk's cadence points
+        d = np.concatenate([before, metrics(obj, metric_points(run, chunk))[1]], axis=1)
+        # below ~1e-9 the loss is at the numerical value floor and the
+        # stepsize formula no longer reflects the analytic rule
+        mask = d[:, :-1] > 1e-9
+        ratios = np.divide(d[:, 1:], d[:, :-1], out=np.full(mask.shape, -math.inf), where=mask)
+        worst = max(worst, float(np.max(ratios - limit, initial=-math.inf)))
+        before = d[:, -1:]
+    if (run.diverged_step >= 0).any():
+        worst = math.inf
     return CheckReport(
         name="theorem_strongly_convex_contraction",
         params={"lam": lam, "sigma_factors": list(sigma_factors), "steps": steps},
@@ -394,31 +396,33 @@ def check_never_diverge(
     x0: float = 3.0,
     steps: int = 500,
 ) -> list[CheckReport]:
-    """NGN stays bounded on the 1-d quadratic for every sigma; GD does not."""
+    """NGN stays bounded on the 1-d quadratic at each sigma, a row of one run; GD does not."""
+    _check_size("len(sigma_grid)", len(sigma_grid))
     lam, f_star = 1.2, 0.1
     obj = make_quadratic1d(lam, 0.0, f_star)
     x0_vec = np.array([x0])
     envelope = 10.0 * abs(x0)
-    reports = []
 
-    for sigma in sigma_grid:
-        run = Run(obj, _ngn(sigma), steps, x0=x0_vec, cadence=1)
-        sup = 0.0  # of |x^k| over x^0 .. x^K
-        for chunk in run:
-            sup = max(sup, float(np.max(np.abs(chunk.iterates))))
-        diverged = run.diverged_step[0] >= 0
-        sup = math.inf if diverged else max(sup, float(np.max(np.abs(run.X))))
-        reports.append(CheckReport(
-            name="fig2_ngn_bounded",
-            params={"sigma": sigma, "x0": x0},
-            measured=sup,
-            bound=envelope,
-            passed=not diverged and sup <= envelope,
-        ))
+    run = Run(obj, _ngn(sigma_grid), steps, seeds=[0] * len(sigma_grid), x0=x0_vec, cadence=1)
+    sup = np.zeros(len(sigma_grid))  # of each row's |x^k| over x^0 .. x^K
+    for chunk in run:
+        sup = np.maximum(sup, np.abs(chunk.iterates).max(axis=(1, 2)))
+    diverged = run.diverged_step >= 0
+    sup = np.where(diverged, math.inf, np.maximum(sup, np.abs(run.X).max(axis=1)))
+    reports = [CheckReport(
+        name="fig2_ngn_bounded",
+        params={"sigma": sigma, "x0": x0},
+        measured=s,
+        bound=envelope,
+        passed=not bad and s <= envelope,
+    ) for sigma, s, bad in zip(sigma_grid, sup.tolist(), diverged.tolist())]
 
-    gd_bad = Run(obj, build(POLICIES, "constant", gamma=2.0), 100, x0=x0_vec)
-    write_traces(gd_bad, [])
-    diverged_at = int(gd_bad.diverged_step[0])
+    # GD at gamma = 2 > 2/lambda to step 100 and at gamma = 1 to step 500, a row each;
+    # write_traces returns each row's final values, NaN for a row that diverged
+    gd = Run(obj, build(POLICIES, "constant", gamma=[2.0, 1.0]), [100, 500], seeds=[0, 0],
+             x0=x0_vec, cadence=500)
+    final = write_traces(gd, [])[1, 0]  # the loss at gamma = 1's x^K
+    diverged_at = int(gd.diverged_step[0])
     reports.append(CheckReport(
         name="fig2_gd_unstable_diverges",
         params={"gamma": 2.0, "threshold": 2.0 / lam},
@@ -427,10 +431,6 @@ def check_never_diverge(
         # a run stopped at step 0 diverged before its first step, at its start
         passed=diverged_at >= 1,
     ))
-
-    # the final loss, NaN when the run diverged
-    final = write_traces(Run(obj, build(POLICIES, "constant", gamma=1.0), 500, x0=x0_vec,
-                             cadence=500), [])[0, 0]
     reports.append(CheckReport(
         name="fig2_gd_stable_converges",
         params={"gamma": 1.0},
@@ -586,9 +586,7 @@ def suite_lemmas() -> list[CheckReport]:
     for problem in ("quadratic1d", "logistic"):
         reports.append(check_lemma_bounds(problem=problem))
     for problem in ("two_quadratics", "quadratic1d"):
-        l_smooth = build_spec(PROBLEMS, LEMMA_FIXTURES[problem]).l_max
-        for sigma in (0.1 / l_smooth, 0.5 / l_smooth, 2.0 / l_smooth):
-            reports.append(check_lemma_inequality(problem=problem, sigma=sigma))
+        reports += check_lemma_inequality(problem=problem)
     return reports
 
 

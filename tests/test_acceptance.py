@@ -41,10 +41,8 @@ def test_criterion_02_lemma_stepsize_bounds():
 def test_criterion_03_lemma_fundamental_inequality():
     t0 = time.time()
     reports = []
-    for problem, l_smooth in (("two_quadratics", 1.0), ("quadratic1d", 1.2)):
-        for factor in (0.1, 0.5, 2.0):
-            reports.append(verify.check_lemma_inequality(
-                problem=problem, sigma=factor / l_smooth, steps=1000))
+    for problem in ("two_quadratics", "quadratic1d"):  # sigma = 0.1/L, 0.5/L and 2/L
+        reports += verify.check_lemma_inequality(problem=problem, steps=1000)
     elapsed = time.time() - t0
     ok = all(r.passed for r in reports)
     worst = max(r.measured for r in reports)

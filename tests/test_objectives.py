@@ -582,10 +582,15 @@ def test_libsvm_names_a_line_that_is_not_utf8(tmp_path):
 
 @pytest.mark.parametrize("text, line, char", [
     ("1 1:1_000 2:\u0663\n0 1_0:2\n", 1, "_"), ("1 1:1\n0 1_0:2\n", 2, "_"),
-    ("1 1:1 2:\u0663\n", 1, "\u0663"), ("1_0 1:1\n", 1, "_"), ("1 1:1\u00a02:3\n", 1, "\u00a0")])
+    ("1 1:1 2:\u0663\n", 1, "\u0663"), ("1_0 1:1\n", 1, "_"), ("1 1:1\u00a02:3\n", 1, "\u00a0"),
+    ("1\x1c1:2\x1f2:3\n", 1, "\x1c"), ("0 1:0.5\t2:1\n1\x0b1:2\n", 2, "\x0b"),
+    ("1 1:2\x0c2:3\n", 1, "\x0c"), ("1 1:2\x1f\n", 1, "\x1f"), ("1 1:2\x00\n", 1, "\x00"),
+    ("1 1:2\x7f\n", 1, "\x7f")])
 def test_libsvm_takes_ascii_numbers_only(tmp_path, text, line, char):
     # int and float take "1_000", "1_0" and the Arabic-Indic digit three; the
-    # no-break space would split the line
+    # no-break space would split the line, and so would \x0b, \x0c and \x1c-\x1f,
+    # where LIBSVM splits on space and tab only: "1\x1c1:2\x1f2:3" would load as
+    # label 1 with features 2.0 and 3.0. A tab separates, as on line 1 of the \x0b case
     path = tmp_path / "digits.svm"
     path.write_text(text, encoding="utf-8")
     message = f"line {line}: {char!r} is not LIBSVM text"

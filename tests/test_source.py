@@ -75,3 +75,20 @@ def test_only_objectives_reaches_past_eval_many_and_full_many():
              if path.name != "objectives.py" for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in private]
     assert not found, found
+
+
+def test_no_run_is_built_in_a_loop():
+    # a grid of parameter values is the rows of one Run, not a Run per value:
+    # no Run(...) call sits in a for or while body or in a comprehension
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = []
+    for path, tree in modules():
+        for loop in ast.walk(tree):
+            if not isinstance(loop, loops):
+                continue
+            # a for's iterable is evaluated once: `for chunk in Run(...)` builds one run
+            parts = loop.body + loop.orelse if isinstance(loop, (ast.For, ast.While)) else [loop]
+            found += [f"{path.name}:{node.lineno}" for part in parts for node in ast.walk(part)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "Run"]
+    assert not found, found

@@ -5,6 +5,7 @@ import pytest
 
 from ngn import objectives
 from ngn.objectives import make_linear_regression, make_nonconvex_sum, make_two_quadratics
+from ngn.stepsizes import stepsize_bounds
 from ngn.theory import (
     TheoryContext,
     annealed_bound,
@@ -149,6 +150,28 @@ def test_context_validation():
         TheoryContext(l_smooth=0.0, mu=0.0, delta_int=0.0, delta_pos=0.0)
     with pytest.raises(ValueError):
         TheoryContext(l_smooth=1.0, mu=0.0, delta_int=-0.1, delta_pos=0.0)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rate_terms(NAN, 1.0), lambda: rate_terms(1.0, INF), lambda: contraction_rho(NAN, 1.0),
+    lambda: convex_bound(ctx(), INF, 10, 1.0), lambda: convex_bound(ctx(), 1.0, 10, NAN),
+    lambda: strongly_convex_bound(ctx(), NAN, 1, 1.0),
+    lambda: strongly_convex_bound(ctx(), 0.5, 1, INF),
+    lambda: nonconvex_bound(ctx(), NAN, 10, 1.0), lambda: nonconvex_bound(ctx(), 0.5, 10, INF),
+    lambda: annealed_constants(ctx(), NAN), lambda: annealed_constants(ctx(), INF),
+    lambda: annealed_bound(ctx(), 1.0, 10, NAN),
+    lambda: ctx(l_smooth=NAN), lambda: ctx(l_smooth=INF), lambda: ctx(mu=NAN),
+    lambda: ctx(delta_int=INF), lambda: ctx(delta_pos=NAN), lambda: ctx(delta_noise_sq=INF),
+    lambda: stepsize_bounds(NAN, 1.0), lambda: stepsize_bounds(1.0, INF),
+])
+def test_preconditions_reject_nan_and_inf(call):
+    # NaN passes a `<= 0` test and inf an `x > 0` one: unchecked, these return
+    # NaN, inf or 0.0 bounds, or build a context of them, without an error
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_noise_estimate_two_quadratics_at_origin():

@@ -40,7 +40,9 @@ def test_lemma_bounds_check_passes():
 
 
 def test_lemma_inequality_check_passes():
-    assert check_lemma_inequality(problem="two_quadratics", sigma=0.3).passed
+    (report,) = check_lemma_inequality(problem="two_quadratics", sigma_factors=(0.3,))
+    assert report.passed
+    assert report.params["sigma"] == 0.3  # two_quadratics has L = 1
 
 
 def test_contraction_check_passes(monkeypatch):
@@ -135,12 +137,21 @@ def test_strongly_convex_rate_needs_checkpoints_on_the_cadence(steps):
     assert check_strongly_convex_rate(steps=8, n_seeds=2).params["steps"] == 8
 
 
-def test_contraction_needs_a_sigma_factor():
-    with pytest.raises(ValueError, match="len.sigma_factors. must be >= 1, got 0"):
-        check_deterministic_contraction(sigma_factors=())
+@pytest.mark.parametrize("check, grid", [
+    (check_deterministic_contraction, "sigma_factors"),
+    (check_lemma_inequality, "sigma_factors"),
+    (check_never_diverge, "sigma_grid"),
+], ids=["contraction", "lemma_inequality", "never_diverge"])
+def test_grid_checks_need_a_sigma(check, grid):
+    with pytest.raises(ValueError, match=f"len.{grid}. must be >= 1, got 0"):
+        check(**{grid: ()})
+    # a grid's sigmas are the rows of one run, which takes each sigma once
+    with pytest.raises(ValueError, match="seed 0 repeats with parameter values"):
+        check(**{grid: (0.5, 0.5)})
 
 
-@pytest.mark.parametrize("check", [check_lemma_bounds, check_lemma_inequality])
+@pytest.mark.parametrize("check", [lambda: [check_lemma_bounds()], check_lemma_inequality],
+                         ids=["check_lemma_bounds", "check_lemma_inequality"])
 def test_lemma_checks_fail_without_a_step(monkeypatch, check):
     advance = Run.advance
 
@@ -149,9 +160,9 @@ def test_lemma_checks_fail_without_a_step(monkeypatch, check):
         chunk.stationary[:] = True  # as if every step stood still
         return chunk
 
-    assert check().passed
+    assert all(report.passed for report in check())
     monkeypatch.setattr(Run, "advance", no_step)
-    assert not check().passed
+    assert not any(report.passed for report in check())
 
 
 @pytest.mark.parametrize("check", [
@@ -171,7 +182,7 @@ def test_diverged_runs_fail_with_measured_inf(check):
 def test_unstable_gd_fails_when_its_start_diverges():
     # a start loss above the divergence threshold stops the gamma = 2 run at
     # step 0, before any step could show the instability
-    reports = {report.name: report for report in check_never_diverge(x0=1e20, sigma_grid=())}
+    reports = {report.name: report for report in check_never_diverge(x0=1e20, sigma_grid=(1.0,))}
     report = reports["fig2_gd_unstable_diverges"]
     assert report.measured == 0.0
     assert not report.passed
@@ -279,3 +290,22 @@ def test_rate_checks_step_once(monkeypatch):
     calls = count_stepsize_calls(monkeypatch, stepsizes.NGN)
     check_annealed_rate(steps_grid=(5, 50, 500), n_seeds=4)
     assert calls == list(range(500))  # 555 with a run per K
+
+
+def test_grid_checks_step_once(monkeypatch):
+    # a check's sigma grid is the rows of one run: one policy call per step
+    # of its longest row, not one per step of each sigma's own run
+    calls = count_stepsize_calls(monkeypatch, stepsizes.NGN)
+    check_deterministic_contraction()
+    assert calls == list(range(200))  # 600 with a run per sigma
+    for problem in ("two_quadratics", "quadratic1d"):
+        calls = count_stepsize_calls(monkeypatch, stepsizes.NGN)
+        check_lemma_inequality(problem=problem)
+        assert calls == list(range(1000))  # 3000 with a run per sigma
+    # the NGN grid's run, then the settle run; the two GD rows are one run
+    monkeypatch.setattr(verify, "SETTLE_STEPS", 300)
+    calls = count_stepsize_calls(monkeypatch, stepsizes.NGN)
+    gd_calls = count_stepsize_calls(monkeypatch, stepsizes.Constant)
+    check_never_diverge()
+    assert calls == list(range(500)) + list(range(300))  # 2800 with a run per sigma
+    assert gd_calls == list(range(500))  # 600 with a run per gamma
