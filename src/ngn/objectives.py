@@ -538,17 +538,19 @@ def make_nonconvex_sum(n: int, seed: int, eps: float = 0.5) -> FiniteSumObjectiv
     )
 
 
-def text_lines(path) -> Iterator[tuple[int, str]]:
-    """The number and text of each line of the UTF-8 text file at `path`, its line break
-    dropped; ParseError at the first line with a byte that is not UTF-8."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+def text_lines(path, newline: Optional[str] = None) -> Iterator[tuple[int, str]]:
+    r"""The number and text of each line of the UTF-8 text file at `path`, its line break
+    dropped; ParseError at the first line with a byte that is not UTF-8. `newline` is
+    `open`'s: with "\n", only \n ends a line, and a \r stays in its line unless it comes
+    right before the \n."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line.encode()
             except UnicodeEncodeError as exc:  # a byte that reading escaped
                 raise ParseError(f"line {lineno}: byte {ord(line[exc.start]) - 0xDC00:#04x} "
                                  "is not UTF-8 text") from None
-            yield lineno, line.rstrip("\n")
+            yield lineno, line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
 
 
 # A character that LIBSVM text does not hold: its numbers are ASCII, where Python's int
@@ -558,15 +560,16 @@ _NOT_LIBSVM = re.compile(r"[^\t -^`-~]")  # all but tab and printable ASCII, "_"
 
 
 def load_libsvm(path) -> Dataset:
-    """Parse LIBSVM sparse text ("label idx:val ...", 1-based indices) in UTF-8.
+    r"""Parse LIBSVM sparse text ("label idx:val ...", 1-based indices) in UTF-8.
 
-    A line with an underscore, a character that is not ASCII or an ASCII
-    control character other than tab is a ParseError (`_NOT_LIBSVM`).
+    A line ends at \n or \r\n, as in LIBSVM's own reader. A line with an
+    underscore, a character that is not ASCII or an ASCII control character
+    other than tab, a lone \r included, is a ParseError (`_NOT_LIBSVM`).
     """
     labels_raw: list[float] = []
     rows: list[dict[int, float]] = []
     max_index = 0
-    for lineno, line in text_lines(path):
+    for lineno, line in text_lines(path, newline="\n"):
         bad = _NOT_LIBSVM.search(line)
         if bad:
             raise ParseError(f"line {lineno}: {bad.group()!r} is not LIBSVM text")

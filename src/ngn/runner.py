@@ -15,6 +15,7 @@ from .stepsizes import StepObservation, StepsizePolicy
 DIVERGENCE_THRESHOLD = 1e30
 
 SAMPLERS = ("with_replacement_uniform", "epoch_shuffle", "full_batch")
+REFILL_CHUNKS = 8  # a with-replacement refill draws at least this many chunks' indices
 
 TRACE_COLUMNS = (
     "step", "batch_ids", "loss_batch", "gamma", "sigma", "grad_sq_norm",
@@ -32,31 +33,38 @@ class RunError(RuntimeError):
 
 
 class _Sampler:
-    """One row's component indices, drawn a chunk of steps at a time from its stream.
+    """One row's component indices, dealt in order from a buffer that its stream refills.
 
-    Draws in a row give the indices of one draw of all their steps:
-    `integers` splits without a seam, and epoch_shuffle deals from one
-    permutation per epoch, keeping the undealt rest for the next draw.
+    A with-replacement refill draws `refill` indices, or what the draw needs
+    if that is more, and none past the row's `end` steps: a row holds at most
+    one refill, a size fixed by the chunk length, not by the step count.
+    epoch_shuffle refills with whole permutations. Either way the draws in a
+    row deal the indices of one draw of all their steps: `integers` splits
+    without a seam.
     """
 
-    def __init__(self, mode: str, n: int, batch: int, rng: np.random.Generator):
-        self.mode, self.n, self.batch, self.rng = mode, n, batch, rng
+    def __init__(self, mode: str, n: int, batch: int, rng: np.random.Generator, end: int,
+                 refill: int):
+        self.shuffle, self.n, self.batch, self.rng = mode == "epoch_shuffle", n, batch, rng
+        self.left, self.refill = end * batch, refill  # indices the row may still draw
         self.rest = np.empty(0, dtype=np.int64)
 
+    def _more(self, need: int) -> np.ndarray:
+        """At least `need` more indices: whole permutations, or a refill."""
+        if self.shuffle:
+            return np.concatenate([self.rng.permutation(self.n) for _ in range(-(-need // self.n))])
+        size = min(max(need, self.refill), self.left)
+        self.left -= size
+        return self.rng.integers(0, self.n, size=size)
+
     def draw(self, steps: int) -> np.ndarray:
-        """(steps, batch) indices; under full_batch the one row arange(N) that every step uses."""
-        if self.mode == "full_batch":
-            return np.arange(self.n)[None, :]
-        if self.mode == "with_replacement_uniform":
-            return self.rng.integers(0, self.n, size=(steps, self.batch))
-        need = steps * self.batch
-        parts, have = [self.rest], len(self.rest)
-        while have < need:
-            parts.append(self.rng.permutation(self.n))
-            have += self.n
-        order = np.concatenate(parts)
-        self.rest = order[need:]
-        return order[:need].reshape(steps, self.batch)
+        """(steps, batch) indices, the row's next."""
+        need, have = steps * self.batch, len(self.rest)
+        if have < need:
+            more = self._more(need - have)
+            self.rest = np.concatenate([self.rest, more]) if have else more
+        order, self.rest = self.rest[:need], self.rest[need:]
+        return order.reshape(steps, self.batch)
 
 
 def check_run(obj: FiniteSumObjective, policy: StepsizePolicy, steps: int, *,
@@ -114,7 +122,7 @@ class Chunk:
     step-major stores (batch_ids is one of the (k1 - k0, S, batch) index
     table while every row runs, and sigma a read-only one, with a stride of
     0 across rows when they share one sigma): copy one before handing it to
-    code that needs contiguous memory. A chunk draws indices for the rows
+    code that needs contiguous memory. A chunk deals indices to the rows
     running at k0 only: a row stopped before k0 reads -1 in batch_ids.
     """
 
@@ -181,7 +189,7 @@ class Run:
     keeps iterates; whoever reads a metric evaluates it (`metrics`). From
     chunk to chunk the run carries the policy's per-row state, each row's
     two streams, default_rng([seed, 0]) for the start point and
-    default_rng([seed, 1]) for the indices, drawn a chunk at a time, and its
+    default_rng([seed, 1]) for the indices, which its `_Sampler` deals, and its
     running rows, which one `_Rows` holds: their numbers and iterates,
     compacted by its `stop` when a row stops.
 
@@ -207,18 +215,19 @@ class Run:
         self.full_batch = sampler == "full_batch"
         start = None if x0 is None else as_point(x0, dim)
         self.X = np.empty((n_rows, dim))
-        self._samplers = []
         for r, seed in enumerate(seeds):
             self.X[r] = (start if start is not None
                          else np.random.default_rng([seed, 0]).standard_normal(dim))
-            self._samplers.append(_Sampler(sampler, obj.n, batch_size,
-                                           np.random.default_rng([seed, 1])))
         policy.reset()
         self.k = 0
         self.diverged_step = np.full(n_rows, -1)
         self._rows = _Rows(self)  # which rows still run; X gets a row's iterate when it stops
         self._batch = obj.n if self.full_batch else batch_size  # indices a step
         self.chunk_steps = _chunk_steps(n_rows, dim + 4 + (0 if self.full_batch else batch_size))
+        refill = REFILL_CHUNKS * self.chunk_steps * batch_size
+        self._samplers = [] if self.full_batch else [
+            _Sampler(sampler, obj.n, batch_size, np.random.default_rng([seed, 1]), end, refill)
+            for seed, end in zip(seeds, ends)]
 
     def __iter__(self):
         while self.k < self.steps:
@@ -252,7 +261,7 @@ class Run:
         # step-major, so that step j's indices are one contiguous block tables[j]
         tables = np.empty((1 if full_batch else n_steps, n_start, self._batch), dtype=np.int64)
         for c, r in enumerate(rows.ids.tolist()):
-            tables[:, c] = self._samplers[r].draw(n_steps)
+            tables[:, c] = np.arange(obj.n) if full_batch else self._samplers[r].draw(n_steps)
         # (n_steps, n_start) sigma_k of each running row: the policy's sigma
         # holds one value for them all or one for each
         sigma = policy.sigma_schedule(k1, k0)

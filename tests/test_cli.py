@@ -449,6 +449,14 @@ def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+def test_config_lines_may_end_in_cr(tmp_path, end):
+    # a config is read with universal newlines, where LIBSVM text ends a line at \n only
+    cfg = write_config(tmp_path / "run.cfg")
+    cfg.write_bytes(cfg.read_bytes().replace(b"\n", end))
+    assert cli.parse_config(cfg) == cli.parse_config(write_config(tmp_path / "lf.cfg"))
+
+
 def test_verify_empty_selection(tmp_path):
     assert main(["verify", "--out", str(tmp_path)]) == 2
 

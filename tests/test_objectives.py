@@ -585,17 +585,30 @@ def test_libsvm_names_a_line_that_is_not_utf8(tmp_path):
     ("1 1:1 2:\u0663\n", 1, "\u0663"), ("1_0 1:1\n", 1, "_"), ("1 1:1\u00a02:3\n", 1, "\u00a0"),
     ("1\x1c1:2\x1f2:3\n", 1, "\x1c"), ("0 1:0.5\t2:1\n1\x0b1:2\n", 2, "\x0b"),
     ("1 1:2\x0c2:3\n", 1, "\x0c"), ("1 1:2\x1f\n", 1, "\x1f"), ("1 1:2\x00\n", 1, "\x00"),
-    ("1 1:2\x7f\n", 1, "\x7f")])
+    ("1 1:2\x7f\n", 1, "\x7f"), ("1 1:2\r0 2:3\n", 1, "\r"), ("0 1:1\r\n1 1:2\r", 2, "\r"),
+    ("0 1:1\n1 1:2\r\r\n", 2, "\r")])
 def test_libsvm_takes_ascii_numbers_only(tmp_path, text, line, char):
     # int and float take "1_000", "1_0" and the Arabic-Indic digit three; the
     # no-break space would split the line, and so would \x0b, \x0c and \x1c-\x1f,
     # where LIBSVM splits on space and tab only: "1\x1c1:2\x1f2:3" would load as
-    # label 1 with features 2.0 and 3.0. A tab separates, as on line 1 of the \x0b case
+    # label 1 with features 2.0 and 3.0. A tab separates, as on line 1 of the \x0b case.
+    # Only \n ends a line, and a \r is its line's unless it comes right before the
+    # \n: "1 1:2\r0 2:3" would load as two samples
     path = tmp_path / "digits.svm"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode())
     message = f"line {line}: {char!r} is not LIBSVM text"
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         load_libsvm(path)
+
+
+def test_libsvm_lines_may_end_in_crlf(tmp_path):
+    # as LIBSVM's own reader takes them, whether or not the last line ends
+    lf, crlf = tmp_path / "lf.svm", tmp_path / "crlf.svm"
+    lf.write_bytes(b"0 1:0.5\n1 2:3\n2 1:1")
+    crlf.write_bytes(b"0 1:0.5\r\n1 2:3\r\n2 1:1")
+    a, b = load_libsvm(lf), load_libsvm(crlf)
+    assert np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
+    assert a.features.tolist() == [[0.5, 0.0], [0.0, 3.0], [1.0, 0.0]]
 
 
 def test_libsvm_rejects_repeated_index(tmp_path):

@@ -80,7 +80,7 @@ def test_stable_gd_does_not_diverge():
 def test_with_replacement_sampling_frequencies():
     n = 10
     rng = np.random.default_rng(0)
-    draws = _Sampler("with_replacement_uniform", n, 1, rng).draw(10**6)
+    draws = _Sampler("with_replacement_uniform", n, 1, rng, 10**6, 1).draw(10**6)
     freqs = np.bincount(draws.ravel(), minlength=n) / draws.size
     assert np.all(np.abs(freqs - 1.0 / n) <= 5.0 * math.sqrt(n) / 1e3)
 
@@ -88,16 +88,13 @@ def test_with_replacement_sampling_frequencies():
 def test_epoch_shuffle_covers_every_index():
     n = 7
     rng = np.random.default_rng(1)
-    draws = _Sampler("epoch_shuffle", n, 1, rng).draw(3 * n).ravel()
+    draws = _Sampler("epoch_shuffle", n, 1, rng, 3 * n, 1).draw(3 * n).ravel()
     for e in range(3):
         assert sorted(draws[e * n:(e + 1) * n]) == list(range(n))
 
 
 def test_full_batch_rows(tmp_path):
     # one row that every step uses, not a table of `steps` identical rows
-    rng = np.random.default_rng(0)
-    draws = _Sampler("full_batch", 4, 4, rng).draw(5)
-    assert np.array_equal(draws, [np.arange(4)])
     trace = one_trace(make_two_quadratics(), policy("ngn(sigma=0.5)"), 5, sampler="full_batch")
     assert np.array_equal(trace.batch_ids, [[0, 1]])
     write_traces(Run(make_two_quadratics(), policy("ngn(sigma=0.5)"), 5, sampler="full_batch"),
@@ -757,13 +754,52 @@ def test_rows_below_the_threshold_run_on_whatever_their_sum():
 @pytest.mark.parametrize("n", [2, 3, 8, 2000])
 @pytest.mark.parametrize("mode", ["with_replacement_uniform", "epoch_shuffle"])
 def test_split_draws_match_one_draw(mode, n):
-    # a chunk at a time, the indices of one draw of all steps; epoch_shuffle
-    # carries the rest of a permutation over to the next draw
-    whole = _Sampler(mode, n, 3, np.random.default_rng([4, 1])).draw(9000)
-    for split in (5, 7, 500, 4096):
-        sampler = _Sampler(mode, n, 3, np.random.default_rng([4, 1]))
+    # a chunk at a time, whatever the refill, the indices of one draw of all
+    # steps, and the stream left where that draw leaves it; the rest of a
+    # refill or a permutation carries over to the next draw
+    one = _Sampler(mode, n, 3, np.random.default_rng([4, 1]), 9000, 1)
+    whole = one.draw(9000)
+    after = one.rng.integers(2**32, size=4)
+    for split, refill in itertools.product((5, 7, 500, 4096), (1, 7, 4096)):
+        sampler = _Sampler(mode, n, 3, np.random.default_rng([4, 1]), 9000, refill)
         parts = [sampler.draw(min(split, 9000 - k)) for k in range(0, 9000, split)]
         assert np.array_equal(np.concatenate(parts), whole)
+        assert np.array_equal(sampler.rng.integers(2**32, size=4), after)
+
+
+class CountingRng:
+    """A generator that counts the calls made to it."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_a_row_calls_its_generator_once_a_refill(monkeypatch):
+    # chunks of 5 steps, batch 2: a refill draws 8 chunks' indices, 40 steps,
+    # where a draw per chunk took 40 calls in 200 steps; no row draws past its
+    # end, so each stream goes on where a draw of end * batch indices leaves it
+    monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 5)
+    ends = [200] + [30] * 3
+    run = Run(make_two_quadratics(), policy("ngn(sigma=0.5)"), ends, seeds=range(4),
+              batch_size=2)
+    rngs = [CountingRng(sampler.rng) for sampler in run._samplers]
+    for sampler, rng in zip(run._samplers, rngs):
+        sampler.rng = rng
+    list(run)
+    assert [rng.calls for rng in rngs] == [5, 1, 1, 1]
+    for seed, end, rng in zip(range(4), ends, rngs):
+        fresh = np.random.default_rng([seed, 1])
+        fresh.integers(0, 2, size=end * 2)
+        assert np.array_equal(rng.rng.integers(0, 2, size=50), fresh.integers(0, 2, size=50))
 
 
 STREAM_CASES = {
