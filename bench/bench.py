@@ -25,11 +25,23 @@ time is normalised by the reference kernel of `perfbench/reference.py`
 run around it, and reads in seconds on a core of the kernel's nominal
 speed. Every metric is given as the median and quartiles of its
 repetitions. The JSON also records the machine, Python and numpy.
+
+Before the timed repetitions, one traced pass of each case splits its
+time by layer, with class-level wraps: `objectives` counts
+`FiniteSumObjective.eval_many` and `full_many`, `stepsizes` the `stepsize`
+of each `StepsizePolicy` subclass, `metrics` `runner.metrics`, and
+`runner` `runner.write_traces`. Each layer reads its calls and self
+seconds (raw), a wrapped call's time less that of the wrapped calls it
+makes; the runner's self seconds are the rest of the pass, wraps
+included: `Run.advance`'s bookkeeping, since no case writes a trace. A
+name that is gone, or a layer that a case must call and that reads no
+call, stops the script.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -45,8 +57,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from reference import NOMINAL_S, Yardstick  # noqa: E402  (perfbench, read only)
 
+from ngn import runner  # noqa: E402
+from ngn.objectives import FiniteSumObjective  # noqa: E402
 from ngn.runner import Run, write_traces  # noqa: E402
 from ngn.specs import POLICIES, PROBLEMS, build, build_spec  # noqa: E402
+from ngn.stepsizes import StepsizePolicy  # noqa: E402
 
 SWEEP_GAMMAS = np.linspace(0.08, 4.0, 50)  # above 2 the iteration diverges
 SWEEP_SEEDS = 20
@@ -96,6 +111,76 @@ def timed(name: str, make_run) -> tuple[float, int]:
     return seconds, row_steps
 
 
+def layer_names() -> dict:
+    """Layer -> the (owner, name) pairs whose calls it counts."""
+    policies, todo = [], StepsizePolicy.__subclasses__()
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if "stepsize" in vars(cls):
+            policies.append(cls)
+    return {
+        "objectives": [(FiniteSumObjective, "eval_many"), (FiniteSumObjective, "full_many")],
+        "stepsizes": [(cls, "stepsize") for cls in policies],
+        "metrics": [(runner, "metrics")],
+        "runner": [(runner, "write_traces")],
+    }
+
+
+@contextlib.contextmanager
+def wrapped(names: dict, calls: dict, self_s: dict):
+    """Each layer's `names` wrapped, adding each call to `calls` and its self seconds to
+    `self_s` by layer; AttributeError, with nothing wrapped, for a name that is gone."""
+    inner = []  # seconds in wrapped callees, one entry per open wrapped call
+    targets = [(layer, owner, name, getattr(owner, name))
+               for layer, pairs in names.items() for owner, name in pairs]
+
+    def counted(layer, fn):
+        def call(*args, **kwargs):
+            inner.append(0.0)
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds = time.perf_counter() - t0
+                self_s[layer] += seconds - inner.pop()
+                calls[layer] += 1
+                if inner:
+                    inner[-1] += seconds
+
+        return call
+
+    try:
+        for layer, owner, name, fn in targets:
+            setattr(owner, name, counted(layer, fn))
+        yield
+    finally:
+        for _, owner, name, fn in targets:
+            setattr(owner, name, fn)
+
+
+def traced(name: str, make_run) -> dict:
+    """One pass of a fresh run of case `name` with every layer wrapped: each layer's calls,
+    self seconds and share of the pass. RuntimeError when the objectives, stepsizes or
+    runner layer reads no call, or the metrics layer in a run with a cadence, whose
+    final values write_traces evaluates through `runner.metrics`."""
+    run = make_run()
+    names = layer_names()
+    calls, self_s = dict.fromkeys(names, 0), dict.fromkeys(names, 0.0)
+    with wrapped(names, calls, self_s):
+        t0 = time.perf_counter()
+        runner.write_traces(run, [])
+        seconds = time.perf_counter() - t0
+    self_s["runner"] = seconds - sum(self_s[layer] for layer in self_s if layer != "runner")
+    must = ["objectives", "stepsizes", "runner"] + (["metrics"] if run.cadence else [])
+    for layer in must:
+        if not calls[layer]:
+            raise RuntimeError(f"case {name}: layer {layer} made no call")
+    return {"wall_s": seconds, **{layer: {"calls": calls[layer], "self_s": self_s[layer],
+                                          "share": self_s[layer] / seconds}
+                                  for layer in calls}}
+
+
 def spread(values: list[float]) -> dict:
     """Median and quartiles of the repetitions' values."""
     if len(values) == 1:
@@ -106,6 +191,7 @@ def spread(values: list[float]) -> dict:
 
 def measure(steps: int, sweep_steps: int, reps: int) -> dict:
     runs = cases(steps, sweep_steps)
+    layers = {name: traced(name, make_run) for name, make_run in runs.items()}
     wall = {name: [] for name in runs}
     row_steps = {}
     yardstick = Yardstick()
@@ -119,6 +205,7 @@ def measure(steps: int, sweep_steps: int, reps: int) -> dict:
             "row_steps": row_steps[name],
             "wall_s": spread(times),
             "us_per_row_step": spread([1e6 * t / row_steps[name] for t in times]),
+            "layers": layers[name],
         }
     for name in wall:
         if name.endswith("/ngn"):
@@ -149,6 +236,8 @@ def main(argv=None) -> int:
                      "sweep_rows": len(SWEEP_GAMMAS) * SWEEP_SEEDS},
         "units": {"wall_s": f"s on a core that runs the reference kernel in {NOMINAL_S} s",
                   "us_per_row_step": "us of wall_s per step of one row",
+                  "layers": "one traced pass: wall_s and each layer's self_s raw, in s; "
+                            "share, self_s / wall_s",
                   "kernel_s": "s, raw"},
         **measure(args.steps, args.sweep_steps, args.reps),
     }

@@ -15,7 +15,7 @@ from .stepsizes import StepObservation, StepsizePolicy
 DIVERGENCE_THRESHOLD = 1e30
 
 SAMPLERS = ("with_replacement_uniform", "epoch_shuffle", "full_batch")
-REFILL_CHUNKS = 8  # a with-replacement refill draws at least this many chunks' indices
+REFILL_CHUNKS = 8  # a with-replacement refill draws at least this many S-row chunks' indices
 
 TRACE_COLUMNS = (
     "step", "batch_ids", "loss_batch", "gamma", "sigma", "grad_sq_norm",
@@ -37,7 +37,7 @@ class _Sampler:
 
     A with-replacement refill draws `refill` indices, or what the draw needs
     if that is more, and none past the row's `end` steps: a row holds at most
-    one refill, a size fixed by the chunk length, not by the step count.
+    one refill, a size fixed by the run's row count, not by the step count.
     epoch_shuffle refills with whole permutations. Either way the draws in a
     row deal the indices of one draw of all their steps: `integers` splits
     without a seam.
@@ -109,41 +109,44 @@ def _chunk_steps(rows: int, width: int) -> int:
 
 @dataclass
 class Chunk:
-    """Steps k0 .. k1-1 of every row of a run, each per-step array (S, k1 - k0, ...).
+    """Steps k0 .. k1-1 of the rows running at k0, in row order: `rows` numbers them
+    among the run's S rows, and each per-step array is (R, k1 - k0, ...), R = len(rows).
 
-    A row that is stopped reads NaN there (False in `stationary`). With a
-    cadence c > 0 the chunk also carries the iterates at its cadence
-    points, x^k for k0 <= k < k1 with k % c == 0, NaN where the row has
-    stopped; whoever reads a metric evaluates it there (`metrics`). A
-    row's last iterate stays in `Run.X`.
+    A row that stops inside the chunk reads NaN after its stop (False in
+    `stationary`). With a cadence c > 0 the chunk also carries their
+    iterates at its cadence points, x^k for k0 <= k < k1 with k % c == 0,
+    NaN after a row's stop; whoever reads a metric evaluates it there
+    (`metrics`). A row's final iterate is in `Run.X`. Once every row has
+    stopped, one chunk of no rows and no cadence points takes the run to
+    its end.
 
     The per-step fields batch_ids, loss_batch, gamma, grad_sq, stationary
     and sigma may be non-contiguous views, transposes of the run's
-    step-major stores (batch_ids is one of the (k1 - k0, S, batch) index
-    table while every row runs, and sigma a read-only one, with a stride of
-    0 across rows when they share one sigma): copy one before handing it to
-    code that needs contiguous memory. A chunk deals indices to the rows
-    running at k0 only: a row stopped before k0 reads -1 in batch_ids.
+    step-major stores (batch_ids is one of the (k1 - k0, R, batch) index
+    table, and sigma a read-only one, with a stride of 0 across rows when
+    they share one sigma): copy one before handing it to code that needs
+    contiguous memory.
     """
 
     k0: int
     k1: int
-    batch_ids: np.ndarray  # (S, k1 - k0, batch), or (S, 1, N) under full_batch; -1 if stopped
+    rows: np.ndarray  # (R,) the rows running at k0
+    batch_ids: np.ndarray  # (R, k1 - k0, batch), or (R, 1, N) under full_batch
     loss_batch: np.ndarray
     gamma: np.ndarray
     grad_sq: np.ndarray
     stationary: np.ndarray
-    sigma: np.ndarray  # each row's sigma_k, NaN only for a row stopped before k0
+    sigma: np.ndarray  # each row's sigma_k
     metric_steps: np.ndarray  # (m,) the cadence points' steps
-    iterates: np.ndarray  # (S, m, d) x^k at metric_steps
+    iterates: np.ndarray  # (R, m, d) x^k at metric_steps
 
 
 class _Rows:
     """The rows of a run still running, in row order: `stop` is the one place they shrink.
 
     `ids` numbers them among the run's S rows and `x` holds their iterates;
-    `sel` indexes them in the chunk arrays, which hold `at_k0`, the rows
-    running at the chunk's start, and is a full slice while all of those run.
+    `sel` indexes them in the chunk arrays, which hold the rows running at
+    the chunk's start, and is a full slice while all of those run.
     """
 
     def __init__(self, run: Run):
@@ -152,7 +155,7 @@ class _Rows:
 
     def start(self) -> tuple:
         """Make the running rows a new chunk's rows; (x, sel) for the step loop."""
-        self.at_k0, self.sel = self.ids, slice(None)
+        self.sel = slice(None)
         return self.x, self.sel
 
     def stop(self, bad: np.ndarray, x: np.ndarray, diverged_at: Optional[int] = None) -> tuple:
@@ -164,28 +167,20 @@ class _Rows:
         if diverged_at is not None:
             self.diverged_step[gone] = diverged_at
         if isinstance(self.sel, slice):
-            self.sel = np.arange(len(self.at_k0))
+            self.sel = np.arange(len(x))
         self.ids, self.sel, self.x = self.ids[keep], self.sel[keep], x[keep]
         self.policy.keep_rows(keep)
         return self.x, self.sel
-
-    def whole(self, part: np.ndarray, fill) -> np.ndarray:
-        """`part`, a chunk array of the rows running at k0, as one of all S rows."""
-        if len(self.at_k0) == len(self.X):
-            return part
-        out = np.full((len(self.X),) + part.shape[1:], fill)
-        out[self.at_k0] = part
-        return out
 
 
 class Run:
     """x^{k+1} = x^k - gamma_k * grad_batch(x^k) for S rows, one seed each, in lockstep.
 
     Each `advance` takes the running rows through the next chunk, steps
-    [k0, k1) of about ROW_BLOCK_ENTRIES entries, or fewer when one of them
-    ends before, and returns their per-step values and their iterates at the
-    cadence points as a `Chunk`; iterating the run takes it to its end, as
-    does `write_traces`. The run steps and
+    [k0, k1) of about ROW_BLOCK_ENTRIES entries of those rows, or fewer when
+    one of them ends before, and returns their per-step values and their
+    iterates at the cadence points as a `Chunk` of those rows; iterating the
+    run takes it to its end, as does `write_traces`. The run steps and
     keeps iterates; whoever reads a metric evaluates it (`metrics`). From
     chunk to chunk the run carries the policy's per-row state, each row's
     two streams, default_rng([seed, 0]) for the start point and
@@ -223,8 +218,8 @@ class Run:
         self.diverged_step = np.full(n_rows, -1)
         self._rows = _Rows(self)  # which rows still run; X gets a row's iterate when it stops
         self._batch = obj.n if self.full_batch else batch_size  # indices a step
-        self.chunk_steps = _chunk_steps(n_rows, dim + 4 + (0 if self.full_batch else batch_size))
-        refill = REFILL_CHUNKS * self.chunk_steps * batch_size
+        self._width = dim + 4 + (0 if self.full_batch else batch_size)  # entries a row-step
+        refill = REFILL_CHUNKS * _chunk_steps(n_rows, self._width) * batch_size
         self._samplers = [] if self.full_batch else [
             _Sampler(sampler, obj.n, batch_size, np.random.default_rng([seed, 1]), end, refill)
             for seed, end in zip(seeds, ends)]
@@ -238,8 +233,9 @@ class Run:
         return np.where(self.diverged_step >= 0, self.diverged_step + 1, self.ends)
 
     def advance(self) -> Chunk:
-        """Run steps k .. k1-1 of the rows running at k, k1 = min(k + chunk_steps, the next
-        end among them); the rows that end at k1 retire after its last step.
+        """Run steps k .. k1-1 of the R rows running at k, k1 = min(k + _chunk_steps(R, width),
+        the next end among them), or the run's end when R = 0; the rows that end at k1 retire
+        after its last step.
 
         A batch loss or squared batch gradient norm that is not finite or is
         above 1e30, or a non-finite coordinate, halts that row with the
@@ -255,16 +251,19 @@ class Run:
         # keeps `rows`' fields in locals, set anew by each stop.
         rows = self._rows
         x, sel = rows.start()
-        n_start = len(x)
-        k1 = min(k0 + self.chunk_steps, int(self.ends[rows.ids].min(initial=self.steps)))
+        ids, n_start = rows.ids, len(x)
+        if n_start:
+            k1 = min(k0 + _chunk_steps(n_start, self._width), int(self.ends[ids].min()))
+            sigma = policy.sigma_schedule(k1, k0)
+        else:  # every row has stopped: a chunk of none takes the run to its end
+            k1, sigma = self.steps, np.empty((1, 0))  # no sigma_k: (1, 0) broadcasts
         n_steps = k1 - k0
         # step-major, so that step j's indices are one contiguous block tables[j]
         tables = np.empty((1 if full_batch else n_steps, n_start, self._batch), dtype=np.int64)
-        for c, r in enumerate(rows.ids.tolist()):
+        for c, r in enumerate(ids.tolist()):
             tables[:, c] = np.arange(obj.n) if full_batch else self._samplers[r].draw(n_steps)
         # (n_steps, n_start) sigma_k of each running row: the policy's sigma
         # holds one value for them all or one for each
-        sigma = policy.sigma_schedule(k1, k0)
         sigma = np.broadcast_to(sigma[:, None] if sigma.ndim == 1 else sigma, (n_steps, n_start))
         # step-major, so that each step writes contiguous rows: step j's batch
         # losses and squared gradient norms are lg_c[j], one row lg_flat[j]
@@ -274,8 +273,8 @@ class Run:
         stationary_c = np.zeros((n_steps, n_start), dtype=bool)
         # x^k at each cadence point, NaN where a row is stopped: `point` is
         # the next one's step and i its index; without a cadence, never reached
-        metric_steps = (np.arange(-(-k0 // cadence) * cadence, k1, cadence) if cadence > 0
-                        else np.empty(0, dtype=int))
+        metric_steps = (np.arange(-(-k0 // cadence) * cadence, k1, cadence)
+                        if cadence > 0 and n_start else np.empty(0, dtype=int))
         iterates_c = np.full((n_start, len(metric_steps), dim), np.nan)
         i, point = 0, int(metric_steps[0]) if len(metric_steps) else -1
         component_min = None
@@ -370,11 +369,8 @@ class Run:
         self.k = k1
         self.X[rows.ids] = x
         rows.stop(self.ends[rows.ids] == k1, x)  # the rows that end at k1 retire
-        return Chunk(k0, k1, rows.whole(tables.transpose(1, 0, 2), -1),
-                     rows.whole(lg_c[:, 0].T, np.nan),
-                     rows.whole(gamma_c.T, np.nan), rows.whole(lg_c[:, 1].T, np.nan),
-                     rows.whole(stationary_c.T, False), rows.whole(sigma.T, np.nan), metric_steps,
-                     rows.whole(iterates_c, np.nan))
+        return Chunk(k0, k1, ids, tables.transpose(1, 0, 2), lg_c[:, 0].T, gamma_c.T,
+                     lg_c[:, 1].T, stationary_c.T, sigma.T, metric_steps, iterates_c)
 
 
 def metrics(obj: FiniteSumObjective, points: np.ndarray) -> np.ndarray:
@@ -399,18 +395,6 @@ def metrics(obj: FiniteSumObjective, points: np.ndarray) -> np.ndarray:
             out[1][at] = np.vecdot(diff, diff)
         out[2][at] = np.vecdot(fg, fg)
     return out
-
-
-def metric_points(run: Run, chunk: Chunk) -> np.ndarray:
-    """(S, m, d) the chunk's iterates at its cadence points, for `metrics`.
-
-    On the last chunk of a run with a cadence, (S, m + 1, d): each row's
-    last iterate, X[r], follows them, NaN for a row that diverged.
-    """
-    if run.cadence == 0 or chunk.k1 < run.steps:
-        return chunk.iterates
-    last = np.where((run.diverged_step < 0)[:, None], run.X, np.nan)
-    return np.concatenate([chunk.iterates, last[:, None]], axis=1)
 
 
 def _check_fresh(run: Run) -> None:
@@ -503,13 +487,16 @@ def write_traces(run: Run, paths: Sequence) -> np.ndarray:
     off-cadence and non-finite cells are empty, and a diverged trace ends at
     the step where it diverged, its sigma cell empty where the loss test
     stopped it (its gamma is NaN there). Each chunk's metrics are evaluated
-    at its `metric_points` in one full_many call and its rows written as
-    soon as it is done, so memory stays within a chunk however long the
-    run. Returns the (S, 4) final values of loss_full, dist_sq, grad_full_sq
-    and gamma of each row, NaN for a row that diverged, the first three NaN
-    without a cadence. With no paths it writes nothing and returns only
-    these; ValueError, before any file is opened, for any other count than
-    one path per row or for a run that has already advanced.
+    at its rows' cadence points in one full_many call and each of its rows'
+    trace rows written as soon as it is done, so memory stays within a
+    chunk however long the run. Returns the (S, 4) final values of
+    loss_full, dist_sq, grad_full_sq and gamma of each row, the first three
+    at its final iterate in `Run.X` (one full_many call after the last
+    chunk), NaN for a row that diverged, the first three NaN without a
+    cadence. With no paths it writes nothing, evaluates no cadence point
+    and returns only these; ValueError, before any file is opened, for any
+    other count than one path per row or for a run that has already
+    advanced.
     """
     _check_fresh(run)
     if len(paths) not in (0, len(run.seeds)):
@@ -520,21 +507,21 @@ def write_traces(run: Run, paths: Sequence) -> np.ndarray:
         for fh in files:
             fh.write(",".join(TRACE_COLUMNS) + "\n")
         for chunk in run:
-            values = metrics(run.obj, metric_points(run, chunk))
-            lengths = run.lengths()
-            steps = list(map(str, range(chunk.k0, chunk.k1))) if files else []
-            for r, fh in enumerate(files):
-                n_rows = min(chunk.k1, lengths[r]) - chunk.k0  # below 0 after a trace ends
-                if n_rows <= 0:
-                    continue
-                gamma = chunk.gamma[r]
-                _write_rows(fh, steps[:n_rows], chunk.batch_ids[r],
-                            (chunk.loss_batch[r], gamma,
-                             np.where(np.isnan(gamma), np.nan, chunk.sigma[r]), chunk.grad_sq[r]),
-                            chunk.k0, run.cadence, chunk.metric_steps, values[:, r])
+            if files:  # each row's rows of the chunk, to the end of its trace
+                values = metrics(run.obj, chunk.iterates)
+                lengths = np.minimum(run.lengths()[chunk.rows], chunk.k1) - chunk.k0
+                steps = list(map(str, range(chunk.k0, chunk.k1)))
+                for c, r in enumerate(chunk.rows.tolist()):
+                    gamma = chunk.gamma[c]
+                    _write_rows(files[r], steps[:lengths[c]], chunk.batch_ids[c],
+                                (chunk.loss_batch[c], gamma,
+                                 np.where(np.isnan(gamma), np.nan, chunk.sigma[c]),
+                                 chunk.grad_sq[c]),
+                                chunk.k0, run.cadence, chunk.metric_steps, values[:, c])
             # the last gamma of each row that ended with this chunk
-            ended = (run.ends == chunk.k1) & (run.diverged_step < 0)
-            last[ended, 3] = chunk.gamma[ended, -1]
-    if run.cadence > 0:
-        last[:, :3] = values[:, :, -1].T
+            ended = (run.ends[chunk.rows] == chunk.k1) & (run.diverged_step[chunk.rows] < 0)
+            last[chunk.rows[ended], 3] = chunk.gamma[ended, -1]
+    if run.cadence > 0:  # at each row's final iterate, X, but a diverged row's
+        kept = (run.diverged_step < 0)[:, None, None]
+        last[:, :3] = metrics(run.obj, np.where(kept, run.X[:, None], np.nan))[:, :, 0].T
     return last

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -24,7 +25,7 @@ from .objectives import (
     make_quadratic1d,
     make_two_quadratics,
 )
-from .runner import Run, metric_points, metrics, write_traces
+from .runner import Run, metrics, write_traces
 from .specs import POLICIES, PROBLEMS, build, build_spec
 from .stepsizes import StepObservation, stepsize_bounds
 
@@ -142,13 +143,15 @@ def check_lemma_inequality(
                    for s, needed in zip(sigmas, second_term)])
     worst, n_taken = np.full(len(sigmas), -math.inf), np.zeros(len(sigmas), dtype=int)
     for chunk in Run(obj, _ngn(sigmas), steps, seeds=[seed] * len(sigmas)):
+        rows = chunk.rows
         taken = np.isfinite(chunk.gamma) & ~chunk.stationary
-        n_taken += taken.sum(axis=1)
+        n_taken[rows] += taken.sum(axis=1)
         fstar = obj.f_i_star[chunk.batch_ids].mean(axis=2)
         lhs = chunk.gamma**2 * chunk.grad_sq
-        rhs = coeff * chunk.gamma * np.maximum(chunk.loss_batch - fstar, 0.0) + t2 * fstar
+        rhs = (coeff[rows] * chunk.gamma * np.maximum(chunk.loss_batch - fstar, 0.0)
+               + t2[rows] * fstar)
         excess = np.where(taken, (lhs - rhs) / np.maximum(lhs, 1.0), -math.inf)
-        worst = np.maximum(worst, excess.max(axis=1))
+        worst[rows] = np.maximum(worst[rows], excess.max(axis=1))
     return [CheckReport(
         name="lemma_fundamental_inequality",
         params={"problem": problem, "sigma": sigma, "steps": steps, "second_term": needed},
@@ -194,7 +197,7 @@ def check_convex_rate(
     run = Run(obj, _ngn(sigma), steps, seeds=range(n_seeds), x0=x0_vec, cadence=1)
     iterate_sum = np.zeros((n_seeds, obj.dim))  # of x^0 .. x^{K-1}, a chunk at a time
     for chunk in run:
-        iterate_sum += chunk.iterates.sum(axis=1)
+        iterate_sum[chunk.rows] += chunk.iterates.sum(axis=1)
     per_seed = _gaps(obj, iterate_sum / steps, run.diverged_step < 0)
     measured = float(np.mean(per_seed))
     return CheckReport(
@@ -222,15 +225,17 @@ def check_deterministic_contraction(
                       for sigma in sigmas])  # each row's, a column
     run = Run(obj, _ngn(sigmas), steps, seeds=[0] * len(sigmas), x0=np.array([4.0]), cadence=1)
     worst = -math.inf
-    before = np.empty((len(sigmas), 0))  # each row's last point of the chunks done
-    for chunk in run:  # x^K follows the last chunk's cadence points
-        d = np.concatenate([before, metrics(obj, metric_points(run, chunk))[1]], axis=1)
+    before = np.full((len(sigmas), 1), np.nan)  # each row's last distance of the chunks done
+    # each chunk's cadence points, then x^K, the final iterates
+    for rows, points in itertools.chain(((c.rows, c.iterates) for c in run),
+                                        [(slice(None), run.X[:, None])]):
+        d = np.concatenate([before[rows], metrics(obj, points)[1]], axis=1)
         # below ~1e-9 the loss is at the numerical value floor and the
         # stepsize formula no longer reflects the analytic rule
         mask = d[:, :-1] > 1e-9
         ratios = np.divide(d[:, 1:], d[:, :-1], out=np.full(mask.shape, -math.inf), where=mask)
-        worst = max(worst, float(np.max(ratios - limit, initial=-math.inf)))
-        before = d[:, -1:]
+        worst = max(worst, float(np.max(ratios - limit[rows], initial=-math.inf)))
+        before[rows] = d[:, -1:]
     if (run.diverged_step >= 0).any():
         worst = math.inf
     return CheckReport(
@@ -258,10 +263,12 @@ def check_strongly_convex_rate(
     dist_sq = np.full((n_seeds, 5), math.inf)  # at k = 0, K/4, K/2, 3K/4 and K
     run = Run(obj, _ngn(sigma), steps, seeds=range(n_seeds), x0=x0_vec, cadence=cadence)
     for chunk in run:
-        values = metrics(obj, metric_points(run, chunk))[1]
-        dist_sq[:, chunk.metric_steps // cadence] = values[:, :len(chunk.metric_steps)]
-    dist_sq[:, 4] = values[:, -1]  # at x^K, which follows the last chunk's cadence points
-    dist_sq[np.isnan(dist_sq)] = math.inf  # past the trace of a seed that diverged
+        values = metrics(obj, chunk.iterates)[1]
+        dist_sq[np.ix_(chunk.rows, chunk.metric_steps // cadence)] = values
+    # at x^K, the final iterates; inf past the trace of a seed that diverged
+    dist_sq[:, 4] = np.where(run.diverged_step < 0, metrics(obj, run.X[:, None])[1, :, 0],
+                             math.inf)
+    dist_sq[np.isnan(dist_sq)] = math.inf
     dists = {k: dist_sq[:, k // cadence] for k in checkpoints}
     worst_ratio = -math.inf
     ok = True
@@ -304,12 +311,13 @@ def check_nonconvex_rate(
     grad_sq_sum = np.zeros(n_seeds)  # of ||grad f(x^k)||^2 over k < K, a chunk at a time
     pilot = []
     for chunk in run:
-        if chunk.k0 < steps:  # the rows not diverged, up to step K
-            ok = run.diverged_step < 0
+        if chunk.k0 < steps:  # the chunk's rows not diverged, up to step K
+            ok = run.diverged_step[chunk.rows] < 0
             points = chunk.iterates[ok, :min(chunk.k1, steps) - chunk.k0]
             grads = obj.full_many(points.reshape(-1, obj.dim))[1]
-            grad_sq_sum[ok] += np.vecdot(grads, grads).reshape(len(points), -1).sum(axis=1)
-        if chunk.k0 <= PILOT_STEPS:
+            grad_sq_sum[chunk.rows[ok]] += (np.vecdot(grads, grads).reshape(len(points), -1)
+                                            .sum(axis=1))
+        if chunk.k0 <= PILOT_STEPS and chunk.rows[:1].tolist() == [0]:  # seed 0 still runs
             first = -(-chunk.k0 // PILOT_EVERY) * PILOT_EVERY - chunk.k0
             pilot += list(chunk.iterates[0, first:PILOT_STEPS + 1 - chunk.k0:PILOT_EVERY].copy())
     if run.diverged_step[0] >= 0:
@@ -360,11 +368,11 @@ def check_annealed_rate(
         for steps in steps_grid:
             if chunk.k0 < steps <= chunk.k1:
                 m = steps - chunk.k0
-                average = ((weighted + terms[:, :m].sum(axis=1))
-                           / (weights + sigma[:m].sum()))
+                average = weighted.copy()  # a row not in the chunk diverged: not kept
+                average[chunk.rows] += terms[:, :m].sum(axis=1)
                 kept = ~((0 <= run.diverged_step) & (run.diverged_step < steps))
-                per_seed_at[steps] = _gaps(obj, average, kept)
-        weighted += terms.sum(axis=1)
+                per_seed_at[steps] = _gaps(obj, average / (weights + sigma[:m].sum()), kept)
+        weighted[chunk.rows] += terms.sum(axis=1)
         weights += sigma.sum()
     reports = []
     means = []
@@ -406,7 +414,7 @@ def check_never_diverge(
     run = Run(obj, _ngn(sigma_grid), steps, seeds=[0] * len(sigma_grid), x0=x0_vec, cadence=1)
     sup = np.zeros(len(sigma_grid))  # of each row's |x^k| over x^0 .. x^K
     for chunk in run:
-        sup = np.maximum(sup, np.abs(chunk.iterates).max(axis=(1, 2)))
+        sup[chunk.rows] = np.maximum(sup[chunk.rows], np.abs(chunk.iterates).max(axis=(1, 2)))
     diverged = run.diverged_step >= 0
     sup = np.where(diverged, math.inf, np.maximum(sup, np.abs(run.X).max(axis=1)))
     reports = [CheckReport(
@@ -444,7 +452,7 @@ def check_never_diverge(
     run = Run(obj, _ngn(100.0), SETTLE_STEPS, x0=x0_vec)
     tail = np.empty(0)  # the last 100 stepsizes of the chunks done
     for chunk in run:
-        tail = np.concatenate([tail, chunk.gamma[0]])[-100:]
+        tail = np.concatenate([tail, *chunk.gamma])[-100:]
     if run.diverged_step[0] >= 0:
         center = spread = math.inf
     else:
@@ -469,10 +477,10 @@ def check_logistic_large_sigma(
     obj = build_spec(PROBLEMS, "logistic_blobs(seed=7)")
     run = Run(obj, _ngn(sigma), steps, seeds=(seed,), cadence=100)
     finite = True
-    for chunk in run:  # x^K follows the last chunk's cadence points
-        loss_full = metrics(obj, metric_points(run, chunk))[0]
+    for chunk in run:
+        loss_full = metrics(obj, chunk.iterates)[0]
         finite &= all(np.isfinite(a).all() for a in (chunk.loss_batch, chunk.gamma, loss_full))
-    final = loss_full[0, -1]  # the loss at x^K, NaN when the run diverged
+    final = metrics(obj, run.X[:, None])[0, 0, 0]  # the loss at x^K, the final iterate
     finite = finite and run.diverged_step[0] < 0 and math.isfinite(final)
     return CheckReport(
         name="logistic_large_sigma_stable",

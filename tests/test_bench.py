@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from ngn import runner
+from ngn.objectives import FiniteSumObjective
+
 BENCH = Path(__file__).resolve().parent.parent / "bench" / "bench.py"
 
 
@@ -28,6 +31,38 @@ def test_bench_times_every_case(bench, tmp_path):
     assert set(record["ngn_over_sgd"]) == {name.removesuffix("/ngn") for name in record["cases"]
                                            if name.endswith("/ngn")}
     assert record["python"] and record["numpy"]
+    # a traced pass of each case: a step is an eval_many and a stepsize call, and the
+    # sweep's final values, at its cadence, are one metrics call of one full_many call
+    for name, case in record["cases"].items():
+        layers = case["layers"]
+        steps = 4 if name == "sweep" else 3
+        assert [layers[layer]["calls"] for layer in ("objectives", "stepsizes", "runner")] == [
+            steps + (name == "sweep"), steps, 1], name
+        assert layers["metrics"]["calls"] == (name == "sweep"), name
+        assert all(layers[layer]["share"] > 0 for layer in ("objectives", "stepsizes",
+                                                            "runner")), name
+
+
+@pytest.mark.parametrize("owner, name", [(FiniteSumObjective, "eval_many"),
+                                         (FiniteSumObjective, "full_many"),
+                                         (runner, "metrics"), (runner, "write_traces")])
+def test_bench_fails_when_a_wrapped_name_is_missing(bench, tmp_path, monkeypatch, owner, name):
+    monkeypatch.delattr(owner, name)
+    with pytest.raises(AttributeError, match=name):
+        bench.main(["--out", str(tmp_path / "bench.json"), "--steps", "3", "--sweep-steps", "4",
+                    "--reps", "1"])
+    assert not (tmp_path / "bench.json").exists()
+
+
+def test_bench_fails_when_a_layer_reads_no_call(bench, tmp_path, monkeypatch):
+    # a write_traces that steps the run but evaluates no final value through metrics
+    eval_many = FiniteSumObjective.eval_many
+    monkeypatch.setattr(runner, "write_traces", lambda run, paths: list(run))
+    with pytest.raises(RuntimeError, match="case sweep: layer metrics made no call"):
+        bench.main(["--out", str(tmp_path / "bench.json"), "--steps", "3", "--sweep-steps", "4",
+                    "--reps", "1"])
+    assert not (tmp_path / "bench.json").exists()
+    assert FiniteSumObjective.eval_many is eval_many  # the wraps are off
 
 
 def test_bench_fails_when_a_case_runs_no_steps(bench, tmp_path, monkeypatch):

@@ -26,7 +26,6 @@ from ngn.runner import (
     _Sampler,
     aggregate_metric,
     check_run,
-    metric_points,
     metrics,
     write_traces,
 )
@@ -329,7 +328,11 @@ def assert_rows_claim(problem, policy, ends, *, values=None, seeds=None, events=
         # a row reaches the policy at step k unless it has stopped: its gamma is NaN
         running = [[r for r, t in enumerate(traces) if k < t.steps and not np.isnan(t.gamma[k])]
                    for k in range(run.steps)]
-        sigma = np.concatenate([chunk.sigma for chunk, _ in kept], axis=1)
+        # a chunk holds the rows running at its k0, and the run's sigma_k is theirs
+        sigma = np.full((len(ends), run.steps), np.nan)
+        for chunk, _ in kept:
+            assert chunk.rows.tolist() == np.flatnonzero(run.lengths() > chunk.k0).tolist()
+            sigma[chunk.rows, chunk.k0:chunk.k1] = chunk.sigma
         assert [seen[0] for seen in run.policy.seen] == [k for k, r in enumerate(running) if r]
         for k, ids, sigma_k, loss, grad_sq in run.policy.seen:
             rows = running[k]
@@ -575,35 +578,37 @@ def full_many_calls(obj):
 
 
 def test_full_many_called_once_per_metric_block():
-    # a call per chunk: 1365 cadence points, then 635 and the final point
+    # a call per chunk: 1365 cadence points, then 635; then one at the final points
     obj = make_two_quadratics()
     calls = full_many_calls(obj)
     whole_traces(Run(obj, policy("ngn(sigma=0.5)"), 2000, seeds=range(8), cadence=1))
-    assert calls == [8 * 1365, 8 * 636]
-    # however large a point's full objective: 3 cadence points and the final one
+    assert calls == [8 * 1365, 8 * 635, 8]
+    # however large a point's full objective: 3 cadence points, then the final one
     obj = build_spec(PROBLEMS, "logistic_blobs(n=2000, d=20, classes=5, seed=0)")
     calls = full_many_calls(obj)
     whole_traces(Run(obj, policy("ngn(sigma=1.0)"), 30, seeds=range(3), sampler="epoch_shuffle",
                      batch_size=16, cadence=10))
-    assert calls == [12]
+    assert calls == [9, 3]
 
 
-def test_logistic_full_takes_blocks_of_six_rows():
+def test_logistic_full_takes_blocks_of_six_rows(tmp_path):
     # the benchmark's logistic_run config: chunks of 182 and 118 steps hold
-    # 19 and 11 cadence points plus the final one, each over 3 rows, and
-    # full_many gives `full` at most ROW_BLOCK_ENTRIES // (2000 * 5) = 6 rows
+    # 19 and 11 cadence points of 3 rows, and the 3 final points take a call
+    # of their own; full_many gives `full` at most ROW_BLOCK_ENTRIES // (2000 * 5)
+    # = 6 rows
     obj = build_spec(PROBLEMS, "logistic_blobs(n=2000, d=20, classes=5, seed=0)")
     calls, full = [], obj._full
     obj._full = lambda X: calls.append(len(X)) or full(X)
     run = Run(obj, policy("ngn(sigma=1.0)"), 300, seeds=range(3), sampler="epoch_shuffle",
               batch_size=16, cadence=10)
-    write_traces(run, [])
-    assert calls == [6] * 9 + [3] + [6] * 6
+    write_traces(run, [tmp_path / f"trace{r}.csv" for r in range(3)])
+    assert calls == [6] * 9 + [3] + [6] * 5 + [3] + [3]
 
 
-def test_no_metric_points_after_every_row_stopped(monkeypatch):
-    # both rows diverge at step 99: their iterates read NaN from step 100 on,
-    # so the chunks after it evaluate no point, nor the last one a final point
+def test_no_metric_points_after_every_row_stopped(monkeypatch, tmp_path):
+    # both rows diverge at step 99, in the chunk of steps 90-99: one chunk of
+    # no rows and no cadence points takes the run to its end, and no final
+    # point is evaluated
     monkeypatch.setattr(runner, "_chunk_steps", lambda rows, width: 10)
     obj = make_quadratic1d(1.2, 0.0, 0.1)
     calls = full_many_calls(obj)
@@ -612,18 +617,34 @@ def test_no_metric_points_after_every_row_stopped(monkeypatch):
     chunks = list(run)
     assert run.diverged_step.tolist() == [99, 99]
     assert calls == []  # the run evaluates no metric
+    assert [(c.k0, c.k1, c.rows.tolist()) for c in chunks] == (
+        [(k, k + 10, [0, 1]) for k in range(0, 100, 10)] + [(100, 150, [])])
     assert [c.metric_steps.tolist() for c in chunks] == [list(range(k, k + 10))
-                                                         for k in range(0, 150, 10)]
-    iterates = np.concatenate([c.iterates for c in chunks], axis=1)
-    assert np.isfinite(iterates[:, :100]).all() and np.isnan(iterates[:, 100:]).all()
-    assert np.isnan(metric_points(run, chunks[-1])[:, -1]).all()
+                                                         for k in range(0, 100, 10)] + [[]]
+    assert chunks[-1].gamma.shape == (0, 50) and chunks[-1].iterates.shape == (0, 0, 1)
+    assert np.isfinite(np.concatenate([c.iterates for c in chunks[:-1]], axis=1)).all()
     finals = write_traces(Run(obj, policy("constant(gamma=2.0)"), 150, seeds=range(2),
-                              x0=np.array([3.0]), cadence=1), [])
+                              x0=np.array([3.0]), cadence=1),
+                          [tmp_path / "trace0.csv", tmp_path / "trace1.csv"])
     assert calls == [2 * 10] * 10
     assert np.isnan(finals).all()
 
 
-def test_stopped_rows_add_no_metric_points(monkeypatch):
+def test_a_run_whose_rows_have_all_stopped_ends_in_one_more_chunk():
+    # every row diverges by step 49, inside the first chunk, of 109 steps of
+    # 100 rows at d = 1: one chunk of no rows then takes the run to its end,
+    # where chunks of all rows took 184; its finals are NaN, as every row's
+    def sweep():
+        return Run(make_two_quadratics(), build(POLICIES, "constant", gamma=np.linspace(3, 4, 100)),
+                   20_000, seeds=[0] * 100, x0=np.array([2.0]), cadence=20_000)
+
+    run = sweep()
+    assert [(c.k0, c.k1, len(c.rows)) for c in run] == [(0, 109, 100), (109, 20_000, 0)]
+    assert 0 <= run.diverged_step.min() and run.diverged_step.max() == 49
+    assert np.isnan(write_traces(sweep(), [])).all()
+
+
+def test_stopped_rows_add_no_metric_points(monkeypatch, tmp_path):
     # row 0 runs 2000 steps and rows 1-19 retire at step 100, which ends the
     # first chunk, then chunks of 500: write_traces evaluates 2000 + 19 * 100
     # cadence points and the 20 final points, none at the iterates of a row
@@ -632,16 +653,16 @@ def test_stopped_rows_add_no_metric_points(monkeypatch):
     obj = make_two_quadratics()
     calls = full_many_calls(obj)
     finals = write_traces(Run(obj, policy("ngn(sigma=0.5)"), [2000] + [100] * 19, seeds=range(20),
-                              cadence=1), [])
-    assert calls == [20 * 100, 500, 500, 500, 400 + 20]
+                              cadence=1), [tmp_path / f"trace{r}.csv" for r in range(20)])
+    assert calls == [20 * 100, 500, 500, 500, 400, 20]
     assert sum(calls) == 3920
     assert np.isfinite(finals).all()
 
 
 def test_rows_retire_at_a_chunk_seam():
     # rows 1-19 end at step 100, before the 546 steps of a chunk of 20 rows
-    # at d = 1: the chunk ends there, they draw no indices after it and read
-    # -1 in batch_ids, and row 0 runs on alone
+    # at d = 1: the chunk ends there and they draw no indices after it, and
+    # row 0 runs on alone, in a chunk of its own sized by one row
     run = Run(make_two_quadratics(), policy("ngn(sigma=0.5)"), [2000] + [100] * 19,
               seeds=range(20))
     drawn = np.zeros(20, dtype=int)  # steps of indices drawn by each row
@@ -652,12 +673,11 @@ def test_rows_retire_at_a_chunk_seam():
 
         sampler.draw = draw
     chunks = list(run)
-    assert [(c.k0, c.k1) for c in chunks] == [(0, 100), (100, 646), (646, 1192), (1192, 1738),
-                                             (1738, 2000)]
+    assert [(c.k0, c.k1, c.rows.tolist()) for c in chunks] == [(0, 100, list(range(20))),
+                                                              (100, 2000, [0])]
     assert drawn.tolist() == [2000] + [100] * 19
-    assert (chunks[0].batch_ids >= 0).all()
-    for chunk in chunks[1:]:
-        assert (chunk.batch_ids[1:] == -1).all() and (chunk.batch_ids[0] >= 0).all()
+    assert [c.batch_ids.shape for c in chunks] == [(20, 100, 1), (1, 1900, 1)]
+    assert all((c.batch_ids >= 0).all() for c in chunks)
 
 
 @pytest.mark.parametrize("sampler", ["with_replacement_uniform", "epoch_shuffle"])
@@ -940,6 +960,22 @@ def test_long_runs_keep_bounded_memory(tmp_path, monkeypatch):
 
     cli_run(10)
     short, long = (traced_peak(lambda: cli_run(steps)) for steps in (400, 4000))
+    assert long <= 1.1 * short + 32_000, (short, long)
+
+
+def test_wide_runs_keep_bounded_memory_when_most_rows_stop():
+    # 999 of 1000 rows diverge by step 49 and one runs on, at the runner's own
+    # chunk lengths: chunks of the one running row are long, but hold one
+    # row, so advancing 10x the steps peaks within 10% of the shorter run,
+    # plus 32 kB, as test_long_runs_keep_bounded_memory asks
+    def advance(steps):
+        gamma = build(POLICIES, "constant", gamma=np.append(np.linspace(3, 4, 999), 0.1))
+        run = Run(make_two_quadratics(), gamma, steps, seeds=[0] * 1000, x0=np.array([2.0]))
+        peak = traced_peak(lambda: [None for _ in run])
+        assert (run.diverged_step[:-1] >= 0).all() and run.diverged_step[-1] == -1
+        return peak
+
+    short, long = advance(2000), advance(20_000)
     assert long <= 1.1 * short + 32_000, (short, long)
 
 

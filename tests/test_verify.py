@@ -256,6 +256,21 @@ def test_nonconvex_rate_averages_the_first_k_steps_only():
     assert report.measured == pytest.approx(np.vecdot(grads, grads).mean(), rel=1e-12)
 
 
+@pytest.mark.parametrize("n_seeds", [1, 20])
+def test_nonconvex_rate_measured_is_an_independent_mean(n_seeds):
+    # K = 500. With 20 seeds the first chunk ends at K, where 19 rows retire,
+    # and seed 0 runs on alone to the pilot's 2000 steps in a chunk of its
+    # own; with one seed, one chunk passes K. Either way `measured` is the
+    # mean over seeds of each seed's mean ||grad f(x^k)||^2 over x^0 .. x^499,
+    # bit for bit that of a plain run to K
+    report = check_nonconvex_rate(steps=500, n_seeds=n_seeds)
+    obj = make_nonconvex_sum(8, 3)
+    run = Run(obj, build(POLICIES, "ngn", sigma=1.0 / (2.0 * obj.l_max)), 500,
+              seeds=range(n_seeds), x0=obj.x_star + 2.5, cadence=1)
+    grads = obj.full_many(np.concatenate([t.iterates[:500] for t in whole_traces(run)]))[1]
+    assert report.measured == np.mean(np.vecdot(grads, grads).reshape(n_seeds, 500).mean(axis=1))
+
+
 # check_annealed_rate(steps_grid=(5, 50, 500)) when each K had a run of its own
 ANNEALED_ROWS = [
     "theorem_annealed_rate,sigma0=1.0;steps=5;seeds=20,0.5304659904021244,"
