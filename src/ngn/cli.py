@@ -99,13 +99,16 @@ def parse_config(path) -> ExperimentConfig:
     for key in ("problem", "policy"):
         if key not in entries:
             raise ConfigError(f"{path}: missing required key {key!r}")
-    try:
-        cfg = ExperimentConfig(**{key: CONVERTERS[key](value)
-                                  for key, (_, value) in entries.items()})
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    values = {}
+    for key, (lineno, value) in entries.items():
+        try:
+            values[key] = CONVERTERS[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
+    cfg = ExperimentConfig(**values)
     if cfg.cadence is not None and cfg.cadence < 1:
-        raise ConfigError("cadence must be >= 1 when given")
+        raise ConfigError(f"{path}:{entries['cadence'][0]}: cadence: must be >= 1, "
+                          f"got {cfg.cadence}")
     return cfg
 
 

@@ -200,6 +200,9 @@ class Run:
                  sampler: str = "with_replacement_uniform", batch_size: int = 1,
                  x0: Optional[np.ndarray] = None, cadence: int = 0):
         seeds = [int(s) for s in seeds]
+        if np.ndim(steps) and np.shape(steps) != (len(seeds),):
+            raise ValueError(f"steps holds {np.size(steps)} ends in shape {np.shape(steps)} "
+                             f"for {len(seeds)} rows; give one end step, or one per row")
         ends = [int(e) for e in np.broadcast_to(steps, (len(seeds),))]
         check_run(obj, policy, min(ends, default=1), seeds=seeds, sampler=sampler,
                   batch_size=batch_size, x0=x0)

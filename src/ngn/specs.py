@@ -87,10 +87,8 @@ PROBLEMS = {
 
 # A numeric policy parameter takes one value, or an array of one value per row of a run
 POLICIES = {
-    "ngn": Entry(NGN, {"sigma": (float, POSITIVE)}),
-    "ngn_annealed": Entry(lambda sigma0, schedule: NGN(sigma=sigma0, schedule=schedule),
-                          {"sigma0": (float, POSITIVE),
-                           "schedule": ("inv_sqrt", one_of(*NGN.SCHEDULES))}),
+    "ngn": Entry(NGN, {"sigma": (float, POSITIVE),
+                       "schedule": ("constant", one_of(*NGN.SCHEDULES))}),
     "ggn": Entry(GGN, {"sigma": (float, POSITIVE), "h": ("quadratic", one_of(*GGN.KINDS)),
                        "p": (2.0, ABOVE_ONE)}),
     "aps": Entry(APS, {}),

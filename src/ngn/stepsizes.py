@@ -114,15 +114,15 @@ def _over_grad_sq(numerator, grad_sq, at_zero: float = math.nan):
 class NGN(StepsizePolicy):
     """gamma = sigma_k / (1 + sigma_k * ||g||^2 / (2 f)), sigma_k read from the observation.
 
-    sigma_k is `sigma` at every step, or under a schedule sigma/sqrt(k+1)
-    (inv_sqrt) or sigma/(k+1) (inv_linear).
+    sigma_k follows the schedule: `sigma` at every step (constant),
+    sigma/sqrt(k+1) (inv_sqrt) or sigma/(k+1) (inv_linear).
     """
 
-    SCHEDULES = ("inv_sqrt", "inv_linear")
-    schedule: Optional[str] = None
+    SCHEDULES = ("constant", "inv_sqrt", "inv_linear")
+    schedule = "constant"
 
     def sigma_schedule(self, steps: int, start: int = 0) -> np.ndarray:
-        if self.schedule is None:
+        if self.schedule == "constant":
             return super().sigma_schedule(steps, start)
         # arange holds k + 1 exactly, and sqrt and division are correctly
         # rounded, so each entry equals sigma / math.sqrt(k + 1) or

@@ -357,21 +357,21 @@ def check_annealed_rate(
     """Weighted-average suboptimality under sigma_k = sigma0/sqrt(k+1)."""
     obj, ctx, x0_vec, dist0_sq = _two_quadratics_start(x0)
     # one run to the largest K; the weighted average of each K is a prefix's
-    policy = build(POLICIES, "ngn_annealed", sigma0=sigma0, schedule="inv_sqrt")
+    policy = build(POLICIES, "ngn", sigma=sigma0, schedule="inv_sqrt")
     run = Run(obj, policy, max(steps_grid), seeds=range(n_seeds), x0=x0_vec, cadence=1)
     # sums of sigma_k x^k and of sigma_k over the chunks done
     weighted, weights = np.zeros((n_seeds, obj.dim)), 0.0
     per_seed_at = {}
     for chunk in run:
-        sigma = policy.sigma_schedule(chunk.k1, chunk.k0)  # every row's
-        terms = sigma[:, None] * chunk.iterates
+        terms = chunk.sigma[:, :, None] * chunk.iterates
+        sigma = chunk.sigma[:1]  # (1, k1 - k0): the rows share one sigma_k
         for steps in steps_grid:
             if chunk.k0 < steps <= chunk.k1:
                 m = steps - chunk.k0
                 average = weighted.copy()  # a row not in the chunk diverged: not kept
                 average[chunk.rows] += terms[:, :m].sum(axis=1)
                 kept = ~((0 <= run.diverged_step) & (run.diverged_step < steps))
-                per_seed_at[steps] = _gaps(obj, average / (weights + sigma[:m].sum()), kept)
+                per_seed_at[steps] = _gaps(obj, average / (weights + sigma[:, :m].sum()), kept)
         weighted[chunk.rows] += terms.sum(axis=1)
         weights += sigma.sum()
     reports = []

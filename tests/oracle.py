@@ -83,7 +83,6 @@ def _armijo(p, o):
 # the values it may take
 ORACLE = {
     "ngn": _ngn,
-    "ngn_annealed": _ngn,
     "ggn": _ggn,
     "aps": lambda p, o: o.loss / o.grad_sq if o.grad_sq else math.nan,
     "sps_max": _sps_max,
@@ -94,11 +93,12 @@ ORACLE = {
 }
 
 
-def _sigma(name, p, k):
+def _sigma(p, k):
     """sigma_k: the policy's sigma, annealed under a schedule; NaN for a policy without one."""
-    if name == "ngn_annealed":
-        return p["sigma0"] / (math.sqrt(k + 1.0) if p["schedule"] == "inv_sqrt" else k + 1.0)
-    return p.get("sigma", math.nan)
+    schedule = p.get("schedule", "constant")
+    if schedule == "constant":
+        return p.get("sigma", math.nan)
+    return p["sigma"] / (math.sqrt(k + 1.0) if schedule == "inv_sqrt" else k + 1.0)
 
 
 def _parse(table, spec):
@@ -145,7 +145,7 @@ def replay(problem: str, policy: str, trace, events=None, f_i_star=None, shift=0
             assert trace.diverged_step == k and math.isnan(taken), k
             assert math.isnan(trace.sigma[k]) and trace.x_final[0] == x, k
             return
-        sigma = _sigma(name, params, k)
+        sigma = _sigma(params, k)
         assert close(float(trace.sigma[k]), sigma), (k, trace.sigma[k], sigma)
         gamma = ORACLE[name](params, SimpleNamespace(
             loss=loss if loss > 0.0 else 0.0, grad_sq=grad_sq, sigma=sigma, state=state,

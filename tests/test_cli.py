@@ -114,6 +114,21 @@ def test_run_rejects_repeated_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value,lineno,cause", [
+    ("steps", "2.5", 3, "invalid literal for int() with base 10: '2.5'"),
+    ("seeds", "0,x", 4, "invalid literal for int() with base 10: 'x'"),
+    ("x0", "1,,2", 5, "could not convert string to float: ''"),
+    ("values", "0.1,abc", 5, "could not convert string to float: 'abc'"),
+    ("cadence", "0", 5, "must be >= 1, got 0"),
+])
+def test_bad_value_names_its_line_and_key(tmp_path, capsys, key, value, lineno, cause):
+    cfg = write_config(tmp_path / "bad.cfg", **{key: value})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}:{lineno}: {key}: {cause}\n"
+    assert not out.exists()
+
+
 def test_run_determinism_byte_identical(tmp_path):
     cfg = write_config(tmp_path / "run.cfg", seeds="0,1")
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -529,7 +544,7 @@ def test_run_rejects_oversized_problem(tmp_path, monkeypatch, problem):
 # values that the spec fuzz draws for a parameter a quarter of the time,
 # and the choices of its string parameters (a bad one among them)
 EDGES = (0.0, -1.0, -0.0, 1e-320, 1e308)
-STRING_CHOICES = {"schedule": ("inv_sqrt", "inv_linear", "bogus"),
+STRING_CHOICES = {"schedule": ("constant", "inv_sqrt", "inv_linear", "bogus"),
                   "h": ("quadratic", "monomial", "neg_log", "bogus")}
 
 

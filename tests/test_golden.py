@@ -35,7 +35,7 @@ PROBLEMS = (
 )
 POLICIES = (
     "ngn(sigma=1.0)",
-    "ngn_annealed(sigma0=2.0, schedule=inv_linear)",
+    "ngn(sigma=2.0, schedule=inv_linear)",
     "ggn(sigma=1.0, h=neg_log)",
     "ggn(sigma=0.5, h=monomial, p=3)",
     "aps()",
@@ -52,7 +52,7 @@ OUTPUTS = ("trace_seed0.csv", "trace_seed1.csv", "aggregate.csv")
 GOLDEN = {
     ('quadratic1d(lam=1.2, xstar=0.5, fstar=0.1)', 'ngn(sigma=1.0)'):
         'b1ed729c48f94e1003b32224d9e5464cdf77a5ca2d03c8ca60fe0a689d47c5de',
-    ('quadratic1d(lam=1.2, xstar=0.5, fstar=0.1)', 'ngn_annealed(sigma0=2.0, schedule=inv_linear)'):
+    ('quadratic1d(lam=1.2, xstar=0.5, fstar=0.1)', 'ngn(sigma=2.0, schedule=inv_linear)'):
         'f2b58f060a2be4700ea33bb00f03e70c2c1bb06885ec294118e40a3c43dc4e4e',
     ('quadratic1d(lam=1.2, xstar=0.5, fstar=0.1)', 'ggn(sigma=1.0, h=neg_log)'):
         'fec6bc0cc9270f4e77070f8dd00e232b246fb5ac251c50fcde5f10fb7fd94b69',
@@ -72,7 +72,7 @@ GOLDEN = {
         'f7aadc8a6ebf3beafc13fff7673ea29e2af1fb25af123888ca32718e4888d280',
     ('two_quadratics()', 'ngn(sigma=1.0)'):
         '8a06397fbf27e61fd73a7083871af8bdf13d919934e510a60afc61b42d0738b9',
-    ('two_quadratics()', 'ngn_annealed(sigma0=2.0, schedule=inv_linear)'):
+    ('two_quadratics()', 'ngn(sigma=2.0, schedule=inv_linear)'):
         '571745d6430cb39d1c9b876abe5fc1d32560aefe12d2e147a488739f183b9642',
     ('two_quadratics()', 'ggn(sigma=1.0, h=neg_log)'):
         '099487e2667ecbf9d3dcfbd968cbd1927e6be82a3e075555ca42e2fa85c647e7',
@@ -92,7 +92,7 @@ GOLDEN = {
         '47d509bddedbd605dd83fcef3ac2325b97243346ce7b0e85a7f7ada9b2d439bc',
     ('linear_regression(d=4, n=12, seed=1, noise_std=0.1)', 'ngn(sigma=1.0)'):
         'f05ec9fa3de460970997d161b50468a395b3b969011aa1ecea66acb25b7b606a',
-    ('linear_regression(d=4, n=12, seed=1, noise_std=0.1)', 'ngn_annealed(sigma0=2.0, schedule=inv_linear)'):
+    ('linear_regression(d=4, n=12, seed=1, noise_std=0.1)', 'ngn(sigma=2.0, schedule=inv_linear)'):
         '457039016687c542c5ba0c8826524595f13bfef38aa7fe65609a78bcc0cf93ac',
     ('linear_regression(d=4, n=12, seed=1, noise_std=0.1)', 'ggn(sigma=1.0, h=neg_log)'):
         'd29266c6f95d258868c2623358e881091d9db2381d6fc3b0667ce3edc2826152',
@@ -112,7 +112,7 @@ GOLDEN = {
         '03d2630bbb93a4013aa8aff38739dd4bf24162d11eb3cffdaa4d32c1139af706',
     ('logistic_blobs(n=30, d=3, classes=3, seed=2)', 'ngn(sigma=1.0)'):
         '0adad72f475f39fa772c03b9925f1e88cd5eae2bab9938b27fc7e096fbb7900b',
-    ('logistic_blobs(n=30, d=3, classes=3, seed=2)', 'ngn_annealed(sigma0=2.0, schedule=inv_linear)'):
+    ('logistic_blobs(n=30, d=3, classes=3, seed=2)', 'ngn(sigma=2.0, schedule=inv_linear)'):
         'a3c789816391beb20b6e7fdc1cb6b751d51310d2ddceda47b3b82b683bdf90f1',
     ('logistic_blobs(n=30, d=3, classes=3, seed=2)', 'ggn(sigma=1.0, h=neg_log)'):
         'ddb379d5883fe10c9a82e79780037e1bc5f91b083576786a05d1e058fa09bbe3',
@@ -132,7 +132,7 @@ GOLDEN = {
         'ece3d0a3a15188fcca3ca08eb5de8bf0af41bc3ec3e714d952e1fa47de03a887',
     ('nonconvex_sum(n=6, seed=1, eps=0.4)', 'ngn(sigma=1.0)'):
         'd03a03313de8e21e38c7c724938a9ec85e936f30d62a2f3c427eb37f1e6146c3',
-    ('nonconvex_sum(n=6, seed=1, eps=0.4)', 'ngn_annealed(sigma0=2.0, schedule=inv_linear)'):
+    ('nonconvex_sum(n=6, seed=1, eps=0.4)', 'ngn(sigma=2.0, schedule=inv_linear)'):
         '8d443e532f15a246ba6c5ed84afdd39ac0fb07570a4cf8f55ea8c771fd2a4c38',
     ('nonconvex_sum(n=6, seed=1, eps=0.4)', 'ggn(sigma=1.0, h=neg_log)'):
         '3b70b66d393555eee24b39facc818af418f05624f80f0167fe13afe43cca206c',

@@ -3,6 +3,7 @@ import copy
 import io
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -108,6 +109,13 @@ def test_check_run_sampler_validation():
         check_run(obj, policy("ngn(sigma=0.5)"), 5, sampler="bogus")
     with pytest.raises(ValueError, match="batch_size must be between 1"):
         check_run(obj, policy("ngn(sigma=0.5)"), 5, batch_size=0)
+
+
+@pytest.mark.parametrize("steps,count,shape", [([5, 6], 2, (2,)), ([[5]], 1, (1, 1))])
+def test_steps_must_be_one_end_or_one_per_row(steps, count, shape):
+    message = re.escape(f"steps holds {count} ends in shape {shape} for 1 rows")
+    with pytest.raises(ValueError, match=message):
+        Run(make_two_quadratics(), policy("ngn(sigma=0.5)"), steps, seeds=[0])
 
 
 def test_aggregate_hand_values():
@@ -348,7 +356,7 @@ ORACLE_PROBLEMS = ("quadratic1d(lam=1.2, xstar=0.5, fstar=0.1)", "two_quadratics
                    "nonconvex_sum(n=6, seed=1, eps=0.4)")
 ARMIJO = "armijo(c1=0.1, backtrack=0.7, gamma_init=2.0)"
 ORACLE_POLICIES = (
-    "ngn(sigma=0.5)", "ngn_annealed(sigma0=2.0)", "ngn_annealed(sigma0=1.0, schedule=inv_linear)",
+    "ngn(sigma=0.5)", "ngn(sigma=2.0, schedule=inv_sqrt)", "ngn(sigma=1.0, schedule=inv_linear)",
     "ggn(sigma=1.0)", "ggn(sigma=0.5, h=monomial, p=3)", "ggn(sigma=1.0, h=neg_log)", "aps()",
     "sps_max(c=0.5, gamma_b=2.0)", "polyak(fstar=0.0)", "adagrad_norm(eta=1.0, delta0=0.1)",
     "constant(gamma=0.3)", ARMIJO)
@@ -386,8 +394,8 @@ def test_lockstep_matches_solo_runs(problem, policy):
 # a sweep's layout: each seed under each value, while rows retire at chunk seams
 MIXED_CASES = {
     "ngn_sigma": ("two_quadratics()", "ngn(sigma=1.0)", {"sigma": [0.1, 0.1, 2.0, 2.0]}, {}),
-    "annealed_sigma0": (ORACLE_PROBLEMS[0], "ngn_annealed(sigma0=1.0)",
-                        {"sigma0": [0.5, 0.5, 4.0, 4.0]}, {}),
+    "annealed_sigma0": (ORACLE_PROBLEMS[0], "ngn(sigma=1.0, schedule=inv_sqrt)",
+                        {"sigma": [0.5, 0.5, 4.0, 4.0]}, {}),
     "ggn_p": (ORACLE_PROBLEMS[2], "ggn(sigma=0.5, h=monomial)",
               {"sigma": [0.5, 0.5, 1.0, 2.0], "p": [1.5, 3.0, 1.5, 3.0]}, {}),
     # rows 2 and 3 overshoot, and row 2 diverges before it ends
@@ -488,7 +496,7 @@ def test_sigma_cells_of_diverged_rows(case):
     # x after the step. Either way sigma_k is kept through step 5, NaN after
     gamma = 1e20 if case == "loss_test" else np.inf
     traces = assert_rows_claim("quadratic1d(lam=1.2, xstar=0.0, fstar=0.1)",
-                               "ngn_annealed(sigma0=1.0, schedule=inv_linear)", [40] * 3,
+                               "ngn(sigma=1.0, schedule=inv_linear)", [40] * 3,
                                events={(r, 5): gamma for r in range(3)}, x0=np.array([3.0]))
     for seed, trace in enumerate(traces):
         assert trace.diverged_step == (6 if case == "loss_test" else 5)
@@ -512,7 +520,7 @@ def test_stationary_and_diverging_rows_in_one_step():
 def test_policy_observes_the_chunk_sigma(schedule):
     # row 0 retires at step 25, where a chunk ends, and row 2's step of inf at
     # step 30 overflows its iterate after the policy's call, mid-chunk
-    policy = "ngn(sigma=0.5)" if schedule is None else "ngn_annealed(sigma0=0.5)"
+    policy = "ngn(sigma=0.5)" if schedule is None else f"ngn(sigma=0.5, schedule={schedule})"
     traces = assert_rows_claim("two_quadratics()", policy, [25, 100, 100],
                                events={(2, 30): np.inf}, chunks=(7,))
     assert [t.diverged_step for t in traces] == [None, None, 30]
@@ -549,7 +557,7 @@ CHUNK_CASES = {
     "adagrad": (ORACLE_PROBLEMS[2], "adagrad_norm(eta=1.0, delta0=0.1)", [50] * 3,
                 dict(sampler="epoch_shuffle", batch_size=2)),
     # each chunk's sigma_k comes from a schedule that starts at its k0
-    "annealed": ("two_quadratics()", "ngn_annealed(sigma0=2.0)", [100] * 2, {}),
+    "annealed": ("two_quadratics()", "ngn(sigma=2.0, schedule=inv_sqrt)", [100] * 2, {}),
     # losses lowered by 1 are negative where |x| < sqrt(2): APS steps on the
     # loss clamped at zero
     "clamp": (QUADRATIC0, "aps()", [20] * 4, dict(shift=1.0)),
@@ -833,11 +841,11 @@ STREAM_CASES = {
     # the loss test stops every row at step 99 and sigma reads NaN from there;
     # the iterate test stops them at step 5, after the step, and NaN follows
     "loss_test": ("quadratic1d(lam=1.2, xstar=0.0, fstar=0.1)",
-                  lambda: Forced(policy("ngn_annealed(sigma0=1.0, schedule=inv_linear)"), 2,
+                  lambda: Forced(policy("ngn(sigma=1.0, schedule=inv_linear)"), 2,
                                  dict.fromkeys(itertools.product(range(2), range(150)), 2.0)), 150,
                   dict(seeds=range(2), x0=np.array([3.0]), cadence=3)),
     "iterate_test": ("quadratic1d(lam=1.2, xstar=0.0, fstar=0.1)",
-                     lambda: Forced(policy("ngn_annealed(sigma0=1.0, schedule=inv_linear)"), 2, {
+                     lambda: Forced(policy("ngn(sigma=1.0, schedule=inv_linear)"), 2, {
                          (r, k): 1e308 if k == 5 else 0.1 for r in range(2) for k in range(150)}),
                      150,
                      dict(seeds=range(2), x0=np.array([3.0]), cadence=3)),

@@ -64,7 +64,7 @@ def test_every_bound_rejects_a_value_and_names_the_key():
                 with pytest.raises(SpecError, match=message):
                     build(POLICIES, name, **{**good, key: [ok, bad]})
             checked += 1
-    assert checked == 16
+    assert checked == 15
 
 
 @pytest.mark.parametrize("spec", ["sps_max(gamma_b=1, fstar=-1)", "polyak(fstar=-1)"])
@@ -84,7 +84,7 @@ def test_a_float_parameter_may_hold_one_value_per_row():
     with pytest.raises(SpecError, match="'gamma' must be float"):
         build_spec(POLICIES, "constant(gamma=1)", gamma=[[0.1, 0.2]])
     with pytest.raises(SpecError, match="'schedule' must be str"):
-        build_spec(POLICIES, "ngn_annealed(sigma0=1)", schedule=["inv_sqrt", "inv_linear"])
+        build_spec(POLICIES, "ngn(sigma=1)", schedule=["inv_sqrt", "inv_linear"])
 
 
 def test_defaults_types_and_overrides():

@@ -67,16 +67,19 @@ def test_ngn_rejects_nonpositive_sigma():
 
 
 def test_ngn_annealed_schedule():
-    pol = policy("ngn_annealed(sigma0=2.0, schedule=inv_sqrt)")
+    pol = policy("ngn(sigma=2.0, schedule=inv_sqrt)")
     assert pol.sigma_schedule(4)[0] == pytest.approx(2.0)
     assert pol.sigma_schedule(4)[3] == pytest.approx(1.0)
     # with g^2 = 0, gamma equals sigma_k exactly
     assert step(pol, 1.0, 0.0, k=3) == pytest.approx(1.0)
-    lin = policy("ngn_annealed(sigma0=2.0, schedule=inv_linear)")
+    lin = policy("ngn(sigma=2.0, schedule=inv_linear)")
     assert lin.sigma_schedule(2)[1] == pytest.approx(1.0)
-    for schedule in ("exp", "constant"):
-        with pytest.raises(SpecError, match="'schedule' must be one of inv_sqrt, inv_linear"):
-            policy(f"ngn_annealed(sigma0=1, schedule={schedule})")
+    with pytest.raises(SpecError,
+                       match="'schedule' must be one of constant, inv_sqrt, inv_linear, got 'exp'"):
+        policy("ngn(sigma=1, schedule=exp)")
+    known = "ngn, ggn, aps, sps_max, polyak, adagrad_norm, constant, armijo"
+    with pytest.raises(SpecError, match=f"unknown name 'ngn_annealed'; choose from {known}$"):
+        policy("ngn_annealed(sigma0=1)")
 
 
 @pytest.mark.parametrize("sigma0", [2.0, 0.37, 3.0e-5])
@@ -84,8 +87,8 @@ def test_annealed_schedule_matches_math_formula(sigma0):
     # sqrt and division are correctly rounded, so the vector equals the scalar
     # formula bit for bit, for every k < 10^6
     k = range(10**6)
-    inv_sqrt = build(POLICIES, "ngn_annealed", sigma0=sigma0, schedule="inv_sqrt")
-    inv_linear = build(POLICIES, "ngn_annealed", sigma0=sigma0, schedule="inv_linear")
+    inv_sqrt = build(POLICIES, "ngn", sigma=sigma0, schedule="inv_sqrt")
+    inv_linear = build(POLICIES, "ngn", sigma=sigma0, schedule="inv_linear")
     assert np.array_equal(inv_sqrt.sigma_schedule(10**6),
                           [sigma0 / math.sqrt(i + 1) for i in k])
     assert np.array_equal(inv_linear.sigma_schedule(10**6), [sigma0 / (i + 1) for i in k])
@@ -98,11 +101,11 @@ def test_annealed_schedule_matches_math_formula(sigma0):
 @pytest.mark.parametrize("schedule", NGN.SCHEDULES)
 def test_annealed_stepsize_keeps_no_schedule(schedule):
     # with g^2 = 0, gamma is the observed sigma_k exactly: the schedule's, at every step
-    annealed = build(POLICIES, "ngn_annealed", sigma0=0.7, schedule=schedule)
+    annealed = build(POLICIES, "ngn", sigma=0.7, schedule=schedule)
     for k in (0, 1, 99, 100, 999_999):
         assert step(annealed, 1.0, 0.0, k=k) == annealed.sigma_schedule(k + 1, k)[0]
     # a late step's sigma_k costs no schedule of k entries
-    fresh = build(POLICIES, "ngn_annealed", sigma0=0.7, schedule=schedule)
+    fresh = build(POLICIES, "ngn", sigma=0.7, schedule=schedule)
     tracemalloc.start()
     try:
         fresh.sigma_schedule(10**6, 10**6 - 1)
@@ -121,16 +124,14 @@ def test_sigma_schedules_of_other_policies():
         assert schedule.shape == (50,) and np.isnan(schedule).all()
 
 
-@pytest.mark.parametrize("spec", ["ngn(sigma=0.3)", "ngn_annealed(sigma0=0.3, schedule=inv_sqrt)"])
+@pytest.mark.parametrize("spec", ["ngn(sigma=0.3)", "ngn(sigma=0.3, schedule=inv_sqrt)"])
 def test_sigma_schedule_of_one_sigma_per_row(spec):
     # a column per row, each the schedule of that row's sigma alone, bit for bit
     sigmas = [0.3, 2.0, 3.0e-5]
-    name, params = parse_call(spec)
-    key = "sigma" if name == "ngn" else "sigma0"
-    rows = build_spec(POLICIES, spec, **{key: sigmas}).sigma_schedule(30, 7)
+    rows = build_spec(POLICIES, spec, sigma=sigmas).sigma_schedule(30, 7)
     assert rows.shape == (23, 3)
     for column, sigma in zip(rows.T, sigmas):
-        alone = build_spec(POLICIES, spec, **{key: sigma})
+        alone = build_spec(POLICIES, spec, sigma=sigma)
         assert np.array_equal(column, alone.sigma_schedule(30, 7))
 
 
@@ -138,7 +139,7 @@ def test_policies_return_one_stepsize_per_row():
     loss, gsq = np.array([1.0, 2.0, 0.5]), np.array([4.0, 0.0, 1.0])
     o = StepObservation(k=2, loss=loss, grad_sq_norm=gsq, component_min=np.zeros(3),
                         probe=lambda gamma: np.zeros(3), sigma=np.array(0.3))
-    for spec in ("ngn(sigma=0.3)", "ngn_annealed(sigma0=0.3)", "ggn(sigma=0.3)", "aps()",
+    for spec in ("ngn(sigma=0.3)", "ngn(sigma=0.3, schedule=inv_sqrt)", "ggn(sigma=0.3)", "aps()",
                  "sps_max(gamma_b=1)", "polyak()", "adagrad_norm(eta=1, delta0=0.1)",
                  "constant(gamma=0.3)", "armijo()"):
         assert np.shape(policy(spec).stepsize(o)) == (3,), spec
@@ -279,11 +280,10 @@ def test_stepsize_bounds_hand_value():
 
 def test_parse_policy_grammar():
     ngn = build_spec(POLICIES, "ngn(sigma=3.0)")
-    assert isinstance(ngn, NGN) and ngn.schedule is None
+    assert isinstance(ngn, NGN) and ngn.schedule == "constant"
     for schedule in NGN.SCHEDULES:
-        annealed = build_spec(POLICIES, f"ngn_annealed(sigma0=1.0, schedule={schedule})")
+        annealed = build_spec(POLICIES, f"ngn(sigma=1.0, schedule={schedule})")
         assert isinstance(annealed, NGN) and annealed.schedule == schedule
-    assert build_spec(POLICIES, "ngn_annealed(sigma0=1.0)").schedule == "inv_sqrt"
     assert isinstance(build_spec(POLICIES, "sps_max(c=1, gamma_b=3, fstar=0)"), SPSMax)
     assert isinstance(build_spec(POLICIES, "adagrad_norm(eta=10, delta0=0.01)"), AdaGradNorm)
     assert isinstance(build_spec(POLICIES, "constant(gamma=0.1)"), Constant)
