@@ -20,14 +20,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .objectives import FiniteSumObjective, ParseError, text_lines, write_libsvm
-from .runner import Run, RunError, aggregate_metric, write_traces
+from .runner import ParamError, Run, RunError, aggregate_metric, write_traces
 from .specs import DATASETS, POLICIES, PROBLEMS, build_spec
 from .stepsizes import StepsizePolicy
 from .verify import REPORT_HEADER, SUITES, select_suites
@@ -52,6 +52,9 @@ class ExperimentConfig:
     out: Optional[str] = None
     axis: Optional[str] = None
     values: tuple[float, ...] = ()
+    # where it was read: the file, and the line of each key that the file gives
+    path: str = field(default="config", compare=False)
+    lines: dict[str, int] = field(default_factory=dict, compare=False)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -105,9 +108,10 @@ def parse_config(path) -> ExperimentConfig:
             values[key] = CONVERTERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
-    cfg = ExperimentConfig(**values)
+    cfg = ExperimentConfig(**values, path=str(path),
+                           lines={key: lineno for key, (lineno, _) in entries.items()})
     if cfg.cadence is not None and cfg.cadence < 1:
-        raise ConfigError(f"{path}:{entries['cadence'][0]}: cadence: must be >= 1, "
+        raise ConfigError(f"{path}:{cfg.lines['cadence']}: cadence: must be >= 1, "
                           f"got {cfg.cadence}")
     return cfg
 
@@ -155,7 +159,7 @@ def _load_config(args) -> ExperimentConfig:
 def _build_run(cfg: ExperimentConfig, values: Sequence[float] = ()) -> Run:
     """The config's one `Run`: a row per seed, or with sweep `values` a row per (value,
     seed), the parameter `cfg.axis` holding each row's value. What `runner.check_run`
-    rejects is a config error."""
+    rejects is a config error that names the file, and the line of a rejected key."""
     obj = build_problem(cfg.problem)
     seeds = sorted(cfg.seeds)
     overrides = {cfg.axis: np.repeat(values, len(seeds))} if values else {}
@@ -165,8 +169,11 @@ def _build_run(cfg: ExperimentConfig, values: Sequence[float] = ()) -> Run:
     try:
         return Run(obj, policy, cfg.steps, seeds=seeds * max(len(values), 1),
                    sampler=cfg.sampler, batch_size=cfg.batch_size, x0=x0, cadence=cadence)
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.policy} on {cfg.problem}: {exc}") from exc
+    except ParamError as exc:
+        at = f"{cfg.path}:{cfg.lines[exc.key]}" if exc.key in cfg.lines else cfg.path
+        raise ConfigError(f"{at}: {exc}") from exc
+    except ValueError as exc:  # a rule over several keys
+        raise ConfigError(f"{cfg.path}: {exc}") from exc
 
 
 AGGREGATE_METRICS = ("loss_full_final", "dist_sq_final", "grad_full_sq_final", "gamma_final")

@@ -186,11 +186,6 @@ class FiniteSumObjective:
         return self.eval_many(np.broadcast_to(np.arange(self.n), (len(X), self.n)), X)
 
 
-def _offsets(X: np.ndarray, centers: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """x - c_i for every (row, batch slot) of a 1-d problem: shape (S, b)."""
-    return X - centers[idx]
-
-
 # The 1-d and logistic evaluators run once per SGD step on a few numbers,
 # where a ufunc's call overhead is most of its cost; numpy 2 takes a 0-d
 # float64 array faster than a Python float (weak-scalar promotion), with the
@@ -212,7 +207,7 @@ def make_quadratic1d(lam: float, x_star: float, f_star: float) -> FiniteSumObjec
     half_lam, lam_0d, fs_0d = np.array(0.5 * lam), np.array(lam), np.array(fs)
 
     def evaluator(idx, X):
-        d = _offsets(X, centers, idx)
+        d = X - centers[idx]  # x - c_i, (S, b)
         return half_lam * d * d + fs_0d, (lam_0d * d)[..., None]
 
     return FiniteSumObjective(
@@ -228,7 +223,7 @@ def make_two_quadratics() -> FiniteSumObjective:
     centers = np.array([1.0, -1.0])
 
     def evaluator(idx, X):
-        d = _offsets(X, centers, idx)
+        d = X - centers[idx]  # x - c_i, (S, b)
         return _HALF * d * d, d[..., None]
 
     def full(X):
@@ -502,7 +497,7 @@ def make_nonconvex_sum(n: int, seed: int, eps: float = 0.5) -> FiniteSumObjectiv
     one, half_eps, eps_0d = np.array(1.0), np.array(0.5 * eps), np.array(eps)
 
     def evaluator(idx, X):
-        d = _offsets(X, centers, idx)
+        d = X - centers[idx]  # x - c_i, (S, b)
         return (one - np.cos(d)) + half_eps * d * d, (np.sin(d) + eps_0d * d)[..., None]
 
     inv_n = 1.0 / n

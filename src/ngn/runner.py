@@ -32,6 +32,14 @@ class RunError(RuntimeError):
         self.cause = cause
 
 
+class ParamError(ValueError):
+    """`check_run`'s rejection of one parameter's value: `key` names the parameter."""
+
+    def __init__(self, key: str, cause: str):
+        super().__init__(f"{key}: {cause}")
+        self.key = key
+
+
 class _Sampler:
     """One row's component indices, dealt in order from a buffer that its stream refills.
 
@@ -70,27 +78,29 @@ class _Sampler:
 def check_run(obj: FiniteSumObjective, policy: StepsizePolicy, steps: int, *,
               seeds: Sequence[int] = (0,), sampler: str = "with_replacement_uniform",
               batch_size: int = 1, x0: Optional[np.ndarray] = None) -> None:
-    """Raise ValueError unless this objective and policy can run with these parameters.
+    """Raise ValueError unless this objective and policy can run with these parameters;
+    a ParamError when one parameter's value alone is at fault.
 
     Row r runs seed seeds[r] with the policy's values of row r: no two rows may
     have the same seed and the same parameter values.
     """
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise ParamError("steps", "must be >= 1")
     if not seeds:
-        raise ValueError("at least one seed is required")
+        raise ParamError("seeds", "at least one seed is required")
     rows = list(zip(seeds, policy.row_params(len(seeds))))
     if len(set(rows)) < len(rows):
         seed, values = next(row for r, row in enumerate(rows) if row in rows[:r])
         raise ValueError(f"each row needs its own seed or parameter values; seed {seed} "
                          "repeats" + (f" with parameter values {values}" if values else ""))
     if min(seeds) < 0:
-        raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
+        raise ParamError("seeds", f"must be >= 0, got {min(seeds)}")
     if sampler not in SAMPLERS:
-        raise ValueError(f"unknown sampler {sampler!r}; choose from {', '.join(SAMPLERS)}")
+        raise ParamError("sampler",
+                         f"unknown sampler {sampler!r}; choose from {', '.join(SAMPLERS)}")
     if not 1 <= batch_size <= obj.n:
-        raise ValueError(f"batch_size must be between 1 and the component count {obj.n}, "
-                         f"got {batch_size}")
+        raise ParamError("batch_size",
+                         f"must be between 1 and the component count {obj.n}, got {batch_size}")
     if sampler == "full_batch" and batch_size not in (1, obj.n):
         raise ValueError("full_batch implies batch_size = N")
     if policy.requires_full_batch and sampler != "full_batch":
@@ -99,7 +109,7 @@ def check_run(obj: FiniteSumObjective, policy: StepsizePolicy, steps: int, *,
         try:
             as_point(x0, obj.dim)
         except ValueError as exc:
-            raise ValueError(f"x0: {exc}") from None
+            raise ParamError("x0", str(exc)) from None
 
 
 def _chunk_steps(rows: int, width: int) -> int:
@@ -289,7 +299,6 @@ class Run:
         full_many = obj.full_many
         policy_stepsize = policy.stepsize
         vecdot = np.vecdot
-        total = np.add.reduce
         threshold_sq = DIVERGENCE_THRESHOLD * DIVERGENCE_THRESHOLD
         zero = np.array(0.0)  # 0-d, as in stepsizes._ngn_formula
         isfinite = math.isfinite
@@ -325,10 +334,12 @@ class Run:
                 if n < n_start:
                     lg_c[j][:, sel] = row.reshape(2, n)
 
-                # one sum of squares is a cheap first test: a sum of nonnegative
-                # terms rounds to at least each term, so passing it puts every
-                # |loss| and gsq below the threshold; NaN fails it
-                if not vecdot(row, row) < threshold_sq:
+                # Fast guard, one BLAS dot: the sum of squares of every loss
+                # and gsq. A sum of nonnegative terms rounds to at least each
+                # term in any order, so passing puts every |loss| and gsq at
+                # or below the threshold; NaN and inf fail it, and failing
+                # only leads to the exact per-row test.
+                if not row.dot(row) < threshold_sq:
                     bad = ~((np.abs(loss) <= DIVERGENCE_THRESHOLD)
                             & (gsq <= DIVERGENCE_THRESHOLD))
                     if bad.any():
@@ -350,9 +361,14 @@ class Run:
                     raise RunError(k, exc) from exc
 
                 x_new = x - gamma[:, None] * grad
-                # one sum tests every row: a NaN gamma (a stationary row) or a
-                # non-finite coordinate makes it non-finite (inf-inf is nan)
-                if isfinite(total(x_new, axis=None)):
+                # Fast guard, one BLAS dot: the sum of squares of every
+                # coordinate. A NaN gamma (a stationary row) or a non-finite
+                # coordinate fails it in any summation order; so do finite
+                # coordinates whose squares overflow (above about 1.3e154),
+                # but failing only leads to the exact per-row test, which
+                # stops a row on a non-finite coordinate, not on its sum.
+                flat = x_new.reshape(-1)
+                if isfinite(flat.dot(flat)):
                     gamma_c[j, sel] = gamma
                     x = x_new
                     continue
@@ -363,7 +379,7 @@ class Run:
                     x_new[still] = x[still]
                 gamma_c[j, sel] = gamma
                 x = x_new
-                bad = ~np.isfinite(x.sum(axis=1))
+                bad = ~np.isfinite(x).all(axis=1)
                 if bad.any():
                     x, sel = rows.stop(bad, x, k)
                     if not len(x):

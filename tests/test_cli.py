@@ -120,6 +120,10 @@ def test_run_rejects_repeated_key(tmp_path, capsys):
     ("x0", "1,,2", 5, "could not convert string to float: ''"),
     ("values", "0.1,abc", 5, "could not convert string to float: 'abc'"),
     ("cadence", "0", 5, "must be >= 1, got 0"),
+    # values that only runner.check_run rejects
+    ("steps", "0", 3, "must be >= 1"),
+    ("seeds", "", 4, "at least one seed is required"),
+    ("batch_size", "5", 5, "must be between 1 and the component count 1, got 5"),
 ])
 def test_bad_value_names_its_line_and_key(tmp_path, capsys, key, value, lineno, cause):
     cfg = write_config(tmp_path / "bad.cfg", **{key: value})
@@ -127,6 +131,16 @@ def test_bad_value_names_its_line_and_key(tmp_path, capsys, key, value, lineno, 
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {cfg}:{lineno}: {key}: {cause}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides,cause", [
+    ({"policy": "polyak()"}, "PolyakKnownFStar requires sampler = full_batch"),
+    ({"seeds": "1,1"}, "each row needs its own seed or parameter values; seed 1 repeats"),
+], ids=["polyak_sampler", "repeated_rows"])
+def test_a_rule_over_several_keys_names_the_file(tmp_path, capsys, overrides, cause):
+    cfg = write_config(tmp_path / "bad.cfg", **overrides)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: {cause}\n"
 
 
 def test_run_determinism_byte_identical(tmp_path):
@@ -254,7 +268,7 @@ def test_negative_seed_offset_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg")
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out), "--seed-offset", "-3"]) == 2
-    assert "seeds must be >= 0, got -3" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {cfg}:4: seeds: must be >= 0, got -3\n"
     assert not out.exists()
 
 

@@ -107,7 +107,7 @@ def test_check_run_sampler_validation():
     obj = make_two_quadratics()
     with pytest.raises(ValueError, match="unknown sampler 'bogus'"):
         check_run(obj, policy("ngn(sigma=0.5)"), 5, sampler="bogus")
-    with pytest.raises(ValueError, match="batch_size must be between 1"):
+    with pytest.raises(ValueError, match="batch_size: must be between 1"):
         check_run(obj, policy("ngn(sigma=0.5)"), 5, batch_size=0)
 
 
@@ -777,6 +777,21 @@ def test_rows_below_the_threshold_run_on_whatever_their_sum():
     chunk = next(iter(run))
     assert (chunk.loss_batch == 9e29).all() and (chunk.grad_sq == 1.0).all()
     assert (run.diverged_step == -1).all()
+
+
+@pytest.mark.parametrize("x0", [[1e308, 1e308], [1e200, 0.0]],
+                         ids=["sum_overflows", "squares_overflow"])
+def test_rows_of_finite_coordinates_run_on_whatever_their_sum(x0):
+    # the post-update test's fast form, a sum of squares, overflows at both
+    # starts, and so does the plain sum of the first: a row stops only on a
+    # non-finite coordinate, so with zero gradient each runs to its end in place
+    def evaluator(idx, X):
+        return np.ones(idx.shape), np.zeros(idx.shape + (2,))
+
+    run = Run(FiniteSumObjective(1, 2, evaluator), policy("constant(gamma=0.1)"), 5, x0=x0)
+    (chunk,) = run
+    assert run.diverged_step.tolist() == [-1] and run.lengths().tolist() == [5]
+    assert (chunk.gamma == 0.1).all() and run.X.tolist() == [x0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 2000])
