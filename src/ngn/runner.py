@@ -13,6 +13,7 @@ from .objectives import FiniteSumObjective, _block_rows, as_point
 from .stepsizes import StepObservation, StepsizePolicy
 
 DIVERGENCE_THRESHOLD = 1e30
+MAX_STEPS = int(np.iinfo(np.int64).max)  # the largest end step that Run.ends holds
 
 SAMPLERS = ("with_replacement_uniform", "epoch_shuffle", "full_batch")
 REFILL_CHUNKS = 8  # a with-replacement refill draws at least this many S-row chunks' indices
@@ -75,17 +76,22 @@ class _Sampler:
         return order.reshape(steps, self.batch)
 
 
-def check_run(obj: FiniteSumObjective, policy: StepsizePolicy, steps: int, *,
+def check_run(obj: FiniteSumObjective, policy: StepsizePolicy,
+              steps: Union[int, Sequence[int]], *,
               seeds: Sequence[int] = (0,), sampler: str = "with_replacement_uniform",
               batch_size: int = 1, x0: Optional[np.ndarray] = None) -> None:
     """Raise ValueError unless this objective and policy can run with these parameters;
     a ParamError when one parameter's value alone is at fault.
 
-    Row r runs seed seeds[r] with the policy's values of row r: no two rows may
-    have the same seed and the same parameter values.
+    `steps` is one end step for every row, or one per row. Row r runs seed
+    seeds[r] with the policy's values of row r: no two rows may have the
+    same seed and the same parameter values.
     """
-    if steps < 1:
+    ends = list(steps) if np.ndim(steps) else [steps]
+    if min(ends, default=1) < 1:
         raise ParamError("steps", "must be >= 1")
+    if max(ends, default=1) > MAX_STEPS:
+        raise ParamError("steps", f"must be <= {MAX_STEPS}, got {max(ends)}")
     if not seeds:
         raise ParamError("seeds", "at least one seed is required")
     rows = list(zip(seeds, policy.row_params(len(seeds))))
@@ -122,20 +128,20 @@ class Chunk:
     """Steps k0 .. k1-1 of the rows running at k0, in row order: `rows` numbers them
     among the run's S rows, and each per-step array is (R, k1 - k0, ...), R = len(rows).
 
-    A row that stops inside the chunk reads NaN after its stop (False in
-    `stationary`). With a cadence c > 0 the chunk also carries their
-    iterates at its cadence points, x^k for k0 <= k < k1 with k % c == 0,
-    NaN after a row's stop; whoever reads a metric evaluates it there
-    (`metrics`). A row's final iterate is in `Run.X`. Once every row has
-    stopped, one chunk of no rows and no cadence points takes the run to
-    its end.
+    gamma is the policy's, NaN where the loss test stopped a row before its
+    call. A row that stops inside the chunk reads NaN after its stop. With
+    a cadence c > 0 the chunk also carries their iterates at its cadence
+    points, x^k for k0 <= k < k1 with k % c == 0, NaN after a row's stop;
+    whoever reads a metric evaluates it there (`metrics`). A row's final
+    iterate is in `Run.X`. Once every row has stopped, one chunk of no rows
+    and no cadence points takes the run to its end.
 
-    The per-step fields batch_ids, loss_batch, gamma, grad_sq, stationary
-    and sigma may be non-contiguous views, transposes of the run's
-    step-major stores (batch_ids is one of the (k1 - k0, R, batch) index
-    table, and sigma a read-only one, with a stride of 0 across rows when
-    they share one sigma): copy one before handing it to code that needs
-    contiguous memory.
+    The per-step fields batch_ids, loss_batch, gamma, grad_sq and sigma
+    may be non-contiguous views, transposes of the run's step-major stores
+    (batch_ids is one of the (k1 - k0, R, batch) index table, and sigma a
+    read-only one, with a stride of 0 across rows when they share one
+    sigma): copy one before handing it to code that needs contiguous
+    memory.
     """
 
     k0: int
@@ -145,42 +151,9 @@ class Chunk:
     loss_batch: np.ndarray
     gamma: np.ndarray
     grad_sq: np.ndarray
-    stationary: np.ndarray
     sigma: np.ndarray  # each row's sigma_k
     metric_steps: np.ndarray  # (m,) the cadence points' steps
     iterates: np.ndarray  # (R, m, d) x^k at metric_steps
-
-
-class _Rows:
-    """The rows of a run still running, in row order: `stop` is the one place they shrink.
-
-    `ids` numbers them among the run's S rows and `x` holds their iterates;
-    `sel` indexes them in the chunk arrays, which hold the rows running at
-    the chunk's start, and is a full slice while all of those run.
-    """
-
-    def __init__(self, run: Run):
-        self.X, self.diverged_step, self.policy = run.X, run.diverged_step, run.policy
-        self.ids, self.x = np.arange(len(run.X)), run.X
-
-    def start(self) -> tuple:
-        """Make the running rows a new chunk's rows; (x, sel) for the step loop."""
-        self.sel = slice(None)
-        return self.x, self.sel
-
-    def stop(self, bad: np.ndarray, x: np.ndarray, diverged_at: Optional[int] = None) -> tuple:
-        """Freeze the rows flagged in `bad`, `x` the running rows' iterates: diverged at step
-        `diverged_at`, or retired at their end when it is None. X gets their iterates, the
-        policy keeps the others' state; returns the new (x, sel)."""
-        gone, keep = self.ids[bad], ~bad
-        self.X[gone] = x[bad]
-        if diverged_at is not None:
-            self.diverged_step[gone] = diverged_at
-        if isinstance(self.sel, slice):
-            self.sel = np.arange(len(x))
-        self.ids, self.sel, self.x = self.ids[keep], self.sel[keep], x[keep]
-        self.policy.keep_rows(keep)
-        return self.x, self.sel
 
 
 class Run:
@@ -194,9 +167,9 @@ class Run:
     keeps iterates; whoever reads a metric evaluates it (`metrics`). From
     chunk to chunk the run carries the policy's per-row state, each row's
     two streams, default_rng([seed, 0]) for the start point and
-    default_rng([seed, 1]) for the indices, which its `_Sampler` deals, and its
-    running rows, which one `_Rows` holds: their numbers and iterates,
-    compacted by its `stop` when a row stops.
+    default_rng([seed, 1]) for the indices, which its `_Sampler` deals, and the
+    numbers of its running rows, `_ids`, which `_stop` compacts when a row
+    stops.
 
     X holds every row's start point until the first chunk, then each row's
     iterate as of its stop or the last chunk. `steps` is one end step for
@@ -214,8 +187,7 @@ class Run:
             raise ValueError(f"steps holds {np.size(steps)} ends in shape {np.shape(steps)} "
                              f"for {len(seeds)} rows; give one end step, or one per row")
         ends = [int(e) for e in np.broadcast_to(steps, (len(seeds),))]
-        check_run(obj, policy, min(ends, default=1), seeds=seeds, sampler=sampler,
-                  batch_size=batch_size, x0=x0)
+        check_run(obj, policy, ends, seeds=seeds, sampler=sampler, batch_size=batch_size, x0=x0)
         n_rows, dim = len(seeds), obj.dim
         self.obj, self.policy, self.seeds, self.cadence = obj, policy, seeds, cadence
         self.ends = np.array(ends)
@@ -229,7 +201,7 @@ class Run:
         policy.reset()
         self.k = 0
         self.diverged_step = np.full(n_rows, -1)
-        self._rows = _Rows(self)  # which rows still run; X gets a row's iterate when it stops
+        self._ids = np.arange(n_rows)  # the running rows; X gets a row's iterate when it stops
         self._batch = obj.n if self.full_batch else batch_size  # indices a step
         self._width = dim + 4 + (0 if self.full_batch else batch_size)  # entries a row-step
         refill = REFILL_CHUNKS * _chunk_steps(n_rows, self._width) * batch_size
@@ -245,14 +217,29 @@ class Run:
         """(S,) steps of each row's trace: through the step where it diverged, else to its end."""
         return np.where(self.diverged_step >= 0, self.diverged_step + 1, self.ends)
 
+    def _stop(self, bad: np.ndarray, x: np.ndarray, sel, diverged_at: Optional[int] = None):
+        """Stop the running rows flagged in `bad`, of iterates `x` and chunk index `sel`: diverged
+        at step `diverged_at`, or retired at their end when it is None. X gets their iterates,
+        the policy keeps the others' state; returns the others' (x, sel)."""
+        gone, keep = self._ids[bad], ~bad
+        self.X[gone] = x[bad]
+        if diverged_at is not None:
+            self.diverged_step[gone] = diverged_at
+        self._ids = self._ids[keep]
+        self.policy.keep_rows(keep)
+        if isinstance(sel, slice):
+            sel = np.arange(len(x))
+        return x[keep], sel[keep]
+
     def advance(self) -> Chunk:
         """Run steps k .. k1-1 of the R rows running at k, k1 = min(k + _chunk_steps(R, width),
         the next end among them), or the run's end when R = 0; the rows that end at k1 retire
         after its last step.
 
         A batch loss or squared batch gradient norm that is not finite or is
-        above 1e30, or a non-finite coordinate, halts that row with the
-        diverged flag set: it freezes and the other rows go on.
+        above 1e30 halts that row before the policy's call, a non-finite
+        coordinate (as a non-finite gamma makes) after its step; either way
+        the diverged flag is set, it freezes and the other rows go on.
         """
         k0 = self.k
         if k0 == self.steps:
@@ -260,11 +247,10 @@ class Run:
         obj, policy, cadence, full_batch = self.obj, self.policy, self.cadence, self.full_batch
         dim = obj.dim
         # Chunk arrays hold the rows running at k0, compact, so that rows
-        # running on after others stopped take plain slices. The step loop
-        # keeps `rows`' fields in locals, set anew by each stop.
-        rows = self._rows
-        x, sel = rows.start()
-        ids, n_start = rows.ids, len(x)
+        # running on after others stopped take plain slices; `sel` indexes
+        # the rows still running in them, set anew by each stop.
+        ids, sel = self._ids, slice(None)
+        x, n_start = self.X[ids], len(ids)
         if n_start:
             k1 = min(k0 + _chunk_steps(n_start, self._width), int(self.ends[ids].min()))
             sigma = policy.sigma_schedule(k1, k0)
@@ -283,7 +269,6 @@ class Run:
         lg_c = np.full((n_steps, 2, n_start), np.nan)
         lg_flat = lg_c.reshape(n_steps, 2 * n_start)
         gamma_c = np.full((n_steps, n_start), np.nan)
-        stationary_c = np.zeros((n_steps, n_start), dtype=bool)
         # x^k at each cadence point, NaN where a row is stopped: `point` is
         # the next one's step and i its index; without a cadence, never reached
         metric_steps = (np.arange(-(-k0 // cadence) * cadence, k1, cadence)
@@ -304,14 +289,14 @@ class Run:
         isfinite = math.isfinite
 
         def probe(gamma: np.ndarray) -> np.ndarray:
-            """Batch loss of every running row at x - gamma * grad."""
-            trial = x - gamma[:, None] * grad
-            return (full_many(trial) if full_batch else eval_many(tables[j, sel], trial))[0]
+            """Full loss of every running row at x - gamma * grad."""
+            return full_many(x - gamma[:, None] * grad)[0]
 
         # One observation, refreshed in place each step: the runner's losses are
         # clamped at zero and its squared norms are sums of squares, so the
-        # constructor's validation is not repeated.
-        obs = StepObservation(k=0, loss=zero, grad_sq_norm=zero, probe=probe)
+        # constructor's validation is not repeated. Only a full_batch run probes.
+        obs = StepObservation(k=0, loss=zero, grad_sq_norm=zero,
+                              probe=probe if full_batch else None)
 
         # a diverging row overflows on its way out; it is flagged, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
@@ -343,7 +328,7 @@ class Run:
                     bad = ~((np.abs(loss) <= DIVERGENCE_THRESHOLD)
                             & (gsq <= DIVERGENCE_THRESHOLD))
                     if bad.any():
-                        x, sel = rows.stop(bad, x, k)
+                        x, sel = self._stop(bad, x, sel, k)
                         if not len(x):
                             break
                         loss, grad, gsq = loss[~bad], grad[~bad], gsq[~bad]
@@ -360,36 +345,27 @@ class Run:
                 except Exception as exc:  # noqa: BLE001 - annotate with step index
                     raise RunError(k, exc) from exc
 
-                x_new = x - gamma[:, None] * grad
-                # Fast guard, one BLAS dot: the sum of squares of every
-                # coordinate. A NaN gamma (a stationary row) or a non-finite
-                # coordinate fails it in any summation order; so do finite
-                # coordinates whose squares overflow (above about 1.3e154),
-                # but failing only leads to the exact per-row test, which
-                # stops a row on a non-finite coordinate, not on its sum.
-                flat = x_new.reshape(-1)
-                if isfinite(flat.dot(flat)):
-                    gamma_c[j, sel] = gamma
-                    x = x_new
-                    continue
-                still = np.isnan(gamma)
-                if still.any():  # a stationary row takes no step
-                    stationary_c[j, sel] = still
-                    gamma = np.where(still, 0.0, gamma)
-                    x_new[still] = x[still]
                 gamma_c[j, sel] = gamma
-                x = x_new
-                bad = ~np.isfinite(x).all(axis=1)
-                if bad.any():
-                    x, sel = rows.stop(bad, x, k)
-                    if not len(x):
-                        break
+                x = x - gamma[:, None] * grad
+                # Fast guard, one BLAS dot: the sum of squares of every
+                # coordinate. A non-finite gamma or coordinate fails it in
+                # any summation order; so do finite coordinates whose
+                # squares overflow (above about 1.3e154), but failing only
+                # leads to the exact per-row test, which stops a row on a
+                # non-finite coordinate, not on its sum.
+                flat = x.reshape(-1)
+                if not isfinite(flat.dot(flat)):
+                    bad = ~np.isfinite(x).all(axis=1)
+                    if bad.any():
+                        x, sel = self._stop(bad, x, sel, k)
+                        if not len(x):
+                            break
 
         self.k = k1
-        self.X[rows.ids] = x
-        rows.stop(self.ends[rows.ids] == k1, x)  # the rows that end at k1 retire
+        self.X[self._ids] = x
+        self._stop(self.ends[self._ids] == k1, x, sel)  # the rows that end at k1 retire
         return Chunk(k0, k1, ids, tables.transpose(1, 0, 2), lg_c[:, 0].T, gamma_c.T,
-                     lg_c[:, 1].T, stationary_c.T, sigma.T, metric_steps, iterates_c)
+                     lg_c[:, 1].T, sigma.T, metric_steps, iterates_c)
 
 
 def metrics(obj: FiniteSumObjective, points: np.ndarray) -> np.ndarray:
@@ -504,18 +480,18 @@ def write_traces(run: Run, paths: Sequence) -> np.ndarray:
 
     A file has the TRACE_COLUMNS header and one row per step of the trace;
     off-cadence and non-finite cells are empty, and a diverged trace ends at
-    the step where it diverged, its sigma cell empty where the loss test
-    stopped it (its gamma is NaN there). Each chunk's metrics are evaluated
-    at its rows' cadence points in one full_many call and each of its rows'
-    trace rows written as soon as it is done, so memory stays within a
-    chunk however long the run. Returns the (S, 4) final values of
-    loss_full, dist_sq, grad_full_sq and gamma of each row, the first three
-    at its final iterate in `Run.X` (one full_many call after the last
-    chunk), NaN for a row that diverged, the first three NaN without a
-    cadence. With no paths it writes nothing, evaluates no cadence point
-    and returns only these; ValueError, before any file is opened, for any
-    other count than one path per row or for a run that has already
-    advanced.
+    the step where it diverged, its sigma cell empty where its gamma is NaN
+    (where the loss test stopped it, or a NaN gamma did). Each chunk's
+    metrics are evaluated at its rows' cadence points in one full_many call
+    and each of its rows' trace rows written as soon as it is done, so
+    memory stays within a chunk however long the run. Returns the (S, 4)
+    final values of loss_full, dist_sq, grad_full_sq and gamma of each
+    row, the first three at its final iterate in `Run.X` (one full_many
+    call after the last chunk), NaN for a row that diverged, the first
+    three NaN without a cadence. With no paths it writes nothing, evaluates
+    no cadence point and returns only these; ValueError, before any file
+    is opened, for any other count than one path per row or for a run that
+    has already advanced.
     """
     _check_fresh(run)
     if len(paths) not in (0, len(run.seeds)):

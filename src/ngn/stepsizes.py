@@ -2,14 +2,14 @@
 
 A policy observes (k, f_i(x^k), ||grad f_i(x^k)||^2) of the R seeds still
 running, as (R,) arrays in row order, and their sigma_k; it emits
-gamma_k of the same shape: gamma > 0, or NaN where the observation is
-stationary (zero gradient where the rule is undefined); the runner then
-takes a zero step for that seed. Scalars work too, as R = 1 without the
-axis. A line search also gets a probe: the batch loss of every running
-seed at its trial point x^k - gamma * grad f_i(x^k). When seeds stop, the
-runner's `keep_rows` call keeps a policy's per-row parameters and state in
-row order. `ngn.specs.POLICIES` declares and checks every parameter; the
-classes check none.
+gamma_k >= 0 of the same shape. A Polyak-type rule takes a zero step where
+the gradient vanishes; the runner stops a row whose gamma is not finite
+as diverged at that step. Scalars work too, as R = 1 without the axis. A
+line search, which runs full_batch, also gets a probe: the loss of every
+running seed at its trial point x^k - gamma * grad f(x^k). When seeds
+stop, the runner's `keep_rows` call keeps a policy's per-row parameters
+and state in row order. `ngn.specs.POLICIES` declares and checks every
+parameter; the classes check none.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class StepObservation:
     loss: np.ndarray  # (R,) batch losses of the running rows
     grad_sq_norm: np.ndarray  # (R,) squared batch-gradient norms of the running rows
     component_min: Optional[np.ndarray] = None  # (R,) mean f_i* of each running row's batch
-    probe: Optional[Callable[[np.ndarray], np.ndarray]] = None  # gamma -> batch loss after the step
+    probe: Optional[Callable[[np.ndarray], np.ndarray]] = None  # gamma -> loss after the step
     sigma: Optional[np.ndarray] = None  # (R,) sigma_k of the running rows, from sigma_schedule
 
     def __post_init__(self):
@@ -105,7 +105,7 @@ def _ngn_formula(sigma: np.ndarray, loss, grad_sq):
     return sigma / (_ONE + sigma * grad_sq / (_TWO * np.maximum(loss, _F_FLOOR)))
 
 
-def _over_grad_sq(numerator, grad_sq, at_zero: float = math.nan):
+def _over_grad_sq(numerator, grad_sq, at_zero: float = 0.0):
     """numerator / ||g||^2, and `at_zero` where the gradient vanishes."""
     flat = grad_sq == 0.0
     return np.where(flat, at_zero, numerator / np.where(flat, 1.0, grad_sq))

@@ -34,7 +34,7 @@ class TheoryContext:
             raise ValueError("gap terms must be nonnegative and finite")
 
 
-def context_from_objective(obj: FiniteSumObjective, delta_noise_sq: float = 0.0) -> TheoryContext:
+def context_from_objective(obj: FiniteSumObjective) -> TheoryContext:
     if obj.l_max is None:
         raise ValueError("objective has no certified smoothness constant")
     delta_int, delta_pos = compute_deltas(obj)
@@ -43,7 +43,6 @@ def context_from_objective(obj: FiniteSumObjective, delta_noise_sq: float = 0.0)
         mu=obj.mu or 0.0,
         delta_int=delta_int,
         delta_pos=delta_pos,
-        delta_noise_sq=delta_noise_sq,
     )
 
 

@@ -109,7 +109,7 @@ def check_lemma_bounds(
     lo, hi = stepsize_bounds(sigma, obj.l_max)
     violation, n_taken = 0.0, 0
     for chunk in Run(obj, _ngn(sigma), steps, seeds=(seed,)):
-        gammas = chunk.gamma[~chunk.stationary & np.isfinite(chunk.gamma)]
+        gammas = chunk.gamma[np.isfinite(chunk.gamma)]
         n_taken += gammas.size
         violation = max(violation, float(np.max(lo - gammas, initial=0.0)),
                         float(np.max(gammas - hi, initial=0.0)))
@@ -144,7 +144,7 @@ def check_lemma_inequality(
     worst, n_taken = np.full(len(sigmas), -math.inf), np.zeros(len(sigmas), dtype=int)
     for chunk in Run(obj, _ngn(sigmas), steps, seeds=[seed] * len(sigmas)):
         rows = chunk.rows
-        taken = np.isfinite(chunk.gamma) & ~chunk.stationary
+        taken = np.isfinite(chunk.gamma)
         n_taken[rows] += taken.sum(axis=1)
         fstar = obj.f_i_star[chunk.batch_ids].mean(axis=2)
         lhs = chunk.gamma**2 * chunk.grad_sq

@@ -122,6 +122,8 @@ def test_run_rejects_repeated_key(tmp_path, capsys):
     ("cadence", "0", 5, "must be >= 1, got 0"),
     # values that only runner.check_run rejects
     ("steps", "0", 3, "must be >= 1"),
+    ("steps", "9223372036854775808", 3,
+     "must be <= 9223372036854775807, got 9223372036854775808"),
     ("seeds", "", 4, "at least one seed is required"),
     ("batch_size", "5", 5, "must be between 1 and the component count 1, got 5"),
 ])

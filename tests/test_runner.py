@@ -118,6 +118,16 @@ def test_steps_must_be_one_end_or_one_per_row(steps, count, shape):
         Run(make_two_quadratics(), policy("ngn(sigma=0.5)"), steps, seeds=[0])
 
 
+@pytest.mark.parametrize("steps", [2**63, 2**64, [5, 2**63]], ids=["2**63", "2**64", "per_row"])
+def test_steps_must_fit_in_int64(steps):
+    # above int64 Run.ends would turn uint64, whose lengths() are floats, or
+    # object; the largest int64 end still makes int64 lengths
+    obj, ngn = make_two_quadratics(), policy("ngn(sigma=0.5)")
+    with pytest.raises(runner.ParamError, match=re.escape(f"steps: must be <= {2**63 - 1}, got")):
+        Run(obj, ngn, steps, seeds=[0, 1][:np.size(steps)])
+    assert Run(obj, ngn, 2**63 - 1).lengths().dtype == np.int64
+
+
 def test_aggregate_hand_values():
     agg = aggregate_metric([1.0, 3.0])
     assert agg.mean == pytest.approx(2.0)
@@ -238,13 +248,12 @@ class Forced(StepsizePolicy):
     """`inner`, except that row r of the run takes gamma `events[r, k]` at step k.
 
     It follows keep_rows, to name rows by their numbers in the run, and
-    keeps in `seen` what it observes at each step. With `own_batch` a
-    full-batch policy (Armijo) runs on each row's batch.
+    keeps in `seen` what it observes at each step.
     """
 
-    def __init__(self, inner, n_rows, events, own_batch=False):
+    def __init__(self, inner, n_rows, events):
         self.inner, self.n_rows, self.events = inner, n_rows, events
-        self.requires_full_batch = inner.requires_full_batch and not own_batch
+        self.requires_full_batch = inner.requires_full_batch
         self.requires_component_min = inner.requires_component_min
         self.sigma_schedule, self.row_params = inner.sigma_schedule, inner.row_params
 
@@ -272,7 +281,7 @@ def with_params(spec, **params):
 
 
 def assert_rows_claim(problem, policy, ends, *, values=None, seeds=None, events=None,
-                      chunks=(None,), own_batch=False, f_i_star=None, shift=0.0, cadence=1,
+                      chunks=(None,), f_i_star=None, shift=0.0, cadence=1,
                       **kwargs):
     """Row r (seed seeds[r], by default r, to step ends[r]) of a run in company, at each
     chunk length, is its solo run bit for bit, and on a 1-d problem at cadence 1 takes
@@ -301,7 +310,7 @@ def assert_rows_claim(problem, policy, ends, *, values=None, seeds=None, events=
     seeds = list(range(len(ends))) if seeds is None else seeds
 
     def make_run(spec, ends, seeds, events, **params):
-        forced = Forced(build_spec(POLICIES, spec, **params), len(seeds), events, own_batch)
+        forced = Forced(build_spec(POLICIES, spec, **params), len(seeds), events)
         return Run(obj, forced, ends, seeds=seeds, cadence=cadence, **kwargs)
 
     solo = []
@@ -333,9 +342,11 @@ def assert_rows_claim(problem, policy, ends, *, values=None, seeds=None, events=
             for name, value in vars(before).items():
                 assert (np.asarray(getattr(chunk, name)).tobytes()
                         == np.asarray(value).tobytes()), (chunk.k0, name)
-        # a row reaches the policy at step k unless it has stopped: its gamma is NaN
-        running = [[r for r, t in enumerate(traces) if k < t.steps and not np.isnan(t.gamma[k])]
-                   for k in range(run.steps)]
+        # a row reaches the policy at step k unless it has stopped: before k,
+        # where its loss is NaN, or at k, where the loss test fails
+        running = [[r for r, t in enumerate(traces) if k < t.steps
+                    and abs(t.loss_batch[k]) <= oracle.THRESHOLD
+                    and t.grad_sq[k] <= oracle.THRESHOLD] for k in range(run.steps)]
         # a chunk holds the rows running at its k0, and the run's sigma_k is theirs
         sigma = np.full((len(ends), run.steps), np.nan)
         for chunk, _ in kept:
@@ -441,18 +452,17 @@ def test_sps_max_rows_read_their_own_component_min():
                       f_i_star=[0.05, 0.2], chunks=(7,))
 
 
-def test_probe_evaluates_each_running_rows_batch():
-    # Armijo on each row's own batch while rows retire at chunk seams
-    assert_rows_claim(ORACLE_PROBLEMS[2], ARMIJO, [40, 23, 40, 9], own_batch=True,
-                      sampler="epoch_shuffle", batch_size=2, chunks=(7,))
+def zero_steps(trace) -> np.ndarray:
+    """Where the row took a zero step at a zero gradient: it stood still."""
+    return (trace.gamma == 0.0) & (trace.grad_sq == 0.0)
 
 
 def test_lockstep_stationary_rows_match_solo_runs():
     # APS halves x on this quadratic. For seed 1 the gradient underflows to
-    # exactly 0 (a stationary row from step 536 on); for the other seeds the
+    # exactly 0 (a zero step from step 536 on); for the other seeds the
     # loss underflows first, so their steps shrink to 0 instead
     traces = assert_rows_claim(QUADRATIC0, "aps()", [600] * 4)
-    assert [int(t.stationary.sum()) for t in traces] == [0, 64, 0, 0]
+    assert [int(zero_steps(t).sum()) for t in traces] == [0, 64, 0, 0]
 
 
 def test_lockstep_diverged_rows_match_solo_runs():
@@ -480,7 +490,7 @@ def assert_case(case, problem, policy, ends, kwargs, chunks):
     traces = assert_rows_claim(problem, policy, ends, chunks=chunks, **kwargs)
     assert any(t.diverged for t in traces) == case.endswith("diverged")
     assert all(t.diverged for t in traces) == (case == "all_diverged")
-    assert any(t.stationary.any() for t in traces) == (case == "stationary")
+    assert any(zero_steps(t).any() for t in traces) == (case == "stationary")
     assert any((t.loss_batch < 0).any() for t in traces) == (case == "clamp")
 
 
@@ -505,15 +515,31 @@ def test_sigma_cells_of_diverged_rows(case):
         assert not np.shares_memory(trace.sigma, traces[seed - 1].sigma)  # its own copy
 
 
+def injected_gamma_run(gamma):
+    """Rows 0 and 7 take `gamma` at step 3 while the steps of rows 3 and 6
+    overflow, and row 7 takes it again at step 5, after those stopped."""
+    events = {(0, 3): gamma, (7, 3): gamma, (3, 3): 1e308, (6, 3): np.inf, (7, 5): gamma}
+    return assert_rows_claim("quadratic1d(lam=10.0, xstar=0.0, fstar=0.0)", "ngn(sigma=0.05)",
+                             [10] * 8, events=events)
+
+
 def test_stationary_and_diverging_rows_in_one_step():
-    # at step 3 rows 0 and 7 go stationary (NaN gamma) and the steps of rows
-    # 3 and 6 overflow; at step 5, after those stopped, row 7 again
-    events = {(0, 3): np.nan, (7, 3): np.nan, (3, 3): 1e308, (6, 3): np.inf, (7, 5): np.nan}
-    traces = assert_rows_claim("quadratic1d(lam=10.0, xstar=0.0, fstar=0.0)",
-                               "constant(gamma=0.01)", [10] * 8, events=events)
-    assert [r for r, t in enumerate(traces) if t.stationary[3]] == [0, 7]
-    assert [r for r, t in enumerate(traces) if t.stationary[5]] == [7]
+    # a zero step leaves x where it is, and the row runs on
+    traces = injected_gamma_run(0.0)
+    assert [r for r, t in enumerate(traces) if t.gamma[3] == 0.0] == [0, 7]
+    assert [r for r, t in enumerate(traces) if t.gamma[5] == 0.0] == [7]
+    assert all(t.iterates[4] == t.iterates[3] for t in (traces[0], traces[7]))
+    assert traces[7].iterates[6] == traces[7].iterates[5]
     assert [t.diverged_step for t in traces] == [None, None, None, 3, None, None, 3, None]
+
+
+def test_nan_gamma_stops_its_row_as_diverged():
+    # a NaN makes x NaN: its row stops at that step, its gamma and sigma NaN there
+    traces = injected_gamma_run(np.nan)
+    assert [t.diverged_step for t in traces] == [3, None, None, 3, None, None, 3, 3]
+    assert [r for r, t in enumerate(traces) if np.isnan(t.sigma[3])] == [0, 7]
+    assert all(np.isnan(traces[r].gamma[3]) and np.isnan(traces[r].x_final).all() for r in (0, 7))
+    assert np.isfinite(traces[0].sigma[:3]).all()
 
 
 @pytest.mark.parametrize("schedule", [None, "inv_sqrt"])

@@ -145,6 +145,23 @@ def test_policies_return_one_stepsize_per_row():
         assert np.shape(policy(spec).stepsize(o)) == (3,), spec
 
 
+# a spec of each POLICIES entry, by its name
+ONE_OF_EACH = {"ngn": "ngn(sigma=0.3)", "ggn": "ggn(sigma=0.3)", "aps": "aps()",
+               "sps_max": "sps_max(gamma_b=1)", "polyak": "polyak()",
+               "adagrad_norm": "adagrad_norm(eta=1, delta0=0.1)",
+               "constant": "constant(gamma=0.3)", "armijo": "armijo()"}
+
+
+@pytest.mark.parametrize("name", POLICIES)
+def test_policies_take_a_finite_step_at_a_zero_gradient(name):
+    # every row's gradient vanishes, whatever its loss: each gamma is finite and >= 0
+    loss = np.array([0.0, 0.5, 2.0])
+    gamma = policy(ONE_OF_EACH[name]).stepsize(StepObservation(
+        k=3, loss=loss, grad_sq_norm=np.zeros(3), component_min=np.full(3, 0.1),
+        probe=lambda gamma: loss, sigma=np.array(0.3)))
+    assert np.shape(gamma) == (3,) and np.all(np.isfinite(gamma) & (gamma >= 0.0)), gamma
+
+
 def test_policies_with_one_value_per_row_match_each_value_alone():
     # each row's stepsize is the one its own values give, bit for bit; a
     # stopped row leaves its values with `keep_rows`
@@ -202,7 +219,7 @@ def test_ggn_rejects_bad_monomial():
 def test_aps_hand_value_and_stationary_signal():
     aps = policy("aps()")
     assert aps.stepsize(obs(2.0, 4.0)) == pytest.approx(0.5)
-    assert np.isnan(aps.stepsize(obs(2.0, 0.0)))
+    assert aps.stepsize(obs(2.0, 0.0)) == 0.0
 
 
 def test_sps_max_cap_and_clamp():
@@ -218,7 +235,7 @@ def test_polyak_known_fstar():
     pol = policy("polyak(fstar=1.0)")
     assert pol.requires_full_batch
     assert pol.stepsize(obs(3.0, 4.0)) == pytest.approx(0.5)
-    assert np.isnan(pol.stepsize(obs(3.0, 0.0)))
+    assert pol.stepsize(obs(3.0, 0.0)) == 0.0
 
 
 def test_adagrad_norm_hand_values_and_reset():

@@ -157,7 +157,7 @@ def test_lemma_checks_fail_without_a_step(monkeypatch, check):
 
     def no_step(run):
         chunk = advance(run)
-        chunk.stationary[:] = True  # as if every step stood still
+        chunk.gamma[:] = np.nan  # as if the loss test had stopped every row before its step
         return chunk
 
     assert all(report.passed for report in check())

@@ -27,7 +27,6 @@ class RunTrace:
     gamma: np.ndarray
     sigma: np.ndarray
     grad_sq: np.ndarray
-    stationary: np.ndarray
     # the cadence points of the trace, then the final iterate's step unless
     # the row diverged; the iterates and metrics there
     metric_steps: np.ndarray
@@ -54,7 +53,6 @@ def whole_traces(run: Run) -> list[RunTrace]:
     loss_batch = np.full((n_rows, steps), np.nan)
     gamma = np.full((n_rows, steps), np.nan)
     grad_sq = np.full((n_rows, steps), np.nan)
-    stationary = np.zeros((n_rows, steps), dtype=bool)
     sigma = np.full((n_rows, steps), np.nan)
     # (S, steps, batch), or the one (S, 1, N) of full_batch
     batch_ids = np.full((n_rows, 1 if run.full_batch else steps, run._batch), -1)
@@ -65,7 +63,6 @@ def whole_traces(run: Run) -> list[RunTrace]:
         loss_batch[chunk.rows, span] = chunk.loss_batch
         gamma[chunk.rows, span] = chunk.gamma
         grad_sq[chunk.rows, span] = chunk.grad_sq
-        stationary[chunk.rows, span] = chunk.stationary
         sigma[chunk.rows, span] = chunk.sigma
         batch_ids[chunk.rows, slice(None) if run.full_batch else span] = chunk.batch_ids
         chunk_values = metrics(run.obj, chunk.iterates)
@@ -106,7 +103,6 @@ def whole_traces(run: Run) -> list[RunTrace]:
             gamma=gamma_r,
             sigma=sigma_r,
             grad_sq=grad_sq[r, :end],
-            stationary=stationary[r, :end],
             metric_steps=steps_r[on],
             iterates=np.concatenate(points[r])[on],
             loss_full=values_r[0],
